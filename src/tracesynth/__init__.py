@@ -5,11 +5,10 @@ structure search."""
 from .autodiff import Gradients, backward, jacobian
 from .config import RunConfig
 from .interpreter import (
-    CallRecord,
-    CallTrace,
     ErrorSpec,
     EvaluationError,
     ExecutionResult,
+    compile_tape,
     discretize_actions,
     discretized_error_spec,
     evaluate_step,

@@ -1,11 +1,12 @@
-"""Backward pass: reverse-mode differentiation over a recorded call trace.
+"""Backward pass: reverse-mode differentiation over the tape of an execution.
 
 The loss is a sum of per-step action errors, so the backward pass seeds one
-upstream gradient row per executed step and walks the recorded tree once,
-multiplying Jacobians on the way down.  Three cases cover the walk: a child
-that is itself an application (chain through its record), a parameter leaf
-(gradient rows summed over steps), and a variable leaf (one gradient row per
-read time, kept per-read and also aggregated).
+upstream gradient row per executed step and walks the tape that ``execute``
+ran in reverse, applying each call's vector-Jacobian product to the stored
+activations of its arguments.  Every node of a tree has one parent, so each
+op receives its upstream gradient exactly once before it is visited.  A
+parameter op sums its rows over steps; a variable op keeps one row per read
+time and also their sum.
 """
 
 from __future__ import annotations
@@ -14,15 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .interpreter import (
-    ArgRecord,
-    CallRecord,
-    CallTrace,
-    ErrorSpec,
-    ExecutionResult,
-    ParamArg,
-    VarArg,
-)
+from .interpreter import ACTION, CALL, PARAM, ErrorSpec, ExecutionResult
 from .program import FunctionSpec, ProgramError, Registry
 
 
@@ -32,7 +25,7 @@ class Gradients:
 
     ``params`` maps parameter id -> gradient summed over all timesteps.
     ``slot_reads`` maps a variable leaf's node id -> per-read-time gradient
-    rows (n, d) aligned with ``times``; ``slot_totals`` is their sum.
+    rows (n, d), one per executed step; ``slot_totals`` is their sum.
     ``slot_names`` records which variable each slot read.
     """
 
@@ -41,7 +34,6 @@ class Gradients:
     slot_reads: dict[int, np.ndarray]
     slot_totals: dict[int, np.ndarray]
     slot_names: dict[int, str]
-    times: np.ndarray
 
     def leaf_norms(self) -> dict[int, float]:
         """Euclidean norm of the aggregate gradient per leaf node id; the
@@ -54,7 +46,8 @@ class Gradients:
 
 def jacobian(registry: Registry, fn: FunctionSpec | str, args: tuple, index: int) -> np.ndarray:
     """Analytic Jacobian of a registered function with respect to one
-    argument, evaluated at ``args`` (a tuple of (d_i,) vectors).
+    argument, evaluated at ``args`` (a tuple of (d_i,) vectors): row k is the
+    entry's VJP applied to the k-th one-hot upstream row.
 
     Returns an (out_dim, arg_dim) matrix.
     """
@@ -62,8 +55,10 @@ def jacobian(registry: Registry, fn: FunctionSpec | str, args: tuple, index: int
     spec = registry.spec(name)
     if not 0 <= index < spec.arity:
         raise ProgramError(f"{name}: argument index {index} out of range")
-    vals = tuple(np.asarray(a, dtype=float).reshape(-1) for a in args)
-    return np.asarray(registry.jac(name)(vals, index), dtype=float)
+    vals = tuple(np.asarray(a, dtype=float).reshape(1, -1) for a in args)
+    vjp = registry.vjp(name)
+    rows = [vjp(vals, upstream[None, :])[index][0] for upstream in np.eye(spec.out_dim)]
+    return np.asarray(rows, dtype=float)
 
 
 def action_error_jacobian(theta_hat: np.ndarray, theta: np.ndarray, spec: ErrorSpec) -> np.ndarray:
@@ -73,96 +68,52 @@ def action_error_jacobian(theta_hat: np.ndarray, theta: np.ndarray, spec: ErrorS
     return spec.act_error_grad(th, t)[0]
 
 
-def _vjp(registry: Registry, rec: CallRecord, upstream: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Per-argument gradients of one recorded application, vectorised over
-    steps; falls back to per-step Jacobian products when the registry has no
-    vectorised rule."""
-    arg_values = tuple(
-        a.value[None, :].repeat(len(upstream), axis=0) if isinstance(a, ParamArg)
-        else a.values if isinstance(a, VarArg) else a.value
-        for a in rec.args
-    )
-    rule = registry.vjp(rec.name)
-    if rule is not None:
-        return rule(arg_values, upstream)
-    jac_fn = registry.jac(rec.name)
-    n = upstream.shape[0]
-    outs = []
-    for i, arg in enumerate(arg_values):
-        g = np.empty_like(arg)
-        for k in range(n):
-            point = tuple(a[k] for a in arg_values)
-            g[k] = upstream[k] @ np.asarray(jac_fn(point, i), dtype=float)
-        outs.append(g)
-    return tuple(outs)
-
-
-def backward(
-    call_trace: CallTrace | None,
-    result: ExecutionResult,
-    spec: ErrorSpec,
-    registry: Registry,
-) -> Gradients:
+def backward(result: ExecutionResult, spec: ErrorSpec, registry: Registry) -> Gradients:
     """Differentiate the loss of an execution with respect to every
     parameter and variable leaf.
 
-    ``call_trace`` must be the trace produced by the execute call that
-    produced ``result`` (pass None to use the one embedded in the result).
     The gradient is seeded per executed step from the action-error
-    derivative and propagated down the recorded tree.
+    derivative and propagated by the reverse loop over ``result.tape``.
+    Steps whose observed action name differs contribute only the flat
+    penalty, which has zero gradient.  ``registry`` is the one the tape was
+    compiled with; the tape already carries its VJPs.
     """
-    if call_trace is None:
-        call_trace = result.call_trace
-    if call_trace is not result.call_trace:
-        raise ProgramError("call trace does not belong to this execution result")
-    root = call_trace.root
-
     n = result.executed_len
-    times = result.call_trace.times
-    grads = Gradients({}, {}, {}, {}, {}, times)
+    tape = result.tape
+    values = result.activations
+    mask = result.name_mask
+    if mask.all():
+        seed = spec.act_error_grad(result.theta_hat, result.theta_obs)
+    else:
+        seed = np.zeros_like(result.theta_hat)
+        if mask.any():
+            seed[mask] = spec.act_error_grad(result.theta_hat[mask], result.theta_obs[mask])
 
-    # steps whose observed action name differs contribute only the flat
-    # penalty, which has zero gradient
-    comparable = np.array([nm == result.action_name for nm in result.obs_names])
-    seed = np.zeros_like(result.theta_hat)
-    if comparable.any():
-        seed[comparable] = spec.act_error_grad(
-            result.theta_hat[comparable], result.theta_obs[comparable]
-        )
-
-    def walk(rec: ArgRecord, upstream: np.ndarray) -> None:
-        if isinstance(rec, ParamArg):
-            total = upstream.sum(axis=0)
-            if rec.pid in grads.params:
-                grads.params[rec.pid] = grads.params[rec.pid] + total
-            else:
-                grads.params[rec.pid] = total
-                grads.param_nodes[rec.pid] = rec.node_id
-            return
-        if isinstance(rec, VarArg):
-            grads.slot_reads[rec.node_id] = upstream
-            grads.slot_totals[rec.node_id] = upstream.sum(axis=0)
-            grads.slot_names[rec.node_id] = rec.name
-            return
-        if rec.name == result.action_name and rec.node_id == root.node_id:
-            # action root: children are concatenated slices of theta_hat
+    grads = Gradients({}, {}, {}, {}, {})
+    upstream: list[np.ndarray | None] = [None] * len(tape)
+    upstream[-1] = seed
+    for pos in range(len(tape) - 1, -1, -1):
+        kind, nid, _, args, key, _, vjp = tape[pos]
+        g = upstream[pos]
+        if kind is CALL:
+            for i, gi in zip(args, vjp(tuple(values[i][:n] for i in args), g)):
+                upstream[i] = gi
+        elif kind is ACTION:
+            # the action's parameters are its arguments concatenated
             offset = 0
-            for a in rec.args:
-                d = _record_dim(a)
-                walk(a, upstream[:, offset : offset + d])
+            for i in args:
+                d = tape[i].dim
+                upstream[i] = g[:, offset : offset + d]
                 offset += d
-            return
-        for a, g in zip(rec.args, _vjp(registry, rec, upstream)):
-            walk(a, g)
-
-    walk(root, seed)
-    assert n == len(times)
+        elif kind is PARAM:
+            total = g.sum(axis=0)
+            if key in grads.params:
+                grads.params[key] = grads.params[key] + total
+            else:
+                grads.params[key] = total
+                grads.param_nodes[key] = nid
+        else:
+            grads.slot_reads[nid] = g
+            grads.slot_totals[nid] = g.sum(axis=0)
+            grads.slot_names[nid] = key
     return grads
-
-
-def _record_dim(rec: ArgRecord) -> int:
-    if isinstance(rec, ParamArg):
-        return rec.value.shape[-1]
-    if isinstance(rec, VarArg):
-        return rec.values.shape[-1]
-    return rec.value.shape[-1]

@@ -58,13 +58,13 @@ def _build_parser() -> argparse.ArgumentParser:
     ind = sub.add_parser("induce", help="induce a program reproducing a trace")
     ind.add_argument("--trace", required=True)
     ind.add_argument("--out", default=None)
-    ind.add_argument("--config", default=None, help="JSON file of run-config fields")
-    _add_config_flags(ind)
+    _add_error_model_flags(ind)
+    _add_search_flags(ind)
 
     ev = sub.add_parser("eval", help="evaluate a program file against a trace")
     ev.add_argument("--program", required=True)
     ev.add_argument("--trace", required=True)
-    ev.add_argument("--max-step-error", type=float)
+    _add_error_model_flags(ev)
 
     enum = sub.add_parser("enumerate", help="count program structures up to a depth")
     enum.add_argument("--depth", type=int, required=True)
@@ -72,10 +72,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_config_flags(cmd: argparse.ArgumentParser) -> None:
-    cmd.add_argument("--seed", type=int)
-    cmd.add_argument("--workers", type=int)
+def _add_error_model_flags(cmd: argparse.ArgumentParser) -> None:
+    """Flags that decide whether a program matches a trace; ``induce`` and
+    ``eval`` share them so both judge a program by the same rule."""
+    cmd.add_argument("--config", default=None, help="JSON file of run-config fields")
     cmd.add_argument("--max-step-error", type=float, dest="max_step_error")
+    cmd.add_argument("--error-model", choices=["euclidean", "discrete"], dest="error_model")
+    cmd.add_argument("--deadband", type=float, dest="deadband")
+
+
+def _add_search_flags(cmd: argparse.ArgumentParser) -> None:
+    cmd.add_argument("--seed", type=int)
     cmd.add_argument("--learning-rate", type=float, dest="learning_rate")
     cmd.add_argument("--max-opt-iters", type=int, dest="max_opt_iters")
     cmd.add_argument("--max-iterations", type=int, dest="max_iterations")
@@ -83,8 +90,6 @@ def _add_config_flags(cmd: argparse.ArgumentParser) -> None:
     cmd.add_argument(
         "--weights", type=float, nargs=3, metavar=("DEPTH", "PARAMS", "VARS"), dest="weights"
     )
-    cmd.add_argument("--error-model", choices=["euclidean", "discrete"], dest="error_model")
-    cmd.add_argument("--deadband", type=float, dest="deadband")
 
 
 def _load_config(args: argparse.Namespace) -> RunConfig:
@@ -96,7 +101,6 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
         name: getattr(args, name, None)
         for name in (
             "seed",
-            "workers",
             "max_step_error",
             "learning_rate",
             "max_opt_iters",
@@ -148,7 +152,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def render_report(result: SolutionSet, config: RunConfig, trace_path: str) -> str:
     """Text report; the ``programs`` section is a pure function of (trace,
-    config, seed), byte-identical across runs and worker counts."""
+    config, seed), byte-identical across runs."""
 
     def line(tag: str, cand) -> str:
         text = print_program(cand.ast, cand.opt.params)
@@ -224,10 +228,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     registry = standard_registry(trace.schema.variables, trace.schema.actions)
     text = Path(args.program).read_text(encoding="utf-8").strip()
     ast = parse_program(text, registry, trace.schema)
-    config = RunConfig() if args.max_step_error is None else RunConfig(
-        max_step_error=args.max_step_error
-    )
-    spec = config.error_spec()
+    spec = _load_config(args).error_spec()
     result = execute(ast, initial_params(ast), trace, registry, spec)
     errors = result.step_errors
     print(f"program: {print_program(ast)}")

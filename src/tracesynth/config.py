@@ -22,7 +22,6 @@ class RunConfig:
     weights: ComplexityWeights = field(default_factory=ComplexityWeights)
     top_k: int = 3
     seed: int = 0
-    workers: int = 1
     error_model: str = "euclidean"  # "euclidean" or "discrete"
     deadband: float = 0.05  # discrete error model: classification deadband
 
@@ -36,7 +35,6 @@ class RunConfig:
             "tol_window": self.tol_window,
             "max_iterations": self.max_iterations,
             "top_k": self.top_k,
-            "workers": self.workers,
         }
         for name, value in positive.items():
             if value <= 0:

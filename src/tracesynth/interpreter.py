@@ -1,29 +1,37 @@
-"""Forward pass: evaluate a program against a trace, record the call tree,
-accumulate the action-error loss and stop early when a step exceeds the
-error threshold.
+"""Forward pass: lower a program to a flat tape, run the tape against a
+trace, accumulate the action-error loss and stop early when a step exceeds
+the error threshold.
 
 A program here is a per-step policy: the action expression is re-evaluated
 at every timestep with the variable leaves re-read from that step's memory.
 Because steps do not feed state to each other, the whole trace is evaluated
 in one vectorised pass and truncated at the first offending step; the result
 is identical to step-by-step execution.
+
+Each structure is compiled once per registry into a postorder tape (a
+Wengert list): one op per node, children before parents.  The forward pass
+is one loop over the tape and keeps every op's values; the backward pass in
+``autodiff`` is the reverse loop over those values.  ``evaluate_step`` is a
+separate plain recursion over the tree, kept as an independent check.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Mapping, Union
+import itertools
+from dataclasses import dataclass
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
 from .program import (
     ActionNode,
-    FunctionNode,
+    Impl,
     ParamLeaf,
     ProgramAst,
     ProgramError,
     Registry,
     VarLeaf,
+    Vjp,
 )
 from .trace import MemoryState, ObservationTrace
 
@@ -36,20 +44,23 @@ class EvaluationError(ProgramError):
 # error model
 
 
+def row_norms(a: np.ndarray, keepdims: bool = False) -> np.ndarray:
+    """Euclidean norm of each row of an (n, d) array; the arithmetic of
+    ``np.linalg.norm(a, axis=1)`` without its dispatch overhead."""
+    return np.sqrt(np.add.reduce(a * a, axis=1, keepdims=keepdims))
+
+
 def euclidean_error(theta_hat: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """Per-step Euclidean action-parameter error; inputs are (n, D)."""
-    return np.linalg.norm(theta_hat - theta, axis=1)
+    return row_norms(theta_hat - theta)
 
 
 def euclidean_error_grad(theta_hat: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """d(error)/d(theta_hat), rows (theta_hat-theta)/||.||; the zero
     subgradient is used where the norm vanishes."""
     diff = theta_hat - theta
-    norm = np.linalg.norm(diff, axis=1, keepdims=True)
-    out = np.zeros_like(diff)
-    nz = norm[:, 0] > 0.0
-    out[nz] = diff[nz] / norm[nz]
-    return out
+    norm = row_norms(diff, keepdims=True)
+    return np.divide(diff, norm, out=np.zeros(diff.shape), where=norm > 0.0)
 
 
 def zero_length_error(observed_len: int, executed_len: int) -> float:
@@ -113,169 +124,125 @@ def discretize_actions(theta: np.ndarray, deadband: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# call trace
+# tape
 
 
-@dataclass(frozen=True)
-class ParamArg:
-    """Argument bound to a parameter leaf (constant across steps)."""
-
-    node_id: int
-    pid: int
-    value: np.ndarray  # (d,)
+PARAM, VAR, CALL, ACTION = "param", "var", "call", "action"
 
 
-@dataclass(frozen=True)
-class VarArg:
-    """Argument read from a trace variable; stores every read: the 1-based
-    read times and the value used at each."""
+class Op(NamedTuple):
+    """One node of a program lowered to a tape.
 
-    node_id: int
-    name: str
-    times: np.ndarray  # (n,)
-    values: np.ndarray  # (n, d)
-
-
-@dataclass(frozen=True)
-class CallRecord:
-    """One recorded application; ``value`` holds the outputs of that node at
-    every executed timestep."""
-
-    node_id: int
-    name: str
-    args: tuple[Union["CallRecord", ParamArg, VarArg], ...]
-    value: np.ndarray  # (n, out_dim)
-
-
-ArgRecord = Union[CallRecord, ParamArg, VarArg]
-
-
-@dataclass(frozen=True)
-class CallTrace:
-    """Recorded computation tree of one execution.
-
-    Stored columnar: each record carries its values for all executed steps,
-    and per-step record trees are materialised on demand via
-    :meth:`records_at`.
+    ``args`` are the tape positions of the node's children.  ``key`` is the
+    parameter id of a param op, the variable name of a var op and the
+    function or action name otherwise; call ops carry the registry's bound
+    ``impl`` and ``vjp``.
     """
 
-    root: CallRecord
-    times: np.ndarray  # executed 1-based timesteps
+    kind: str
+    node_id: int  # preorder index, the slot id used by leaves()
+    dim: int
+    args: tuple[int, ...]
+    key: int | str
+    impl: Impl | None
+    vjp: Vjp | None
 
-    @property
-    def executed_len(self) -> int:
-        return len(self.times)
 
-    def records_at(self, t: int) -> list[dict]:
-        """Flat per-node view of the computation at 1-based timestep ``t``;
-        one entry per AST node."""
-        idx = int(np.searchsorted(self.times, t))
-        if idx >= len(self.times) or self.times[idx] != t:
-            raise IndexError(f"timestep {t} was not executed")
-        out: list[dict] = []
+Tape = tuple[Op, ...]
 
-        def walk(rec: ArgRecord) -> None:
-            if isinstance(rec, ParamArg):
-                out.append({"node": rec.node_id, "kind": "param", "value": rec.value})
-            elif isinstance(rec, VarArg):
-                out.append(
-                    {
-                        "node": rec.node_id,
-                        "kind": "var",
-                        "name": rec.name,
-                        "read_time": int(rec.times[idx]),
-                        "value": rec.values[idx],
-                    }
-                )
+
+def compile_tape(ast: ProgramAst, registry: Registry) -> Tape:
+    """Lower a program to its postorder tape: every child precedes its
+    parent and the root action is last.  Memoised on the immutable tree for
+    the most recent registry."""
+    if ast.is_empty:
+        raise EvaluationError("cannot execute the empty program")
+    cached = ast.__dict__.get("_tape_cache")
+    if cached is not None and cached[0] is registry:
+        return cached[1]
+    ops: list[Op] = []
+    ids = itertools.count()
+
+    def lower(node) -> int:
+        nid = next(ids)
+        if isinstance(node, ParamLeaf):
+            ops.append(Op(PARAM, nid, node.dim, (), node.pid, None, None))
+        elif isinstance(node, VarLeaf):
+            ops.append(Op(VAR, nid, node.dim, (), node.name, None, None))
+        else:
+            args = tuple(lower(child) for child in node.children)
+            if isinstance(node, ActionNode):
+                ops.append(Op(ACTION, nid, node.dim, args, node.name, None, None))
             else:
-                out.append(
-                    {"node": rec.node_id, "kind": "call", "name": rec.name, "value": rec.value[idx]}
-                )
-                for a in rec.args:
-                    walk(a)
+                fn = node.name
+                ops.append(Op(CALL, nid, node.dim, args, fn, registry.impl(fn), registry.vjp(fn)))
+        return len(ops) - 1
 
-        walk(self.root)
-        return out
+    lower(ast.root)
+    tape = tuple(ops)
+    object.__setattr__(ast, "_tape_cache", (registry, tape))
+    return tape
 
 
 @dataclass(frozen=True)
 class ExecutionResult:
-    """Outcome of executing a program against a trace."""
+    """Outcome of executing a program against a trace.
+
+    ``activations`` holds the value of every tape op over the whole trace;
+    only the first ``executed_len`` rows belong to the execution.
+    """
 
     action_name: str
     theta_hat: np.ndarray  # (T', D) predicted action parameters
     theta_obs: np.ndarray  # (T', D) observed targets over the executed prefix
-    obs_names: tuple[str, ...]  # observed action names over the executed prefix
+    name_mask: np.ndarray  # (T',) executed steps whose observed action is action_name
     step_errors: np.ndarray  # (T',) per-step action errors
     length_error: float
     loss: float
     observed_len: int
     executed_len: int
     terminated_early: bool
-    call_trace: CallTrace
+    tape: Tape
+    activations: tuple[np.ndarray, ...]
 
 
 # ---------------------------------------------------------------------------
 # evaluation
 
 
-def _eval(
-    node,
-    registry: Registry,
-    var_values: Mapping[str, np.ndarray],
-    params: Mapping[int, np.ndarray],
-    times: np.ndarray,
-    node_id: list[int],
-) -> tuple[np.ndarray, ArgRecord]:
-    """Evaluate ``node`` over all steps at once; returns the (n, d) values
-    and the provenance record.  ``node_id`` is a running preorder counter."""
-    my_id = node_id[0]
-    node_id[0] += 1
-    n = len(times)
-    if isinstance(node, ParamLeaf):
-        if node.pid not in params:
-            raise EvaluationError(f"unbound parameter p{node.pid}")
-        value = np.asarray(params[node.pid], dtype=float)
-        return np.broadcast_to(value, (n, node.dim)), ParamArg(my_id, node.pid, value)
-    if isinstance(node, VarLeaf):
-        values = var_values[node.name]
-        return values, VarArg(my_id, node.name, times, values)
-    arg_values = []
-    arg_records = []
-    for child in node.children:
-        v, r = _eval(child, registry, var_values, params, times, node_id)
-        arg_values.append(v)
-        arg_records.append(r)
-    if isinstance(node, ActionNode):
-        out = np.concatenate(arg_values, axis=1)
-    else:
-        out = registry.impl(node.name)(*arg_values)
-    return out, CallRecord(my_id, node.name, tuple(arg_records), out)
-
-
 def evaluate_step(
     ast: ProgramAst, registry: Registry, memory: MemoryState
-) -> tuple[str, np.ndarray, CallRecord]:
-    """Evaluate the program once against a single memory state.
+) -> tuple[str, np.ndarray, list[np.ndarray]]:
+    """Evaluate the program once against a single memory state by plain
+    recursion, independently of the tape.
 
-    Returns the action name, its parameter vector and the per-step call
-    record capturing all reads and applications.
+    Returns the action name, its parameter vector and the value of every
+    node in preorder.
     """
     if ast.is_empty:
         raise EvaluationError("cannot evaluate the empty program")
-    times = np.array([memory.t])
-    var_values = {k: np.asarray(v, dtype=float).reshape(1, -1) for k, v in memory.variables.items()}
-    out, record = _eval(ast.root, registry, var_values, memory.params, times, [0])
-    assert isinstance(record, CallRecord)
-    return ast.root.name, out[0], record
+    values: list[np.ndarray | None] = []
 
+    def ev(node) -> np.ndarray:
+        slot = len(values)
+        values.append(None)  # reserved so that values stay in preorder
+        if isinstance(node, ParamLeaf):
+            if node.pid not in memory.params:
+                raise EvaluationError(f"unbound parameter p{node.pid}")
+            value = np.asarray(memory.params[node.pid], dtype=float).reshape(-1)
+        elif isinstance(node, VarLeaf):
+            value = np.asarray(memory.variables[node.name], dtype=float).reshape(-1)
+        else:
+            args = [ev(child) for child in node.children]
+            if isinstance(node, ActionNode):
+                value = np.concatenate(args)
+            else:
+                value = registry.impl(node.name)(*[a.reshape(1, -1) for a in args])[0]
+        values[slot] = value
+        return value
 
-def _slice_record(rec: ArgRecord, n: int) -> ArgRecord:
-    if isinstance(rec, ParamArg):
-        return rec
-    if isinstance(rec, VarArg):
-        return VarArg(rec.node_id, rec.name, rec.times[:n], rec.values[:n])
-    return CallRecord(rec.node_id, rec.name, tuple(_slice_record(a, n) for a in rec.args), rec.value[:n])
+    theta = ev(ast.root)
+    return ast.root.name, theta, values
 
 
 def execute(
@@ -293,27 +260,39 @@ def execute(
     in the loss).  The loss is the sum of per-step errors over the executed
     prefix plus the length error.
     """
-    if ast.is_empty:
-        raise EvaluationError("cannot execute the empty program")
+    tape = compile_tape(ast, registry)
     T = trace.length
-    times = np.arange(1, T + 1)
-    var_values = {name: trace.var_matrix(name) for name in trace.schema.variables}
-    out, record = _eval(ast.root, registry, var_values, params, times, [0])
-    assert isinstance(record, CallRecord)
+    var_values = trace.var_matrices()
+    values: list[np.ndarray] = []
+    for kind, _, dim, args, key, impl, _ in tape:
+        if kind is VAR:
+            values.append(var_values[key])
+        elif kind is PARAM:
+            if key not in params:
+                raise EvaluationError(f"unbound parameter p{key}")
+            column = np.empty((T, dim))
+            column[:] = params[key]
+            values.append(column)
+        elif kind is CALL:
+            values.append(impl(*[values[i] for i in args]))
+        else:
+            values.append(np.concatenate([values[i] for i in args], axis=1))
+    out = values[-1]
 
-    obs_names = trace.action_names()
-    theta_obs = trace.theta_matrix()
     root_name = ast.root.name
     D = ast.root.dim
-
+    theta_obs = trace.theta_matrix()[:, :D]
     name_match = trace.action_mask(root_name)
     comparable = name_match & (trace.theta_dims() == D)
-    errors = np.zeros(T)
-    if comparable.any():
-        errors[comparable] = spec.act_error(out[comparable], theta_obs[comparable, :D])
-    errors[~name_match] += spec.max_step_error + 1.0
+    if comparable.all():
+        errors = spec.act_error(out, theta_obs)
+    else:
+        errors = np.zeros(T)
+        if comparable.any():
+            errors[comparable] = spec.act_error(out[comparable], theta_obs[comparable])
+        errors[~name_match] += spec.max_step_error + 1.0
 
-    over = np.nonzero(errors > spec.max_step_error)[0]
+    over = (errors > spec.max_step_error).nonzero()[0]
     executed = int(over[0]) + 1 if over.size else T
     # a threshold cut at the final step still counts as termination
     terminated = over.size > 0
@@ -321,19 +300,19 @@ def execute(
     step_errors = errors[:executed]
     length_error = float(spec.len_error(T, executed))
     loss = float(step_errors.sum() + length_error)
-    call_trace = CallTrace(_slice_record(record, executed), times[:executed])
     return ExecutionResult(
         action_name=root_name,
         theta_hat=out[:executed],
-        theta_obs=theta_obs[:executed, :D],
-        obs_names=tuple(obs_names[:executed]),
+        theta_obs=theta_obs[:executed],
+        name_mask=name_match[:executed],
         step_errors=step_errors,
         length_error=length_error,
         loss=loss,
         observed_len=T,
         executed_len=executed,
         terminated_early=terminated,
-        call_trace=call_trace,
+        tape=tape,
+        activations=tuple(values),
     )
 
 
@@ -342,6 +321,6 @@ def matches_trace(result: ExecutionResult, spec: ErrorSpec) -> bool:
     the threshold, and the length error is zero."""
     return (
         result.executed_len == result.observed_len
-        and bool(np.all(result.step_errors <= spec.max_step_error))
+        and bool((result.step_errors <= spec.max_step_error).all())
         and result.length_error == 0.0
     )

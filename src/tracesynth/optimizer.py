@@ -10,8 +10,7 @@ and resets all gradient history.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,7 +67,9 @@ def adagrad_step(state: OptimizerState, grads: Gradients) -> OptimizerState:
     for pid, g in grads.params.items():
         acc[pid] = acc[pid] + g * g
         params[pid] = params[pid] - state.learning_rate * g / np.sqrt(acc[pid] + state.div_guard)
-    return replace(state, params=params, param_acc=acc, iteration=state.iteration + 1)
+    return OptimizerState(
+        params, acc, state.slot_acc, state.learning_rate, state.div_guard, state.iteration + 1
+    )
 
 
 def reassign_variables(
@@ -88,11 +89,12 @@ def reassign_variables(
     current binding.  Any rebinding resets all accumulators.
     """
     slot_acc = dict(state.slot_acc)
-    renames: dict[int, str] = {}
+    renames: dict[int, VarLeaf] = {}
     for nid, leaf in leaves(ast):
         if not isinstance(leaf, VarLeaf) or nid not in grads.slot_reads:
             continue
-        if len(index.names.get(leaf.dim, [])) < 2:
+        names = index.names.get(leaf.dim, ())
+        if len(names) < 2:
             continue
         g_rows = grads.slot_reads[nid]
         n = g_rows.shape[0]
@@ -105,30 +107,34 @@ def reassign_variables(
         acc = acc.copy()
         acc[:n] += g_rows * g_rows
         slot_acc[nid] = acc
-        if not np.any(g_rows):
+        if not g_rows.any():
             # zero gradient leaves every virtual read at the variable itself
             continue
-        values = index.values[leaf.dim][:n, index.names[leaf.dim].index(leaf.name)]
+        values = index.values[leaf.dim][:n, names.index(leaf.name)]
         adjusted = values - state.learning_rate * g_rows / np.sqrt(acc[:n] + state.div_guard)
-        winners = index.query_steps(leaf.dim, adjusted)
-        counts = Counter(winners.tolist())
-        top = max(counts.values())
-        best = [index.names[leaf.dim][j] for j, c in counts.items() if c == top]
-        if len(best) == 1 and best[0] != leaf.name:
-            renames[nid] = best[0]
+        # votes per variable; a handful of entries, so plain lists are cheapest
+        votes = np.bincount(index.query_steps(leaf.dim, adjusted)).tolist()
+        top = max(votes)
+        if votes.count(top) == 1 and names[votes.index(top)] != leaf.name:
+            renames[nid] = VarLeaf(names[votes.index(top)], leaf.dim)
 
     if not renames:
-        return ast, replace(state, slot_acc=slot_acc), False
-    new_ast = ast
-    for nid, name in renames.items():
-        leaf = dict(leaves(ast))[nid]
-        new_ast = replace_node(new_ast, nid, VarLeaf(name, leaf.dim))
-    reset = replace(
-        state,
-        param_acc={k: np.zeros_like(v) for k, v in state.param_acc.items()},
-        slot_acc={k: np.zeros_like(v) for k, v in slot_acc.items()},
+        kept = OptimizerState(
+            state.params, state.param_acc, slot_acc, state.learning_rate, state.div_guard,
+            state.iteration,
+        )
+        return ast, kept, False
+    for nid, leaf in renames.items():
+        ast = replace_node(ast, nid, leaf)
+    reset = OptimizerState(
+        state.params,
+        {k: np.zeros_like(v) for k, v in state.param_acc.items()},
+        {k: np.zeros_like(v) for k, v in slot_acc.items()},
+        state.learning_rate,
+        state.div_guard,
+        state.iteration,
     )
-    return new_ast, reset, True
+    return ast, reset, True
 
 
 @dataclass(frozen=True)
@@ -185,18 +191,18 @@ def optimize(
                 stagnant = 0 if rel >= config.tol else stagnant + 1
             else:
                 stagnant = 0
-            best = (key, ast, {k: v.copy() for k, v in state.params.items()}, result)
+            # adagrad_step never updates parameter arrays in place
+            best = (key, ast, dict(state.params), result)
         else:
             stagnant += 1
         if matched or not free or stagnant >= config.tol_window:
             break
-        grads = backward(None, result, spec, registry)
+        grads = backward(result, spec, registry)
         state = adagrad_step(state, grads)
-        ast, state, changed = reassign_variables(ast, state, grads, index, trace)
-        if changed:
-            free = _has_free_leaves(ast, index)
+        # a re-binding keeps every leaf's kind and dimension, so ``free`` holds
+        ast, state, _ = reassign_variables(ast, state, grads, index, trace)
 
     assert best is not None
     _, best_ast, best_params, best_result = best
-    grads = backward(None, best_result, spec, registry)
+    grads = backward(best_result, spec, registry)
     return OptimizedCandidate(best_ast, best_params, best_result, grads)

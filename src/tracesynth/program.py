@@ -115,8 +115,6 @@ class ComplexityWeights:
 
 # impl(*args) -> output, vectorised over a leading step axis: (n, d_i) -> (n, out)
 Impl = Callable[..., np.ndarray]
-# jac(args, index) -> (out_dim, arg_dim) matrix at a single evaluation point
-Jac = Callable[[tuple[np.ndarray, ...], int], np.ndarray]
 # vjp(args, upstream) -> per-argument gradients, all vectorised over steps
 Vjp = Callable[[tuple[np.ndarray, ...], np.ndarray], tuple[np.ndarray, ...]]
 
@@ -124,23 +122,20 @@ Vjp = Callable[[tuple[np.ndarray, ...], np.ndarray], tuple[np.ndarray, ...]]
 class Registry:
     """Named function and action signatures with their semantics.
 
-    Every entry carries a vectorised implementation and an analytic Jacobian;
-    a vectorised vector-Jacobian product is optional (the backward pass falls
-    back to per-step Jacobian multiplication without one).
+    Every entry carries a vectorised implementation and one differentiation
+    rule, its vectorised vector-Jacobian product.
     """
 
     def __init__(self) -> None:
         self._specs: dict[str, FunctionSpec] = {}
         self._impls: dict[str, Impl] = {}
-        self._jacs: dict[str, Jac] = {}
-        self._vjps: dict[str, Vjp | None] = {}
+        self._vjps: dict[str, Vjp] = {}
 
-    def register(self, spec: FunctionSpec, impl: Impl, jac: Jac, vjp: Vjp | None = None) -> None:
+    def register(self, spec: FunctionSpec, impl: Impl, vjp: Vjp) -> None:
         if spec.name in self._specs:
             raise ProgramTypeError(f"duplicate registry name: {spec.name}")
         self._specs[spec.name] = spec
         self._impls[spec.name] = impl
-        self._jacs[spec.name] = jac
         self._vjps[spec.name] = vjp
 
     def __contains__(self, name: str) -> bool:
@@ -155,10 +150,7 @@ class Registry:
     def impl(self, name: str) -> Impl:
         return self._impls[name]
 
-    def jac(self, name: str) -> Jac:
-        return self._jacs[name]
-
-    def vjp(self, name: str) -> Vjp | None:
+    def vjp(self, name: str) -> Vjp:
         return self._vjps[name]
 
     def actions(self) -> list[FunctionSpec]:
@@ -192,33 +184,24 @@ def standard_registry(variables: object, actions: Mapping[str, int]) -> Registry
     dims = sorted(set(var_dims.values()) | {d for d in actions.values()})
     for d in dims:
         sfx = "" if d == 1 else str(d)
-        eye = np.eye(d)
         reg.register(
             FunctionSpec(f"add{sfx}", (d, d), d),
             lambda a, b: a + b,
-            lambda args, i, eye=eye: eye,
             lambda args, g: (g, g),
         )
         reg.register(
             FunctionSpec(f"sub{sfx}", (d, d), d),
             lambda a, b: a - b,
-            lambda args, i, eye=eye: eye if i == 0 else -eye,
             lambda args, g: (g, -g),
         )
         reg.register(
             FunctionSpec(f"scale{sfx}", (1, d), d),
             lambda c, x: c * x,
-            lambda args, i, eye=eye: args[1].reshape(-1, 1) if i == 0 else args[0][0] * eye,
             lambda args, g: ((g * args[1]).sum(axis=1, keepdims=True), g * args[0]),
         )
     for name in sorted(actions):
         d = actions[name]
-        reg.register(
-            FunctionSpec(name, (d,), d, is_action=True),
-            lambda x: x,
-            lambda args, i: np.eye(args[0].shape[-1]),
-            lambda args, g: (g,),
-        )
+        reg.register(FunctionSpec(name, (d,), d, is_action=True), lambda x: x, lambda args, g: (g,))
     return reg
 
 

@@ -6,7 +6,7 @@ scored ``complexity + loss``, and pushed to a priority queue; the leaf to
 expand is the one with the largest loss-gradient norm.  The whole procedure
 is deterministic for a fixed seed: every proposal derives its own RNG seed
 from content (parent fingerprint, leaf, replacement), children are merged in
-fingerprint order, and worker count does not enter any ordering.
+fingerprint order.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import hashlib
 import heapq
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from time import perf_counter
@@ -227,9 +226,9 @@ def induce(
 
     Starts from the optimised expansions of the empty program; repeatedly
     pops the best-scoring candidate, returns it if it matches, otherwise
-    expands its highest-gradient leaf, optimises the children (concurrently
-    when configured) and pushes them.  A popped candidate with more than one
-    leaf is re-pushed once so its second-best leaf also gets expanded.
+    expands its highest-gradient leaf, optimises the children and pushes
+    them.  A popped candidate with more than one leaf is re-pushed once so
+    its second-best leaf also gets expanded.
     Returns the accepted candidate (if one was found) plus the ``top_k``
     best-scoring structures seen.
     """
@@ -242,7 +241,6 @@ def induce(
     index = build_variable_index(trace)
     queue = CandidateQueue()
     scored: dict[str, Candidate] = {}
-    pool = ThreadPoolExecutor(max_workers=config.workers) if config.workers > 1 else None
 
     def optimise_proto(proto: _Proto) -> Candidate:
         opt = optimize(proto.ast, proto.params, trace, registry, spec, opt_config, index)
@@ -265,35 +263,28 @@ def induce(
             if proto.key not in queue.visited:
                 queue.visited.add(proto.key)
                 fresh.append(proto)
-        if pool is not None:
-            cands = list(pool.map(optimise_proto, fresh))
-        else:
-            cands = [optimise_proto(p) for p in fresh]
+        cands = [optimise_proto(p) for p in fresh]
         for cand in cands:
             prev = scored.get(cand.key)
             if prev is None or (cand.score, cand.complexity) < (prev.score, prev.complexity):
                 scored[cand.key] = cand
         return cands
 
-    try:
-        for cand in run_batch(expand_empty(registry, trace.schema, config.seed)):
-            queue.push(cand)
+    for cand in run_batch(expand_empty(registry, trace.schema, config.seed)):
+        queue.push(cand)
 
-        iterations = 0
-        solution = None
-        while len(queue) and iterations < config.max_iterations:
-            cand, leaf_rank = queue.pop()
-            iterations += 1
-            if matches(cand, trace, spec):
-                solution = cand
-                break
-            for child in run_batch(expand(cand, registry, trace, config.seed, leaf_rank)):
-                queue.push(child)
-            if leaf_rank == 0 and len(leaves(cand.ast)) > 1:
-                queue.push(cand, leaf_rank=1)
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    iterations = 0
+    solution = None
+    while len(queue) and iterations < config.max_iterations:
+        cand, leaf_rank = queue.pop()
+        iterations += 1
+        if matches(cand, trace, spec):
+            solution = cand
+            break
+        for child in run_batch(expand(cand, registry, trace, config.seed, leaf_rank)):
+            queue.push(child)
+        if leaf_rank == 0 and len(leaves(cand.ast)) > 1:
+            queue.push(cand, leaf_rank=1)
 
     top = sorted(scored.values(), key=lambda c: (c.score, c.complexity, c.key))
     return SolutionSet(solution, tuple(top[: config.top_k]), iterations, perf_counter() - t0)

@@ -64,6 +64,14 @@ class ObservationTrace:
                 raise TraceFormatError(
                     f"step {step.t}: action {step.action_name} expects theta of dimension {want}"
                 )
+        for name, values in self.var_matrices().items():
+            finite = np.isfinite(values).all(axis=1)
+            if not finite.all():
+                t = int(np.argmin(finite)) + 1
+                raise TraceFormatError(f"step {t}: variable {name} is not finite")
+        if not np.isfinite(np.concatenate([s.theta for s in self.steps])).all():
+            t = next(s.t for s in self.steps if not np.isfinite(s.theta).all())
+            raise TraceFormatError(f"step {t}: action theta is not finite")
         return self
 
     def _cache(self) -> dict:
@@ -82,6 +90,13 @@ class ObservationTrace:
         if key not in cache:
             cache[key] = np.stack([s.vars[name] for s in self.steps])
         return cache[key]
+
+    def var_matrices(self) -> dict[str, np.ndarray]:
+        """``var_matrix`` of every schema variable, keyed by name."""
+        cache = self._cache()
+        if "vars" not in cache:
+            cache["vars"] = {name: self.var_matrix(name) for name in self.schema.variables}
+        return cache["vars"]
 
     def theta_matrix(self) -> np.ndarray:
         """Observed action parameters over all steps, shape (T, D).
@@ -178,9 +193,9 @@ class VariableIndex:
         if dim not in self.names:
             raise KeyError(f"no variable of dimension {dim}")
         n = points.shape[0]
-        cands = self.values[dim][:n]  # (n, n_vars, d)
-        dist = np.linalg.norm(cands - points[:, None, :], axis=2)
-        return np.argmin(dist, axis=1)
+        diff = self.values[dim][:n] - points[:, None, :]  # (n, n_vars, d)
+        # the arithmetic of np.linalg.norm(diff, axis=2), so ties resolve alike
+        return np.sqrt(np.add.reduce(diff * diff, axis=2)).argmin(axis=1)
 
 
 def build_variable_index(trace: ObservationTrace) -> VariableIndex:

@@ -1,0 +1,57 @@
+"""Golden digests of the ``programs`` section of the induce report.
+
+Each case runs ``induce`` on a fixed small trace with a fixed seed and
+budget and compares the SHA-256 of the report's ``programs`` section with a
+recorded value, so a refactor of the interpreter, the backward pass or the
+optimiser loop can show it leaves the search byte-identical.  The digests
+were recorded before the tape-based interpreter replaced the recursive one.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import pytest
+
+from tracesynth import (
+    PaddleConfig,
+    RunConfig,
+    SecondOrderConfig,
+    induce,
+    simulate_paddle,
+    simulate_second_order,
+    standard_registry,
+)
+from tracesynth.cli import render_report
+
+CASES = {
+    # depth-2 structures and ~170 variable re-bindings on the Euclidean model
+    "pendulum": (
+        lambda: simulate_second_order(SecondOrderConfig(k1=-9.8, k2=0.0, x0=0.1, steps=20)),
+        RunConfig(seed=1, max_iterations=5, max_opt_iters=150),
+        "c49b86879098a5d0b6117f5af6a0e40cc46182b88fb6d1feb28608391c47fde6",
+    ),
+    # three rebindable variables on the discrete error model
+    "paddle": (
+        lambda: simulate_paddle(PaddleConfig(steps=100)),
+        RunConfig(
+            seed=1, max_iterations=3, max_opt_iters=100, max_step_error=0.02, error_model="discrete"
+        ),
+        "0441fa1bff34b4237bff37987ee609ee904d3cffeb24b66dce82e393467edbff",
+    ),
+}
+
+
+def programs_digest(report: str) -> str:
+    start = report.index("\nprograms\n")
+    end = report.index("\nstats\n", start)
+    return hashlib.sha256(report[start:end].encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_programs_section_digest(name):
+    make_trace, config, want = CASES[name]
+    trace = make_trace()
+    registry = standard_registry(trace.schema.variables, trace.schema.actions)
+    report = render_report(induce(trace, registry, config=config), config, name)
+    assert programs_digest(report) == want

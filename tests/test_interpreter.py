@@ -4,6 +4,7 @@ import pytest
 from tracesynth import (
     ErrorSpec,
     EvaluationError,
+    compile_tape,
     discretize_actions,
     discretized_error_spec,
     evaluate_step,
@@ -11,6 +12,7 @@ from tracesynth import (
     matches_trace,
     memory_at,
     parse_program,
+    standard_registry,
 )
 from tracesynth.program import EMPTY_PROGRAM, initial_params
 from tests.conftest import make_trace, reference_loss
@@ -61,16 +63,48 @@ class TestEvaluateStep:
         ast, params = _program(
             "(accel (sub (scale 1.0 x) (scale 1.0 v)))", scalar_registry, scalar_schema
         )
-        _, _, record = evaluate_step(ast, scalar_registry, memory_at(trace, 1, params))
-
-        def count(rec):
-            if hasattr(rec, "args"):
-                return 1 + sum(count(a) for a in rec.args)
-            return 1
+        _, theta, values = evaluate_step(ast, scalar_registry, memory_at(trace, 1, params))
 
         from tracesynth.program import iter_nodes
 
-        assert count(record) == len(iter_nodes(ast))
+        assert len(values) == len(iter_nodes(ast))
+        # preorder: accel, sub, scale, 1.0, x, scale, 1.0, v
+        np.testing.assert_allclose(np.concatenate(values), [2, 2, 3, 1, 3, 1, 1, 1])
+        np.testing.assert_array_equal(values[0], theta)
+
+
+class TestTape:
+    def test_postorder_with_preorder_ids(self, scalar_registry, scalar_schema):
+        ast, _ = _program("(accel (sub (scale 2.0 x) v))", scalar_registry, scalar_schema)
+        tape = compile_tape(ast, scalar_registry)
+        assert [(op.kind, op.node_id, op.key) for op in tape] == [
+            ("param", 3, 0),
+            ("var", 4, "x"),
+            ("call", 2, "scale"),
+            ("var", 5, "v"),
+            ("call", 1, "sub"),
+            ("action", 0, "accel"),
+        ]
+        assert [op.args for op in tape] == [(), (), (0, 1), (), (2, 3), (4,)]
+        assert tape[2].impl is scalar_registry.impl("scale")
+        assert tape[2].vjp is scalar_registry.vjp("scale")
+
+    def test_compiled_once_per_registry(self, scalar_registry, scalar_schema):
+        ast, _ = _program("(accel (add x v))", scalar_registry, scalar_schema)
+        tape = compile_tape(ast, scalar_registry)
+        assert compile_tape(ast, scalar_registry) is tape
+        other = standard_registry(scalar_schema, {"accel": 1})
+        assert compile_tape(ast, other)[0:2] == tape[0:2]
+        assert compile_tape(ast, other)[2].impl is other.impl("add")
+
+    def test_activations_cover_the_whole_trace(self, scalar_registry, scalar_schema):
+        trace = make_trace({"x": [1.0, 5.0, 1.0], "v": [0, 0, 0]}, [1.0, 1.0, 1.0])
+        ast, params = _program("(accel (scale 1.0 x))", scalar_registry, scalar_schema)
+        res = execute(ast, params, trace, scalar_registry, ErrorSpec(max_step_error=0.5))
+        assert res.executed_len == 2
+        assert len(res.activations) == len(res.tape) == 4
+        assert all(len(a) == 3 for a in res.activations)
+        np.testing.assert_array_equal(res.theta_hat, res.activations[-1][:2])
 
 
 class TestExecute:
@@ -189,6 +223,19 @@ class TestErrorSpecs:
         a = np.array([[1.0, 2.0]])
         assert spec.act_error(a, a.copy())[0] == 0.0
         assert spec.act_error(a, a + 0.1)[0] > 0.0
+
+    def test_euclidean_error_matches_linalg_norm_exactly(self):
+        rng = np.random.default_rng(7)
+        theta_hat = rng.normal(size=(50, 3))
+        theta = rng.normal(size=(50, 3))
+        theta[::5] = theta_hat[::5]  # zero rows take the zero subgradient
+        spec = ErrorSpec()
+        diff = theta_hat - theta
+        norm = np.linalg.norm(diff, axis=1)
+        np.testing.assert_array_equal(spec.act_error(theta_hat, theta), norm)
+        want = np.zeros_like(diff)
+        want[norm > 0] = diff[norm > 0] / norm[norm > 0, None]
+        np.testing.assert_array_equal(spec.act_error_grad(theta_hat, theta), want)
 
     def test_default_length_error_zero(self):
         assert ErrorSpec().len_error(10, 10) == 0.0

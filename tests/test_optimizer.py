@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 
 from tracesynth import (
     ErrorSpec,
@@ -20,11 +19,11 @@ from tracesynth.program import canonical_key, initial_params, leaves
 from tests.conftest import make_trace
 
 
-def _grads_for(ast, params=None, slot_rows=None, times=None):
-    """Hand-built Gradients for unit tests."""
+def _grads_for(ast, params=None, slot_rows=None):
+    """Hand-built Gradients for unit tests; slot rows are one per executed
+    step."""
     params = params or {}
     slot_rows = slot_rows or {}
-    times = np.asarray(times if times is not None else [1])
     param_nodes = {}
     slot_names = {}
     for nid, leaf in leaves(ast):
@@ -38,7 +37,6 @@ def _grads_for(ast, params=None, slot_rows=None, times=None):
         slot_reads={k: np.asarray(v, dtype=float) for k, v in slot_rows.items()},
         slot_totals={k: np.asarray(v, dtype=float).sum(axis=0) for k, v in slot_rows.items()},
         slot_names=slot_names,
-        times=times,
     )
 
 
@@ -88,7 +86,7 @@ class TestReassign:
         index = build_variable_index(trace)
         g = [[1.0], [1.0], [1.0]]
         new_ast, new_state, changed = reassign_variables(
-            ast, state, _grads_for(ast, slot_rows={nid: g}, times=[1, 2, 3]), index, trace
+            ast, state, _grads_for(ast, slot_rows={nid: g}), index, trace
         )
         assert changed
         assert canonical_key(new_ast) == "(accel v)"
@@ -104,7 +102,7 @@ class TestReassign:
         state = OptimizerState.fresh(ast, {}, OptimizeConfig())
         (nid, _), = leaves(ast)
         new_ast, _, changed = reassign_variables(
-            ast, state, _grads_for(ast, slot_rows={nid: [[0.0], [0.0]]}, times=[1, 2]), index, trace
+            ast, state, _grads_for(ast, slot_rows={nid: [[0.0], [0.0]]}), index, trace
         )
         assert not changed
         assert canonical_key(new_ast) == "(accel x)"
@@ -119,27 +117,29 @@ class TestReassign:
         state = OptimizerState.fresh(ast, {}, OptimizeConfig())
         (nid, _), = leaves(ast)
         _, _, changed = reassign_variables(
-            ast, state, _grads_for(ast, slot_rows={nid: [[5.0], [5.0]]}, times=[1, 2]), index, trace
+            ast, state, _grads_for(ast, slot_rows={nid: [[5.0], [5.0]]}), index, trace
         )
         assert not changed
 
     def test_tie_keeps_current(self, scalar_registry, scalar_schema):
-        # two steps voting for different variables: tie -> keep
-        trace = make_trace({"x": [1.0, 0.7], "v": [0.7, 1.0]}, [0, 0])
+        # step 1 has no gradient, so its virtual read stays at x=1.0 and votes
+        # x; step 2's read of x=0.0 is nudged by the learning rate to 0.2,
+        # nearer v=0.3 than x=0.0, and votes v
+        trace = make_trace({"x": [1.0, 0.0], "v": [0.0, 0.3]}, [0, 0])
         index = build_variable_index(trace)
         ast = parse_program("(accel x)", scalar_registry, scalar_schema)
-        state = OptimizerState.fresh(ast, {}, OptimizeConfig(learning_rate=0.2))
+        cfg = OptimizeConfig(learning_rate=0.2)
+        state = OptimizerState.fresh(ast, {}, cfg)
         (nid, _), = leaves(ast)
-        # step 1 read 1.0 adjusted to ~0.86 -> x wins; step 2 read 0.7 adjusted
-        # to ~0.56 -> v at 1.0 is farther, x at 0.7 nearer -> x wins both: no tie.
-        # construct an actual tie: gradients only at step 1 for v, step 2 for x
-        g = [[1.0], [-1.0]]
-        _, _, changed = reassign_variables(
-            ast, state, _grads_for(ast, slot_rows={nid: g}, times=[1, 2]), index, trace
+        g = np.array([[0.0], [-1.0]])
+        adjusted = np.array([[1.0], [0.0]]) - cfg.learning_rate * g / np.sqrt(g * g + cfg.div_guard)
+        votes = [index.names[1][j] for j in index.query_steps(1, adjusted)]
+        assert votes == ["x", "v"]
+        new_ast, _, changed = reassign_variables(
+            ast, state, _grads_for(ast, slot_rows={nid: g}), index, trace
         )
-        # whatever the votes, a 1-1 split keeps the current variable
-        if changed:
-            pytest.skip("vote was not split on this geometry")
+        assert not changed
+        assert canonical_key(new_ast) == "(accel x)"
 
     def test_slot_accumulator_persists_without_change(self, scalar_registry, scalar_schema):
         trace = make_trace({"x": [1.0, 1.0], "v": [-5.0, -5.0]}, [0, 0])
@@ -147,7 +147,7 @@ class TestReassign:
         ast = parse_program("(accel x)", scalar_registry, scalar_schema)
         state = OptimizerState.fresh(ast, {}, OptimizeConfig(learning_rate=0.01))
         (nid, _), = leaves(ast)
-        g = _grads_for(ast, slot_rows={nid: [[1.0], [1.0]]}, times=[1, 2])
+        g = _grads_for(ast, slot_rows={nid: [[1.0], [1.0]]})
         _, state, changed = reassign_variables(ast, state, g, index, trace)
         assert not changed
         np.testing.assert_allclose(state.slot_acc[nid], [[1.0], [1.0]])

@@ -45,7 +45,7 @@ def _candidate(ast, registry, trace, norms=None, params=None, spec=None):
             slot_tot[nid] = g
             slot_names[nid] = leaf.name
             slot_reads[nid] = g.reshape(1, 1)
-    grads = Gradients(param_grads, param_nodes, slot_reads, slot_tot, slot_names, np.array([1]))
+    grads = Gradients(param_grads, param_nodes, slot_reads, slot_tot, slot_names)
     opt = OptimizedCandidate(ast, params, result, grads)
     cost = complexity(ast)
     return Candidate(opt, result.loss, cost, cost + result.loss, canonical_key(ast), None, None, 0)
@@ -100,12 +100,12 @@ class TestExpand:
         registry.register(
             FunctionSpec("pair", (2, 2), 2),
             lambda a, b: a + b,
-            lambda args, i: np.eye(2),
+            lambda args, g: (g, g),
         )
         registry.register(
             FunctionSpec("accel", (1,), 1, is_action=True),
             lambda x: x,
-            lambda args, i: np.eye(1),
+            lambda args, g: (g,),
         )
         trace = make_trace({"x": [1.0]}, [1.0])
         ast = parse_program("(accel 0.5)", registry, {"x": 1})
@@ -259,30 +259,30 @@ class TestEnumerate:
     def test_tiny_grammar_depth1(self):
         registry = Registry()
         registry.register(
-            FunctionSpec("f", (1, 1), 1), lambda a, b: a + b, lambda args, i: np.eye(1)
+            FunctionSpec("f", (1, 1), 1), lambda a, b: a + b, lambda args, g: (g, g)
         )
         registry.register(
-            FunctionSpec("a", (1,), 1, is_action=True), lambda x: x, lambda args, i: np.eye(1)
+            FunctionSpec("a", (1,), 1, is_action=True), lambda x: x, lambda args, g: (g,)
         )
         assert enumerate_programs(registry, {"x": 1}, 1) == 2
 
     def test_tiny_grammar_depth2(self):
         registry = Registry()
         registry.register(
-            FunctionSpec("f", (1, 1), 1), lambda a, b: a + b, lambda args, i: np.eye(1)
+            FunctionSpec("f", (1, 1), 1), lambda a, b: a + b, lambda args, g: (g, g)
         )
         registry.register(
-            FunctionSpec("a", (1,), 1, is_action=True), lambda x: x, lambda args, i: np.eye(1)
+            FunctionSpec("a", (1,), 1, is_action=True), lambda x: x, lambda args, g: (g,)
         )
         assert enumerate_programs(registry, {"x": 1}, 2) == 6
 
     def test_matches_brute_force_tiny(self):
         registry = Registry()
         registry.register(
-            FunctionSpec("f", (1, 1), 1), lambda a, b: a + b, lambda args, i: np.eye(1)
+            FunctionSpec("f", (1, 1), 1), lambda a, b: a + b, lambda args, g: (g, g)
         )
         registry.register(
-            FunctionSpec("a", (1,), 1, is_action=True), lambda x: x, lambda args, i: np.eye(1)
+            FunctionSpec("a", (1,), 1, is_action=True), lambda x: x, lambda args, g: (g,)
         )
         for d in (1, 2, 3):
             want = len(brute_force_structures(registry, {"x": 1}, d))
@@ -316,7 +316,7 @@ class TestInduce:
     def test_no_action_registry_rejected(self, scalar_registry, scalar_schema):
         registry = Registry()
         registry.register(
-            FunctionSpec("f", (1, 1), 1), lambda a, b: a + b, lambda args, i: np.eye(1)
+            FunctionSpec("f", (1, 1), 1), lambda a, b: a + b, lambda args, g: (g, g)
         )
         trace = make_trace({"x": [1.0], "v": [0.0]}, [1.0])
         with pytest.raises(ValueError):
