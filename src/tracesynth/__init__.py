@@ -74,7 +74,6 @@ from .trace import (
     build_variable_index,
     load_trace,
     memory_at,
-    nearest_variable,
     save_trace,
     trace_from_dict,
     trace_to_dict,

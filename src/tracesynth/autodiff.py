@@ -68,15 +68,15 @@ def action_error_jacobian(theta_hat: np.ndarray, theta: np.ndarray, spec: ErrorS
     return spec.act_error_grad(th, t)[0]
 
 
-def backward(result: ExecutionResult, spec: ErrorSpec, registry: Registry) -> Gradients:
+def backward(result: ExecutionResult, spec: ErrorSpec) -> Gradients:
     """Differentiate the loss of an execution with respect to every
     parameter and variable leaf.
 
     The gradient is seeded per executed step from the action-error
     derivative and propagated by the reverse loop over ``result.tape``.
     Steps whose observed action name differs contribute only the flat
-    penalty, which has zero gradient.  ``registry`` is the one the tape was
-    compiled with; the tape already carries its VJPs.
+    penalty, which has zero gradient.  The tape carries the VJPs of the
+    registry it was compiled with.
     """
     n = result.executed_len
     tape = result.tape

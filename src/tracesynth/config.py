@@ -3,6 +3,7 @@ command-line surface."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields, replace
 
 from .interpreter import ErrorSpec, discretized_error_spec
@@ -26,6 +27,10 @@ class RunConfig:
     deadband: float = 0.05  # discrete error model: classification deadband
 
     def __post_init__(self) -> None:
+        # nan compares false with everything, so it would pass the checks below
+        for name in ("max_step_error", "learning_rate", "div_guard", "tol", "deadband"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         positive = {
             "max_step_error": self.max_step_error,
             "learning_rate": self.learning_rate,
@@ -39,6 +44,9 @@ class RunConfig:
         for name, value in positive.items():
             if value <= 0:
                 raise ValueError(f"{name} must be positive")
+        if self.deadband < 0:
+            # a negative deadband makes the discrete model reward the wrong class
+            raise ValueError("deadband must be >= 0")
         if self.error_model not in ("euclidean", "discrete"):
             raise ValueError(f"unknown error model: {self.error_model}")
 

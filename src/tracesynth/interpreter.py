@@ -280,11 +280,10 @@ def execute(
     out = values[-1]
 
     root_name = ast.root.name
-    D = ast.root.dim
-    theta_obs = trace.theta_matrix()[:, :D]
-    name_match = trace.action_mask(root_name)
-    comparable = name_match & (trace.theta_dims() == D)
-    if comparable.all():
+    theta_obs, name_match, comparable, all_comparable = trace.action_targets(
+        root_name, ast.root.dim
+    )
+    if all_comparable:
         errors = spec.act_error(out, theta_obs)
     else:
         errors = np.zeros(T)

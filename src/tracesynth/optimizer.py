@@ -36,8 +36,8 @@ class OptimizerState:
     ``param_acc`` holds the AdaGrad sums of squared gradients per parameter;
     ``slot_acc`` holds one accumulator per variable-leaf read time (each read
     is relaxed into its own temporary value), shaped like the per-read
-    gradient rows.  All accumulators reset to zero whenever any variable
-    leaf is rebound.
+    gradient rows.  An absent entry means an accumulator of zeros, so a
+    fresh state and a state reset by a re-binding hold empty dicts.
     """
 
     params: dict[int, np.ndarray]
@@ -53,7 +53,7 @@ class OptimizerState:
     ) -> "OptimizerState":
         return cls(
             params={k: np.asarray(v, dtype=float).copy() for k, v in params.items()},
-            param_acc={k: np.zeros_like(np.asarray(v, dtype=float)) for k, v in params.items()},
+            param_acc={},
             slot_acc={},
             learning_rate=config.learning_rate,
             div_guard=config.div_guard,
@@ -65,11 +65,36 @@ def adagrad_step(state: OptimizerState, grads: Gradients) -> OptimizerState:
     params = dict(state.params)
     acc = dict(state.param_acc)
     for pid, g in grads.params.items():
-        acc[pid] = acc[pid] + g * g
-        params[pid] = params[pid] - state.learning_rate * g / np.sqrt(acc[pid] + state.div_guard)
+        # an absent accumulator is zero, and 0.0 + x == x bit for bit
+        total = g * g if pid not in acc else acc[pid] + g * g
+        acc[pid] = total
+        params[pid] = params[pid] - state.learning_rate * g / np.sqrt(total + state.div_guard)
     return OptimizerState(
         params, acc, state.slot_acc, state.learning_rate, state.div_guard, state.iteration + 1
     )
+
+
+Binding = tuple[str, ...]  # variable names at a tree's variable leaves, preorder
+RebindSlot = tuple[int, VarLeaf, list[str], int]  # nid, leaf, candidates, column
+
+
+def rebindable_leaves(ast: ProgramAst, index: VariableIndex) -> tuple[Binding, list[RebindSlot]]:
+    """The tree's binding and, for every variable leaf with more than one
+    candidate of its dimension, ``(node id, leaf, candidate names, column of
+    the bound name)``.  Memoised on the immutable tree for the most recent
+    index."""
+    cached = ast.__dict__.get("_rebind_cache")
+    if cached is not None and cached[0] is index:
+        return cached[1], cached[2]
+    var_leaves = [(nid, leaf) for nid, leaf in leaves(ast) if isinstance(leaf, VarLeaf)]
+    binding = tuple(leaf.name for _, leaf in var_leaves)
+    slots = []
+    for nid, leaf in var_leaves:
+        names = index.names.get(leaf.dim, [])
+        if len(names) > 1:
+            slots.append((nid, leaf, names, names.index(leaf.name)))
+    object.__setattr__(ast, "_rebind_cache", (index, binding, slots))
+    return binding, slots
 
 
 def reassign_variables(
@@ -77,7 +102,7 @@ def reassign_variables(
     state: OptimizerState,
     grads: Gradients,
     index: VariableIndex,
-    trace: ObservationTrace,
+    trees: dict[Binding, ProgramAst] | None = None,
 ) -> tuple[ProgramAst, OptimizerState, bool]:
     """Gradient-guided rebinding of variable leaves.
 
@@ -87,36 +112,44 @@ def reassign_variables(
     the same dimension is looked up per timestep.  A variable that wins a
     strict majority of the steps replaces the current one; ties keep the
     current binding.  Any rebinding resets all accumulators.
+
+    ``trees`` is the tree table of one structure, keyed by binding (see
+    ``rebindable_leaves``).  A re-binding returns the table's tree for the
+    new binding and builds it with ``replace_node`` only if it is absent;
+    the current tree is entered too, so flipping a leaf back returns the
+    very same object.  Without a table every re-binding builds a new tree.
     """
+    binding, slots = rebindable_leaves(ast, index)
     slot_acc = dict(state.slot_acc)
     renames: dict[int, VarLeaf] = {}
-    for nid, leaf in leaves(ast):
-        if not isinstance(leaf, VarLeaf) or nid not in grads.slot_reads:
+    for nid, leaf, names, column in slots:
+        g_rows = grads.slot_reads.get(nid)
+        if g_rows is None:
             continue
-        names = index.names.get(leaf.dim, ())
-        if len(names) < 2:
-            continue
-        g_rows = grads.slot_reads[nid]
         n = g_rows.shape[0]
-        acc = slot_acc.get(nid)
-        if acc is None or acc.shape[0] < n:
-            grown = np.zeros_like(g_rows)
-            if acc is not None:
-                grown[: acc.shape[0]] = acc
-            acc = grown
-        acc = acc.copy()
-        acc[:n] += g_rows * g_rows
+        # a fresh array; an absent accumulator is zero
+        acc = g_rows * g_rows
+        old = slot_acc.get(nid)
+        if old is not None:
+            if old.shape[0] <= n:
+                acc[: old.shape[0]] += old
+            else:
+                # keep the rows past the executed prefix for when it grows
+                old = old.copy()
+                old[:n] += acc
+                acc = old
         slot_acc[nid] = acc
         if not g_rows.any():
             # zero gradient leaves every virtual read at the variable itself
             continue
-        values = index.values[leaf.dim][:n, names.index(leaf.name)]
+        values = index.values[leaf.dim][:n, column]
         adjusted = values - state.learning_rate * g_rows / np.sqrt(acc[:n] + state.div_guard)
         # votes per variable; a handful of entries, so plain lists are cheapest
         votes = np.bincount(index.query_steps(leaf.dim, adjusted)).tolist()
         top = max(votes)
-        if votes.count(top) == 1 and names[votes.index(top)] != leaf.name:
-            renames[nid] = VarLeaf(names[votes.index(top)], leaf.dim)
+        winner = votes.index(top)
+        if winner != column and votes.count(top) == 1:
+            renames[nid] = VarLeaf(names[winner], leaf.dim)
 
     if not renames:
         kept = OptimizerState(
@@ -124,17 +157,21 @@ def reassign_variables(
             state.iteration,
         )
         return ast, kept, False
-    for nid, leaf in renames.items():
-        ast = replace_node(ast, nid, leaf)
-    reset = OptimizerState(
-        state.params,
-        {k: np.zeros_like(v) for k, v in state.param_acc.items()},
-        {k: np.zeros_like(v) for k, v in slot_acc.items()},
-        state.learning_rate,
-        state.div_guard,
-        state.iteration,
+    trees = {} if trees is None else trees
+    trees.setdefault(binding, ast)
+    new_binding = tuple(
+        renames.get(nid, leaf).name for nid, leaf in leaves(ast) if isinstance(leaf, VarLeaf)
     )
-    return ast, reset, True
+    rebound = trees.get(new_binding)
+    if rebound is None:
+        rebound = ast
+        for nid, leaf in renames.items():
+            rebound = replace_node(rebound, nid, leaf)
+        trees[new_binding] = rebound
+    reset = OptimizerState(
+        state.params, {}, {}, state.learning_rate, state.div_guard, state.iteration
+    )
+    return rebound, reset, True
 
 
 @dataclass(frozen=True)
@@ -145,15 +182,6 @@ class OptimizedCandidate:
     params: dict[int, np.ndarray]
     result: ExecutionResult
     grads: Gradients
-
-
-def _has_free_leaves(ast: ProgramAst, index: VariableIndex) -> bool:
-    for _, leaf in leaves(ast):
-        if not isinstance(leaf, VarLeaf):
-            return True
-        if len(index.names.get(leaf.dim, [])) > 1:
-            return True
-    return False
 
 
 def optimize(
@@ -169,6 +197,11 @@ def optimize(
     execution matches the trace, the loss stagnates, or the iteration cap is
     reached.  Returns the best-loss state seen (gradient steps can overshoot
     near the acceptance threshold).
+
+    The call keeps a tree table, binding -> tree, that it passes to every
+    ``reassign_variables``: each binding the leaves take is built, and its
+    tape lowered, once per call.  The table is local and is dropped on
+    return.
     """
     if index is None:
         index = build_variable_index(trace)
@@ -177,7 +210,10 @@ def optimize(
     # over more steps), so "best" prefers matching, then coverage, then loss
     best: tuple[tuple[int, int, float], ProgramAst, dict[int, np.ndarray], ExecutionResult] | None
     best = None
-    free = _has_free_leaves(ast, index)
+    binding, slots = rebindable_leaves(ast, index)
+    # a parameter leaf or a variable leaf with a rival of its dimension
+    free = len(binding) < len(leaves(ast)) or bool(slots)
+    trees: dict[Binding, ProgramAst] = {}
     stagnant = 0
     for _ in range(max(1, config.max_opt_iters)):
         result = execute(ast, state.params, trace, registry, spec)
@@ -197,12 +233,12 @@ def optimize(
             stagnant += 1
         if matched or not free or stagnant >= config.tol_window:
             break
-        grads = backward(result, spec, registry)
+        grads = backward(result, spec)
         state = adagrad_step(state, grads)
         # a re-binding keeps every leaf's kind and dimension, so ``free`` holds
-        ast, state, _ = reassign_variables(ast, state, grads, index, trace)
+        ast, state, _ = reassign_variables(ast, state, grads, index, trees)
 
     assert best is not None
     _, best_ast, best_params, best_result = best
-    grads = backward(best_result, spec, registry)
+    grads = backward(best_result, spec)
     return OptimizedCandidate(best_ast, best_params, best_result, grads)

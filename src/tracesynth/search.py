@@ -96,7 +96,7 @@ class CandidateQueue:
         return cand, leaf_rank
 
 
-def matches(cand: Candidate, trace: ObservationTrace, spec: ErrorSpec) -> bool:
+def matches(cand: Candidate, spec: ErrorSpec) -> bool:
     """Acceptance test: the candidate's final execution covered the whole
     trace with every step error within threshold and zero length error."""
     return matches_trace(cand.opt.result, spec)
@@ -278,7 +278,7 @@ def induce(
     while len(queue) and iterations < config.max_iterations:
         cand, leaf_rank = queue.pop()
         iterations += 1
-        if matches(cand, trace, spec):
+        if matches(cand, spec):
             solution = cand
             break
         for child in run_batch(expand(cand, registry, trace, config.seed, leaf_rank)):

@@ -132,6 +132,24 @@ class ObservationTrace:
             cache[key] = np.array([nm == name for nm in self.action_names()])
         return cache[key]
 
+    def action_targets(
+        self, name: str, dim: int
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
+        """What a program whose root is action ``name`` of dimension ``dim``
+        is compared against: the observed parameters (T, dim), the mask of
+        steps whose observed action is ``name``, the mask of those whose
+        parameters also have dimension ``dim``, and whether every step is
+        comparable."""
+        cache = self._cache()
+        key = ("targets", name, dim)
+        targets = cache.get(key)
+        if targets is None:
+            name_match = self.action_mask(name)
+            comparable = name_match & (self.theta_dims() == dim)
+            targets = (self.theta_matrix()[:, :dim], name_match, comparable, bool(comparable.all()))
+            cache[key] = targets
+        return targets
+
 
 @dataclass(frozen=True)
 class MemoryState:
@@ -204,12 +222,6 @@ def build_variable_index(trace: ObservationTrace) -> VariableIndex:
     return VariableIndex(trace)
 
 
-def nearest_variable(
-    index: VariableIndex, t: int, dim: int, query: np.ndarray
-) -> tuple[str, np.ndarray]:
-    return index.query(t, dim, query)
-
-
 # ---------------------------------------------------------------------------
 # file format
 
@@ -240,6 +252,10 @@ def trace_from_dict(doc: dict) -> ObservationTrace:
         _require(isinstance(raw, dict), "each step must be an object")
         for key in ("t", "vars", "action"):
             _require(key in raw, f"step missing field {key!r}")
+        # bool is an int subclass, but JSON true is not a timestep
+        _require(
+            type(raw["t"]) is int, f"step field 't' must be an integer, got {raw['t']!r}"
+        )
         action = raw["action"]
         _require(
             isinstance(action, dict) and "name" in action and "theta" in action,
@@ -247,7 +263,7 @@ def trace_from_dict(doc: dict) -> ObservationTrace:
         )
         try:
             step = TraceStep(
-                t=int(raw["t"]),
+                t=raw["t"],
                 vars={k: np.asarray(v, dtype=float).reshape(-1) for k, v in raw["vars"].items()},
                 action_name=str(action["name"]),
                 theta=np.asarray(action["theta"], dtype=float).reshape(-1),

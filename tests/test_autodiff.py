@@ -66,7 +66,7 @@ class TestBackward:
         spec = ErrorSpec(max_step_error=100.0)
         res = execute(ast, initial_params(ast), trace, scalar_registry, spec)
         np.testing.assert_allclose(res.theta_hat, [[1.0]])
-        grads = backward(res, spec, scalar_registry)
+        grads = backward(res, spec)
         np.testing.assert_allclose(grads.params[0], [-0.5])
         (slot_total,) = grads.slot_totals.values()
         np.testing.assert_allclose(slot_total, [-2.0])
@@ -76,7 +76,7 @@ class TestBackward:
         ast = parse_program("(accel (add x v))", scalar_registry, scalar_schema)
         spec = ErrorSpec(max_step_error=100.0)
         res = execute(ast, {}, trace, scalar_registry, spec)
-        grads = backward(res, spec, scalar_registry)
+        grads = backward(res, spec)
         assert grads.params == {}
         assert len(grads.slot_totals) == 2
 
@@ -86,7 +86,7 @@ class TestBackward:
         spec = ErrorSpec()
         res = execute(ast, initial_params(ast), trace, scalar_registry, spec)
         assert res.loss == 0.0
-        grads = backward(res, spec, scalar_registry)
+        grads = backward(res, spec)
         np.testing.assert_array_equal(grads.params[0], [0.0])
         for g in grads.slot_totals.values():
             np.testing.assert_array_equal(g, [0.0])
@@ -98,9 +98,9 @@ class TestBackward:
         two = make_trace({"x": [0.5, -0.8], "v": [0, 0]}, [1.5, 0.3])
         one_a = make_trace({"x": [0.5], "v": [0]}, [1.5])
         one_b = make_trace({"x": [-0.8], "v": [0]}, [0.3])
-        g2 = backward(execute(ast, params, two, scalar_registry, spec), spec, scalar_registry)
-        ga = backward(execute(ast, params, one_a, scalar_registry, spec), spec, scalar_registry)
-        gb = backward(execute(ast, params, one_b, scalar_registry, spec), spec, scalar_registry)
+        g2 = backward(execute(ast, params, two, scalar_registry, spec), spec)
+        ga = backward(execute(ast, params, one_a, scalar_registry, spec), spec)
+        gb = backward(execute(ast, params, one_b, scalar_registry, spec), spec)
         np.testing.assert_allclose(g2.params[0], ga.params[0] + gb.params[0], rtol=1e-12)
 
     def test_per_read_gradients_match_reference(self, scalar_registry, scalar_schema):
@@ -115,7 +115,7 @@ class TestBackward:
         params = initial_params(ast)
         spec = ErrorSpec(max_step_error=1e9)
         res = execute(ast, params, trace, scalar_registry, spec)
-        grads = backward(res, spec, scalar_registry)
+        grads = backward(res, spec)
         h = 1e-6
         for nid, rows in grads.slot_reads.items():
             for t in range(1, trace.length + 1):
@@ -164,7 +164,7 @@ class TestFiniteDifferences:
             res = execute(ast, params, trace, scalar_registry, spec)
             if np.any(np.abs(res.step_errors) < 1e-8):
                 continue  # too close to the norm kink for finite differences
-            grads = backward(res, spec, scalar_registry)
+            grads = backward(res, spec)
             for pid, g in grads.params.items():
                 pert_up = dict(params)
                 pert_up[pid] = params[pid] + 1e-6

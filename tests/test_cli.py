@@ -266,3 +266,32 @@ class TestInduce:
         path.write_text(json.dumps(doc).replace(f'"{token}"', token))
         assert run_cli(["induce", "--trace", str(path)]) == 2
         assert "step 4" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--max-step-error", "nan"], "max_step_error must be finite"),
+            (["--learning-rate", "inf"], "learning_rate must be finite"),
+            (["--error-model", "discrete", "--deadband", "-0.5"], "deadband must be >= 0"),
+        ],
+    )
+    def test_bad_error_model_numbers_rejected(self, small_trace, capsys, flags, message):
+        assert run_cli(["induce", "--trace", str(small_trace), *flags]) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", ["div_guard", "tol", "deadband"])
+    def test_non_finite_config_field_rejected(self, small_trace, tmp_path, capsys, field):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({field: float("nan")}))
+        assert run_cli(["induce", "--trace", str(small_trace), "--config", str(cfg_path)]) == 2
+        assert f"{field} must be finite" in capsys.readouterr().err
+
+    # each value would pass the contiguity check if it were truncated to an int
+    @pytest.mark.parametrize("step, t", [(0, 1.7), (1, "2"), (0, True)])
+    def test_non_integer_timestep_rejected(self, small_trace, tmp_path, capsys, step, t):
+        doc = json.loads(small_trace.read_text())
+        doc["steps"][step]["t"] = t
+        path = tmp_path / "bad.trace"
+        path.write_text(json.dumps(doc))
+        assert run_cli(["induce", "--trace", str(path)]) == 2
+        assert "must be an integer" in capsys.readouterr().err

@@ -5,6 +5,10 @@ budget and compares the SHA-256 of the report's ``programs`` section with a
 recorded value, so a refactor of the interpreter, the backward pass or the
 optimiser loop can show it leaves the search byte-identical.  The digests
 were recorded before the tape-based interpreter replaced the recursive one.
+
+The same runs also pin the optimiser's trajectory, not only its output: the
+number of ``execute`` calls and of variable re-bindings, recorded before the
+optimiser kept one tree per binding.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ import hashlib
 
 import pytest
 
+import tracesynth.optimizer as optimizer
 from tracesynth import (
     PaddleConfig,
     RunConfig,
@@ -42,6 +47,10 @@ CASES = {
 }
 
 
+# name -> (execute calls, re-bindings)
+TRAJECTORIES = {"pendulum": (1391, 170), "paddle": (1198, 7)}
+
+
 def programs_digest(report: str) -> str:
     start = report.index("\nprograms\n")
     end = report.index("\nstats\n", start)
@@ -55,3 +64,25 @@ def test_programs_section_digest(name):
     registry = standard_registry(trace.schema.variables, trace.schema.actions)
     report = render_report(induce(trace, registry, config=config), config, name)
     assert programs_digest(report) == want
+
+
+@pytest.mark.parametrize("name", sorted(TRAJECTORIES))
+def test_optimiser_trajectory(name, monkeypatch):
+    make_trace, config, _ = CASES[name]
+    counts = {"execute": 0, "rebind": 0}
+    execute, reassign = optimizer.execute, optimizer.reassign_variables
+
+    def counted_execute(*args, **kwargs):
+        counts["execute"] += 1
+        return execute(*args, **kwargs)
+
+    def counted_reassign(*args, **kwargs):
+        out = reassign(*args, **kwargs)
+        counts["rebind"] += out[2]
+        return out
+
+    monkeypatch.setattr(optimizer, "execute", counted_execute)
+    monkeypatch.setattr(optimizer, "reassign_variables", counted_reassign)
+    trace = make_trace()
+    induce(trace, standard_registry(trace.schema.variables, trace.schema.actions), config=config)
+    assert (counts["execute"], counts["rebind"]) == TRAJECTORIES[name]

@@ -15,6 +15,7 @@ from tracesynth import (
     simulate_second_order,
     SecondOrderConfig,
 )
+from tracesynth import interpreter
 from tracesynth.program import canonical_key, initial_params, leaves
 from tests.conftest import make_trace
 
@@ -86,14 +87,31 @@ class TestReassign:
         index = build_variable_index(trace)
         g = [[1.0], [1.0], [1.0]]
         new_ast, new_state, changed = reassign_variables(
-            ast, state, _grads_for(ast, slot_rows={nid: g}), index, trace
+            ast, state, _grads_for(ast, slot_rows={nid: g}), index
         )
         assert changed
         assert canonical_key(new_ast) == "(accel v)"
-        for acc in new_state.param_acc.values():
-            np.testing.assert_array_equal(acc, 0.0)
-        for acc in new_state.slot_acc.values():
-            np.testing.assert_array_equal(acc, 0.0)
+        # an absent accumulator is zero
+        assert new_state.param_acc == {}
+        assert new_state.slot_acc == {}
+
+    def test_flip_back_returns_the_same_tree(self, scalar_registry, scalar_schema):
+        # x=1.0, v=0.7: a step of 0.2 down from x votes v, and from v up votes x
+        trace = make_trace({"x": [1.0, 1.0, 1.0], "v": [0.7, 0.7, 0.7]}, [0, 0, 0])
+        index = build_variable_index(trace)
+        ast = parse_program("(accel x)", scalar_registry, scalar_schema)
+        state = OptimizerState.fresh(ast, {}, OptimizeConfig(learning_rate=0.2))
+        (nid, _), = leaves(ast)
+        down = _grads_for(ast, slot_rows={nid: [[1.0], [1.0], [1.0]]})
+        up = _grads_for(ast, slot_rows={nid: [[-1.0], [-1.0], [-1.0]]})
+        trees = {}
+        to_v, state, changed = reassign_variables(ast, state, down, index, trees)
+        assert changed and canonical_key(to_v) == "(accel v)"
+        back, state, changed = reassign_variables(to_v, state, up, index, trees)
+        assert changed and back is ast
+        again, _, changed = reassign_variables(back, state, down, index, trees)
+        assert changed and again is to_v
+        assert trees == {("x",): ast, ("v",): to_v}
 
     def test_zero_gradients_fixed_point(self, scalar_registry, scalar_schema):
         trace = make_trace({"x": [1.0, 2.0], "v": [0.0, 0.0]}, [0, 0])
@@ -102,7 +120,7 @@ class TestReassign:
         state = OptimizerState.fresh(ast, {}, OptimizeConfig())
         (nid, _), = leaves(ast)
         new_ast, _, changed = reassign_variables(
-            ast, state, _grads_for(ast, slot_rows={nid: [[0.0], [0.0]]}), index, trace
+            ast, state, _grads_for(ast, slot_rows={nid: [[0.0], [0.0]]}), index
         )
         assert not changed
         assert canonical_key(new_ast) == "(accel x)"
@@ -117,7 +135,7 @@ class TestReassign:
         state = OptimizerState.fresh(ast, {}, OptimizeConfig())
         (nid, _), = leaves(ast)
         _, _, changed = reassign_variables(
-            ast, state, _grads_for(ast, slot_rows={nid: [[5.0], [5.0]]}), index, trace
+            ast, state, _grads_for(ast, slot_rows={nid: [[5.0], [5.0]]}), index
         )
         assert not changed
 
@@ -136,7 +154,7 @@ class TestReassign:
         votes = [index.names[1][j] for j in index.query_steps(1, adjusted)]
         assert votes == ["x", "v"]
         new_ast, _, changed = reassign_variables(
-            ast, state, _grads_for(ast, slot_rows={nid: g}), index, trace
+            ast, state, _grads_for(ast, slot_rows={nid: g}), index
         )
         assert not changed
         assert canonical_key(new_ast) == "(accel x)"
@@ -148,14 +166,54 @@ class TestReassign:
         state = OptimizerState.fresh(ast, {}, OptimizeConfig(learning_rate=0.01))
         (nid, _), = leaves(ast)
         g = _grads_for(ast, slot_rows={nid: [[1.0], [1.0]]})
-        _, state, changed = reassign_variables(ast, state, g, index, trace)
+        _, state, changed = reassign_variables(ast, state, g, index)
         assert not changed
         np.testing.assert_allclose(state.slot_acc[nid], [[1.0], [1.0]])
-        _, state, _ = reassign_variables(ast, state, g, index, trace)
+        _, state, _ = reassign_variables(ast, state, g, index)
         np.testing.assert_allclose(state.slot_acc[nid], [[2.0], [2.0]])
+
+    def test_slot_accumulator_follows_executed_length(self, scalar_registry, scalar_schema):
+        # rows past the executed prefix are kept for when it grows again
+        trace = make_trace({"x": [1.0, 1.0, 1.0], "v": [-5.0, -5.0, -5.0]}, [0, 0, 0])
+        index = build_variable_index(trace)
+        ast = parse_program("(accel x)", scalar_registry, scalar_schema)
+        state = OptimizerState.fresh(ast, {}, OptimizeConfig(learning_rate=0.01))
+        (nid, _), = leaves(ast)
+        for rows, want in (
+            ([[1.0]], [[1.0]]),
+            ([[2.0], [2.0], [2.0]], [[5.0], [4.0], [4.0]]),
+            ([[3.0], [3.0]], [[14.0], [13.0], [4.0]]),
+        ):
+            _, state, changed = reassign_variables(
+                ast, state, _grads_for(ast, slot_rows={nid: rows}), index
+            )
+            assert not changed
+            np.testing.assert_array_equal(state.slot_acc[nid], want)
 
 
 class TestOptimize:
+    def test_each_binding_lowered_once(self, scalar_registry, scalar_schema, monkeypatch):
+        # both variable leaves flip between x and v about ten times
+        trace = simulate_second_order(SecondOrderConfig(k1=-9.8, k2=0.0, x0=0.1, steps=20))
+        ast = parse_program("(accel (sub (add v 0.0) x))", scalar_registry, scalar_schema)
+        tapes = []
+        lower = interpreter.compile_tape
+
+        def recording(tree, registry):
+            tape = lower(tree, registry)
+            tapes.append((tape, canonical_key(tree)))
+            return tape
+
+        monkeypatch.setattr(interpreter, "compile_tape", recording)
+        optimize(
+            ast, initial_params(ast), trace, scalar_registry, ErrorSpec(),
+            OptimizeConfig(max_opt_iters=150),
+        )
+        bindings = [key for _, key in tapes]
+        flips = sum(a != b for a, b in zip(bindings, bindings[1:]))
+        assert flips >= 8
+        assert len({id(tape) for tape, _ in tapes}) == len(set(bindings)) == 2
+
     def test_pendulum_coefficient_recovery(self, scalar_registry):
         trace = simulate_second_order(SecondOrderConfig(k1=-9.8, k2=0.0, x0=1.0))
         ast = parse_program("(accel (scale 0.1 x))", scalar_registry, {"x": 1, "v": 1})

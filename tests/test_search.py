@@ -209,21 +209,21 @@ class TestMatches:
         ast = parse_program("(accel x)", scalar_registry, scalar_schema)
         spec = ErrorSpec()
         cand = _candidate(ast, scalar_registry, trace, spec=spec)
-        assert matches(cand, trace, spec)
+        assert matches(cand, spec)
 
     def test_early_termination_false(self, scalar_registry, scalar_schema):
         trace = make_trace({"x": [5.0, 2.0], "v": [0, 0]}, [1.0, 2.0])
         ast = parse_program("(accel x)", scalar_registry, scalar_schema)
         spec = ErrorSpec(max_step_error=0.1)
         cand = _candidate(ast, scalar_registry, trace, spec=spec)
-        assert not matches(cand, trace, spec)
+        assert not matches(cand, spec)
 
     def test_boundary_inclusive(self, scalar_registry, scalar_schema):
         trace = make_trace({"x": [1.5], "v": [0]}, [1.0])
         ast = parse_program("(accel x)", scalar_registry, scalar_schema)
         spec = ErrorSpec(max_step_error=0.5)
         cand = _candidate(ast, scalar_registry, trace, spec=spec)
-        assert matches(cand, trace, spec)
+        assert matches(cand, spec)
 
 
 def brute_force_structures(registry, variables, max_depth):

@@ -9,7 +9,6 @@ from tracesynth import (
     build_variable_index,
     load_trace,
     memory_at,
-    nearest_variable,
     save_trace,
     simulate_second_order,
     trace_from_dict,
@@ -107,20 +106,20 @@ class TestNearestVariable:
     def test_closer_variable_wins(self):
         trace = make_trace({"x": [0.5], "v": [-1.2]}, [0.0])
         index = build_variable_index(trace)
-        name, value = nearest_variable(index, 1, 1, np.array([-1.0]))
+        name, value = index.query(1, 1, np.array([-1.0]))
         assert name == "v"
         np.testing.assert_allclose(value, [-1.2])
 
     def test_exact_hit(self):
         trace = make_trace({"x": [0.5], "v": [-1.2]}, [0.0])
         index = build_variable_index(trace)
-        name, _ = nearest_variable(index, 1, 1, np.array([0.5]))
+        name, _ = index.query(1, 1, np.array([0.5]))
         assert name == "x"
 
     def test_tie_breaks_by_name(self):
         trace = make_trace({"x": [0.3], "v": [-0.3]}, [0.0])
         index = build_variable_index(trace)
-        name, value = nearest_variable(index, 1, 1, np.array([0.0]))
+        name, value = index.query(1, 1, np.array([0.0]))
         assert name == "v"
         np.testing.assert_allclose(value, [-0.3])
 
@@ -128,13 +127,13 @@ class TestNearestVariable:
         trace = make_trace({"x": [0.1, 0.2]}, [0, 0])
         index = build_variable_index(trace)
         for t in (1, 2):
-            assert nearest_variable(index, t, 1, np.array([99.0]))[0] == "x"
+            assert index.query(t, 1, np.array([99.0]))[0] == "x"
 
     def test_no_variable_of_dimension(self):
         trace = make_trace({"x": [0.1]}, [0])
         index = build_variable_index(trace)
         with pytest.raises(KeyError):
-            nearest_variable(index, 1, 3, np.zeros(3))
+            index.query(1, 3, np.zeros(3))
 
     def test_matches_linear_scan(self):
         rng = np.random.default_rng(0)
@@ -146,7 +145,7 @@ class TestNearestVariable:
         for _ in range(200):
             t = int(rng.integers(1, T + 1))
             q = rng.normal(size=1)
-            got, _ = nearest_variable(index, t, 1, q)
+            got, _ = index.query(t, 1, q)
             dists = {n: abs(trace.steps[t - 1].vars[n][0] - q[0]) for n in names}
             best = min(dists.values())
             want = min(n for n in names if dists[n] == best)
