@@ -179,6 +179,8 @@ def render_report(result: SolutionSet, config: RunConfig, trace_path: str) -> st
     parts.append("stats")
     parts.append("-----")
     parts.append(f"iterations: {result.iterations}")
+    parts.append(f"proposed: {result.proposed}")
+    parts.append(f"optimised: {result.optimised}")
     parts.append(f"wall_time_s: {result.wall_time:.3f}")
     parts.append("")
     parts.append("json")
@@ -190,6 +192,8 @@ def render_report(result: SolutionSet, config: RunConfig, trace_path: str) -> st
         "solution": _cand_dict(result.solution) if result.solution else None,
         "top": [_cand_dict(c) for c in result.top],
         "iterations": result.iterations,
+        "proposed": result.proposed,
+        "optimised": result.optimised,
         "wall_time_s": round(result.wall_time, 3),
     }
     parts.append(json.dumps(doc, indent=1, sort_keys=True))

@@ -27,6 +27,11 @@ class RunConfig:
     deadband: float = 0.05  # discrete error model: classification deadband
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            # bool is a subclass of int, but a config value of true is a mistake
+            if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[f.type]):
+                raise ValueError(f"{f.name} must be of type {f.type}, not {type(value).__name__}")
         # nan compares false with everything, so it would pass the checks below
         for name in ("max_step_error", "learning_rate", "div_guard", "tol", "deadband"):
             if not math.isfinite(getattr(self, name)):
@@ -49,6 +54,9 @@ class RunConfig:
             raise ValueError("deadband must be >= 0")
         if self.error_model not in ("euclidean", "discrete"):
             raise ValueError(f"unknown error model: {self.error_model}")
+        if self.error_model == "discrete" and self.deadband == 0:
+            # a prediction of 0 would then be within 0 of both class +1 and class -1
+            raise ValueError("deadband must be > 0 for the discrete error model")
 
     def optimize_config(self) -> OptimizeConfig:
         return OptimizeConfig(
@@ -80,13 +88,34 @@ class RunConfig:
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
         kwargs = dict(doc)
-        if "weights" in kwargs and not isinstance(kwargs["weights"], ComplexityWeights):
-            w = kwargs["weights"]
-            kwargs["weights"] = ComplexityWeights(*[float(x) for x in w])
+        if "weights" in kwargs:
+            kwargs["weights"] = _as_weights(kwargs["weights"])
         return cls(**kwargs)
 
     def override(self, **kwargs) -> "RunConfig":
         kwargs = {k: v for k, v in kwargs.items() if v is not None}
-        if "weights" in kwargs and not isinstance(kwargs["weights"], ComplexityWeights):
-            kwargs["weights"] = ComplexityWeights(*[float(x) for x in kwargs["weights"]])
+        if "weights" in kwargs:
+            kwargs["weights"] = _as_weights(kwargs["weights"])
         return replace(self, **kwargs)
+
+
+# annotation of a RunConfig field -> the types its value may have
+_FIELD_TYPES = {
+    "float": (int, float),
+    "int": (int,),
+    "str": (str,),
+    "ComplexityWeights": (ComplexityWeights,),
+}
+
+
+def _as_weights(value: object) -> ComplexityWeights:
+    """Complexity weights from a ``[depth, params, variables]`` list."""
+    if isinstance(value, ComplexityWeights):
+        return value
+    if not (
+        isinstance(value, (list, tuple))
+        and len(value) == 3
+        and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in value)
+    ):
+        raise ValueError("weights must be three numbers: depth, params, variables")
+    return ComplexityWeights(*[float(x) for x in value])

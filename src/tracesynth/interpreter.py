@@ -18,6 +18,7 @@ separate plain recursion over the tree, kept as an independent check.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, NamedTuple
 
@@ -75,6 +76,12 @@ class ErrorSpec:
     and observed action parameters.  ``max_step_error`` is the per-step
     threshold above which execution terminates.  A mismatch of action names
     adds ``max_step_error + 1`` to that step's error, forcing termination.
+
+    Contract: ``act_error`` and ``len_error`` are never negative, so a loss
+    is never negative and a program's complexity is a lower bound on its
+    search score; the search relies on this and raises ``ValueError`` on a
+    negative loss.  A NaN step error ends execution at that step and makes
+    the loss ``+inf``.
     """
 
     act_error: Callable[[np.ndarray, np.ndarray], np.ndarray] = euclidean_error
@@ -255,10 +262,11 @@ def execute(
     """Run the program once per timestep in trace order.
 
     After each step t the per-step error is computed from the predicted and
-    observed action; execution stops after the first step whose error
-    strictly exceeds ``spec.max_step_error`` (that step's error is included
-    in the loss).  The loss is the sum of per-step errors over the executed
-    prefix plus the length error.
+    observed action; execution stops after the first step whose error is not
+    within ``spec.max_step_error``: it exceeds the threshold or is NaN (that
+    step's error is included in the loss).  The loss is the sum of per-step
+    errors over the executed prefix plus the length error, and ``+inf``
+    where that sum is NaN.
     """
     tape = compile_tape(ast, registry)
     T = trace.length
@@ -291,7 +299,8 @@ def execute(
             errors[comparable] = spec.act_error(out[comparable], theta_obs[comparable])
         errors[~name_match] += spec.max_step_error + 1.0
 
-    over = (errors > spec.max_step_error).nonzero()[0]
+    # NaN compares false with everything, so it must fail the test, not pass it
+    over = (~(errors <= spec.max_step_error)).nonzero()[0]
     executed = int(over[0]) + 1 if over.size else T
     # a threshold cut at the final step still counts as termination
     terminated = over.size > 0
@@ -299,6 +308,8 @@ def execute(
     step_errors = errors[:executed]
     length_error = float(spec.len_error(T, executed))
     loss = float(step_errors.sum() + length_error)
+    if math.isnan(loss):
+        loss = math.inf  # NaN would break the order of the search queue
     return ExecutionResult(
         action_name=root_name,
         theta_hat=out[:executed],

@@ -7,6 +7,7 @@ variables.  Trees are immutable; structural edits return new trees.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Callable, Union
@@ -109,8 +110,9 @@ class ComplexityWeights:
     variables: float = 1.0
 
     def __post_init__(self) -> None:
-        if min(self.depth, self.params, self.variables) < 0:
-            raise ValueError("complexity weights must be nonnegative")
+        weights = (self.depth, self.params, self.variables)
+        if not all(math.isfinite(w) and w >= 0 for w in weights):
+            raise ValueError("complexity weights must be finite and nonnegative")
 
 
 # impl(*args) -> output, vectorised over a leading step axis: (n, d_i) -> (n, out)

@@ -1,12 +1,21 @@
 """Best-first search over program structures.
 
 The search graph connects a tree to every tree obtained by replacing exactly
-one leaf with a depth-1 application.  Candidates are optimised on arrival,
-scored ``complexity + loss``, and pushed to a priority queue; the leaf to
-expand is the one with the largest loss-gradient norm.  The whole procedure
-is deterministic for a fixed seed: every proposal derives its own RNG seed
-from content (parent fingerprint, leaf, replacement), children are merged in
-fingerprint order.
+one leaf with a depth-1 application.  Candidates are scored
+``complexity + loss`` and kept in an A* priority queue; the leaf to expand is
+the one with the largest loss-gradient norm.
+
+The loss is never negative, so a proposal's complexity, known before any
+gradient step, is a lower bound on its score.  Each proposal is therefore
+queued unoptimised, keyed by that bound, and optimised only when it reaches
+the top of the queue (lazy A*); it then goes back with its true score.  The
+queue pops exactly the candidates, in exactly the order, that optimising
+every proposal on arrival would, while the many proposals whose bound is
+never reached are never optimised.
+
+The whole procedure is deterministic for a fixed seed: every proposal
+derives its own RNG seed from content (parent fingerprint, leaf,
+replacement), children are merged in fingerprint order.
 """
 
 from __future__ import annotations
@@ -15,7 +24,7 @@ import hashlib
 import heapq
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from time import perf_counter
 
@@ -65,35 +74,55 @@ class Candidate:
 @dataclass(frozen=True)
 class SolutionSet:
     """Outcome of one induction run: the accepted candidate (if any), the
-    best-scoring candidates seen, and run counters."""
+    best-scoring candidates seen, and run counters: search iterations,
+    distinct proposals queued and candidates optimised."""
 
     solution: Candidate | None
     top: tuple[Candidate, ...]
     iterations: int
+    proposed: int
+    optimised: int
     wall_time: float
 
 
+@dataclass(frozen=True)
+class _Deferred:
+    """A queued proposal not yet optimised, with its complexity: a lower
+    bound on its score, because the loss is never negative."""
+
+    proto: _Proto
+    complexity: float
+
+
 class CandidateQueue:
-    """Priority queue ordered by ascending score, then lower complexity,
-    then insertion order.  Tracks canonical keys already scheduled for
-    optimisation so no structure is optimised twice."""
+    """Priority queue of optimised candidates and deferred proposals.
+
+    Every entry is ordered by ``(priority, complexity, n)``: the priority of
+    a candidate is its score, that of a deferred proposal its complexity,
+    and ``n`` is the insertion counter.  A deferred proposal that is popped,
+    optimised and pushed back with its own ``n`` thus keeps its place among
+    ties.  Tracks canonical keys already queued so no structure is queued
+    twice."""
 
     def __init__(self) -> None:
-        self._heap: list[tuple[float, float, int, Candidate, int]] = []
+        self._heap: list[tuple[float, float, int, Candidate | _Deferred, int]] = []
         self._counter = itertools.count()
         self.visited: set[str] = set()
 
     def __len__(self) -> int:
         return len(self._heap)
 
-    def push(self, cand: Candidate, leaf_rank: int = 0) -> None:
-        heapq.heappush(
-            self._heap, (cand.score, cand.complexity, next(self._counter), cand, leaf_rank)
-        )
+    def push(self, item: Candidate | _Deferred, leaf_rank: int = 0, n: int | None = None) -> None:
+        """Queue ``item``; ``n`` defaults to the next insertion counter."""
+        priority = item.score if isinstance(item, Candidate) else item.complexity
+        if n is None:
+            n = next(self._counter)
+        heapq.heappush(self._heap, (priority, item.complexity, n, item, leaf_rank))
 
-    def pop(self) -> tuple[Candidate, int]:
-        _, _, _, cand, leaf_rank = heapq.heappop(self._heap)
-        return cand, leaf_rank
+    def pop(self) -> tuple[Candidate | _Deferred, int, int]:
+        """The first entry as ``(item, leaf_rank, n)``."""
+        _, _, n, item, leaf_rank = heapq.heappop(self._heap)
+        return item, leaf_rank, n
 
 
 def matches(cand: Candidate, spec: ErrorSpec) -> bool:
@@ -126,17 +155,18 @@ def _derive_seed(*parts: object) -> int:
 
 @dataclass(frozen=True)
 class _Proto:
-    """An unoptimised proposal: structure, initial values, provenance."""
+    """An unoptimised proposal: structure, initial values, provenance, and
+    the structure key, computed once when the proposal is built."""
 
     ast: ProgramAst
     params: dict[int, np.ndarray]
     parent_key: str | None
     expansion_leaf: int | None
     seed: int
+    key: str = field(init=False)
 
-    @property
-    def key(self) -> str:
-        return canonical_key(self.ast)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "key", canonical_key(self.ast))
 
 
 def _build_subtree(
@@ -224,13 +254,19 @@ def induce(
 ) -> SolutionSet:
     """Search for a program whose execution matches the trace.
 
-    Starts from the optimised expansions of the empty program; repeatedly
-    pops the best-scoring candidate, returns it if it matches, otherwise
-    expands its highest-gradient leaf, optimises the children and pushes
-    them.  A popped candidate with more than one leaf is re-pushed once so
-    its second-best leaf also gets expanded.
+    Queues the expansions of the empty program, then repeatedly pops the
+    first queue entry.  A deferred proposal is optimised and pushed back
+    with its score; a candidate is returned if it matches, otherwise its
+    highest-gradient leaf is expanded and the new proposals are queued,
+    deferred.  A popped candidate with more than one leaf is re-pushed once
+    so its second-best leaf also gets expanded.  Only pops of candidates
+    count as iterations.
+
     Returns the accepted candidate (if one was found) plus the ``top_k``
-    best-scoring structures seen.
+    best-scoring structures among every proposal that optimising on arrival
+    would have scored: once the search ends, deferred proposals are
+    optimised in queue order until the next bound exceeds the k-th best
+    score.
     """
     if not registry.actions():
         raise ValueError("registry must contain at least one action")
@@ -240,13 +276,23 @@ def induce(
     opt_config = config.optimize_config()
     index = build_variable_index(trace)
     queue = CandidateQueue()
-    scored: dict[str, Candidate] = {}
+    # structure key -> ((score, complexity, n), best candidate); ``n`` keeps
+    # the first-queued candidate on a tie, whatever order they are optimised in
+    scored: dict[str, tuple[tuple[float, float, int], Candidate]] = {}
+    optimised = 0
 
-    def optimise_proto(proto: _Proto) -> Candidate:
+    def optimise(deferred: _Deferred, n: int) -> Candidate:
+        nonlocal optimised
+        optimised += 1
+        proto = deferred.proto
         opt = optimize(proto.ast, proto.params, trace, registry, spec, opt_config, index)
         loss = opt.result.loss
+        if not loss >= 0.0:
+            raise ValueError(f"error model gave the loss {loss!r}; losses must be >= 0")
         cost = complexity(opt.ast, config.weights)
-        return Candidate(
+        if cost != deferred.complexity:
+            raise RuntimeError(f"re-binding changed the complexity of {proto.key}")
+        cand = Candidate(
             opt=opt,
             loss=loss,
             complexity=cost,
@@ -256,38 +302,56 @@ def induce(
             expansion_leaf=proto.expansion_leaf,
             seed=proto.seed,
         )
+        rank = (cand.score, cost, n)
+        prev = scored.get(cand.key)
+        if prev is None or rank < prev[0]:
+            scored[cand.key] = (rank, cand)
+        return cand
 
-    def run_batch(protos: list[_Proto]) -> list[Candidate]:
-        fresh = []
+    def defer(protos: list[_Proto]) -> None:
         for proto in sorted(protos, key=lambda p: p.key):
             if proto.key not in queue.visited:
                 queue.visited.add(proto.key)
-                fresh.append(proto)
-        cands = [optimise_proto(p) for p in fresh]
-        for cand in cands:
-            prev = scored.get(cand.key)
-            if prev is None or (cand.score, cand.complexity) < (prev.score, prev.complexity):
-                scored[cand.key] = cand
-        return cands
+                queue.push(_Deferred(proto, complexity(proto.ast, config.weights)))
 
-    for cand in run_batch(expand_empty(registry, trace.schema, config.seed)):
-        queue.push(cand)
+    defer(expand_empty(registry, trace.schema, config.seed))
 
     iterations = 0
     solution = None
     while len(queue) and iterations < config.max_iterations:
-        cand, leaf_rank = queue.pop()
+        cand, leaf_rank, n = queue.pop()
+        if isinstance(cand, _Deferred):
+            queue.push(optimise(cand, n), n=n)
+            continue
         iterations += 1
         if matches(cand, spec):
             solution = cand
             break
-        for child in run_batch(expand(cand, registry, trace, config.seed, leaf_rank)):
-            queue.push(child)
+        defer(expand(cand, registry, trace, config.seed, leaf_rank))
         if leaf_rank == 0 and len(leaves(cand.ast)) > 1:
             queue.push(cand, leaf_rank=1)
 
-    top = sorted(scored.values(), key=lambda c: (c.score, c.complexity, c.key))
-    return SolutionSet(solution, tuple(top[: config.top_k]), iterations, perf_counter() - t0)
+    # every entry still queued has a true score >= its key, so once a bound
+    # exceeds the k-th best score no later entry can enter the top k
+    while len(queue):
+        cand, _, n = queue.pop()
+        if not isinstance(cand, _Deferred):
+            continue
+        if len(scored) >= config.top_k:
+            kth = heapq.nsmallest(config.top_k, (rank[0] for rank, _ in scored.values()))[-1]
+            if cand.complexity > kth:
+                break
+        optimise(cand, n)
+
+    top = sorted((c for _, c in scored.values()), key=lambda c: (c.score, c.complexity, c.key))
+    return SolutionSet(
+        solution,
+        tuple(top[: config.top_k]),
+        iterations,
+        len(queue.visited),
+        optimised,
+        perf_counter() - t0,
+    )
 
 
 def enumerate_programs(registry: Registry, schema: object, max_depth: int) -> int:

@@ -2,16 +2,22 @@
 
 The reference evaluator here recomputes program execution with plain
 per-step recursion, independently of the library's vectorised interpreter;
-several suites use it as the ground truth.
+several suites use it as the ground truth.  ``eager_induce`` is the search
+loop that optimises every proposal as soon as it is queued, the reference
+for the deferred search in ``induce``.
 """
 
 from __future__ import annotations
+
+import heapq
+import itertools
 
 import numpy as np
 import pytest
 
 from tracesynth import (
     ActionNode,
+    Candidate,
     ErrorSpec,
     FunctionNode,
     ObservationTrace,
@@ -21,6 +27,14 @@ from tracesynth import (
     TraceSchema,
     TraceStep,
     VarLeaf,
+    build_variable_index,
+    canonical_key,
+    complexity,
+    expand,
+    expand_empty,
+    leaves,
+    matches,
+    optimizer,
     standard_registry,
 )
 
@@ -116,6 +130,59 @@ def reference_loss(
         if err > spec.max_step_error:
             break
     return total + spec.len_error(trace.length, executed)
+
+
+def eager_induce(trace, registry, config):
+    """Reference search: ``induce`` as it was before proposals were deferred,
+    optimising each one when it is queued.  Returns the solution (or None),
+    the top-k candidates, the iteration count and the ``(structure key,
+    leaf rank)`` of every popped candidate.  Calls ``optimizer.optimize``
+    through the module, so a test can count its calls."""
+    spec = config.error_spec()
+    index = build_variable_index(trace)
+    heap, counter, visited, scored, pops = [], itertools.count(), set(), {}, []
+
+    def push(cand, leaf_rank=0):
+        heapq.heappush(heap, (cand.score, cand.complexity, next(counter), cand, leaf_rank))
+
+    def run_batch(protos):
+        for proto in sorted(protos, key=lambda p: p.key):
+            if proto.key in visited:
+                continue
+            visited.add(proto.key)
+            opt = optimizer.optimize(
+                proto.ast, proto.params, trace, registry, spec, config.optimize_config(), index
+            )
+            cost, loss = complexity(opt.ast, config.weights), opt.result.loss
+            cand = Candidate(
+                opt=opt,
+                loss=loss,
+                complexity=cost,
+                score=cost + loss,
+                key=canonical_key(opt.ast),
+                parent_key=proto.parent_key,
+                expansion_leaf=proto.expansion_leaf,
+                seed=proto.seed,
+            )
+            prev = scored.get(cand.key)
+            if prev is None or (cand.score, cand.complexity) < (prev.score, prev.complexity):
+                scored[cand.key] = cand
+            push(cand)
+
+    run_batch(expand_empty(registry, trace.schema, config.seed))
+    iterations, solution = 0, None
+    while heap and iterations < config.max_iterations:
+        *_, cand, leaf_rank = heapq.heappop(heap)
+        iterations += 1
+        pops.append((cand.key, leaf_rank))
+        if matches(cand, spec):
+            solution = cand
+            break
+        run_batch(expand(cand, registry, trace, config.seed, leaf_rank))
+        if leaf_rank == 0 and len(leaves(cand.ast)) > 1:
+            push(cand, 1)
+    top = sorted(scored.values(), key=lambda c: (c.score, c.complexity, c.key))
+    return solution, tuple(top[: config.top_k]), iterations, pops
 
 
 @pytest.fixture

@@ -137,6 +137,9 @@ class TestInduce:
         doc = json.loads(report.split("json\n----\n", 1)[1])
         assert doc["status"] == "accepted"
         assert doc["solution"]["complexity"] == 15
+        assert 0 < doc["optimised"] <= doc["proposed"]
+        stats = report.split("\nstats\n", 1)[1].split("\njson\n", 1)[0]
+        assert f"proposed: {doc['proposed']}\noptimised: {doc['optimised']}\n" in stats
 
     def test_exit_3_without_solution(self, tmp_path, capsys):
         from tests.conftest import make_trace
@@ -285,6 +288,29 @@ class TestInduce:
         cfg_path.write_text(json.dumps({field: float("nan")}))
         assert run_cli(["induce", "--trace", str(small_trace), "--config", str(cfg_path)]) == 2
         assert f"{field} must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("tol", "x", "tol must be of type float, not str"),
+            ("max_iterations", 2.5, "max_iterations must be of type int, not float"),
+            ("top_k", True, "top_k must be of type int, not bool"),
+            ("error_model", 1, "error_model must be of type str, not int"),
+            ("weights", 5, "weights must be three numbers"),
+        ],
+    )
+    def test_config_field_of_wrong_type_rejected(
+        self, small_trace, tmp_path, capsys, field, value, message
+    ):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({field: value}))
+        assert run_cli(["induce", "--trace", str(small_trace), "--config", str(cfg_path)]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_zero_deadband_rejected_for_discrete_model(self, small_trace, capsys):
+        flags = ["--error-model", "discrete", "--deadband", "0"]
+        assert run_cli(["induce", "--trace", str(small_trace), *flags]) == 2
+        assert "deadband must be > 0" in capsys.readouterr().err
 
     # each value would pass the contiguity check if it were truncated to an int
     @pytest.mark.parametrize("step, t", [(0, 1.7), (1, "2"), (0, True)])

@@ -7,8 +7,12 @@ optimiser loop can show it leaves the search byte-identical.  The digests
 were recorded before the tape-based interpreter replaced the recursive one.
 
 The same runs also pin the optimiser's trajectory, not only its output: the
-number of ``execute`` calls and of variable re-bindings, recorded before the
-optimiser kept one tree per binding.
+number of ``execute`` calls and of variable re-bindings.  The totals of the
+reference search that optimises every proposal on arrival were recorded
+before the optimiser kept one tree per binding; those of ``induce``, which
+defers each proposal until it reaches the top of the queue, after that
+change.  Every proposal ``induce`` optimises must take exactly the steps it
+takes in the reference run.
 """
 
 from __future__ import annotations
@@ -18,16 +22,19 @@ import hashlib
 import pytest
 
 import tracesynth.optimizer as optimizer
+import tracesynth.search as search_module
 from tracesynth import (
     PaddleConfig,
     RunConfig,
     SecondOrderConfig,
+    canonical_key,
     induce,
     simulate_paddle,
     simulate_second_order,
     standard_registry,
 )
 from tracesynth.cli import render_report
+from tests.conftest import eager_induce
 
 CASES = {
     # depth-2 structures and ~170 variable re-bindings on the Euclidean model
@@ -47,8 +54,12 @@ CASES = {
 }
 
 
-# name -> (execute calls, re-bindings)
-TRAJECTORIES = {"pendulum": (1391, 170), "paddle": (1198, 7)}
+# name -> (execute calls, re-bindings) over the whole run, by the search
+# that optimises every proposal on arrival (the reference loop) and by
+# ``induce``, which optimises a proposal only when it reaches the top of
+# the queue
+REFERENCE_TRAJECTORIES = {"pendulum": (1391, 170), "paddle": (1198, 7)}
+TRAJECTORIES = {"pendulum": (123, 4), "paddle": (145, 3)}
 
 
 def programs_digest(report: str) -> str:
@@ -68,9 +79,13 @@ def test_programs_section_digest(name):
 
 @pytest.mark.parametrize("name", sorted(TRAJECTORIES))
 def test_optimiser_trajectory(name, monkeypatch):
+    """Whole-run totals of both searches, and each proposal that ``induce``
+    optimises takes the same trajectory as in the reference run."""
     make_trace, config, _ = CASES[name]
     counts = {"execute": 0, "rebind": 0}
+    per_proposal: dict[str, tuple[int, int]] = {}
     execute, reassign = optimizer.execute, optimizer.reassign_variables
+    optimize = optimizer.optimize
 
     def counted_execute(*args, **kwargs):
         counts["execute"] += 1
@@ -81,8 +96,29 @@ def test_optimiser_trajectory(name, monkeypatch):
         counts["rebind"] += out[2]
         return out
 
+    def counted_optimize(ast, *args, **kwargs):
+        before = (counts["execute"], counts["rebind"])
+        out = optimize(ast, *args, **kwargs)
+        per_proposal[canonical_key(ast)] = (
+            counts["execute"] - before[0],
+            counts["rebind"] - before[1],
+        )
+        return out
+
+    def run(search) -> tuple[tuple[int, int], dict[str, tuple[int, int]]]:
+        counts.update(execute=0, rebind=0)
+        per_proposal.clear()
+        search()
+        return (counts["execute"], counts["rebind"]), dict(per_proposal)
+
     monkeypatch.setattr(optimizer, "execute", counted_execute)
     monkeypatch.setattr(optimizer, "reassign_variables", counted_reassign)
+    monkeypatch.setattr(optimizer, "optimize", counted_optimize)
+    monkeypatch.setattr(search_module, "optimize", counted_optimize)
     trace = make_trace()
-    induce(trace, standard_registry(trace.schema.variables, trace.schema.actions), config=config)
-    assert (counts["execute"], counts["rebind"]) == TRAJECTORIES[name]
+    registry = standard_registry(trace.schema.variables, trace.schema.actions)
+    totals, deferred = run(lambda: induce(trace, registry, config=config))
+    ref_totals, eager = run(lambda: eager_induce(trace, registry, config))
+    assert ref_totals == REFERENCE_TRAJECTORIES[name]
+    assert totals == TRAJECTORIES[name]
+    assert deferred and all(eager[key] == steps for key, steps in deferred.items())

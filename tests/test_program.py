@@ -120,6 +120,12 @@ class TestDepthComplexity:
         with pytest.raises(ValueError):
             ComplexityWeights(-1, 5, 1)
 
+    def test_non_finite_weights_rejected(self):
+        # a NaN weight would make every complexity, and so every score, NaN
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite"):
+                ComplexityWeights(10, bad, 1)
+
 
 class TestCanonicalKey:
     def test_param_values_erased(self, scalar_registry, scalar_schema):

@@ -1,19 +1,26 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+import tracesynth.search as search
 from tracesynth import (
     Candidate,
     CandidateQueue,
     ErrorSpec,
     Gradients,
     OptimizedCandidate,
+    PaddleConfig,
     RunConfig,
+    SecondOrderConfig,
     enumerate_programs,
     execute,
     induce,
     matches,
     parse_program,
     select_expansion_leaf,
+    simulate_paddle,
+    simulate_second_order,
     standard_registry,
 )
 from tracesynth.program import (
@@ -25,7 +32,8 @@ from tracesynth.program import (
     leaves,
 )
 from tracesynth.search import expand, expand_empty, ranked_leaves
-from tests.conftest import make_trace
+from tests.conftest import eager_induce, make_trace
+from tests.test_golden import CASES as GOLDEN_CASES
 
 
 def _candidate(ast, registry, trace, norms=None, params=None, spec=None):
@@ -339,3 +347,133 @@ class TestInduce:
         # keys unique (each structure optimised once)
         keys = [c.key for c in sol.top]
         assert len(set(keys)) == len(keys)
+
+
+def _loss_098_trace():
+    """x and v are 0 at step 1, where the observed action is 0.98: every
+    parameter-free program terminates there with loss 0.98, so many
+    candidates tie on score and complexity."""
+    rng = np.random.default_rng(4)
+    xs = [0.0] + rng.normal(size=9).tolist()
+    vs = [0.0] + rng.normal(size=9).tolist()
+    return make_trace({"x": xs, "v": vs}, [0.98] + rng.normal(size=9).tolist())
+
+
+def _unfittable_trace():
+    rng = np.random.default_rng(9)
+    return make_trace(
+        {"x": rng.normal(size=12).tolist(), "v": rng.normal(size=12).tolist()},
+        rng.normal(size=12).tolist(),
+    )
+
+
+EXACTNESS_CASES = {
+    **{name: (make, config) for name, (make, config, _) in GOLDEN_CASES.items()},
+    "unsolved": (
+        _unfittable_trace,
+        RunConfig(seed=3, max_step_error=1e-6, max_iterations=8, max_opt_iters=60),
+    ),
+    # the search ends early, so the top 30 needs deferred proposals optimised
+    "paddle_top30": (
+        lambda: simulate_paddle(PaddleConfig(steps=100)),
+        RunConfig(
+            seed=1,
+            max_iterations=3,
+            max_opt_iters=100,
+            max_step_error=0.02,
+            error_model="discrete",
+            top_k=30,
+        ),
+    ),
+    "ties_at_098": (_loss_098_trace, RunConfig(seed=2, max_iterations=12, max_opt_iters=80)),
+}
+
+
+def _fingerprint(cand):
+    if cand is None:
+        return None
+    params = tuple((pid, v.tobytes()) for pid, v in sorted(cand.opt.params.items()))
+    return cand.key, params, cand.score
+
+
+@pytest.fixture
+def popped(monkeypatch):
+    """Every candidate the queue pops, with its leaf rank, in order."""
+    out = []
+    pop = search.CandidateQueue.pop
+
+    def recording_pop(queue):
+        item, leaf_rank, n = pop(queue)
+        if isinstance(item, Candidate):
+            out.append((item, leaf_rank))
+        return item, leaf_rank, n
+
+    monkeypatch.setattr(search.CandidateQueue, "pop", recording_pop)
+    return out
+
+
+class TestDeferredSearch:
+    @pytest.mark.parametrize("name", sorted(EXACTNESS_CASES))
+    def test_same_result_as_eager_reference(self, name, popped):
+        make, config = EXACTNESS_CASES[name]
+        trace = make()
+        registry = standard_registry(trace.schema.variables, trace.schema.actions)
+        solution, top, iterations, pops = eager_induce(trace, registry, config)
+        result = induce(trace, registry, config=config)
+        assert _fingerprint(result.solution) == _fingerprint(solution)
+        assert [_fingerprint(c) for c in result.top] == [_fingerprint(c) for c in top]
+        assert result.iterations == iterations
+        # completing the top k pops more candidates after the search ends
+        assert [(c.key, rank) for c, rank in popped[: len(pops)]] == pops
+        assert result.optimised <= result.proposed
+
+    def test_top_k_completion_optimises_deferred_proposals(self):
+        make, config = EXACTNESS_CASES["paddle_top30"]
+        trace = make()
+        registry = standard_registry(trace.schema.variables, trace.schema.actions)
+        few = induce(trace, registry, config=dataclasses.replace(config, top_k=1))
+        many = induce(trace, registry, config=config)
+        assert len(many.top) == 30
+        assert many.optimised > few.optimised
+        assert many.iterations == few.iterations
+
+    def test_many_ties(self):
+        make, config = EXACTNESS_CASES["ties_at_098"]
+        trace = make()
+        registry = standard_registry(trace.schema.variables, trace.schema.actions)
+        _, top, _, _ = eager_induce(trace, registry, dataclasses.replace(config, top_k=1000))
+        losses = [c.loss for c in top]
+        assert losses.count(0.98) >= 10
+
+
+def _nan_registry():
+    registry = standard_registry({"x": 1, "v": 1}, {"accel": 1})
+    registry.register(FunctionSpec("bad", (1,), 1), lambda a: a * np.nan, lambda args, g: (g,))
+    return registry
+
+
+class TestNonFiniteErrors:
+    def test_nan_step_error_stops_at_step_one(self, scalar_schema):
+        trace = make_trace({"x": [1.0, 2.0, 3.0], "v": [0.0] * 3}, [1.0, 2.0, 3.0])
+        registry = _nan_registry()
+        ast = parse_program("(accel (bad x))", registry, scalar_schema)
+        result = execute(ast, {}, trace, registry, ErrorSpec())
+        assert result.executed_len == 1
+        assert result.terminated_early
+        assert result.loss == float("inf")
+
+    def test_induce_pops_in_score_order(self, popped):
+        # a NaN score for (accel (bad x)) used to pop after 26.13, followed by 22.88
+        trace = simulate_second_order(SecondOrderConfig(k1=-9.8, k2=0.0, x0=0.1, steps=20))
+        config = RunConfig(seed=0, max_iterations=30, max_opt_iters=150)
+        result = induce(trace, _nan_registry(), config=config)
+        assert result.iterations == 30
+        scores = [c.score for c, _ in popped]
+        assert not any(np.isnan(scores))
+        assert scores == sorted(scores)
+
+    def test_negative_loss_rejected(self, scalar_registry):
+        trace = make_trace({"x": [1.0], "v": [0.0]}, [1.0])
+        spec = ErrorSpec(act_error=lambda a, b: -np.ones(len(a)), max_step_error=1.0)
+        with pytest.raises(ValueError, match="losses must be >= 0"):
+            induce(trace, scalar_registry, spec=spec)
