@@ -6,16 +6,19 @@ ran in reverse, applying each call's vector-Jacobian product to the stored
 activations of its arguments.  Every node of a tree has one parent, so each
 op receives its upstream gradient exactly once before it is visited.  A
 parameter op sums its rows over steps; a variable op keeps one row per read
-time and also their sum.
+time and also their sum.  ``backprop`` is that reverse loop; it leaves the
+summing to its caller, so the optimiser can run it over K stacked blocks of
+steps and sum each block on its own.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .interpreter import ACTION, CALL, PARAM, ErrorSpec, ExecutionResult
+from .interpreter import ACTION, CALL, PARAM, ErrorSpec, ExecutionResult, Op, Tape
 from .program import FunctionSpec, ProgramError, Registry
 
 
@@ -68,32 +71,37 @@ def action_error_jacobian(theta_hat: np.ndarray, theta: np.ndarray, spec: ErrorS
     return spec.act_error_grad(th, t)[0]
 
 
-def backward(result: ExecutionResult, spec: ErrorSpec) -> Gradients:
-    """Differentiate the loss of an execution with respect to every
-    parameter and variable leaf.
+def seed_rows(
+    theta_hat: np.ndarray, theta_obs: np.ndarray, name_mask: np.ndarray, spec: ErrorSpec
+) -> np.ndarray:
+    """Gradient of each row's action error with respect to its predicted
+    action parameters.  Rows whose observed action name differs carry only
+    the flat penalty, which has zero gradient."""
+    if name_mask.all():
+        return spec.act_error_grad(theta_hat, theta_obs)
+    seed = np.zeros_like(theta_hat)
+    if name_mask.any():
+        seed[name_mask] = spec.act_error_grad(theta_hat[name_mask], theta_obs[name_mask])
+    return seed
 
-    The gradient is seeded per executed step from the action-error
-    derivative and propagated by the reverse loop over ``result.tape``.
-    Steps whose observed action name differs contribute only the flat
-    penalty, which has zero gradient.  The tape carries the VJPs of the
-    registry it was compiled with.
+
+def backprop(
+    tape: Tape, values: Sequence[np.ndarray], seed: np.ndarray
+) -> list[tuple[Op, np.ndarray]]:
+    """The reverse loop over a tape: propagate the (rows, D) ``seed`` from
+    the root action through every call's vector-Jacobian product, reading
+    the first ``rows`` rows of each op's forward ``values``.
+
+    Returns ``(op, gradient rows)`` for every parameter and variable leaf,
+    in reverse tape order.
     """
-    n = result.executed_len
-    tape = result.tape
-    values = result.activations
-    mask = result.name_mask
-    if mask.all():
-        seed = spec.act_error_grad(result.theta_hat, result.theta_obs)
-    else:
-        seed = np.zeros_like(result.theta_hat)
-        if mask.any():
-            seed[mask] = spec.act_error_grad(result.theta_hat[mask], result.theta_obs[mask])
-
-    grads = Gradients({}, {}, {}, {}, {})
+    n = seed.shape[0]
     upstream: list[np.ndarray | None] = [None] * len(tape)
     upstream[-1] = seed
+    out = []
     for pos in range(len(tape) - 1, -1, -1):
-        kind, nid, _, args, key, _, vjp = tape[pos]
+        op = tape[pos]
+        kind, args, vjp = op.kind, op.args, op.vjp
         g = upstream[pos]
         if kind is CALL:
             for i, gi in zip(args, vjp(tuple(values[i][:n] for i in args), g)):
@@ -105,7 +113,23 @@ def backward(result: ExecutionResult, spec: ErrorSpec) -> Gradients:
                 d = tape[i].dim
                 upstream[i] = g[:, offset : offset + d]
                 offset += d
-        elif kind is PARAM:
+        else:
+            out.append((op, g))
+    return out
+
+
+def backward(result: ExecutionResult, spec: ErrorSpec) -> Gradients:
+    """Differentiate the loss of an execution with respect to every
+    parameter and variable leaf.
+
+    The gradient is seeded per executed step from the action-error
+    derivative and propagated by the reverse loop over ``result.tape``.
+    The tape carries the VJPs of the registry it was compiled with.
+    """
+    seed = seed_rows(result.theta_hat, result.theta_obs, result.name_mask, spec)
+    grads = Gradients({}, {}, {}, {}, {})
+    for (kind, nid, _, _, key, _, _), g in backprop(result.tape, result.activations, seed):
+        if kind is PARAM:
             total = g.sum(axis=0)
             if key in grads.params:
                 grads.params[key] = grads.params[key] + total

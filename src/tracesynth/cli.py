@@ -181,6 +181,7 @@ def render_report(result: SolutionSet, config: RunConfig, trace_path: str) -> st
     parts.append(f"iterations: {result.iterations}")
     parts.append(f"proposed: {result.proposed}")
     parts.append(f"optimised: {result.optimised}")
+    parts.append(f"opt_iters: {result.opt_iters}")
     parts.append(f"wall_time_s: {result.wall_time:.3f}")
     parts.append("")
     parts.append("json")
@@ -194,6 +195,7 @@ def render_report(result: SolutionSet, config: RunConfig, trace_path: str) -> st
         "iterations": result.iterations,
         "proposed": result.proposed,
         "optimised": result.optimised,
+        "opt_iters": result.opt_iters,
         "wall_time_s": round(result.wall_time, 3),
     }
     parts.append(json.dumps(doc, indent=1, sort_keys=True))

@@ -10,9 +10,11 @@ is identical to step-by-step execution.
 
 Each structure is compiled once per registry into a postorder tape (a
 Wengert list): one op per node, children before parents.  The forward pass
-is one loop over the tape and keeps every op's values; the backward pass in
-``autodiff`` is the reverse loop over those values.  ``evaluate_step`` is a
-separate plain recursion over the tree, kept as an independent check.
+(``forward``) is one loop over the tape and keeps every op's values; the
+backward pass in ``autodiff`` is the reverse loop over those values.  Both
+work on rows that are independent of each other, so the optimiser also runs
+them over K stacked copies of the executed steps at once.  ``evaluate_step``
+is a separate plain recursion over the tree, kept as an independent check.
 """
 
 from __future__ import annotations
@@ -195,8 +197,10 @@ def compile_tape(ast: ProgramAst, registry: Registry) -> Tape:
 class ExecutionResult:
     """Outcome of executing a program against a trace.
 
-    ``activations`` holds the value of every tape op over the whole trace;
-    only the first ``executed_len`` rows belong to the execution.
+    ``activations`` holds the value of every tape op, in tape order, over
+    every step of the trace: ``execute`` evaluates all steps before it
+    finds where execution stops, so only the first ``executed_len`` rows
+    belong to the execution.  ``autodiff.backward`` reads those rows.
     """
 
     action_name: str
@@ -252,6 +256,58 @@ def evaluate_step(
     return ast.root.name, theta, values
 
 
+def forward(
+    tape: Tape,
+    variables: Mapping[str, np.ndarray],
+    params: Mapping[int, np.ndarray],
+    rows: int,
+) -> list[np.ndarray]:
+    """The value of every tape op over ``rows`` rows: one loop over the tape.
+
+    ``variables`` maps a variable name to its (rows, d) values.
+    ``params[pid]`` is broadcast to (rows, dim): one vector for every row,
+    or one vector per row.  Registry functions treat rows independently, so
+    the rows may be the timesteps of one execution or K blocks of the same
+    timesteps under K parameter settings.
+    """
+    values: list[np.ndarray] = []
+    for kind, _, dim, args, key, impl, _ in tape:
+        if kind is VAR:
+            values.append(variables[key])
+        elif kind is PARAM:
+            if key not in params:
+                raise EvaluationError(f"unbound parameter p{key}")
+            column = np.empty((rows, dim))
+            column[:] = params[key]
+            values.append(column)
+        elif kind is CALL:
+            values.append(impl(*[values[i] for i in args]))
+        else:
+            values.append(np.concatenate([values[i] for i in args], axis=1))
+    return values
+
+
+def action_errors(
+    out: np.ndarray,
+    theta_obs: np.ndarray,
+    name_match: np.ndarray,
+    comparable: np.ndarray,
+    all_comparable: bool,
+    spec: ErrorSpec,
+) -> np.ndarray:
+    """Per-row error of predicted action parameters against the targets of
+    ``ObservationTrace.action_targets``: the error model's where the
+    dimensions agree, plus ``max_step_error + 1`` where the observed action
+    has another name."""
+    if all_comparable:
+        return spec.act_error(out, theta_obs)
+    errors = np.zeros(out.shape[0])
+    if comparable.any():
+        errors[comparable] = spec.act_error(out[comparable], theta_obs[comparable])
+    errors[~name_match] += spec.max_step_error + 1.0
+    return errors
+
+
 def execute(
     ast: ProgramAst,
     params: Mapping[int, np.ndarray],
@@ -270,34 +326,14 @@ def execute(
     """
     tape = compile_tape(ast, registry)
     T = trace.length
-    var_values = trace.var_matrices()
-    values: list[np.ndarray] = []
-    for kind, _, dim, args, key, impl, _ in tape:
-        if kind is VAR:
-            values.append(var_values[key])
-        elif kind is PARAM:
-            if key not in params:
-                raise EvaluationError(f"unbound parameter p{key}")
-            column = np.empty((T, dim))
-            column[:] = params[key]
-            values.append(column)
-        elif kind is CALL:
-            values.append(impl(*[values[i] for i in args]))
-        else:
-            values.append(np.concatenate([values[i] for i in args], axis=1))
+    values = forward(tape, trace.var_matrices(), params, T)
     out = values[-1]
 
     root_name = ast.root.name
     theta_obs, name_match, comparable, all_comparable = trace.action_targets(
         root_name, ast.root.dim
     )
-    if all_comparable:
-        errors = spec.act_error(out, theta_obs)
-    else:
-        errors = np.zeros(T)
-        if comparable.any():
-            errors[comparable] = spec.act_error(out[comparable], theta_obs[comparable])
-        errors[~name_match] += spec.max_step_error + 1.0
+    errors = action_errors(out, theta_obs, name_match, comparable, all_comparable, spec)
 
     # NaN compares false with everything, so it must fail the test, not pass it
     over = (~(errors <= spec.max_step_error)).nonzero()[0]

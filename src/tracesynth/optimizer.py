@@ -1,11 +1,25 @@
-"""Gradient-descent step over a fixed program structure.
+"""Gradient descent over the parameters of one program structure, with
+gradient-guided re-binding of its variable leaves.
 
 Parameters follow AdaGrad.  Variable leaves cannot follow a gradient
-directly (they are symbols), so each leaf is relaxed per iteration into a
-virtual per-read value nudged along its gradient; the nearest-variable index
-then votes, over the executed timesteps, on which variable those nudged
-values are closest to.  Winning a strict majority of steps rebinds the leaf
-and resets all gradient history.
+directly (they are symbols), so each read of a variable leaf is relaxed into
+a virtual value nudged along its gradient; the nearest-variable index then
+votes, over the executed timesteps, on which variable those nudged values
+are closest to.  Winning a strict majority of steps rebinds the leaf and
+resets all gradient history.
+
+Most iterations repeat the one before them: execution stops at the same
+step and the parameter gradient is the same to the bit, so AdaGrad walks
+each parameter with a fixed gradient and a shrinking step.  After an
+iteration that re-binds nothing, ``optimize`` predicts the next K iterates
+on the assumption that the gradient stays the same, evaluates all K in one
+forward and one backward pass over K stacked blocks of the executed steps,
+and accepts the longest prefix of blocks for which the assumption holds
+exactly: the block stops at the same step, its parameter gradient equals
+the assumed one bit for bit, and its vote re-binds no leaf.  Each accepted
+block counts as one iteration, and the plain loop resumes at the first block
+that is not accepted, so trees, parameter bytes, losses, re-bindings and
+the iteration count are those of the plain loop.
 """
 
 from __future__ import annotations
@@ -14,10 +28,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Gradients, backward
-from .interpreter import ErrorSpec, ExecutionResult, execute, matches_trace
+from .autodiff import Gradients, backprop, backward, seed_rows
+from .interpreter import (
+    PARAM,
+    VAR,
+    ErrorSpec,
+    ExecutionResult,
+    action_errors,
+    compile_tape,
+    execute,
+    forward,
+    matches_trace,
+)
 from .program import ProgramAst, Registry, VarLeaf, leaves, replace_node
 from .trace import ObservationTrace, VariableIndex, build_variable_index
+
+# look-ahead blocks after a plain iteration; doubled while every block is
+# accepted, reset when one is not
+FIRST_BLOCKS = 4
+# most rows (blocks x executed steps) in one look-ahead pass, which keeps
+# its arrays to a few hundred kilobytes
+ROW_BUDGET = 4096
 
 
 @dataclass(frozen=True)
@@ -74,6 +105,36 @@ def adagrad_step(state: OptimizerState, grads: Gradients) -> OptimizerState:
     )
 
 
+def adagrad_walk(
+    param: np.ndarray,
+    acc: np.ndarray | None,
+    g: np.ndarray,
+    steps: int,
+    learning_rate: float,
+    div_guard: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``steps`` AdaGrad updates of one parameter, all with the gradient
+    ``g``, as ``adagrad_step`` makes them one at a time.  Returns the
+    parameter before and after each update, shape (steps + 1, d), and the
+    sum of squared gradients after each update, (steps, d); ``acc`` is the
+    sum before them, None for zero.
+
+    ``np.add.accumulate`` and ``np.subtract.accumulate`` fold along the
+    first axis one row at a time, so every row is computed with the same
+    operations, in the same order, as a single update.
+    """
+    sq = g * g
+    totals = np.empty((steps,) + sq.shape)
+    # an absent accumulator is zero, and 0.0 + x == x bit for bit
+    totals[0] = sq if acc is None else acc + sq
+    totals[1:] = sq
+    np.add.accumulate(totals, axis=0, out=totals)
+    moves = np.empty((steps + 1,) + sq.shape)
+    moves[0] = param
+    moves[1:] = learning_rate * g / np.sqrt(totals + div_guard)
+    return np.subtract.accumulate(moves, axis=0, out=moves), totals
+
+
 Binding = tuple[str, ...]  # variable names at a tree's variable leaves, preorder
 RebindSlot = tuple[int, VarLeaf, list[str], int]  # nid, leaf, candidates, column
 
@@ -95,6 +156,55 @@ def rebindable_leaves(ast: ProgramAst, index: VariableIndex) -> tuple[Binding, l
             slots.append((nid, leaf, names, names.index(leaf.name)))
     object.__setattr__(ast, "_rebind_cache", (index, binding, slots))
     return binding, slots
+
+
+def _fold_slot(old: np.ndarray | None, sq: np.ndarray) -> np.ndarray:
+    """A read slot's accumulator over the first n rows after each of K
+    updates by squared read gradients ``sq``, (K, n, d), as
+    ``reassign_variables`` makes them one at a time; ``old`` is the
+    accumulator before them, None for zero.  Its rows past n are not part
+    of the result (see ``_with_tail``)."""
+    if old is not None:
+        m = min(old.shape[0], sq.shape[1])
+        sq[0, :m] += old[:m]
+    return np.add.accumulate(sq, axis=0)
+
+
+def _with_tail(head: np.ndarray, old: np.ndarray | None) -> np.ndarray:
+    """An accumulator updated over the executed rows, ``head``, followed
+    by the rows of ``old`` past them, kept for when the executed prefix
+    grows."""
+    n = head.shape[0]
+    return head if old is None or old.shape[0] <= n else np.concatenate([head, old[n:]])
+
+
+def _renames(
+    index: VariableIndex,
+    leaf: VarLeaf,
+    column: int,
+    g_rows: np.ndarray,
+    acc: np.ndarray,
+    learning_rate: float,
+    div_guard: float,
+) -> np.ndarray:
+    """Whether each of K blocks of read gradients re-binds a variable leaf
+    bound to ``index.names[leaf.dim][column]``, by the vote of
+    ``reassign_variables``.
+
+    ``g_rows`` and ``acc`` are (K, n, d): per block, the gradient of each
+    executed read and its accumulator.  A block re-binds when its gradient
+    is not all zero and a variable other than the bound one wins a strict
+    majority of the nudged reads.
+    """
+    K, n = g_rows.shape[:2]
+    values = index.values[leaf.dim][:n, column]
+    adjusted = values - learning_rate * g_rows / np.sqrt(acc + div_guard)
+    nearest = index.query_steps(leaf.dim, adjusted)  # (K, n)
+    votes = np.add.reduce(nearest[..., None] == np.arange(len(index.names[leaf.dim])), axis=1)
+    top = np.sort(votes, axis=1)
+    sole = top[:, -1] > top[:, -2]
+    moved = g_rows.reshape(K, -1).any(axis=1)
+    return moved & sole & (votes.argmax(axis=1) != column)
 
 
 def reassign_variables(
@@ -174,14 +284,143 @@ def reassign_variables(
     return rebound, reset, True
 
 
+def block_sums(rows: np.ndarray, blocks: int) -> np.ndarray:
+    """The sums of ``blocks`` equal runs of consecutive ``rows``, each bit
+    for bit the ``sum(axis=0)`` of its run, as ``execute`` and ``backward``
+    take it: numpy reduces every run in the same order as a run alone."""
+    return np.add.reduce(rows.reshape((blocks, -1) + rows.shape[1:]), axis=1)
+
+
+def _same_gradient(a: Gradients, b: Gradients) -> bool:
+    """Whether two parameter gradients are equal bit for bit."""
+    return a.params.keys() == b.params.keys() and all(
+        a.params[pid].tobytes() == g.tobytes() for pid, g in b.params.items()
+    )
+
+
+@dataclass(frozen=True)
+class _Lookahead:
+    """K predicted iterates of one structure, evaluated in one pass.
+
+    Block j ran with the parameters of ``walks[pid][0][j]``; ``accepted``
+    blocks from the first one are exactly the iterations the plain loop
+    would run.
+    """
+
+    losses: list[float]  # per block
+    accepted: int
+    walks: dict[int, tuple[np.ndarray, np.ndarray]]  # pid -> adagrad_walk
+    slot_acc: dict[int, np.ndarray]  # node id -> (K, n, d) folded accumulators
+
+    def params(self, state: OptimizerState, j: int) -> dict[int, np.ndarray]:
+        """The parameters block ``j`` ran with."""
+        params = dict(state.params)
+        params.update({pid: walk[j] for pid, (walk, _) in self.walks.items()})
+        return params
+
+    def state(self, state: OptimizerState, j: int) -> OptimizerState:
+        """The state before block ``j``, after the blocks before it."""
+        if j == 0:
+            return state
+        acc = dict(state.param_acc)
+        acc.update({pid: totals[j - 1] for pid, (_, totals) in self.walks.items()})
+        slot_acc = dict(state.slot_acc)
+        for nid, folded in self.slot_acc.items():
+            slot_acc[nid] = _with_tail(folded[j - 1], state.slot_acc.get(nid))
+        return OptimizerState(
+            self.params(state, j), acc, slot_acc, state.learning_rate, state.div_guard,
+            state.iteration + j,
+        )
+
+
+def _look_ahead(
+    ast: ProgramAst,
+    state: OptimizerState,
+    grads: Gradients,
+    n: int,
+    blocks: int,
+    trace: ObservationTrace,
+    registry: Registry,
+    spec: ErrorSpec,
+    index: VariableIndex,
+) -> _Lookahead:
+    """Evaluate ``blocks`` iterates from ``state`` on the assumption that
+    every one of them stops at step ``n`` and has the parameter gradient of
+    ``grads``, the last iteration's, which re-bound nothing.
+
+    One forward and one backward pass run over ``blocks`` stacked copies of
+    the first ``n`` steps, one per predicted parameter setting.  A block
+    holds the assumption when its first error over the threshold is at its
+    last row, its parameter gradient equals ``grads.params`` bit for bit and
+    its vote, with the slot accumulators folded over the blocks before it,
+    re-binds no leaf.
+    """
+    lr, guard = state.learning_rate, state.div_guard
+    walks = {
+        pid: adagrad_walk(state.params[pid], state.param_acc.get(pid), g, blocks, lr, guard)
+        for pid, g in grads.params.items()
+    }
+    tape = compile_tape(ast, registry)
+    rows = blocks * n
+    # row r of the stacked blocks is step r % n
+    steps = np.arange(rows) % n
+
+    def stacked(a: np.ndarray) -> np.ndarray:
+        return a.take(steps, axis=0)
+
+    var_values = trace.var_matrices()
+    variables = {op.key: stacked(var_values[op.key]) for op in tape if op.kind is VAR}
+    params = {pid: np.repeat(walk[:blocks], n, axis=0) for pid, (walk, _) in walks.items()}
+    values = forward(tape, variables, params, rows)
+
+    theta_obs, name_match, comparable, all_comparable = trace.action_targets(
+        ast.root.name, ast.root.dim
+    )
+    theta_obs, name_match, comparable = map(stacked, (theta_obs, name_match, comparable))
+    out = values[-1]
+    errors = action_errors(out, theta_obs, name_match, comparable, all_comparable, spec)
+    # NaN fails the test, as in ``execute``
+    within = (errors <= spec.max_step_error).reshape(blocks, n)
+    holds = within[:, :-1].all(axis=1) & ~within[:, -1]
+    losses = block_sums(errors, blocks) + float(spec.len_error(trace.length, n))
+    losses[np.isnan(losses)] = np.inf
+
+    sums: dict[int, np.ndarray] = {}
+    slot_rows: dict[int, np.ndarray] = {}
+    for op, g in backprop(tape, values, seed_rows(out, theta_obs, name_match, spec)):
+        if op.kind is PARAM:
+            total = block_sums(g, blocks)
+            sums[op.key] = sums[op.key] + total if op.key in sums else total
+        else:
+            slot_rows[op.node_id] = g.reshape(blocks, n, op.dim)
+    for pid, total in sums.items():
+        holds &= (total.view(np.uint64) == grads.params[pid].view(np.uint64)).all(axis=1)
+    slot_acc = {}
+    for nid, leaf, _, column in rebindable_leaves(ast, index)[1]:
+        g_rows = slot_rows[nid]
+        slot_acc[nid] = acc = _fold_slot(state.slot_acc.get(nid), g_rows * g_rows)
+        holds &= ~_renames(index, leaf, column, g_rows, acc, lr, guard)
+    accepted = blocks if holds.all() else int(holds.argmin())
+    return _Lookahead(losses.tolist(), accepted, walks, slot_acc)
+
+
 @dataclass(frozen=True)
 class OptimizedCandidate:
-    """A structure with its best found parameters, bindings and score."""
+    """A structure with its best found parameters, bindings and score.
+
+    ``iterations`` counts the optimiser's iterations, accepted look-ahead
+    blocks included; ``stop`` says why it ended: ``matched`` (the execution
+    matches the trace), ``stagnant`` (the loss stopped improving), ``cap``
+    (``max_opt_iters`` reached) or ``fixed`` (no parameter leaf and no
+    variable leaf with a rival to move).
+    """
 
     ast: ProgramAst
     params: dict[int, np.ndarray]
     result: ExecutionResult
     grads: Gradients
+    iterations: int
+    stop: str
 
 
 def optimize(
@@ -198,6 +437,11 @@ def optimize(
     reached.  Returns the best-loss state seen (gradient steps can overshoot
     near the acceptance threshold).
 
+    After each iteration that re-binds nothing and stops at a step error
+    over the threshold, the next iterations are evaluated ahead in blocks
+    (see the module docstring), ``FIRST_BLOCKS`` at first and twice as many
+    each time all are accepted, within ``ROW_BUDGET`` rows and the cap.
+
     The call keeps a tree table, binding -> tree, that it passes to every
     ``reassign_variables``: each binding the leaves take is built, and its
     tape lowered, once per call.  The table is local and is dropped on
@@ -208,37 +452,101 @@ def optimize(
     state = OptimizerState.fresh(ast, params, config)
     # states at different executed lengths are incomparable (the loss sums
     # over more steps), so "best" prefers matching, then coverage, then loss
-    best: tuple[tuple[int, int, float], ProgramAst, dict[int, np.ndarray], ExecutionResult] | None
-    best = None
+    best_key: tuple[int, int, float] | None = None
+    # tree, parameters and result of the best state; a look-ahead block has
+    # no result yet
+    best: tuple[ProgramAst, dict[int, np.ndarray], ExecutionResult | None] | None = None
     binding, slots = rebindable_leaves(ast, index)
     # a parameter leaf or a variable leaf with a rival of its dimension
     free = len(binding) < len(leaves(ast)) or bool(slots)
     trees: dict[Binding, ProgramAst] = {}
     stagnant = 0
-    for _ in range(max(1, config.max_opt_iters)):
-        result = execute(ast, state.params, trace, registry, spec)
-        matched = matches_trace(result, spec)
-        key = (0 if matched else 1, -result.executed_len, result.loss)
-        if best is None or key < best[0]:
-            # a sub-tolerance loss improvement still updates the best state
-            # but does not count as progress for the stagnation stop
-            if best is not None and key[:2] == best[0][:2]:
-                rel = (best[0][2] - result.loss) / max(abs(best[0][2]), 1e-300)
-                stagnant = 0 if rel >= config.tol else stagnant + 1
-            else:
-                stagnant = 0
-            # adagrad_step never updates parameter arrays in place
-            best = (key, ast, dict(state.params), result)
-        else:
+
+    def improves(key: tuple[int, int, float]) -> bool:
+        """Whether ``key`` is a new best; counts stagnant iterations."""
+        nonlocal best_key, stagnant
+        if best_key is not None and not key < best_key:
             stagnant += 1
-        if matched or not free or stagnant >= config.tol_window:
-            break
+            return False
+        # a sub-tolerance loss improvement still updates the best state but
+        # does not count as progress for the stagnation stop
+        if best_key is not None and key[:2] == best_key[:2]:
+            rel = (best_key[2] - key[2]) / max(abs(best_key[2]), 1e-300)
+            stagnant = 0 if rel >= config.tol else stagnant + 1
+        else:
+            stagnant = 0
+        best_key = key
+        return True
+
+    def finish(stop: str) -> OptimizedCandidate:
+        assert best is not None
+        best_ast, best_params, best_result = best
+        if best_result is None:
+            best_result = execute(best_ast, best_params, trace, registry, spec)
+        grads = backward(best_result, spec)
+        return OptimizedCandidate(best_ast, best_params, best_result, grads, iterations, stop)
+
+    cap = max(1, config.max_opt_iters)
+    iterations = 0
+    blocks = FIRST_BLOCKS
+    # (gradient, executed length) of the last plain iteration, if it
+    # re-bound nothing and stopped at a step over the threshold
+    last: tuple[Gradients, int] | None = None
+    # the iteration to look ahead from, if any
+    lead: tuple[Gradients, int] | None = None
+    # after a look-ahead that accepts no block, the next waits until two
+    # plain iterations in a row agree, since the gradient is changing
+    fruitless = False
+    while iterations < cap:
+        if lead is not None:
+            grads, n = lead
+            lead = None
+            k = min(blocks, cap - iterations, ROW_BUDGET // n)
+            if k < 2:
+                continue
+            ahead = _look_ahead(ast, state, grads, n, k, trace, registry, spec, index)
+            newest = None
+            for j in range(ahead.accepted):
+                iterations += 1
+                if improves((1, -n, ahead.losses[j])):
+                    newest = j
+                if stagnant >= config.tol_window:
+                    break
+            if newest is not None:
+                best = (ast, ahead.params(state, newest), None)
+            if stagnant >= config.tol_window:
+                return finish("stagnant")
+            state = ahead.state(state, ahead.accepted)
+            fruitless = ahead.accepted == 0
+            if ahead.accepted == k:
+                blocks *= 2
+                lead = (grads, n)
+            else:
+                blocks = FIRST_BLOCKS
+            continue
+        result = execute(ast, state.params, trace, registry, spec)
+        iterations += 1
+        matched = matches_trace(result, spec)
+        if improves((0 if matched else 1, -result.executed_len, result.loss)):
+            # adagrad_step never updates parameter arrays in place
+            best = (ast, dict(state.params), result)
+        if matched:
+            return finish("matched")
+        if not free:
+            return finish("fixed")
+        if stagnant >= config.tol_window:
+            return finish("stagnant")
         grads = backward(result, spec)
         state = adagrad_step(state, grads)
         # a re-binding keeps every leaf's kind and dimension, so ``free`` holds
-        ast, state, _ = reassign_variables(ast, state, grads, index, trees)
-
-    assert best is not None
-    _, best_ast, best_params, best_result = best
-    grads = backward(best_result, spec)
-    return OptimizedCandidate(best_ast, best_params, best_result, grads)
+        ast, state, rebound = reassign_variables(ast, state, grads, index, trees)
+        if rebound or not result.terminated_early:
+            last = None
+            continue
+        agree = last is not None and last[1] == result.executed_len and _same_gradient(
+            last[0], grads
+        )
+        last = (grads, result.executed_len)
+        if agree or not fruitless:
+            lead = last
+    return finish("cap")

@@ -115,7 +115,7 @@ class ComplexityWeights:
             raise ValueError("complexity weights must be finite and nonnegative")
 
 
-# impl(*args) -> output, vectorised over a leading step axis: (n, d_i) -> (n, out)
+# impl(*args) -> output, vectorised over a leading row axis: (n, d_i) -> (n, out)
 Impl = Callable[..., np.ndarray]
 # vjp(args, upstream) -> per-argument gradients, all vectorised over steps
 Vjp = Callable[[tuple[np.ndarray, ...], np.ndarray], tuple[np.ndarray, ...]]
@@ -125,7 +125,12 @@ class Registry:
     """Named function and action signatures with their semantics.
 
     Every entry carries a vectorised implementation and one differentiation
-    rule, its vectorised vector-Jacobian product.
+    rule, its vectorised vector-Jacobian product.  Both take (rows, d_i)
+    arrays and must treat rows independently: each output row depends only
+    on the same row of the inputs, bit for bit, whatever the other rows and
+    however many there are.  The interpreter relies on this to evaluate a
+    trace in one pass and to stack K copies of its steps under K parameter
+    settings.
     """
 
     def __init__(self) -> None:
@@ -179,7 +184,9 @@ def standard_registry(variables: object, actions: Mapping[str, int]) -> Registry
     ``actions`` (name -> parameter dimension).
 
     At dimension 1 the plain names ``add``/``sub``/``scale`` are used;
-    other dimensions get a numeric suffix (``add2`` ...).
+    other dimensions get a numeric suffix (``add2`` ...).  Every entry is
+    elementwise within a row (``scale``'s gradient sums over a row's own
+    components), so rows are independent as ``Registry`` requires.
     """
     var_dims = _as_variables(variables)
     reg = Registry()
@@ -304,11 +311,19 @@ def depth(ast: ProgramAst) -> int:
     return node_depth(ast.root)
 
 
+def structural_cost(
+    tree_depth: int, n_params: int, n_vars: int, weights: ComplexityWeights = ComplexityWeights()
+) -> float:
+    """Weighted depth + parameter count + variable-leaf count: the
+    ``complexity`` of every tree with these counts."""
+    return weights.depth * tree_depth + weights.params * n_params + weights.variables * n_vars
+
+
 def complexity(ast: ProgramAst, weights: ComplexityWeights = ComplexityWeights()) -> float:
     """Structural cost: weighted depth + parameter count + variable-leaf count."""
     n_params = sum(1 for _, n in iter_nodes(ast) if isinstance(n, ParamLeaf))
     n_vars = sum(1 for _, n in iter_nodes(ast) if isinstance(n, VarLeaf))
-    return weights.depth * depth(ast) + weights.params * n_params + weights.variables * n_vars
+    return structural_cost(depth(ast), n_params, n_vars, weights)
 
 
 def canonical_key(ast: ProgramAst) -> str:

@@ -11,7 +11,9 @@ queued unoptimised, keyed by that bound, and optimised only when it reaches
 the top of the queue (lazy A*); it then goes back with its true score.  The
 queue pops exactly the candidates, in exactly the order, that optimising
 every proposal on arrival would, while the many proposals whose bound is
-never reached are never optimised.
+never reached are never optimised.  Until it is optimised a proposal holds
+its key and complexity, derived from its parent's, but not its tree or its
+parameter values.
 
 The whole procedure is deterministic for a fixed seed: every proposal
 derives its own RNG seed from content (parent fingerprint, leaf,
@@ -24,8 +26,10 @@ import hashlib
 import heapq
 import itertools
 import math
-from dataclasses import dataclass, field
-from functools import lru_cache
+import re
+from collections.abc import Mapping
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from time import perf_counter
 
 import numpy as np
@@ -35,7 +39,9 @@ from .interpreter import ErrorSpec, matches_trace
 from .optimizer import OptimizedCandidate, optimize
 from .program import (
     ActionNode,
+    ComplexityWeights,
     FunctionNode,
+    Node,
     ParamLeaf,
     ProgramAst,
     Registry,
@@ -47,6 +53,7 @@ from .program import (
     leaves,
     next_pid,
     replace_node,
+    structural_cost,
 )
 from .trace import ObservationTrace, build_variable_index
 
@@ -75,13 +82,15 @@ class Candidate:
 class SolutionSet:
     """Outcome of one induction run: the accepted candidate (if any), the
     best-scoring candidates seen, and run counters: search iterations,
-    distinct proposals queued and candidates optimised."""
+    distinct proposals queued, candidates optimised and their optimiser
+    iterations."""
 
     solution: Candidate | None
     top: tuple[Candidate, ...]
     iterations: int
     proposed: int
     optimised: int
+    opt_iters: int
     wall_time: float
 
 
@@ -155,18 +164,40 @@ def _derive_seed(*parts: object) -> int:
 
 @dataclass(frozen=True)
 class _Proto:
-    """An unoptimised proposal: structure, initial values, provenance, and
-    the structure key, computed once when the proposal is built."""
+    """An unoptimised proposal: ``subtree`` in place of leaf
+    ``expansion_leaf`` of the parent's tree (the whole tree when the parent
+    is the empty program), with provenance, the structure key and the
+    counts its complexity is computed from: depth, parameter leaves and
+    variable leaves.
 
-    ast: ProgramAst
-    params: dict[int, np.ndarray]
-    parent_key: str | None
+    The tree and its initial parameter values, the subtree's sampled values
+    and the parent's optimised values for the parameters that survive, are
+    built on first access, since most proposals are never optimised.
+    """
+
+    parent_ast: ProgramAst | None
+    parent_params: Mapping[int, np.ndarray]
+    subtree: Node
+    parent_key: str
     expansion_leaf: int | None
     seed: int
-    key: str = field(init=False)
+    key: str
+    counts: tuple[int, int, int]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "key", canonical_key(self.ast))
+    @cached_property
+    def ast(self) -> ProgramAst:
+        if self.parent_ast is None:
+            return ProgramAst(self.subtree)
+        return replace_node(self.parent_ast, self.expansion_leaf, self.subtree)
+
+    @cached_property
+    def params(self) -> dict[int, np.ndarray]:
+        params = initial_params(self.ast)
+        params.update({pid: v for pid, v in self.parent_params.items() if pid in params})
+        return params
+
+    def complexity(self, weights: ComplexityWeights) -> float:
+        return structural_cost(*self.counts, weights)
 
 
 def _build_subtree(
@@ -182,12 +213,17 @@ def _build_subtree(
             names = sorted(n for n, d in variables.items() if d == dim)
             if not names:
                 return None
-            children.append(VarLeaf(str(rng.choice(names)), dim))
+            children.append(VarLeaf(names[int(rng.integers(len(names)))], dim))
         else:
             init = tuple(float(x) for x in rng.normal(0.0, _PARAM_INIT_STD, size=dim))
             children.append(ParamLeaf(pid, dim, init))
             pid += 1
     return tuple(children)
+
+
+def _application_key(name: str, children: tuple) -> str:
+    """``canonical_key`` of one application with leaf arguments."""
+    return f"({name} {' '.join('?' if isinstance(c, ParamLeaf) else c.name for c in children)})"
 
 
 def expand_empty(registry: Registry, schema: object, run_seed: int) -> list[_Proto]:
@@ -202,9 +238,23 @@ def expand_empty(registry: Registry, schema: object, run_seed: int) -> list[_Pro
             children = _build_subtree(action, pattern, variables, 0, rng)
             if children is None:
                 continue
-            ast = ProgramAst(ActionNode(action.name, children, action.out_dim))
-            protos.append(_Proto(ast, initial_params(ast), "()", None, seed))
+            subtree = ActionNode(action.name, children, action.out_dim)
+            key = _application_key(action.name, children)
+            counts = (1, pattern.count(False), pattern.count(True))
+            protos.append(_Proto(None, {}, subtree, "()", None, seed, key, counts))
     return protos
+
+
+def _node_depths(ast: ProgramAst) -> list[int]:
+    """Edges from the root to every node, by preorder id."""
+    depths = []
+    stack = [(ast.root, 0)]
+    while stack:
+        node, depth = stack.pop()
+        depths.append(depth)
+        if isinstance(node, (FunctionNode, ActionNode)):
+            stack.extend((child, depth + 1) for child in reversed(node.children))
+    return depths
 
 
 def expand(
@@ -219,13 +269,27 @@ def expand(
 
     For a leaf of dimension d and each compatible function, all 2^arity
     parameter/variable argument patterns are proposed; surviving parameters
-    keep the candidate's optimised values.
+    keep the candidate's optimised values.  Each proposal's key is the
+    parent's key with the application's text in place of the leaf's, and
+    its counts follow from the parent's.
     """
     ranked = ranked_leaves(cand)
     if leaf_rank >= len(ranked):
         return []
     leaf_id = ranked[leaf_rank]
-    leaf = dict(leaves(cand.ast))[leaf_id]
+    tree_leaves = leaves(cand.ast)
+    position = [nid for nid, _ in tree_leaves].index(leaf_id)
+    leaf = tree_leaves[position][1]
+    # leaf tokens of the key, in preorder; a function name follows "("
+    spans = [
+        m.span() for m in re.finditer(r"[^\s()]+", cand.key) if cand.key[m.start() - 1] != "("
+    ]
+    start, end = spans[position]
+    prefix, suffix = cand.key[:start], cand.key[end:]
+    depths = _node_depths(cand.ast)
+    tree_depth = max(max(depths), depths[leaf_id] + 1)
+    n_params = sum(isinstance(n, ParamLeaf) for _, n in tree_leaves) - isinstance(leaf, ParamLeaf)
+    n_vars = len(tree_leaves) - 1 - n_params
     variables = _as_variables(trace.schema)
     pid_start = next_pid(cand.ast)
     protos = []
@@ -239,10 +303,11 @@ def expand(
             if children is None:
                 continue
             subtree = FunctionNode(fn.name, children, fn.out_dim)
-            ast = replace_node(cand.ast, leaf_id, subtree)
-            params = initial_params(ast)
-            params.update({pid: v for pid, v in cand.opt.params.items() if pid in params})
-            protos.append(_Proto(ast, params, cand.key, leaf_id, seed))
+            key = prefix + _application_key(fn.name, children) + suffix
+            counts = (tree_depth, n_params + pattern.count(False), n_vars + pattern.count(True))
+            protos.append(
+                _Proto(cand.ast, cand.opt.params, subtree, cand.key, leaf_id, seed, key, counts)
+            )
     return protos
 
 
@@ -279,13 +344,16 @@ def induce(
     # structure key -> ((score, complexity, n), best candidate); ``n`` keeps
     # the first-queued candidate on a tie, whatever order they are optimised in
     scored: dict[str, tuple[tuple[float, float, int], Candidate]] = {}
-    optimised = 0
+    optimised = opt_iters = 0
 
     def optimise(deferred: _Deferred, n: int) -> Candidate:
-        nonlocal optimised
+        nonlocal optimised, opt_iters
         optimised += 1
         proto = deferred.proto
+        if canonical_key(proto.ast) != proto.key:
+            raise RuntimeError(f"proposal key {proto.key} does not match its tree")
         opt = optimize(proto.ast, proto.params, trace, registry, spec, opt_config, index)
+        opt_iters += opt.iterations
         loss = opt.result.loss
         if not loss >= 0.0:
             raise ValueError(f"error model gave the loss {loss!r}; losses must be >= 0")
@@ -312,7 +380,7 @@ def induce(
         for proto in sorted(protos, key=lambda p: p.key):
             if proto.key not in queue.visited:
                 queue.visited.add(proto.key)
-                queue.push(_Deferred(proto, complexity(proto.ast, config.weights)))
+                queue.push(_Deferred(proto, proto.complexity(config.weights)))
 
     defer(expand_empty(registry, trace.schema, config.seed))
 
@@ -350,6 +418,7 @@ def induce(
         iterations,
         len(queue.visited),
         optimised,
+        opt_iters,
         perf_counter() - t0,
     )
 

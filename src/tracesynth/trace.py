@@ -205,15 +205,16 @@ class VariableIndex:
         return self.names[dim][j], cands[j]
 
     def query_steps(self, dim: int, points: np.ndarray) -> np.ndarray:
-        """Vectorised query for timesteps 1..len(points): ``points`` has
-        shape (n, d); returns the winning variable's index into
-        ``names[dim]`` per step."""
+        """Vectorised query for timesteps 1..n: ``points`` has shape
+        (..., n, d), any leading axes holding more queries for the same
+        steps; returns the winning variable's index into ``names[dim]`` per
+        query, shape (..., n)."""
         if dim not in self.names:
             raise KeyError(f"no variable of dimension {dim}")
-        n = points.shape[0]
-        diff = self.values[dim][:n] - points[:, None, :]  # (n, n_vars, d)
-        # the arithmetic of np.linalg.norm(diff, axis=2), so ties resolve alike
-        return np.sqrt(np.add.reduce(diff * diff, axis=2)).argmin(axis=1)
+        n = points.shape[-2]
+        diff = self.values[dim][:n] - points[..., None, :]  # (..., n, n_vars, d)
+        # the arithmetic of np.linalg.norm(diff, axis=-1), so ties resolve alike
+        return np.sqrt(np.add.reduce(diff * diff, axis=-1)).argmin(axis=-1)
 
 
 def build_variable_index(trace: ObservationTrace) -> VariableIndex:

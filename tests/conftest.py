@@ -4,7 +4,10 @@ The reference evaluator here recomputes program execution with plain
 per-step recursion, independently of the library's vectorised interpreter;
 several suites use it as the ground truth.  ``eager_induce`` is the search
 loop that optimises every proposal as soon as it is queued, the reference
-for the deferred search in ``induce``.
+for the deferred search in ``induce``.  ``sequential_optimize`` is the
+optimiser loop that runs one ``execute``/``backward``/AdaGrad/re-binding
+pass per iteration, the reference for the look-ahead blocks of
+``optimize``.
 """
 
 from __future__ import annotations
@@ -19,6 +22,8 @@ from tracesynth import (
     ActionNode,
     Candidate,
     ErrorSpec,
+    OptimizedCandidate,
+    OptimizerState,
     FunctionNode,
     ObservationTrace,
     ParamLeaf,
@@ -27,14 +32,19 @@ from tracesynth import (
     TraceSchema,
     TraceStep,
     VarLeaf,
+    adagrad_step,
+    backward,
     build_variable_index,
     canonical_key,
     complexity,
+    execute,
     expand,
     expand_empty,
     leaves,
     matches,
+    matches_trace,
     optimizer,
+    reassign_variables,
     standard_registry,
 )
 
@@ -183,6 +193,73 @@ def eager_induce(trace, registry, config):
             push(cand, 1)
     top = sorted(scored.values(), key=lambda c: (c.score, c.complexity, c.key))
     return solution, tuple(top[: config.top_k]), iterations, pops
+
+
+def sequential_optimize(ast, params, trace, registry, spec, config, index=None):
+    """Reference optimiser: the loop of ``optimize`` as it was before
+    look-ahead blocks, one ``execute``, ``backward``, ``adagrad_step`` and
+    ``reassign_variables`` per iteration.  Returns the
+    ``OptimizedCandidate`` that ``optimize`` must return bit for bit."""
+    index = index if index is not None else build_variable_index(trace)
+    state = OptimizerState.fresh(ast, params, config)
+    binding, slots = optimizer.rebindable_leaves(ast, index)
+    free = len(binding) < len(leaves(ast)) or bool(slots)
+    trees, best, stagnant, iterations, stop = {}, None, 0, 0, "cap"
+    for _ in range(max(1, config.max_opt_iters)):
+        result = execute(ast, state.params, trace, registry, spec)
+        iterations += 1
+        matched = matches_trace(result, spec)
+        key = (0 if matched else 1, -result.executed_len, result.loss)
+        if best is None or key < best[0]:
+            if best is not None and key[:2] == best[0][:2]:
+                rel = (best[0][2] - result.loss) / max(abs(best[0][2]), 1e-300)
+                stagnant = 0 if rel >= config.tol else stagnant + 1
+            else:
+                stagnant = 0
+            best = (key, ast, dict(state.params), result)
+        else:
+            stagnant += 1
+        if matched or not free or stagnant >= config.tol_window:
+            stop = "matched" if matched else "fixed" if not free else "stagnant"
+            break
+        grads = backward(result, spec)
+        state = adagrad_step(state, grads)
+        ast, state, _ = reassign_variables(ast, state, grads, index, trees)
+    _, best_ast, best_params, best_result = best
+    grads = backward(best_result, spec)
+    return OptimizedCandidate(best_ast, best_params, best_result, grads, iterations, stop)
+
+
+def _same_arrays(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _same_array_dicts(a, b) -> bool:
+    return a.keys() == b.keys() and all(_same_arrays(a[k], b[k]) for k in a)
+
+
+def assert_same_optimum(got, want) -> None:
+    """``got`` and ``want`` are the same ``OptimizedCandidate`` bit for bit:
+    tree, parameter bytes, every field of the execution result, gradients,
+    iteration count and stop reason."""
+    assert got.ast == want.ast
+    assert _same_array_dicts(got.params, want.params)
+    g, w = got.result, want.result
+    assert g.tape == w.tape
+    for name in ("action_name", "observed_len", "executed_len", "terminated_early"):
+        assert getattr(g, name) == getattr(w, name), name
+    for name in ("loss", "length_error"):
+        assert _same_arrays(getattr(g, name), getattr(w, name)), name
+    for name in ("theta_hat", "theta_obs", "name_mask", "step_errors"):
+        assert _same_arrays(getattr(g, name), getattr(w, name)), name
+    assert len(g.activations) == len(w.activations)
+    assert all(_same_arrays(a, b) for a, b in zip(g.activations, w.activations))
+    for name in ("params", "slot_reads", "slot_totals"):
+        assert _same_array_dicts(getattr(got.grads, name), getattr(want.grads, name)), name
+    assert got.grads.param_nodes == want.grads.param_nodes
+    assert got.grads.slot_names == want.grads.slot_names
+    assert (got.iterations, got.stop) == (want.iterations, want.stop)
 
 
 @pytest.fixture

@@ -139,7 +139,11 @@ class TestInduce:
         assert doc["solution"]["complexity"] == 15
         assert 0 < doc["optimised"] <= doc["proposed"]
         stats = report.split("\nstats\n", 1)[1].split("\njson\n", 1)[0]
-        assert f"proposed: {doc['proposed']}\noptimised: {doc['optimised']}\n" in stats
+        assert doc["opt_iters"] >= doc["optimised"]
+        assert (
+            f"proposed: {doc['proposed']}\noptimised: {doc['optimised']}\n"
+            f"opt_iters: {doc['opt_iters']}\n"
+        ) in stats
 
     def test_exit_3_without_solution(self, tmp_path, capsys):
         from tests.conftest import make_trace

@@ -6,12 +6,15 @@ recorded value, so a refactor of the interpreter, the backward pass or the
 optimiser loop can show it leaves the search byte-identical.  The digests
 were recorded before the tape-based interpreter replaced the recursive one.
 
-The same runs also pin the optimiser's trajectory, not only its output: the
-number of ``execute`` calls and of variable re-bindings.  The totals of the
-reference search that optimises every proposal on arrival were recorded
-before the optimiser kept one tree per binding; those of ``induce``, which
-defers each proposal until it reaches the top of the queue, after that
-change.  Every proposal ``induce`` optimises must take exactly the steps it
+The same runs also pin the optimiser's trajectory, not only its output:
+the number of optimiser iterations, of variable re-bindings and of
+``execute`` calls.  The iteration and re-binding totals of the reference
+search that optimises every proposal on arrival were recorded before the
+optimiser kept one tree per binding; those of ``induce``, which defers each
+proposal until it reaches the top of the queue, after that change.  The
+``execute`` counts were recorded after the optimiser began to evaluate runs
+of iterations in look-ahead blocks, which leaves the other totals as they
+were.  Every proposal ``induce`` optimises must take exactly the steps it
 takes in the reference run.
 """
 
@@ -34,7 +37,7 @@ from tracesynth import (
     standard_registry,
 )
 from tracesynth.cli import render_report
-from tests.conftest import eager_induce
+from tests.conftest import assert_same_optimum, eager_induce, sequential_optimize
 
 CASES = {
     # depth-2 structures and ~170 variable re-bindings on the Euclidean model
@@ -54,12 +57,28 @@ CASES = {
 }
 
 
-# name -> (execute calls, re-bindings) over the whole run, by the search
-# that optimises every proposal on arrival (the reference loop) and by
-# ``induce``, which optimises a proposal only when it reaches the top of
+# name -> (optimiser iterations, re-bindings) over the whole run, by the
+# search that optimises every proposal on arrival (the reference loop) and
+# by ``induce``, which optimises a proposal only when it reaches the top of
 # the queue
 REFERENCE_TRAJECTORIES = {"pendulum": (1391, 170), "paddle": (1198, 7)}
 TRAJECTORIES = {"pendulum": (123, 4), "paddle": (145, 3)}
+# name -> ``execute`` calls of the same runs: look-ahead blocks evaluate
+# most iterations without one
+REFERENCE_EXECUTES = {"pendulum": 326, "paddle": 415}
+EXECUTES = {"pendulum": 40, "paddle": 44}
+
+
+# the golden runs and a damped oscillator whose coverage grows slowly
+EXACTNESS_CASES = {
+    **{name: (make, config) for name, (make, config, _) in CASES.items()},
+    "damped": (
+        lambda: simulate_second_order(
+            SecondOrderConfig(k1=-4.0, k2=-0.25, x0=1.0, v0=2.0, steps=200)
+        ),
+        RunConfig(seed=0, max_iterations=12, max_step_error=0.01),
+    ),
+}
 
 
 def programs_digest(report: str) -> str:
@@ -82,8 +101,8 @@ def test_optimiser_trajectory(name, monkeypatch):
     """Whole-run totals of both searches, and each proposal that ``induce``
     optimises takes the same trajectory as in the reference run."""
     make_trace, config, _ = CASES[name]
-    counts = {"execute": 0, "rebind": 0}
-    per_proposal: dict[str, tuple[int, int]] = {}
+    counts = {"execute": 0, "rebind": 0, "iterations": 0}
+    per_proposal: dict[str, tuple[int, int, int]] = {}
     execute, reassign = optimizer.execute, optimizer.reassign_variables
     optimize = optimizer.optimize
 
@@ -97,19 +116,17 @@ def test_optimiser_trajectory(name, monkeypatch):
         return out
 
     def counted_optimize(ast, *args, **kwargs):
-        before = (counts["execute"], counts["rebind"])
+        before = dict(counts)
         out = optimize(ast, *args, **kwargs)
-        per_proposal[canonical_key(ast)] = (
-            counts["execute"] - before[0],
-            counts["rebind"] - before[1],
-        )
+        counts["iterations"] += out.iterations
+        per_proposal[canonical_key(ast)] = tuple(counts[k] - before[k] for k in sorted(counts))
         return out
 
-    def run(search) -> tuple[tuple[int, int], dict[str, tuple[int, int]]]:
-        counts.update(execute=0, rebind=0)
+    def run(search) -> tuple[dict[str, int], dict[str, tuple[int, int, int]]]:
+        counts.update(execute=0, rebind=0, iterations=0)
         per_proposal.clear()
         search()
-        return (counts["execute"], counts["rebind"]), dict(per_proposal)
+        return dict(counts), dict(per_proposal)
 
     monkeypatch.setattr(optimizer, "execute", counted_execute)
     monkeypatch.setattr(optimizer, "reassign_variables", counted_reassign)
@@ -119,6 +136,37 @@ def test_optimiser_trajectory(name, monkeypatch):
     registry = standard_registry(trace.schema.variables, trace.schema.actions)
     totals, deferred = run(lambda: induce(trace, registry, config=config))
     ref_totals, eager = run(lambda: eager_induce(trace, registry, config))
-    assert ref_totals == REFERENCE_TRAJECTORIES[name]
-    assert totals == TRAJECTORIES[name]
+    assert (ref_totals["iterations"], ref_totals["rebind"]) == REFERENCE_TRAJECTORIES[name]
+    assert (totals["iterations"], totals["rebind"]) == TRAJECTORIES[name]
+    assert ref_totals["execute"] == REFERENCE_EXECUTES[name]
+    assert totals["execute"] == EXECUTES[name]
     assert deferred and all(eager[key] == steps for key, steps in deferred.items())
+
+
+@pytest.mark.parametrize("name", sorted(EXACTNESS_CASES))
+def test_every_optimize_call_equals_the_sequential_loop(name, monkeypatch):
+    """Each ``optimize`` call of a whole search returns, bit for bit, what
+    the loop without look-ahead blocks returns, and most of the iterations
+    run in blocks."""
+    make_trace, config = EXACTNESS_CASES[name]
+    optimize, execute = optimizer.optimize, optimizer.execute
+    iterations, executes = [], []
+
+    def counted_execute(*args, **kwargs):
+        executes.append(1)
+        return execute(*args, **kwargs)
+
+    def checked(*args):
+        got = optimize(*args)
+        assert_same_optimum(got, sequential_optimize(*args))
+        iterations.append(got.iterations)
+        return got
+
+    monkeypatch.setattr(optimizer, "execute", counted_execute)
+    monkeypatch.setattr(search_module, "optimize", checked)
+    trace = make_trace()
+    registry = standard_registry(trace.schema.variables, trace.schema.actions)
+    result = induce(trace, registry, config=config)
+    assert len(iterations) == result.optimised
+    assert sum(iterations) == result.opt_iters
+    assert len(executes) < sum(iterations) / 2

@@ -1,4 +1,7 @@
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tracesynth import (
     ErrorSpec,
@@ -13,11 +16,13 @@ from tracesynth import (
     parse_program,
     reassign_variables,
     simulate_second_order,
+    standard_registry,
     SecondOrderConfig,
 )
-from tracesynth import interpreter
+from tracesynth import interpreter, optimizer
+from tracesynth.optimizer import ROW_BUDGET, adagrad_walk, block_sums
 from tracesynth.program import canonical_key, initial_params, leaves
-from tests.conftest import make_trace
+from tests.conftest import assert_same_optimum, make_trace, sequential_optimize
 
 
 def _grads_for(ast, params=None, slot_rows=None):
@@ -235,6 +240,7 @@ class TestOptimize:
         direct = execute(ast, {}, trace, registry, spec)
         assert out.result.loss == direct.loss
         assert canonical_key(out.ast) == "(accel x)"
+        assert (out.iterations, out.stop) == (1, "fixed")
 
     def test_already_perfect_returns_immediately(self, scalar_registry, scalar_schema):
         trace = make_trace({"x": [1.0, 2.0], "v": [0, 0]}, [2.0, 4.0])
@@ -244,6 +250,7 @@ class TestOptimize:
         assert out.result.loss == 0.0
         assert matches_trace(out.result, spec)
         np.testing.assert_array_equal(out.params[0], [2.0])
+        assert (out.iterations, out.stop) == (1, "matched")
 
     def test_deterministic(self, scalar_registry, scalar_schema):
         trace = simulate_second_order(SecondOrderConfig(k1=-2.0, k2=0.0, x0=1.0, steps=40))
@@ -269,3 +276,194 @@ class TestOptimize:
         )
         # gradients recomputed for the returned best state
         assert set(out.grads.params) == set(out.params)
+
+
+def _pendulum_trace():
+    return simulate_second_order(SecondOrderConfig(k1=-9.8, k2=0.0, x0=0.1, steps=100))
+
+
+@pytest.fixture
+def look_aheads(monkeypatch):
+    """(iterations before, blocks, blocks accepted) of every look-ahead."""
+    out = []
+    look_ahead = optimizer._look_ahead
+
+    def recording(ast, state, grads, n, blocks, *args):
+        ahead = look_ahead(ast, state, grads, n, blocks, *args)
+        out.append((state.iteration, blocks, ahead.accepted))
+        return ahead
+
+    monkeypatch.setattr(optimizer, "_look_ahead", recording)
+    return out
+
+
+def _both(text, registry, schema, trace, config, spec=ErrorSpec()):
+    """``optimize`` and the sequential reference loop on one program,
+    checked to agree bit for bit; returns the result of ``optimize``."""
+    ast = parse_program(text, registry, schema)
+    got = optimize(ast, initial_params(ast), trace, registry, spec, config)
+    assert_same_optimum(
+        got, sequential_optimize(ast, initial_params(ast), trace, registry, spec, config)
+    )
+    return got
+
+
+class TestLookAhead:
+    def test_walk_equals_repeated_single_steps(self, scalar_registry, scalar_schema):
+        ast = parse_program("(accel (scale 0.0 x))", scalar_registry, scalar_schema)
+        rng = np.random.default_rng(3)
+        for acc in (None, np.array([0.25])):
+            state = OptimizerState.fresh(ast, {0: rng.normal(size=1)}, OptimizeConfig())
+            if acc is not None:
+                state.param_acc[0] = acc
+            g = _grads_for(ast, params={0: [rng.normal()]})
+            walk, totals = adagrad_walk(state.params[0], acc, g.params[0], 6, 0.2, 1e-8)
+            assert walk[0].tobytes() == state.params[0].tobytes()
+            for j in range(6):
+                state = adagrad_step(state, g)
+                assert walk[j + 1].tobytes() == state.params[0].tobytes()
+                assert totals[j].tobytes() == state.param_acc[0].tobytes()
+
+    def test_batched_vote_agrees_with_reassign(self, scalar_registry, scalar_schema):
+        # few steps and nearby variables, so ties and flips are common
+        rng = np.random.default_rng(7)
+        trace = make_trace(
+            {"x": rng.normal(size=6).tolist(), "v": rng.normal(size=6).tolist()}, [0.0] * 6
+        )
+        index = build_variable_index(trace)
+        ast = parse_program("(accel x)", scalar_registry, scalar_schema)
+        (nid, leaf, _, column), = optimizer.rebindable_leaves(ast, index)[1]
+        cfg = OptimizeConfig()
+        flips = 0
+        for _ in range(300):
+            n = int(rng.integers(1, 7))
+            rows = rng.choice([-2.0, -0.5, 0.0, 0.5, 2.0], size=(5, n, 1))
+            rows[rng.random(5) < 0.2] = 0.0
+            old = None if rng.random() < 0.3 else rng.random((int(rng.integers(1, 7)), 1))
+            acc = optimizer._fold_slot(old, rows * rows)
+            renames = optimizer._renames(index, leaf, column, rows, acc, 0.2, cfg.div_guard)
+            state = OptimizerState.fresh(ast, {}, cfg)
+            if old is not None:
+                state.slot_acc[nid] = old
+            for k in range(5):
+                grads = _grads_for(ast, slot_rows={nid: rows[k]})
+                _, state, changed = reassign_variables(ast, state, grads, index)
+                assert bool(renames[k]) == changed
+                if changed:
+                    flips += 1
+                    break
+                folded = optimizer._with_tail(acc[k], old)
+                assert folded.tobytes() == state.slot_acc[nid].tobytes()
+        assert flips > 30
+
+    def test_linear_program_runs_ahead(self, scalar_registry, scalar_schema, look_aheads):
+        # (scale ? x) has a gradient that is constant while one step executes
+        out = _both(
+            "(accel (scale 0.0 x))", scalar_registry, scalar_schema, _pendulum_trace(),
+            OptimizeConfig(max_opt_iters=1500),
+        )
+        accepted = sum(a for _, _, a in look_aheads)
+        assert accepted > 0.8 * out.iterations
+        assert max(blocks for _, blocks, _ in look_aheads) >= 64
+
+    def test_nonlinear_program_gradient_changes(self, look_aheads):
+        # both parameters of a product move, so no iteration repeats the
+        # last; x has no rival, so it stays bound
+        pendulum = _pendulum_trace()
+        trace = make_trace(
+            {"x": pendulum.var_matrix("x")[:, 0].tolist()}, pendulum.theta_matrix()[:, 0].tolist()
+        )
+        registry = standard_registry({"x": 1}, {"accel": 1})
+        out = _both(
+            "(accel (scale 0.5 (scale -0.5 x)))", registry, {"x": 1}, trace,
+            OptimizeConfig(max_opt_iters=300),
+        )
+        assert out.stop == "matched" and out.iterations > 20
+        assert look_aheads and all(accepted == 0 for _, _, accepted in look_aheads)
+
+    def test_stagnation_stop_inside_a_block(self, scalar_registry, scalar_schema, look_aheads):
+        # a coarse tolerance: after a few steps every improvement is stagnant
+        out = _both(
+            "(accel (scale 0.0 x))", scalar_registry, scalar_schema, _pendulum_trace(),
+            OptimizeConfig(tol=1e-2),
+        )
+        assert out.stop == "stagnant"
+        start, blocks, accepted = look_aheads[-1]
+        assert start < out.iterations < start + accepted
+
+    def test_cap_inside_the_block_schedule(self, scalar_registry, scalar_schema, look_aheads):
+        out = _both(
+            "(accel (scale 0.0 x))", scalar_registry, scalar_schema, _pendulum_trace(),
+            OptimizeConfig(max_opt_iters=37),
+        )
+        assert (out.iterations, out.stop) == (37, "cap")
+        # the schedule 4, 8, 16, 32 is cut short by the cap
+        start, blocks, accepted = look_aheads[-1]
+        assert start + blocks == start + accepted == 37
+        assert blocks < 32
+
+    def test_rows_stay_within_budget(self, scalar_registry, scalar_schema, monkeypatch):
+        rows = []
+        forward = optimizer.forward
+
+        def recording(tape, variables, params, n_rows):
+            rows.append(n_rows)
+            return forward(tape, variables, params, n_rows)
+
+        monkeypatch.setattr(optimizer, "forward", recording)
+        # a small step keeps one step executing for every iteration
+        out = _both(
+            "(accel (scale 0.0 x))", scalar_registry, scalar_schema, _pendulum_trace(),
+            OptimizeConfig(learning_rate=1e-3, max_opt_iters=9000),
+        )
+        assert (out.iterations, out.stop) == (9000, "cap")
+        assert max(rows) == ROW_BUDGET
+
+    @pytest.mark.parametrize(
+        "n, looked_ahead", [(ROW_BUDGET // 2, True), (ROW_BUDGET // 2 + 1, False)]
+    )
+    def test_two_blocks_must_fit_the_budget(
+        self, n, looked_ahead, scalar_registry, scalar_schema, look_aheads
+    ):
+        # every step matches but the last, so each iteration executes n steps
+        xs = np.linspace(0.01, 0.02, n)
+        thetas = 2.0 * xs
+        thetas[-1] = 100.0
+        trace = make_trace({"x": xs.tolist(), "v": [0.0] * n}, thetas.tolist())
+        out = _both(
+            "(accel (scale 2.0 x))", scalar_registry, scalar_schema, trace,
+            OptimizeConfig(max_opt_iters=5), ErrorSpec(max_step_error=0.5),
+        )
+        assert out.result.executed_len == n
+        assert bool(look_aheads) == looked_ahead
+
+
+def _special_rows(rng, shape):
+    rows = rng.normal(size=shape) * 10.0 ** rng.integers(-6, 6, size=shape)
+    rows[rng.random(shape) < 0.1] = -0.0
+    rows[rng.random(shape) < 0.02] = np.nan
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    blocks=st.integers(1, 9),
+    n=st.integers(1, 300),
+    d=st.integers(0, 3),
+    strided=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_block_sums_equal_each_blocks_sum(blocks, n, d, strided, seed):
+    """The batched reduction of ``_look_ahead`` against the per-run sum of
+    ``execute`` (d = 0: step errors) and ``backward`` (parameter gradient
+    rows, also as the strided views that an action's arguments get)."""
+    rng = np.random.default_rng(seed)
+    shape = (blocks * n,) if d == 0 else (blocks * n, d)
+    rows = _special_rows(rng, shape)
+    if strided and d:
+        wide = np.zeros((blocks * n, d + 2))
+        wide[:, 1 : d + 1] = rows
+        rows = wide[:, 1 : d + 1]
+    sums = block_sums(rows, blocks)
+    for k in range(blocks):
+        assert sums[k].tobytes() == rows[k * n : (k + 1) * n].sum(axis=0).tobytes()

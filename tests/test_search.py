@@ -54,7 +54,7 @@ def _candidate(ast, registry, trace, norms=None, params=None, spec=None):
             slot_names[nid] = leaf.name
             slot_reads[nid] = g.reshape(1, 1)
     grads = Gradients(param_grads, param_nodes, slot_reads, slot_tot, slot_names)
-    opt = OptimizedCandidate(ast, params, result, grads)
+    opt = OptimizedCandidate(ast, params, result, grads, iterations=0, stop="fixed")
     cost = complexity(ast)
     return Candidate(opt, result.loss, cost, cost + result.loss, canonical_key(ast), None, None, 0)
 
@@ -157,6 +157,41 @@ class TestExpand:
             for pid, val in tuned.items():
                 if pid in proto.params:
                     np.testing.assert_array_equal(proto.params[pid], val)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["(accel 0.5)", "(accel (add x 0.5))", "(accel (sub (scale 0.5 (add v x)) x))"],
+    )
+    def test_key_and_complexity_without_the_tree(self, text, scalar_registry, scalar_schema):
+        # keys are spliced and complexities counted from the parent's, at
+        # every leaf and depth; the tree is built only when asked for
+        trace = make_trace({"x": [1.0], "v": [1.0]}, [1.0])
+        ast = parse_program(text, scalar_registry, scalar_schema)
+        cand = _candidate(ast, scalar_registry, trace)
+        weights = RunConfig().weights
+        protos = [
+            proto
+            for rank in range(len(leaves(ast)))
+            for proto in expand(cand, scalar_registry, trace, 5, rank)
+        ]
+        assert len(protos) == 12 * len(leaves(ast))
+        assert not any("ast" in proto.__dict__ for proto in protos)
+        for proto in protos:
+            assert proto.key == canonical_key(proto.ast)
+            assert proto.complexity(weights) == complexity(proto.ast, weights)
+        for proto in expand_empty(scalar_registry, scalar_schema, 5):
+            assert proto.key == canonical_key(proto.ast)
+            assert proto.complexity(weights) == complexity(proto.ast, weights)
+
+    def test_key_that_does_not_match_the_tree_is_refused(self, scalar_registry, monkeypatch):
+        trace = make_trace({"x": [1.0], "v": [1.0]}, [1.0])
+        wrong = [
+            dataclasses.replace(proto, key="(accel v)" if proto.key == "(accel ?)" else "(accel ?)")
+            for proto in expand_empty(scalar_registry, trace.schema, 0)
+        ]
+        monkeypatch.setattr(search, "expand_empty", lambda *args: wrong)
+        with pytest.raises(RuntimeError, match="does not match its tree"):
+            induce(trace, scalar_registry, config=RunConfig(max_iterations=2))
 
 
 class TestQueue:

@@ -163,3 +163,15 @@ class TestNearestVariable:
         for t in range(10):
             name, _ = index.query(t + 1, 1, points[t])
             assert index.names[1][winners[t]] == name
+
+    def test_query_steps_takes_leading_axes(self):
+        rng = np.random.default_rng(2)
+        trace = make_trace(
+            {"x": rng.normal(size=6).tolist(), "v": rng.normal(size=6).tolist()}, [0.0] * 6
+        )
+        index = build_variable_index(trace)
+        points = rng.normal(size=(3, 4, 1))
+        winners = index.query_steps(1, points)
+        assert winners.shape == (3, 4)
+        for k in range(3):
+            np.testing.assert_array_equal(winners[k], index.query_steps(1, points[k]))
