@@ -2,7 +2,7 @@
 observed state-action traces, via gradient descent inside a best-first
 structure search."""
 
-from .autodiff import Gradients, backward, jacobian
+from .autodiff import Gradients, backward
 from .config import RunConfig
 from .interpreter import (
     ErrorSpec,
@@ -53,8 +53,6 @@ from .search import (
     expand,
     expand_empty,
     induce,
-    matches,
-    select_expansion_leaf,
 )
 from .systems import (
     OSCILLATOR,

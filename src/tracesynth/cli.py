@@ -10,12 +10,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
-import numpy as np
-
 from .config import RunConfig
-from .interpreter import matches_trace
+from .interpreter import execute, matches_trace
 from .program import (
     ProgramError,
     canonical_key,
@@ -26,8 +25,7 @@ from .program import (
 )
 from .search import SolutionSet, enumerate_programs, induce
 from .systems import OSCILLATOR, PENDULUM, PaddleConfig, SecondOrderConfig, simulate_paddle, simulate_second_order
-from .interpreter import execute
-from .trace import ObservationTrace, TraceFormatError, load_trace, save_trace
+from .trace import TraceFormatError, load_trace, save_trace
 
 USAGE_ERROR = 1
 INPUT_ERROR = 2
@@ -97,21 +95,8 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
     if args.config:
         doc = json.loads(Path(args.config).read_text(encoding="utf-8"))
         config = RunConfig.from_dict(doc)
-    overrides = {
-        name: getattr(args, name, None)
-        for name in (
-            "seed",
-            "max_step_error",
-            "learning_rate",
-            "max_opt_iters",
-            "max_iterations",
-            "top_k",
-            "weights",
-            "error_model",
-            "deadband",
-        )
-    }
-    return config.override(**overrides)
+    # a flag a command lacks, or one not given, is absent or None: no override
+    return config.override(**{f.name: getattr(args, f.name, None) for f in fields(RunConfig)})
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:

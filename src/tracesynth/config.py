@@ -15,10 +15,7 @@ from .program import ComplexityWeights
 class RunConfig:
     max_step_error: float = 0.05
     learning_rate: float = 0.2
-    div_guard: float = 1e-8
     max_opt_iters: int = 1500
-    tol: float = 1e-9
-    tol_window: int = 10
     max_iterations: int = 1000
     weights: ComplexityWeights = field(default_factory=ComplexityWeights)
     top_k: int = 3
@@ -33,16 +30,13 @@ class RunConfig:
             if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[f.type]):
                 raise ValueError(f"{f.name} must be of type {f.type}, not {type(value).__name__}")
         # nan compares false with everything, so it would pass the checks below
-        for name in ("max_step_error", "learning_rate", "div_guard", "tol", "deadband"):
+        for name in ("max_step_error", "learning_rate", "deadband"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
         positive = {
             "max_step_error": self.max_step_error,
             "learning_rate": self.learning_rate,
-            "div_guard": self.div_guard,
             "max_opt_iters": self.max_opt_iters,
-            "tol": self.tol,
-            "tol_window": self.tol_window,
             "max_iterations": self.max_iterations,
             "top_k": self.top_k,
         }
@@ -59,13 +53,7 @@ class RunConfig:
             raise ValueError("deadband must be > 0 for the discrete error model")
 
     def optimize_config(self) -> OptimizeConfig:
-        return OptimizeConfig(
-            learning_rate=self.learning_rate,
-            div_guard=self.div_guard,
-            max_opt_iters=self.max_opt_iters,
-            tol=self.tol,
-            tol_window=self.tol_window,
-        )
+        return OptimizeConfig(learning_rate=self.learning_rate, max_opt_iters=self.max_opt_iters)
 
     def error_spec(self) -> ErrorSpec:
         if self.error_model == "discrete":
@@ -83,6 +71,8 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
+        if not isinstance(doc, dict):
+            raise ValueError(f"a config must be a JSON object, not {type(doc).__name__}")
         known = {f.name for f in fields(cls)}
         unknown = set(doc) - known
         if unknown:

@@ -64,11 +64,14 @@ class OptimizeConfig:
 class OptimizerState:
     """Mutable per-candidate optimisation state.
 
+    ``params`` holds the current value of every parameter, by parameter id.
     ``param_acc`` holds the AdaGrad sums of squared gradients per parameter;
     ``slot_acc`` holds one accumulator per variable-leaf read time (each read
     is relaxed into its own temporary value), shaped like the per-read
     gradient rows.  An absent entry means an accumulator of zeros, so a
     fresh state and a state reset by a re-binding hold empty dicts.
+    ``learning_rate`` and ``div_guard`` are the AdaGrad step size and the
+    constant added under its square root, taken from the ``OptimizeConfig``.
     """
 
     params: dict[int, np.ndarray]
@@ -76,7 +79,6 @@ class OptimizerState:
     slot_acc: dict[int, np.ndarray]
     learning_rate: float
     div_guard: float
-    iteration: int = 0
 
     @classmethod
     def fresh(
@@ -100,9 +102,7 @@ def adagrad_step(state: OptimizerState, grads: Gradients) -> OptimizerState:
         total = g * g if pid not in acc else acc[pid] + g * g
         acc[pid] = total
         params[pid] = params[pid] - state.learning_rate * g / np.sqrt(total + state.div_guard)
-    return OptimizerState(
-        params, acc, state.slot_acc, state.learning_rate, state.div_guard, state.iteration + 1
-    )
+    return OptimizerState(params, acc, state.slot_acc, state.learning_rate, state.div_guard)
 
 
 def adagrad_walk(
@@ -263,8 +263,7 @@ def reassign_variables(
 
     if not renames:
         kept = OptimizerState(
-            state.params, state.param_acc, slot_acc, state.learning_rate, state.div_guard,
-            state.iteration,
+            state.params, state.param_acc, slot_acc, state.learning_rate, state.div_guard
         )
         return ast, kept, False
     trees = {} if trees is None else trees
@@ -278,9 +277,7 @@ def reassign_variables(
         for nid, leaf in renames.items():
             rebound = replace_node(rebound, nid, leaf)
         trees[new_binding] = rebound
-    reset = OptimizerState(
-        state.params, {}, {}, state.learning_rate, state.div_guard, state.iteration
-    )
+    reset = OptimizerState(state.params, {}, {}, state.learning_rate, state.div_guard)
     return rebound, reset, True
 
 
@@ -328,8 +325,7 @@ class _Lookahead:
         for nid, folded in self.slot_acc.items():
             slot_acc[nid] = _with_tail(folded[j - 1], state.slot_acc.get(nid))
         return OptimizerState(
-            self.params(state, j), acc, slot_acc, state.learning_rate, state.div_guard,
-            state.iteration + j,
+            self.params(state, j), acc, slot_acc, state.learning_rate, state.div_guard
         )
 
 

@@ -145,9 +145,6 @@ class Registry:
         self._impls[spec.name] = impl
         self._vjps[spec.name] = vjp
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._specs
-
     def spec(self, name: str) -> FunctionSpec:
         try:
             return self._specs[name]
@@ -330,12 +327,17 @@ def canonical_key(ast: ProgramAst) -> str:
     """Structural fingerprint: the program text with every parameter leaf
     reduced to ``?``.  Equal keys mean identical structure and variable
     names."""
+    return _render(ast, lambda leaf: "?")
+
+
+def _render(ast: ProgramAst, param_text: Callable[[ParamLeaf], str]) -> str:
+    """Program text with each parameter leaf written as ``param_text(leaf)``."""
     if ast.is_empty:
         return "()"
 
     def render(node: Node) -> str:
         if isinstance(node, ParamLeaf):
-            return "?"
+            return param_text(node)
         if isinstance(node, VarLeaf):
             return node.name
         inner = " ".join(render(c) for c in node.children)
@@ -365,24 +367,17 @@ def print_program(
     With ``params=None`` the leaves' initial values are printed; otherwise
     ``params`` must hold a value for every parameter leaf.
     """
-    if ast.is_empty:
-        return "()"
     if params is None:
         values = initial_params(ast)
     else:
         values = {k: np.asarray(v, dtype=float) for k, v in params.items()}
 
-    def render(node: Node) -> str:
-        if isinstance(node, ParamLeaf):
-            if node.pid not in values:
-                raise ProgramError(f"missing value for parameter p{node.pid}")
-            return _format_value(values[node.pid], precision)
-        if isinstance(node, VarLeaf):
-            return node.name
-        inner = " ".join(render(c) for c in node.children)
-        return f"({node.name} {inner})"
+    def param_text(leaf: ParamLeaf) -> str:
+        if leaf.pid not in values:
+            raise ProgramError(f"missing value for parameter p{leaf.pid}")
+        return _format_value(values[leaf.pid], precision)
 
-    return render(ast.root)
+    return _render(ast, param_text)
 
 
 _TOKEN_BOUNDARIES = {"(": " ( ", ")": " ) ", "[": " [ ", "]": " ] "}
@@ -394,12 +389,16 @@ def _tokenize(text: str) -> list[str]:
     return text.split()
 
 
-def _is_number(token: str) -> bool:
+def _literal(token: str) -> float | None:
+    """The value of a numeric literal, None if ``token`` is not a number.
+    Raises :class:`ParseError` for a literal that is not finite."""
     try:
-        float(token)
-        return True
+        value = float(token)
     except ValueError:
-        return False
+        return None
+    if not math.isfinite(value):
+        raise ParseError(f"parameter literal {token!r} is not finite")
+    return value
 
 
 class _Parser:
@@ -476,18 +475,20 @@ class _Parser:
             vals = []
             while self.peek() != "]":
                 num = self.take()
-                if not _is_number(num):
+                value = _literal(num)
+                if value is None:
                     raise ParseError(f"expected number in vector literal, got {num!r}")
-                vals.append(float(num))
+                vals.append(value)
             self.take()
             if len(vals) != want_dim:
                 raise ProgramTypeError(
                     f"vector literal of length {len(vals)}, expected dimension {want_dim}"
                 )
             return self.new_param(tuple(vals), want_dim)
-        if _is_number(tok):
+        value = _literal(tok)
+        if value is not None:
             # scalar literal broadcast across the slot dimension
-            return self.new_param((float(tok),) * want_dim, want_dim)
+            return self.new_param((value,) * want_dim, want_dim)
         if tok in (")", "]"):
             raise ParseError(f"unexpected {tok!r}")
         if tok in self.variables:
@@ -508,57 +509,11 @@ def parse_program(text: str, registry: Registry, schema: object) -> ProgramAst:
     """Parse program text against a registry and a trace schema.
 
     Numeric literals become parameter leaves initialised to the literal.
-    Raises :class:`ParseError` for malformed text and
-    :class:`ProgramTypeError` for unknown symbols, arity or dimension
-    violations.
+    Raises :class:`ParseError` for malformed text or a literal that is not
+    finite, and :class:`ProgramTypeError` for unknown symbols, arity or
+    dimension violations.
     """
     tokens = _tokenize(text)
     if not tokens:
         raise ParseError("empty program text")
-    ast = _Parser(tokens, registry, _as_variables(schema)).parse_root()
-    check_program(ast, registry, schema)
-    return ast
-
-
-def check_program(ast: ProgramAst, registry: Registry, schema: object) -> None:
-    """Validate the structural invariants of a tree: root is an action,
-    signatures line up, parameter ids are unique, variables exist in the
-    schema with matching dimension."""
-    if ast.is_empty:
-        return
-    variables = _as_variables(schema)
-    seen_pids: set[int] = set()
-
-    def check(node: Node, want_dim: int | None) -> None:
-        if isinstance(node, ParamLeaf):
-            if node.pid in seen_pids:
-                raise ProgramTypeError(f"duplicate parameter id p{node.pid}")
-            seen_pids.add(node.pid)
-            if len(node.init) != node.dim:
-                raise ProgramTypeError(f"p{node.pid}: init length != dimension")
-            got = node.dim
-        elif isinstance(node, VarLeaf):
-            if node.name not in variables:
-                raise ProgramTypeError(f"unknown variable: {node.name}")
-            if variables[node.name] != node.dim:
-                raise ProgramTypeError(f"variable {node.name}: dimension mismatch")
-            got = node.dim
-        else:
-            spec = registry.spec(node.name)
-            if isinstance(node, ActionNode) != spec.is_action:
-                raise ProgramTypeError(f"{node.name}: action/function kind mismatch")
-            if len(node.children) != spec.arity:
-                raise ProgramTypeError(
-                    f"{node.name} takes {spec.arity} argument(s), got {len(node.children)}"
-                )
-            for child, d in zip(node.children, spec.arg_dims):
-                check(child, d)
-            got = spec.out_dim
-            if node.dim != got:
-                raise ProgramTypeError(f"{node.name}: node dimension mismatch")
-        if want_dim is not None and got != want_dim:
-            raise ProgramTypeError(f"expected dimension {want_dim}, got {got}")
-
-    if not isinstance(ast.root, ActionNode):
-        raise ProgramTypeError("program root must be an action")
-    check(ast.root, None)
+    return _Parser(tokens, registry, _as_variables(schema)).parse_root()

@@ -49,6 +49,7 @@ from .program import (
     _as_variables,
     canonical_key,
     complexity,
+    depth,
     initial_params,
     leaves,
     next_pid,
@@ -134,27 +135,18 @@ class CandidateQueue:
         return item, leaf_rank, n
 
 
-def matches(cand: Candidate, spec: ErrorSpec) -> bool:
-    """Acceptance test: the candidate's final execution covered the whole
-    trace with every step error within threshold and zero length error."""
-    return matches_trace(cand.opt.result, spec)
-
-
 def ranked_leaves(cand: Candidate) -> list[int]:
-    """Leaf node ids ordered by descending gradient norm; ties fall back to
-    leftmost-first (preorder) order."""
-    norms = cand.opt.grads.leaf_norms()
-    ids = [nid for nid, _ in leaves(cand.ast)]
-    return sorted(ids, key=lambda nid: (-norms.get(nid, 0.0), nid))
+    """Leaf node ids ordered by descending norm of the leaf's loss gradient,
+    summed over the executed steps; ties fall back to leftmost-first
+    (preorder) order."""
+    grads = cand.opt.grads
 
+    def norm(nid: int, leaf: ParamLeaf | VarLeaf) -> float:
+        if isinstance(leaf, ParamLeaf):
+            return float(np.linalg.norm(grads.params[leaf.pid]))
+        return float(np.linalg.norm(grads.slot_reads[nid].sum(axis=0)))
 
-def select_expansion_leaf(cand: Candidate) -> int:
-    """The leaf (parameter or variable slot) with the largest gradient
-    norm."""
-    ranked = ranked_leaves(cand)
-    if not ranked:
-        raise ValueError("candidate has no leaves to expand")
-    return ranked[0]
+    return [nid for _, nid in sorted((-norm(nid, leaf), nid) for nid, leaf in leaves(cand.ast))]
 
 
 def _derive_seed(*parts: object) -> int:
@@ -245,18 +237,6 @@ def expand_empty(registry: Registry, schema: object, run_seed: int) -> list[_Pro
     return protos
 
 
-def _node_depths(ast: ProgramAst) -> list[int]:
-    """Edges from the root to every node, by preorder id."""
-    depths = []
-    stack = [(ast.root, 0)]
-    while stack:
-        node, depth = stack.pop()
-        depths.append(depth)
-        if isinstance(node, (FunctionNode, ActionNode)):
-            stack.extend((child, depth + 1) for child in reversed(node.children))
-    return depths
-
-
 def expand(
     cand: Candidate,
     registry: Registry,
@@ -286,8 +266,9 @@ def expand(
     ]
     start, end = spans[position]
     prefix, suffix = cand.key[:start], cand.key[end:]
-    depths = _node_depths(cand.ast)
-    tree_depth = max(max(depths), depths[leaf_id] + 1)
+    # the leaf's depth is the number of applications still open before it
+    leaf_depth = prefix.count("(") - prefix.count(")")
+    tree_depth = max(depth(cand.ast), leaf_depth + 1)
     n_params = sum(isinstance(n, ParamLeaf) for _, n in tree_leaves) - isinstance(leaf, ParamLeaf)
     n_vars = len(tree_leaves) - 1 - n_params
     variables = _as_variables(trace.schema)
@@ -392,7 +373,7 @@ def induce(
             queue.push(optimise(cand, n), n=n)
             continue
         iterations += 1
-        if matches(cand, spec):
+        if matches_trace(cand.opt.result, spec):
             solution = cand
             break
         defer(expand(cand, registry, trace, config.seed, leaf_rank))

@@ -112,26 +112,6 @@ class ObservationTrace:
             cache["theta"] = out
         return cache["theta"]
 
-    def theta_dims(self) -> np.ndarray:
-        cache = self._cache()
-        if "theta_dims" not in cache:
-            cache["theta_dims"] = np.array([s.theta.shape[0] for s in self.steps])
-        return cache["theta_dims"]
-
-    def action_names(self) -> list[str]:
-        cache = self._cache()
-        if "names" not in cache:
-            cache["names"] = [s.action_name for s in self.steps]
-        return cache["names"]
-
-    def action_mask(self, name: str) -> np.ndarray:
-        """Boolean mask of steps whose observed action is ``name``."""
-        cache = self._cache()
-        key = ("mask", name)
-        if key not in cache:
-            cache[key] = np.array([nm == name for nm in self.action_names()])
-        return cache[key]
-
     def action_targets(
         self, name: str, dim: int
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
@@ -144,8 +124,8 @@ class ObservationTrace:
         key = ("targets", name, dim)
         targets = cache.get(key)
         if targets is None:
-            name_match = self.action_mask(name)
-            comparable = name_match & (self.theta_dims() == dim)
+            name_match = np.array([s.action_name == name for s in self.steps])
+            comparable = name_match & np.array([s.theta.shape[0] == dim for s in self.steps])
             targets = (self.theta_matrix()[:, :dim], name_match, comparable, bool(comparable.all()))
             cache[key] = targets
         return targets
@@ -182,7 +162,6 @@ class VariableIndex:
     """
 
     def __init__(self, trace: ObservationTrace):
-        self._length = trace.length
         self.names: dict[int, list[str]] = {}
         self.values: dict[int, np.ndarray] = {}
         by_dim: dict[int, list[str]] = {}
@@ -191,18 +170,6 @@ class VariableIndex:
         for dim, names in by_dim.items():
             self.names[dim] = names
             self.values[dim] = np.stack([trace.var_matrix(n) for n in names], axis=1)
-
-    def query(self, t: int, dim: int, point: np.ndarray) -> tuple[str, np.ndarray]:
-        """Nearest d-dimensional variable to ``point`` at timestep ``t``,
-        ties broken by ascending variable name."""
-        if dim not in self.names:
-            raise KeyError(f"no variable of dimension {dim}")
-        if not 1 <= t <= self._length:
-            raise IndexError(f"timestep {t} outside 1..{self._length}")
-        cands = self.values[dim][t - 1]  # (n_vars, d)
-        dist = np.linalg.norm(cands - np.asarray(point, dtype=float), axis=1)
-        j = int(np.argmin(dist))
-        return self.names[dim][j], cands[j]
 
     def query_steps(self, dim: int, points: np.ndarray) -> np.ndarray:
         """Vectorised query for timesteps 1..n: ``points`` has shape
@@ -213,7 +180,7 @@ class VariableIndex:
             raise KeyError(f"no variable of dimension {dim}")
         n = points.shape[-2]
         diff = self.values[dim][:n] - points[..., None, :]  # (..., n, n_vars, d)
-        # the arithmetic of np.linalg.norm(diff, axis=-1), so ties resolve alike
+        # the arithmetic of np.linalg.norm(diff, axis=-1) without its dispatch overhead
         return np.sqrt(np.add.reduce(diff * diff, axis=-1)).argmin(axis=-1)
 
 
@@ -240,13 +207,18 @@ def trace_from_dict(doc: dict) -> ObservationTrace:
         isinstance(sch, dict) and "variables" in sch and "actions" in sch,
         "schema needs variables and actions",
     )
-    try:
-        schema = TraceSchema(
-            {str(k): int(v) for k, v in sch["variables"].items()},
-            {str(k): int(v) for k, v in sch["actions"].items()},
-        )
-    except (TypeError, ValueError, AttributeError) as exc:
-        raise TraceFormatError(f"bad schema: {exc}") from None
+    for section in ("variables", "actions"):
+        _require(isinstance(sch[section], dict), f"schema {section} must be an object")
+        for name, dim in sch[section].items():
+            # bool is an int subclass, and int() would truncate 1.7 and parse "1"
+            _require(
+                type(dim) is int,
+                f"schema {section} {name!r}: dimension must be an integer, got {dim!r}",
+            )
+    schema = TraceSchema(
+        {str(k): v for k, v in sch["variables"].items()},
+        {str(k): v for k, v in sch["actions"].items()},
+    )
     steps = []
     _require(isinstance(doc["steps"], list), "steps must be an array")
     for raw in doc["steps"]:

@@ -1,0 +1,96 @@
+"""Every function and class defined at module level in ``tracesynth``, and
+every method other than a dunder, has a caller outside its own definition:
+in the package itself or in the benchmark harness under ``perfbench/``.
+Tests are not callers, so API that only tests use fails here.
+
+A reference is a name, an attribute, or an identifier inside a string
+constant that is not a docstring; the harness names the functions it
+wraps in strings such as ``"VariableIndex.query_steps"``.  A name
+re-exported by ``tracesynth/__init__.py`` is not referenced by that.
+"""
+
+from __future__ import annotations
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "tracesynth"
+SOURCES = sorted(
+    path
+    for folder in (PACKAGE, ROOT / "perfbench")
+    for path in folder.rglob("*.py")
+    if not path.name.startswith("test_")
+)
+IDENTIFIER = re.compile(r"[A-Za-z_]\w*")
+DEFINITION = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _docstrings(tree: ast.Module) -> set[int]:
+    """``id`` of every docstring constant in the tree."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, *DEFINITION)) and node.body:
+            first = node.body[0]
+            if isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant):
+                out.add(id(first.value))
+    return out
+
+
+def _references(tree: ast.Module) -> set[str]:
+    """Names the tree refers to, leaving out those made inside the
+    definition that binds the same name."""
+    docstrings = _docstrings(tree)
+    found: set[str] = set()
+
+    def visit(node: ast.AST, enclosing: tuple[str, ...]) -> None:
+        if isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names = [] if id(node) in docstrings else IDENTIFIER.findall(node.value)
+        else:
+            names = []
+        found.update(name for name in names if name not in enclosing)
+        if isinstance(node, DEFINITION):
+            enclosing = (*enclosing, node.name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, enclosing)
+
+    visit(tree, ())
+    return found
+
+
+def _definitions(path: Path, tree: ast.Module) -> list[tuple[str, str]]:
+    """``(qualified name, name)`` of the module's functions and classes and
+    of their classes' methods, dunders excepted."""
+    module = path.stem
+    out = []
+    for node in tree.body:
+        if not isinstance(node, DEFINITION):
+            continue
+        out.append((f"{module}.{node.name}", node.name))
+        if isinstance(node, ast.ClassDef):
+            out += [
+                (f"{module}.{node.name}.{item.name}", item.name)
+                for item in node.body
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and not (item.name.startswith("__") and item.name.endswith("__"))
+            ]
+    return out
+
+
+def test_every_definition_has_a_caller():
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+    referenced = set().union(*(_references(tree) for tree in trees.values()))
+    defined = [
+        definition
+        for path, tree in trees.items()
+        if path.parent == PACKAGE
+        for definition in _definitions(path, tree)
+    ]
+    assert defined
+    uncalled = [qualified for qualified, name in defined if name not in referenced]
+    assert uncalled == []

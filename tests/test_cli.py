@@ -85,6 +85,16 @@ class TestEval:
         prog.write_text("(accel (scale -9.8 nosuchvar))")
         assert run_cli(["eval", "--program", str(prog), "--trace", str(trace_path)]) == 2
 
+    @pytest.mark.parametrize("literal", ["nan", "inf", "-1e999"])
+    def test_non_finite_literal_rejected(self, tmp_path, capsys, literal):
+        trace_path = tmp_path / "p.trace"
+        run_cli(["simulate", "pendulum", "--out", str(trace_path)])
+        prog = tmp_path / "prog.sexp"
+        prog.write_text(f"(accel (scale {literal} x))")
+        capsys.readouterr()
+        assert run_cli(["eval", "--program", str(prog), "--trace", str(trace_path)]) == 2
+        assert "is not finite" in capsys.readouterr().err
+
     def test_missing_trace_file(self, tmp_path):
         prog = tmp_path / "prog.sexp"
         prog.write_text("(accel x)")
@@ -205,11 +215,20 @@ class TestInduce:
 
     def test_bad_config_field(self, small_trace, tmp_path):
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"no_such_field": 1}))
-        assert (
-            run_cli(["induce", "--trace", str(small_trace), "--config", str(cfg_path)])
-            == 2
-        )
+        # the optimiser's div_guard, tol and tol_window are not run settings
+        for field in ("no_such_field", "div_guard", "tol", "tol_window"):
+            cfg_path.write_text(json.dumps({field: 1}))
+            assert (
+                run_cli(["induce", "--trace", str(small_trace), "--config", str(cfg_path)])
+                == 2
+            )
+
+    @pytest.mark.parametrize("text", ["5", "null", "[]"])
+    def test_config_that_is_not_an_object_rejected(self, small_trace, tmp_path, capsys, text):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(text)
+        assert run_cli(["induce", "--trace", str(small_trace), "--config", str(cfg_path)]) == 2
+        assert "config must be a JSON object" in capsys.readouterr().err
 
     def test_report_programs_reparse_to_reported_loss(self, small_trace, tmp_path):
         out = tmp_path / "report.txt"
@@ -286,7 +305,7 @@ class TestInduce:
         assert run_cli(["induce", "--trace", str(small_trace), *flags]) == 2
         assert message in capsys.readouterr().err
 
-    @pytest.mark.parametrize("field", ["div_guard", "tol", "deadband"])
+    @pytest.mark.parametrize("field", ["max_step_error", "learning_rate", "deadband"])
     def test_non_finite_config_field_rejected(self, small_trace, tmp_path, capsys, field):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({field: float("nan")}))
@@ -296,7 +315,7 @@ class TestInduce:
     @pytest.mark.parametrize(
         "field, value, message",
         [
-            ("tol", "x", "tol must be of type float, not str"),
+            ("learning_rate", "x", "learning_rate must be of type float, not str"),
             ("max_iterations", 2.5, "max_iterations must be of type int, not float"),
             ("top_k", True, "top_k must be of type int, not bool"),
             ("error_model", 1, "error_model must be of type str, not int"),
@@ -325,3 +344,16 @@ class TestInduce:
         path.write_text(json.dumps(doc))
         assert run_cli(["induce", "--trace", str(path)]) == 2
         assert "must be an integer" in capsys.readouterr().err
+
+    # int() would load each of these as dimension 1
+    @pytest.mark.parametrize("dim", [1.7, "1", True])
+    @pytest.mark.parametrize("section, name", [("variables", "x"), ("actions", "accel")])
+    def test_non_integer_schema_dimension_rejected(
+        self, small_trace, tmp_path, capsys, section, name, dim
+    ):
+        doc = json.loads(small_trace.read_text())
+        doc["schema"][section][name] = dim
+        path = tmp_path / "bad.trace"
+        path.write_text(json.dumps(doc))
+        assert run_cli(["induce", "--trace", str(path)]) == 2
+        assert "dimension must be an integer" in capsys.readouterr().err

@@ -25,24 +25,12 @@ from tracesynth.program import canonical_key, initial_params, leaves
 from tests.conftest import assert_same_optimum, make_trace, sequential_optimize
 
 
-def _grads_for(ast, params=None, slot_rows=None):
+def _grads_for(params=None, slot_rows=None):
     """Hand-built Gradients for unit tests; slot rows are one per executed
     step."""
-    params = params or {}
-    slot_rows = slot_rows or {}
-    param_nodes = {}
-    slot_names = {}
-    for nid, leaf in leaves(ast):
-        if hasattr(leaf, "pid") and leaf.pid in params:
-            param_nodes[leaf.pid] = nid
-        if hasattr(leaf, "name") and nid in slot_rows:
-            slot_names[nid] = leaf.name
     return Gradients(
-        params={k: np.asarray(v, dtype=float) for k, v in params.items()},
-        param_nodes=param_nodes,
-        slot_reads={k: np.asarray(v, dtype=float) for k, v in slot_rows.items()},
-        slot_totals={k: np.asarray(v, dtype=float).sum(axis=0) for k, v in slot_rows.items()},
-        slot_names=slot_names,
+        params={k: np.asarray(v, dtype=float) for k, v in (params or {}).items()},
+        slot_reads={k: np.asarray(v, dtype=float) for k, v in (slot_rows or {}).items()},
     )
 
 
@@ -51,7 +39,7 @@ class TestAdagrad:
         ast = parse_program("(accel (scale 0.0 x))", scalar_registry, scalar_schema)
         cfg = OptimizeConfig(learning_rate=0.1)
         state = OptimizerState.fresh(ast, {0: np.array([0.0])}, cfg)
-        grads = _grads_for(ast, params={0: [2.0]})
+        grads = _grads_for(params={0: [2.0]})
         state = adagrad_step(state, grads)
         np.testing.assert_allclose(state.param_acc[0], [4.0])
         np.testing.assert_allclose(state.params[0], [-0.1], rtol=1e-6)
@@ -60,8 +48,8 @@ class TestAdagrad:
         ast = parse_program("(accel (scale 0.0 x))", scalar_registry, scalar_schema)
         cfg = OptimizeConfig(learning_rate=0.1)
         state = OptimizerState.fresh(ast, {0: np.array([0.0])}, cfg)
-        state = adagrad_step(state, _grads_for(ast, params={0: [2.0]}))
-        state = adagrad_step(state, _grads_for(ast, params={0: [1.0]}))
+        state = adagrad_step(state, _grads_for(params={0: [2.0]}))
+        state = adagrad_step(state, _grads_for(params={0: [1.0]}))
         np.testing.assert_allclose(state.param_acc[0], [5.0])
         np.testing.assert_allclose(
             state.params[0], [-0.1 - 0.1 / np.sqrt(5)], rtol=1e-6
@@ -71,7 +59,7 @@ class TestAdagrad:
         ast = parse_program("(accel (scale 0.7 x))", scalar_registry, scalar_schema)
         cfg = OptimizeConfig(learning_rate=0.1)
         state = OptimizerState.fresh(ast, {0: np.array([0.7])}, cfg)
-        state = adagrad_step(state, _grads_for(ast, params={0: [0.0]}))
+        state = adagrad_step(state, _grads_for(params={0: [0.0]}))
         np.testing.assert_array_equal(state.params[0], [0.7])
         np.testing.assert_array_equal(state.param_acc[0], [0.0])
 
@@ -92,7 +80,7 @@ class TestReassign:
         index = build_variable_index(trace)
         g = [[1.0], [1.0], [1.0]]
         new_ast, new_state, changed = reassign_variables(
-            ast, state, _grads_for(ast, slot_rows={nid: g}), index
+            ast, state, _grads_for(slot_rows={nid: g}), index
         )
         assert changed
         assert canonical_key(new_ast) == "(accel v)"
@@ -107,8 +95,8 @@ class TestReassign:
         ast = parse_program("(accel x)", scalar_registry, scalar_schema)
         state = OptimizerState.fresh(ast, {}, OptimizeConfig(learning_rate=0.2))
         (nid, _), = leaves(ast)
-        down = _grads_for(ast, slot_rows={nid: [[1.0], [1.0], [1.0]]})
-        up = _grads_for(ast, slot_rows={nid: [[-1.0], [-1.0], [-1.0]]})
+        down = _grads_for(slot_rows={nid: [[1.0], [1.0], [1.0]]})
+        up = _grads_for(slot_rows={nid: [[-1.0], [-1.0], [-1.0]]})
         trees = {}
         to_v, state, changed = reassign_variables(ast, state, down, index, trees)
         assert changed and canonical_key(to_v) == "(accel v)"
@@ -125,7 +113,7 @@ class TestReassign:
         state = OptimizerState.fresh(ast, {}, OptimizeConfig())
         (nid, _), = leaves(ast)
         new_ast, _, changed = reassign_variables(
-            ast, state, _grads_for(ast, slot_rows={nid: [[0.0], [0.0]]}), index
+            ast, state, _grads_for(slot_rows={nid: [[0.0], [0.0]]}), index
         )
         assert not changed
         assert canonical_key(new_ast) == "(accel x)"
@@ -140,7 +128,7 @@ class TestReassign:
         state = OptimizerState.fresh(ast, {}, OptimizeConfig())
         (nid, _), = leaves(ast)
         _, _, changed = reassign_variables(
-            ast, state, _grads_for(ast, slot_rows={nid: [[5.0], [5.0]]}), index
+            ast, state, _grads_for(slot_rows={nid: [[5.0], [5.0]]}), index
         )
         assert not changed
 
@@ -159,7 +147,7 @@ class TestReassign:
         votes = [index.names[1][j] for j in index.query_steps(1, adjusted)]
         assert votes == ["x", "v"]
         new_ast, _, changed = reassign_variables(
-            ast, state, _grads_for(ast, slot_rows={nid: g}), index
+            ast, state, _grads_for(slot_rows={nid: g}), index
         )
         assert not changed
         assert canonical_key(new_ast) == "(accel x)"
@@ -170,7 +158,7 @@ class TestReassign:
         ast = parse_program("(accel x)", scalar_registry, scalar_schema)
         state = OptimizerState.fresh(ast, {}, OptimizeConfig(learning_rate=0.01))
         (nid, _), = leaves(ast)
-        g = _grads_for(ast, slot_rows={nid: [[1.0], [1.0]]})
+        g = _grads_for(slot_rows={nid: [[1.0], [1.0]]})
         _, state, changed = reassign_variables(ast, state, g, index)
         assert not changed
         np.testing.assert_allclose(state.slot_acc[nid], [[1.0], [1.0]])
@@ -190,7 +178,7 @@ class TestReassign:
             ([[3.0], [3.0]], [[14.0], [13.0], [4.0]]),
         ):
             _, state, changed = reassign_variables(
-                ast, state, _grads_for(ast, slot_rows={nid: rows}), index
+                ast, state, _grads_for(slot_rows={nid: rows}), index
             )
             assert not changed
             np.testing.assert_array_equal(state.slot_acc[nid], want)
@@ -284,15 +272,24 @@ def _pendulum_trace():
 
 @pytest.fixture
 def look_aheads(monkeypatch):
-    """(iterations before, blocks, blocks accepted) of every look-ahead."""
+    """(iterations before, blocks, blocks accepted) of every look-ahead of
+    one ``optimize`` call.  The iterations before a look-ahead are the plain
+    ones, one ``execute`` call each, and the blocks accepted before it."""
     out = []
-    look_ahead = optimizer._look_ahead
+    executes = [0]
+    execute, look_ahead = optimizer.execute, optimizer._look_ahead
+
+    def counting(*args, **kwargs):
+        executes[0] += 1
+        return execute(*args, **kwargs)
 
     def recording(ast, state, grads, n, blocks, *args):
         ahead = look_ahead(ast, state, grads, n, blocks, *args)
-        out.append((state.iteration, blocks, ahead.accepted))
+        start = executes[0] + sum(accepted for _, _, accepted in out)
+        out.append((start, blocks, ahead.accepted))
         return ahead
 
+    monkeypatch.setattr(optimizer, "execute", counting)
     monkeypatch.setattr(optimizer, "_look_ahead", recording)
     return out
 
@@ -316,7 +313,7 @@ class TestLookAhead:
             state = OptimizerState.fresh(ast, {0: rng.normal(size=1)}, OptimizeConfig())
             if acc is not None:
                 state.param_acc[0] = acc
-            g = _grads_for(ast, params={0: [rng.normal()]})
+            g = _grads_for(params={0: [rng.normal()]})
             walk, totals = adagrad_walk(state.params[0], acc, g.params[0], 6, 0.2, 1e-8)
             assert walk[0].tobytes() == state.params[0].tobytes()
             for j in range(6):
@@ -346,7 +343,7 @@ class TestLookAhead:
             if old is not None:
                 state.slot_acc[nid] = old
             for k in range(5):
-                grads = _grads_for(ast, slot_rows={nid: rows[k]})
+                grads = _grads_for(slot_rows={nid: rows[k]})
                 _, state, changed = reassign_variables(ast, state, grads, index)
                 assert bool(renames[k]) == changed
                 if changed:

@@ -59,6 +59,11 @@ class TestParse:
     def test_empty(self, scalar_registry, scalar_schema):
         assert parse_program("()", scalar_registry, scalar_schema).is_empty
 
+    def test_non_finite_vector_literal(self):
+        registry = standard_registry({"u": 2}, {"go": 2})
+        with pytest.raises(ParseError, match="not finite"):
+            parse_program("(go (add2 u [1.0 nan]))", registry, {"u": 2})
+
 
 class TestPrint:
     def test_fixed_precision(self, scalar_registry, scalar_schema):

@@ -16,9 +16,8 @@ from tracesynth import (
     enumerate_programs,
     execute,
     induce,
-    matches,
+    matches_trace,
     parse_program,
-    select_expansion_leaf,
     simulate_paddle,
     simulate_second_order,
     standard_registry,
@@ -43,17 +42,14 @@ def _candidate(ast, registry, trace, norms=None, params=None, spec=None):
     result = execute(ast, params, trace, registry, spec)
     slot_leaves = leaves(ast)
     norms = norms or {}
-    param_grads, param_nodes, slot_tot, slot_names, slot_reads = {}, {}, {}, {}, {}
+    param_grads, slot_reads = {}, {}
     for nid, leaf in slot_leaves:
         g = np.array([norms.get(nid, 0.0)])
         if hasattr(leaf, "pid"):
             param_grads[leaf.pid] = g
-            param_nodes[leaf.pid] = nid
         else:
-            slot_tot[nid] = g
-            slot_names[nid] = leaf.name
             slot_reads[nid] = g.reshape(1, 1)
-    grads = Gradients(param_grads, param_nodes, slot_reads, slot_tot, slot_names)
+    grads = Gradients(param_grads, slot_reads)
     opt = OptimizedCandidate(ast, params, result, grads, iterations=0, stop="fixed")
     cost = complexity(ast)
     return Candidate(opt, result.loss, cost, cost + result.loss, canonical_key(ast), None, None, 0)
@@ -68,21 +64,21 @@ class TestLeafSelection:
         cand = _candidate(
             ast, scalar_registry, trace, norms={ids[0]: 0.02, ids[1]: 1.4, ids[2]: 0.3}
         )
-        assert select_expansion_leaf(cand) == ids[1]
+        assert ranked_leaves(cand)[0] == ids[1]
 
     def test_all_zero_leftmost(self, scalar_registry, scalar_schema):
         trace = make_trace({"x": [1.0], "v": [1.0]}, [1.0])
         ast = parse_program("(accel (add x v))", scalar_registry, scalar_schema)
         ids = [nid for nid, _ in leaves(ast)]
         cand = _candidate(ast, scalar_registry, trace)
-        assert select_expansion_leaf(cand) == min(ids)
+        assert ranked_leaves(cand)[0] == min(ids)
 
     def test_single_leaf(self, scalar_registry, scalar_schema):
         trace = make_trace({"x": [1.0], "v": [1.0]}, [1.0])
         ast = parse_program("(accel x)", scalar_registry, scalar_schema)
         (nid, _), = leaves(ast)
         cand = _candidate(ast, scalar_registry, trace, norms={nid: 5.0})
-        assert select_expansion_leaf(cand) == nid
+        assert ranked_leaves(cand)[0] == nid
 
 
 class TestExpand:
@@ -125,7 +121,7 @@ class TestExpand:
         ast = parse_program("(accel (add x 0.5))", scalar_registry, scalar_schema)
         ids = [nid for nid, _ in leaves(ast)]
         cand = _candidate(ast, scalar_registry, trace, norms={ids[0]: 9.0})
-        selected = select_expansion_leaf(cand)
+        selected = ranked_leaves(cand)[0]
         for proto in expand(cand, scalar_registry, trace, run_seed=1):
             # the selected leaf is replaced by a depth-1 application
             parent_nodes = dict(leaves(cand.ast))
@@ -152,7 +148,7 @@ class TestExpand:
         # select the variable leaf so the param leaf survives
         cand = _candidate(ast, scalar_registry, trace, norms={ids[0]: 9.0})
         tuned = dict(cand.opt.params)
-        assert select_expansion_leaf(cand) == ids[0]
+        assert ranked_leaves(cand)[0] == ids[0]
         for proto in expand(cand, scalar_registry, trace, run_seed=1):
             for pid, val in tuned.items():
                 if pid in proto.params:
@@ -252,21 +248,21 @@ class TestMatches:
         ast = parse_program("(accel x)", scalar_registry, scalar_schema)
         spec = ErrorSpec()
         cand = _candidate(ast, scalar_registry, trace, spec=spec)
-        assert matches(cand, spec)
+        assert matches_trace(cand.opt.result, spec)
 
     def test_early_termination_false(self, scalar_registry, scalar_schema):
         trace = make_trace({"x": [5.0, 2.0], "v": [0, 0]}, [1.0, 2.0])
         ast = parse_program("(accel x)", scalar_registry, scalar_schema)
         spec = ErrorSpec(max_step_error=0.1)
         cand = _candidate(ast, scalar_registry, trace, spec=spec)
-        assert not matches(cand, spec)
+        assert not matches_trace(cand.opt.result, spec)
 
     def test_boundary_inclusive(self, scalar_registry, scalar_schema):
         trace = make_trace({"x": [1.5], "v": [0]}, [1.0])
         ast = parse_program("(accel x)", scalar_registry, scalar_schema)
         spec = ErrorSpec(max_step_error=0.5)
         cand = _candidate(ast, scalar_registry, trace, spec=spec)
-        assert matches(cand, spec)
+        assert matches_trace(cand.opt.result, spec)
 
 
 def brute_force_structures(registry, variables, max_depth):

@@ -102,38 +102,42 @@ class TestMemory:
             np.testing.assert_array_equal(a.variables[k], b.variables[k])
 
 
+def _nearest(index, dim, points):
+    """Name of the nearest variable to ``points[t - 1]`` at each timestep
+    t = 1..n."""
+    return [index.names[dim][j] for j in index.query_steps(dim, np.asarray(points, dtype=float))]
+
+
 class TestNearestVariable:
     def test_closer_variable_wins(self):
         trace = make_trace({"x": [0.5], "v": [-1.2]}, [0.0])
         index = build_variable_index(trace)
-        name, value = index.query(1, 1, np.array([-1.0]))
-        assert name == "v"
-        np.testing.assert_allclose(value, [-1.2])
+        (winner,) = index.query_steps(1, np.array([[-1.0]]))
+        assert index.names[1][winner] == "v"
+        np.testing.assert_allclose(index.values[1][0, winner], [-1.2])
 
     def test_exact_hit(self):
         trace = make_trace({"x": [0.5], "v": [-1.2]}, [0.0])
         index = build_variable_index(trace)
-        name, _ = index.query(1, 1, np.array([0.5]))
-        assert name == "x"
+        assert _nearest(index, 1, [[0.5]]) == ["x"]
 
     def test_tie_breaks_by_name(self):
         trace = make_trace({"x": [0.3], "v": [-0.3]}, [0.0])
         index = build_variable_index(trace)
-        name, value = index.query(1, 1, np.array([0.0]))
-        assert name == "v"
-        np.testing.assert_allclose(value, [-0.3])
+        (winner,) = index.query_steps(1, np.array([[0.0]]))
+        assert index.names[1][winner] == "v"
+        np.testing.assert_allclose(index.values[1][0, winner], [-0.3])
 
     def test_singleton_schema(self):
         trace = make_trace({"x": [0.1, 0.2]}, [0, 0])
         index = build_variable_index(trace)
-        for t in (1, 2):
-            assert index.query(t, 1, np.array([99.0]))[0] == "x"
+        assert _nearest(index, 1, [[99.0], [99.0]]) == ["x", "x"]
 
     def test_no_variable_of_dimension(self):
         trace = make_trace({"x": [0.1]}, [0])
         index = build_variable_index(trace)
         with pytest.raises(KeyError):
-            index.query(1, 3, np.zeros(3))
+            index.query_steps(3, np.zeros((1, 3)))
 
     def test_matches_linear_scan(self):
         rng = np.random.default_rng(0)
@@ -142,27 +146,15 @@ class TestNearestVariable:
         values = {n: rng.normal(size=T).tolist() for n in names}
         trace = make_trace(values, [0.0] * T)
         index = build_variable_index(trace)
-        for _ in range(200):
-            t = int(rng.integers(1, T + 1))
-            q = rng.normal(size=1)
-            got, _ = index.query(t, 1, q)
-            dists = {n: abs(trace.steps[t - 1].vars[n][0] - q[0]) for n in names}
-            best = min(dists.values())
-            want = min(n for n in names if dists[n] == best)
-            assert got == want
-
-    def test_query_steps_agrees_with_query(self):
-        rng = np.random.default_rng(1)
-        trace = make_trace(
-            {"x": rng.normal(size=10).tolist(), "v": rng.normal(size=10).tolist()},
-            [0.0] * 10,
-        )
-        index = build_variable_index(trace)
-        points = rng.normal(size=(10, 1))
-        winners = index.query_steps(1, points)
-        for t in range(10):
-            name, _ = index.query(t + 1, 1, points[t])
-            assert index.names[1][winners[t]] == name
+        for _ in range(8):
+            n = int(rng.integers(1, T + 1))
+            points = rng.normal(size=(n, 1))
+            got = _nearest(index, 1, points)
+            for t in range(1, n + 1):
+                q = points[t - 1, 0]
+                dists = {name: abs(trace.steps[t - 1].vars[name][0] - q) for name in names}
+                best = min(dists.values())
+                assert got[t - 1] == min(name for name in names if dists[name] == best)
 
     def test_query_steps_takes_leading_axes(self):
         rng = np.random.default_rng(2)
