@@ -76,8 +76,10 @@ class ErrorSpec:
 
     ``act_error``/``act_error_grad`` operate on (n, D) arrays of predicted
     and observed action parameters.  ``max_step_error`` is the per-step
-    threshold above which execution terminates.  A mismatch of action names
-    adds ``max_step_error + 1`` to that step's error, forcing termination.
+    threshold above which execution terminates.  A step whose observed
+    action has another name than the program's root action has the error
+    ``max_step_error + 1`` alone, with zero gradient: ``act_error`` is not
+    applied to it, and execution terminates there.
 
     Contract: ``act_error`` and ``len_error`` are never negative, so a loss
     is never negative and a program's complexity is a lower bound on its
@@ -92,33 +94,34 @@ class ErrorSpec:
     max_step_error: float = 0.05
 
 
-def discretized_error_spec(deadband: float, max_step_error: float = 0.02) -> ErrorSpec:
+def discretized_error_spec(deadband: float, max_step_error: float) -> ErrorSpec:
     """Error model for traces whose actions are discretised to {-1, 0, +1}
     by a deadband rule.
 
     The per-step error is the distance from the predicted value to the
-    region that discretises to the observed class (componentwise): zero for
-    a correctly classified prediction, otherwise how far the prediction
-    must move to classify correctly.  Correctly classified steps therefore
-    contribute no gradient, and every misclassified step pulls with unit
-    slope toward its class boundary; a match means every step classifies
-    within ``max_step_error`` of its region.
+    region that discretises to the observed class (componentwise), plus
+    ``max_step_error + 1`` where ``discretize_actions`` puts the prediction
+    in another class, as on the ±deadband boundary, whose distance is 0.
+    A step within ``max_step_error`` is therefore correctly classified.
+    Correctly classified steps contribute no gradient, and every
+    misclassified step, the boundary included, pulls with unit slope
+    toward its class region.
     """
 
-    def class_gap(theta_hat: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    def err(theta_hat: np.ndarray, theta: np.ndarray) -> np.ndarray:
         # distance below the +deadband boundary (theta=+1), above the
         # -deadband boundary (theta=-1), or outside the deadband (theta=0)
         gap_pos = np.maximum(0.0, deadband - theta_hat)
         gap_neg = np.maximum(0.0, theta_hat + deadband)
         gap_zero = np.maximum(0.0, np.abs(theta_hat) - deadband)
-        return np.where(theta > 0.5, gap_pos, np.where(theta < -0.5, gap_neg, gap_zero))
-
-    def err(theta_hat: np.ndarray, theta: np.ndarray) -> np.ndarray:
-        return class_gap(theta_hat, theta).sum(axis=1)
+        gap = np.where(theta > 0.5, gap_pos, np.where(theta < -0.5, gap_neg, gap_zero))
+        # the observed class is theta's sign where |theta| > 0.5, as above
+        wrong = discretize_actions(theta_hat, deadband) != discretize_actions(theta, 0.5)
+        return gap.sum(axis=1) + np.where(wrong.any(axis=1), max_step_error + 1.0, 0.0)
 
     def err_grad(theta_hat: np.ndarray, theta: np.ndarray) -> np.ndarray:
-        grad_pos = np.where(theta_hat < deadband, -1.0, 0.0)
-        grad_neg = np.where(theta_hat > -deadband, 1.0, 0.0)
+        grad_pos = np.where(theta_hat <= deadband, -1.0, 0.0)
+        grad_neg = np.where(theta_hat >= -deadband, 1.0, 0.0)
         grad_zero = np.where(np.abs(theta_hat) > deadband, np.sign(theta_hat), 0.0)
         return np.where(theta > 0.5, grad_pos, np.where(theta < -0.5, grad_neg, grad_zero))
 
@@ -203,10 +206,9 @@ class ExecutionResult:
     belong to the execution.  ``autodiff.backward`` reads those rows.
     """
 
-    action_name: str
     theta_hat: np.ndarray  # (T', D) predicted action parameters
     theta_obs: np.ndarray  # (T', D) observed targets over the executed prefix
-    name_mask: np.ndarray  # (T',) executed steps whose observed action is action_name
+    name_mask: np.ndarray  # (T',) executed steps whose observed action is the root's
     step_errors: np.ndarray  # (T',) per-step action errors
     length_error: float
     loss: float
@@ -291,20 +293,17 @@ def action_errors(
     out: np.ndarray,
     theta_obs: np.ndarray,
     name_match: np.ndarray,
-    comparable: np.ndarray,
-    all_comparable: bool,
+    all_match: bool,
     spec: ErrorSpec,
 ) -> np.ndarray:
     """Per-row error of predicted action parameters against the targets of
     ``ObservationTrace.action_targets``: the error model's where the
-    dimensions agree, plus ``max_step_error + 1`` where the observed action
-    has another name."""
-    if all_comparable:
+    observed action has the predicted one's name, and ``max_step_error +
+    1`` alone where it has another."""
+    if all_match:
         return spec.act_error(out, theta_obs)
-    errors = np.zeros(out.shape[0])
-    if comparable.any():
-        errors[comparable] = spec.act_error(out[comparable], theta_obs[comparable])
-    errors[~name_match] += spec.max_step_error + 1.0
+    errors = np.full(out.shape[0], spec.max_step_error + 1.0)
+    errors[name_match] = spec.act_error(out[name_match], theta_obs[name_match])
     return errors
 
 
@@ -329,11 +328,8 @@ def execute(
     values = forward(tape, trace.var_matrices(), params, T)
     out = values[-1]
 
-    root_name = ast.root.name
-    theta_obs, name_match, comparable, all_comparable = trace.action_targets(
-        root_name, ast.root.dim
-    )
-    errors = action_errors(out, theta_obs, name_match, comparable, all_comparable, spec)
+    theta_obs, name_match, all_match = trace.action_targets(ast.root.name, ast.root.dim)
+    errors = action_errors(out, theta_obs, name_match, all_match, spec)
 
     # NaN compares false with everything, so it must fail the test, not pass it
     over = (~(errors <= spec.max_step_error)).nonzero()[0]
@@ -347,7 +343,6 @@ def execute(
     if math.isnan(loss):
         loss = math.inf  # NaN would break the order of the search queue
     return ExecutionResult(
-        action_name=root_name,
         theta_hat=out[:executed],
         theta_obs=theta_obs[:executed],
         name_mask=name_match[:executed],
@@ -362,11 +357,8 @@ def execute(
     )
 
 
-def matches_trace(result: ExecutionResult, spec: ErrorSpec) -> bool:
-    """True iff execution covered the whole trace, no step error exceeded
-    the threshold, and the length error is zero."""
-    return (
-        result.executed_len == result.observed_len
-        and bool((result.step_errors <= spec.max_step_error).all())
-        and result.length_error == 0.0
-    )
+def matches_trace(result: ExecutionResult) -> bool:
+    """True iff execution covered the whole trace without a step error
+    over the threshold, i.e. ``execute`` did not stop early, and the length
+    error is zero."""
+    return not result.terminated_early and result.length_error == 0.0

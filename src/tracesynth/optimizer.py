@@ -49,15 +49,18 @@ FIRST_BLOCKS = 4
 # most rows (blocks x executed steps) in one look-ahead pass, which keeps
 # its arrays to a few hundred kilobytes
 ROW_BUDGET = 4096
+# added under the square root of every AdaGrad accumulator
+DIV_GUARD = 1e-8
+# a relative loss improvement below TOL is stagnant; TOL_WINDOW stagnant
+# iterations in a row stop the optimiser
+TOL = 1e-9
+TOL_WINDOW = 10
 
 
 @dataclass(frozen=True)
 class OptimizeConfig:
     learning_rate: float = 0.2
-    div_guard: float = 1e-8  # added under the square root of the accumulator
     max_opt_iters: int = 1500
-    tol: float = 1e-9  # relative loss improvement considered stagnant
-    tol_window: int = 10  # consecutive stagnant iterations before stopping
 
 
 @dataclass
@@ -70,15 +73,14 @@ class OptimizerState:
     is relaxed into its own temporary value), shaped like the per-read
     gradient rows.  An absent entry means an accumulator of zeros, so a
     fresh state and a state reset by a re-binding hold empty dicts.
-    ``learning_rate`` and ``div_guard`` are the AdaGrad step size and the
-    constant added under its square root, taken from the ``OptimizeConfig``.
+    ``learning_rate`` is the AdaGrad step size, taken from the
+    ``OptimizeConfig``.
     """
 
     params: dict[int, np.ndarray]
     param_acc: dict[int, np.ndarray]
     slot_acc: dict[int, np.ndarray]
     learning_rate: float
-    div_guard: float
 
     @classmethod
     def fresh(
@@ -89,7 +91,6 @@ class OptimizerState:
             param_acc={},
             slot_acc={},
             learning_rate=config.learning_rate,
-            div_guard=config.div_guard,
         )
 
 
@@ -101,8 +102,8 @@ def adagrad_step(state: OptimizerState, grads: Gradients) -> OptimizerState:
         # an absent accumulator is zero, and 0.0 + x == x bit for bit
         total = g * g if pid not in acc else acc[pid] + g * g
         acc[pid] = total
-        params[pid] = params[pid] - state.learning_rate * g / np.sqrt(total + state.div_guard)
-    return OptimizerState(params, acc, state.slot_acc, state.learning_rate, state.div_guard)
+        params[pid] = params[pid] - state.learning_rate * g / np.sqrt(total + DIV_GUARD)
+    return OptimizerState(params, acc, state.slot_acc, state.learning_rate)
 
 
 def adagrad_walk(
@@ -111,7 +112,6 @@ def adagrad_walk(
     g: np.ndarray,
     steps: int,
     learning_rate: float,
-    div_guard: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """``steps`` AdaGrad updates of one parameter, all with the gradient
     ``g``, as ``adagrad_step`` makes them one at a time.  Returns the
@@ -131,7 +131,7 @@ def adagrad_walk(
     np.add.accumulate(totals, axis=0, out=totals)
     moves = np.empty((steps + 1,) + sq.shape)
     moves[0] = param
-    moves[1:] = learning_rate * g / np.sqrt(totals + div_guard)
+    moves[1:] = learning_rate * g / np.sqrt(totals + DIV_GUARD)
     return np.subtract.accumulate(moves, axis=0, out=moves), totals
 
 
@@ -185,7 +185,6 @@ def _renames(
     g_rows: np.ndarray,
     acc: np.ndarray,
     learning_rate: float,
-    div_guard: float,
 ) -> np.ndarray:
     """Whether each of K blocks of read gradients re-binds a variable leaf
     bound to ``index.names[leaf.dim][column]``, by the vote of
@@ -198,7 +197,7 @@ def _renames(
     """
     K, n = g_rows.shape[:2]
     values = index.values[leaf.dim][:n, column]
-    adjusted = values - learning_rate * g_rows / np.sqrt(acc + div_guard)
+    adjusted = values - learning_rate * g_rows / np.sqrt(acc + DIV_GUARD)
     nearest = index.query_steps(leaf.dim, adjusted)  # (K, n)
     votes = np.add.reduce(nearest[..., None] == np.arange(len(index.names[leaf.dim])), axis=1)
     top = np.sort(votes, axis=1)
@@ -253,7 +252,7 @@ def reassign_variables(
             # zero gradient leaves every virtual read at the variable itself
             continue
         values = index.values[leaf.dim][:n, column]
-        adjusted = values - state.learning_rate * g_rows / np.sqrt(acc[:n] + state.div_guard)
+        adjusted = values - state.learning_rate * g_rows / np.sqrt(acc[:n] + DIV_GUARD)
         # votes per variable; a handful of entries, so plain lists are cheapest
         votes = np.bincount(index.query_steps(leaf.dim, adjusted)).tolist()
         top = max(votes)
@@ -262,9 +261,7 @@ def reassign_variables(
             renames[nid] = VarLeaf(names[winner], leaf.dim)
 
     if not renames:
-        kept = OptimizerState(
-            state.params, state.param_acc, slot_acc, state.learning_rate, state.div_guard
-        )
+        kept = OptimizerState(state.params, state.param_acc, slot_acc, state.learning_rate)
         return ast, kept, False
     trees = {} if trees is None else trees
     trees.setdefault(binding, ast)
@@ -277,7 +274,7 @@ def reassign_variables(
         for nid, leaf in renames.items():
             rebound = replace_node(rebound, nid, leaf)
         trees[new_binding] = rebound
-    reset = OptimizerState(state.params, {}, {}, state.learning_rate, state.div_guard)
+    reset = OptimizerState(state.params, {}, {}, state.learning_rate)
     return rebound, reset, True
 
 
@@ -324,9 +321,7 @@ class _Lookahead:
         slot_acc = dict(state.slot_acc)
         for nid, folded in self.slot_acc.items():
             slot_acc[nid] = _with_tail(folded[j - 1], state.slot_acc.get(nid))
-        return OptimizerState(
-            self.params(state, j), acc, slot_acc, state.learning_rate, state.div_guard
-        )
+        return OptimizerState(self.params(state, j), acc, slot_acc, state.learning_rate)
 
 
 def _look_ahead(
@@ -351,9 +346,9 @@ def _look_ahead(
     its vote, with the slot accumulators folded over the blocks before it,
     re-binds no leaf.
     """
-    lr, guard = state.learning_rate, state.div_guard
+    lr = state.learning_rate
     walks = {
-        pid: adagrad_walk(state.params[pid], state.param_acc.get(pid), g, blocks, lr, guard)
+        pid: adagrad_walk(state.params[pid], state.param_acc.get(pid), g, blocks, lr)
         for pid, g in grads.params.items()
     }
     tape = compile_tape(ast, registry)
@@ -369,12 +364,10 @@ def _look_ahead(
     params = {pid: np.repeat(walk[:blocks], n, axis=0) for pid, (walk, _) in walks.items()}
     values = forward(tape, variables, params, rows)
 
-    theta_obs, name_match, comparable, all_comparable = trace.action_targets(
-        ast.root.name, ast.root.dim
-    )
-    theta_obs, name_match, comparable = map(stacked, (theta_obs, name_match, comparable))
+    theta_obs, name_match, all_match = trace.action_targets(ast.root.name, ast.root.dim)
+    theta_obs, name_match = stacked(theta_obs), stacked(name_match)
     out = values[-1]
-    errors = action_errors(out, theta_obs, name_match, comparable, all_comparable, spec)
+    errors = action_errors(out, theta_obs, name_match, all_match, spec)
     # NaN fails the test, as in ``execute``
     within = (errors <= spec.max_step_error).reshape(blocks, n)
     holds = within[:, :-1].all(axis=1) & ~within[:, -1]
@@ -395,7 +388,7 @@ def _look_ahead(
     for nid, leaf, _, column in rebindable_leaves(ast, index)[1]:
         g_rows = slot_rows[nid]
         slot_acc[nid] = acc = _fold_slot(state.slot_acc.get(nid), g_rows * g_rows)
-        holds &= ~_renames(index, leaf, column, g_rows, acc, lr, guard)
+        holds &= ~_renames(index, leaf, column, g_rows, acc, lr)
     accepted = blocks if holds.all() else int(holds.argmin())
     return _Lookahead(losses.tolist(), accepted, walks, slot_acc)
 
@@ -468,7 +461,7 @@ def optimize(
         # does not count as progress for the stagnation stop
         if best_key is not None and key[:2] == best_key[:2]:
             rel = (best_key[2] - key[2]) / max(abs(best_key[2]), 1e-300)
-            stagnant = 0 if rel >= config.tol else stagnant + 1
+            stagnant = 0 if rel >= TOL else stagnant + 1
         else:
             stagnant = 0
         best_key = key
@@ -506,11 +499,11 @@ def optimize(
                 iterations += 1
                 if improves((1, -n, ahead.losses[j])):
                     newest = j
-                if stagnant >= config.tol_window:
+                if stagnant >= TOL_WINDOW:
                     break
             if newest is not None:
                 best = (ast, ahead.params(state, newest), None)
-            if stagnant >= config.tol_window:
+            if stagnant >= TOL_WINDOW:
                 return finish("stagnant")
             state = ahead.state(state, ahead.accepted)
             fruitless = ahead.accepted == 0
@@ -522,7 +515,7 @@ def optimize(
             continue
         result = execute(ast, state.params, trace, registry, spec)
         iterations += 1
-        matched = matches_trace(result, spec)
+        matched = matches_trace(result)
         if improves((0 if matched else 1, -result.executed_len, result.loss)):
             # adagrad_step never updates parameter arrays in place
             best = (ast, dict(state.params), result)
@@ -530,7 +523,7 @@ def optimize(
             return finish("matched")
         if not free:
             return finish("fixed")
-        if stagnant >= config.tol_window:
+        if stagnant >= TOL_WINDOW:
             return finish("stagnant")
         grads = backward(result, spec)
         state = adagrad_step(state, grads)

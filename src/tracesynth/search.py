@@ -373,7 +373,7 @@ def induce(
             queue.push(optimise(cand, n), n=n)
             continue
         iterations += 1
-        if matches_trace(cand.opt.result, spec):
+        if matches_trace(cand.opt.result):
             solution = cand
             break
         defer(expand(cand, registry, trace, config.seed, leaf_rank))

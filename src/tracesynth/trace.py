@@ -112,21 +112,23 @@ class ObservationTrace:
             cache["theta"] = out
         return cache["theta"]
 
-    def action_targets(
-        self, name: str, dim: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
+    def action_targets(self, name: str, dim: int) -> tuple[np.ndarray, np.ndarray, bool]:
         """What a program whose root is action ``name`` of dimension ``dim``
         is compared against: the observed parameters (T, dim), the mask of
-        steps whose observed action is ``name``, the mask of those whose
-        parameters also have dimension ``dim``, and whether every step is
-        comparable."""
+        steps whose observed action is ``name``, and whether that is every
+        step.  Raises ``ValueError`` if the schema gives ``name`` another
+        dimension."""
         cache = self._cache()
         key = ("targets", name, dim)
         targets = cache.get(key)
         if targets is None:
+            if self.schema.actions.get(name, dim) != dim:
+                raise ValueError(
+                    f"action {name} has dimension {self.schema.actions[name]} in the trace"
+                    f" schema, not {dim}"
+                )
             name_match = np.array([s.action_name == name for s in self.steps])
-            comparable = name_match & np.array([s.theta.shape[0] == dim for s in self.steps])
-            targets = (self.theta_matrix()[:, :dim], name_match, comparable, bool(comparable.all()))
+            targets = (self.theta_matrix()[:, :dim], name_match, bool(name_match.all()))
             cache[key] = targets
         return targets
 

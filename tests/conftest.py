@@ -51,10 +51,12 @@ from tracesynth import (
 def make_trace(
     var_values: dict[str, list],
     thetas: list,
-    action: str = "accel",
+    action: str | list[str] = "accel",
     actions: dict[str, int] | None = None,
 ) -> ObservationTrace:
-    """Build a trace from per-variable value lists and per-step theta rows."""
+    """Build a trace from per-variable value lists and per-step theta rows;
+    ``action`` is the action name of every step, or a list of one per
+    step."""
     names = sorted(var_values)
     length = len(thetas)
     variables = {}
@@ -64,12 +66,13 @@ def make_trace(
         variables[name] = rows
     schema_vars = {name: variables[name][0].shape[0] for name in names}
     theta_rows = [np.atleast_1d(np.asarray(t, dtype=float)) for t in thetas]
-    schema_actions = actions or {action: theta_rows[0].shape[0]}
+    action_names = [action] * length if isinstance(action, str) else action
+    schema_actions = actions or {action_names[0]: theta_rows[0].shape[0]}
     steps = tuple(
         TraceStep(
             t=i + 1,
             vars={name: variables[name][i] for name in names},
-            action_name=action,
+            action_name=action_names[i],
             theta=theta_rows[i],
         )
         for i in range(length)
@@ -129,16 +132,30 @@ def reference_loss(
         if override is not None and override[0] == step.t:
             ov = {override[1]: override[2]}
         theta_hat = eval_program_at(ast, registry, params, step.vars, ov)
-        err = float(
-            spec.act_error(theta_hat.reshape(1, -1), step.theta.reshape(1, -1))[0]
-        )
         if step.action_name != ast.root.name:
-            err += spec.max_step_error + 1.0
+            # the flat penalty alone: the error model compares one action's
+            # parameters only with the same action's
+            err = spec.max_step_error + 1.0
+        else:
+            err = float(spec.act_error(theta_hat.reshape(1, -1), step.theta.reshape(1, -1))[0])
         total += err
         executed += 1
         if err > spec.max_step_error:
             break
     return total + spec.len_error(trace.length, executed)
+
+
+def mixed_action_case() -> tuple[Registry, ObservationTrace]:
+    """A registry and a trace that records two actions: accel = 2x, then
+    brake at step 3, then accel again."""
+    registry = standard_registry({"x": 1}, {"accel": 1, "brake": 1})
+    trace = make_trace(
+        {"x": [0.5, 1.0, 1.5, 2.0]},
+        [1.0, 2.0, 0.0, 4.0],
+        action=["accel", "accel", "brake", "accel"],
+        actions={"accel": 1, "brake": 1},
+    )
+    return registry, trace
 
 
 def eager_induce(trace, registry, config):
@@ -184,7 +201,7 @@ def eager_induce(trace, registry, config):
         *_, cand, leaf_rank = heapq.heappop(heap)
         iterations += 1
         pops.append((cand.key, leaf_rank))
-        if matches_trace(cand.opt.result, spec):
+        if matches_trace(cand.opt.result):
             solution = cand
             break
         run_batch(expand(cand, registry, trace, config.seed, leaf_rank))
@@ -207,18 +224,18 @@ def sequential_optimize(ast, params, trace, registry, spec, config, index=None):
     for _ in range(max(1, config.max_opt_iters)):
         result = execute(ast, state.params, trace, registry, spec)
         iterations += 1
-        matched = matches_trace(result, spec)
+        matched = matches_trace(result)
         key = (0 if matched else 1, -result.executed_len, result.loss)
         if best is None or key < best[0]:
             if best is not None and key[:2] == best[0][:2]:
                 rel = (best[0][2] - result.loss) / max(abs(best[0][2]), 1e-300)
-                stagnant = 0 if rel >= config.tol else stagnant + 1
+                stagnant = 0 if rel >= optimizer.TOL else stagnant + 1
             else:
                 stagnant = 0
             best = (key, ast, dict(state.params), result)
         else:
             stagnant += 1
-        if matched or not free or stagnant >= config.tol_window:
+        if matched or not free or stagnant >= optimizer.TOL_WINDOW:
             stop = "matched" if matched else "fixed" if not free else "stagnant"
             break
         grads = backward(result, spec)
@@ -246,7 +263,7 @@ def assert_same_optimum(got, want) -> None:
     assert _same_array_dicts(got.params, want.params)
     g, w = got.result, want.result
     assert g.tape == w.tape
-    for name in ("action_name", "observed_len", "executed_len", "terminated_early"):
+    for name in ("observed_len", "executed_len", "terminated_early"):
         assert getattr(g, name) == getattr(w, name), name
     for name in ("loss", "length_error"):
         assert _same_arrays(getattr(g, name), getattr(w, name)), name

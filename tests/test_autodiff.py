@@ -13,7 +13,7 @@ from tracesynth import (
     standard_registry,
 )
 from tracesynth.program import initial_params, leaves
-from tests.conftest import make_trace, reference_loss
+from tests.conftest import make_trace, mixed_action_case, reference_loss
 
 
 def _jacobian(registry, name, args, index):
@@ -131,6 +131,28 @@ class TestBackward:
                     ast, scalar_registry, params, trace, spec, override=(t, nid, base - h)
                 )
                 np.testing.assert_allclose(rows[t - 1], (up - dn) / (2 * h), rtol=1e-5, atol=1e-8)
+
+
+class TestMixedActions:
+    def test_loss_and_gradient_match_the_oracle(self):
+        # steps 1-2 are within the threshold; the brake step scores the
+        # penalty 1.5 alone and ends execution
+        registry, trace = mixed_action_case()
+        ast = parse_program("(accel (scale 1.9 x))", registry, {"x": 1})
+        params = initial_params(ast)
+        spec = ErrorSpec(max_step_error=0.5)
+        res = execute(ast, params, trace, registry, spec)
+        assert (res.executed_len, res.terminated_early) == (3, True)
+        np.testing.assert_allclose(res.loss, 0.05 + 0.1 + 1.5, rtol=1e-12)
+        np.testing.assert_allclose(
+            res.loss, reference_loss(ast, registry, params, trace, spec), rtol=1e-12
+        )
+        grad = backward(res, spec).params[0]
+        np.testing.assert_allclose(grad, [-1.5], rtol=1e-12)
+        h = 1e-6
+        up = reference_loss(ast, registry, {0: params[0] + h}, trace, spec)
+        dn = reference_loss(ast, registry, {0: params[0] - h}, trace, spec)
+        np.testing.assert_allclose(grad, [(up - dn) / (2 * h)], rtol=1e-6)
 
 
 def _random_program(rng, registry, schema, max_depth=3):

@@ -7,6 +7,9 @@ A reference is a name, an attribute, or an identifier inside a string
 constant that is not a docstring; the harness names the functions it
 wraps in strings such as ``"VariableIndex.query_steps"``.  A name
 re-exported by ``tracesynth/__init__.py`` is not referenced by that.
+
+Every parameter of a function defined with ``def`` in ``tracesynth`` is
+read by its body, apart from those in ``UNREAD_PARAMETERS``.
 """
 
 from __future__ import annotations
@@ -25,6 +28,12 @@ SOURCES = sorted(
 )
 IDENTIFIER = re.compile(r"[A-Za-z_]\w*")
 DEFINITION = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+# (module.function, parameter) -> why the body need not read it
+UNREAD_PARAMETERS = {
+    ("interpreter.zero_length_error", "observed_len"): "the ErrorSpec.len_error interface",
+    ("interpreter.zero_length_error", "executed_len"): "the ErrorSpec.len_error interface",
+    ("optimizer.fresh", "ast"): "perfbench/layers.py's probe passes it positionally",
+}
 
 
 def _docstrings(tree: ast.Module) -> set[int]:
@@ -94,3 +103,33 @@ def test_every_definition_has_a_caller():
     assert defined
     uncalled = [qualified for qualified, name in defined if name not in referenced]
     assert uncalled == []
+
+
+def _unread_parameters(path: Path, tree: ast.Module) -> list[tuple[str, str]]:
+    """``(module.function, parameter)`` of every parameter of a ``def`` in
+    the tree that no name in the function's body reads."""
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = node.args
+        params = [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)]
+        params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+        read = {
+            n.id
+            for statement in node.body
+            for n in ast.walk(statement)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        out += [(f"{path.stem}.{node.name}", p) for p in params if p not in read]
+    return out
+
+
+def test_every_parameter_is_read():
+    unread = [
+        found
+        for path in SOURCES
+        if path.parent == PACKAGE
+        for found in _unread_parameters(path, ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert sorted(unread) == sorted(UNREAD_PARAMETERS)

@@ -4,7 +4,16 @@ import re
 import numpy as np
 import pytest
 
-from tracesynth import load_trace, parse_program, standard_registry, execute, RunConfig
+from tracesynth import (
+    PaddleConfig,
+    RunConfig,
+    execute,
+    load_trace,
+    parse_program,
+    simulate_paddle,
+    standard_registry,
+    trace_to_dict,
+)
 from tracesynth.cli import run_cli
 from tracesynth.program import initial_params
 
@@ -37,6 +46,23 @@ class TestSimulate:
         trace = load_trace(out)
         assert trace.length == 30
         assert set(trace.schema.variables) == {"agent_y", "ball_y", "opponent_y"}
+
+    def test_paddle_flags_reach_the_config(self, tmp_path):
+        out = tmp_path / "pd.trace"
+        flags = ["--c-agent", "0.4", "--ball-speed", "0.5", "--seed", "3", "--steps", "40"]
+        assert run_cli(["simulate", "paddle", "--out", str(out), *flags]) == 0
+        want = simulate_paddle(PaddleConfig(c_agent=0.4, ball_speed=0.5, seed=3, steps=40))
+        assert json.loads(out.read_text()) == trace_to_dict(want)
+
+    @pytest.mark.parametrize(
+        "system, flag",
+        [("pendulum", "--deadband"), ("oscillator", "--c-agent"), ("paddle", "--k1")],
+    )
+    def test_flag_of_another_system_rejected(self, tmp_path, capsys, system, flag):
+        out = tmp_path / "t.trace"
+        assert run_cli(["simulate", system, "--out", str(out), flag, "0.3"]) == 2
+        assert f"simulate {system} does not take {flag}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_usage_error(self):
         assert run_cli(["simulate", "unknown-system", "--out", "x"]) == 1

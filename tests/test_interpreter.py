@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tracesynth import (
     ErrorSpec,
     EvaluationError,
+    PaddleConfig,
+    RunConfig,
     compile_tape,
     discretize_actions,
     discretized_error_spec,
@@ -12,6 +16,7 @@ from tracesynth import (
     matches_trace,
     memory_at,
     parse_program,
+    simulate_paddle,
     standard_registry,
 )
 from tracesynth.program import EMPTY_PROGRAM, initial_params
@@ -116,7 +121,7 @@ class TestExecute:
         assert not res.terminated_early
         np.testing.assert_allclose(res.step_errors, 0.0)
         assert res.loss == 0.0
-        assert matches_trace(res, ErrorSpec())
+        assert matches_trace(res)
 
     def test_first_step_violation(self, scalar_registry, scalar_schema):
         trace = make_trace(
@@ -146,7 +151,7 @@ class TestExecute:
         res = execute(ast, params, trace, scalar_registry, spec)
         assert res.executed_len == 2
         assert not res.terminated_early
-        assert matches_trace(res, spec)
+        assert matches_trace(res)
 
     def test_action_name_mismatch_penalty(self, scalar_registry, scalar_schema):
         trace = make_trace(
@@ -162,6 +167,15 @@ class TestExecute:
         assert res.terminated_early
         assert res.step_errors[0] > spec.max_step_error
 
+    def test_registry_contradicting_the_schema_raises(self, scalar_schema):
+        # the trace gives accel dimension 1; a 2-dimensional accel is not
+        # comparable with any step, so it must not score 0 there
+        trace = make_trace({"x": [1.0, 2.0], "v": [0, 0]}, [1.0, 2.0])
+        registry = standard_registry(scalar_schema, {"accel": 2})
+        ast, params = _program("(accel [5.0 7.0])", registry, scalar_schema)
+        with pytest.raises(ValueError, match="accel has dimension 1 in the trace schema, not 2"):
+            execute(ast, params, trace, registry, ErrorSpec())
+
     def test_matches_requires_full_length(self, scalar_registry, scalar_schema):
         trace = make_trace({"x": [1.0, 5.0, 1.0], "v": [0, 0, 0]}, [1.0, 1.0, 1.0])
         ast, params = _program("(accel x)", scalar_registry, scalar_schema)
@@ -171,7 +185,7 @@ class TestExecute:
         assert res.executed_len == 2
         assert res.terminated_early
         np.testing.assert_allclose(res.loss, 4.0)
-        assert not matches_trace(res, spec)
+        assert not matches_trace(res)
 
     def test_execute_agrees_with_evaluate_step(self, scalar_registry, scalar_schema):
         rng = np.random.default_rng(5)
@@ -248,16 +262,45 @@ class TestErrorSpecs:
         )
 
     def test_class_distance_error(self):
-        spec = discretized_error_spec(deadband=0.3)
+        spec = discretized_error_spec(deadband=0.3, max_step_error=0.02)
         th = np.array([[0.5], [0.1], [-0.5], [0.2], [0.5]])
         obs = np.array([[1.0], [1.0], [0.0], [0.0], [-1.0]])
         err = spec.act_error(th, obs)
-        # right class: zero; wrong: distance to the class region
-        np.testing.assert_allclose(err, [0.0, 0.2, 0.2, 0.0, 0.8])
+        # right class: zero; wrong: distance to the class region plus
+        # max_step_error + 1
+        np.testing.assert_allclose(err, [0.0, 1.22, 1.22, 0.0, 1.82])
 
     def test_class_distance_grad_signs(self):
-        spec = discretized_error_spec(deadband=0.3)
-        th = np.array([[0.1], [-0.5], [0.5]])
-        obs = np.array([[1.0], [0.0], [-1.0]])
+        spec = discretized_error_spec(deadband=0.3, max_step_error=0.02)
+        # the last two sit on the boundary, which discretises to 0
+        th = np.array([[0.1], [-0.5], [0.5], [0.3], [-0.3]])
+        obs = np.array([[1.0], [0.0], [-1.0], [1.0], [-1.0]])
         g = spec.act_error_grad(th, obs)
-        np.testing.assert_array_equal(g, [[-1.0], [-1.0], [1.0]])
+        np.testing.assert_array_equal(g, [[-1.0], [-1.0], [1.0], [-1.0], [1.0]])
+
+    @given(
+        factor=st.one_of(st.sampled_from([-1.0, 0.0, 1.0]), st.floats(-5.0, 5.0)),
+        observed=st.sampled_from([-1.0, 0.0, 1.0]),
+        deadband=st.floats(0.01, 0.5),
+        max_step_error=st.floats(0.001, 1.0),
+    )
+    @example(factor=0.8, observed=1.0, deadband=0.05, max_step_error=0.02)
+    @settings(max_examples=300, deadline=None)
+    def test_step_within_threshold_is_correctly_classified(
+        self, factor, observed, deadband, max_step_error
+    ):
+        spec = discretized_error_spec(deadband, max_step_error)
+        # factor +-1 puts the prediction exactly on a class boundary
+        theta_hat = np.array([[factor * deadband]])
+        if spec.act_error(theta_hat, np.array([[observed]]))[0] <= max_step_error:
+            assert discretize_actions(theta_hat, deadband)[0, 0] == observed
+
+    def test_constant_zero_does_not_match_the_paddle(self):
+        # a prediction of 0 is one deadband from class +-1, which is within
+        # the default threshold, but it is in class 0
+        trace = simulate_paddle(PaddleConfig())
+        registry = standard_registry(trace.schema.variables, trace.schema.actions)
+        ast, params = _program("(move 0.0)", registry, trace.schema)
+        spec = RunConfig(error_model="discrete").error_spec()
+        assert spec.max_step_error == RunConfig().deadband
+        assert not matches_trace(execute(ast, params, trace, registry, spec))

@@ -242,27 +242,34 @@ class TestQueue:
         assert queue.pop()[0].seed == 2
 
 
+def test_induce_refuses_a_registry_contradicting_the_schema():
+    trace = simulate_second_order(SecondOrderConfig(steps=20))
+    registry = standard_registry(trace.schema.variables, {"accel": 2})
+    with pytest.raises(ValueError, match="accel has dimension 1 in the trace schema, not 2"):
+        induce(trace, registry, config=RunConfig(max_iterations=5))
+
+
 class TestMatches:
     def test_perfect(self, scalar_registry, scalar_schema):
         trace = make_trace({"x": [1.0, 2.0], "v": [0, 0]}, [1.0, 2.0])
         ast = parse_program("(accel x)", scalar_registry, scalar_schema)
         spec = ErrorSpec()
         cand = _candidate(ast, scalar_registry, trace, spec=spec)
-        assert matches_trace(cand.opt.result, spec)
+        assert matches_trace(cand.opt.result)
 
     def test_early_termination_false(self, scalar_registry, scalar_schema):
         trace = make_trace({"x": [5.0, 2.0], "v": [0, 0]}, [1.0, 2.0])
         ast = parse_program("(accel x)", scalar_registry, scalar_schema)
         spec = ErrorSpec(max_step_error=0.1)
         cand = _candidate(ast, scalar_registry, trace, spec=spec)
-        assert not matches_trace(cand.opt.result, spec)
+        assert not matches_trace(cand.opt.result)
 
     def test_boundary_inclusive(self, scalar_registry, scalar_schema):
         trace = make_trace({"x": [1.5], "v": [0]}, [1.0])
         ast = parse_program("(accel x)", scalar_registry, scalar_schema)
         spec = ErrorSpec(max_step_error=0.5)
         cand = _candidate(ast, scalar_registry, trace, spec=spec)
-        assert matches_trace(cand.opt.result, spec)
+        assert matches_trace(cand.opt.result)
 
 
 def brute_force_structures(registry, variables, max_depth):
