@@ -9,11 +9,14 @@ The loss is never negative, so a proposal's complexity, known before any
 gradient step, is a lower bound on its score.  Each proposal is therefore
 queued unoptimised, keyed by that bound, and optimised only when it reaches
 the top of the queue (lazy A*); it then goes back with its true score.  The
-queue pops exactly the candidates, in exactly the order, that optimising
-every proposal on arrival would, while the many proposals whose bound is
-never reached are never optimised.  Until it is optimised a proposal holds
-its key and complexity, derived from its parent's, but not its tree or its
-parameter values.
+proposals of one expansion are not even drawn until then: the queue holds
+one entry per expansion and complexity, and only when that entry reaches
+the top are its members drawn, de-duplicated by structure key and queued
+one by one.  The queue pops exactly the candidates, in exactly the order,
+that drawing and optimising every proposal on arrival would, while the
+many proposals whose bound is never reached are never drawn.  So only
+expansion can count them, and ``proposed`` counts every proposal it
+generates, duplicates included.
 
 The whole procedure is deterministic for a fixed seed: every proposal
 derives its own RNG seed from content (parent fingerprint, leaf,
@@ -41,7 +44,7 @@ from .program import (
     ActionNode,
     ComplexityWeights,
     FunctionNode,
-    Node,
+    FunctionSpec,
     ParamLeaf,
     ProgramAst,
     Registry,
@@ -56,7 +59,7 @@ from .program import (
     replace_node,
     structural_cost,
 )
-from .trace import ObservationTrace, build_variable_index
+from .trace import ObservationTrace, build_variable_index, names_by_dim
 
 _PARAM_INIT_STD = math.sqrt(0.1)  # proposals drawn from N(0, variance 0.1)
 
@@ -83,8 +86,9 @@ class Candidate:
 class SolutionSet:
     """Outcome of one induction run: the accepted candidate (if any), the
     best-scoring candidates seen, and run counters: search iterations,
-    distinct proposals queued, candidates optimised and their optimiser
-    iterations."""
+    proposals generated by expansion (duplicate structures included, since
+    most proposals are never drawn), candidates optimised and their
+    optimiser iterations."""
 
     solution: Candidate | None
     top: tuple[Candidate, ...]
@@ -104,32 +108,53 @@ class _Deferred:
     complexity: float
 
 
+@dataclass(frozen=True)
+class _Group:
+    """The proposals of one expansion that share one complexity, queued
+    undrawn as one entry; their keys are not known until they are drawn."""
+
+    protos: list[_Proto]
+    complexity: float
+
+
 class CandidateQueue:
-    """Priority queue of optimised candidates and deferred proposals.
+    """Priority queue of optimised candidates, deferred proposals and
+    groups of undrawn proposals.
 
     Every entry is ordered by ``(priority, complexity, n)``: the priority of
-    a candidate is its score, that of a deferred proposal its complexity,
-    and ``n`` is the insertion counter.  A deferred proposal that is popped,
-    optimised and pushed back with its own ``n`` thus keeps its place among
-    ties.  Tracks canonical keys already queued so no structure is queued
-    twice."""
+    a candidate is its score, that of a deferred proposal or a group its
+    complexity.  ``n`` is ``(event,)``, ``event`` the insertion counter,
+    except for a proposal drawn from a group: it gets the group's event and
+    its rank among the group's members by key, ``(event, rank)``, so it
+    sorts after its group and before any later entry.  A deferred proposal
+    that is popped, optimised and pushed back with its own ``n`` thus keeps
+    its place among ties.  Tracks the canonical keys of the proposals drawn
+    so far so that no structure is queued twice; ``proposed`` in the
+    results counts every proposal generated, duplicates included."""
 
     def __init__(self) -> None:
-        self._heap: list[tuple[float, float, int, Candidate | _Deferred, int]] = []
+        self._heap: list[
+            tuple[float, float, tuple[int, ...], Candidate | _Deferred | _Group, int]
+        ] = []
         self._counter = itertools.count()
         self.visited: set[str] = set()
 
     def __len__(self) -> int:
         return len(self._heap)
 
-    def push(self, item: Candidate | _Deferred, leaf_rank: int = 0, n: int | None = None) -> None:
+    def push(
+        self,
+        item: Candidate | _Deferred | _Group,
+        leaf_rank: int = 0,
+        n: tuple[int, ...] | None = None,
+    ) -> None:
         """Queue ``item``; ``n`` defaults to the next insertion counter."""
         priority = item.score if isinstance(item, Candidate) else item.complexity
         if n is None:
-            n = next(self._counter)
+            n = (next(self._counter),)
         heapq.heappush(self._heap, (priority, item.complexity, n, item, leaf_rank))
 
-    def pop(self) -> tuple[Candidate | _Deferred, int, int]:
+    def pop(self) -> tuple[Candidate | _Deferred | _Group, int, tuple[int, ...]]:
         """The first entry as ``(item, leaf_rank, n)``."""
         _, _, n, item, leaf_rank = heapq.heappop(self._heap)
         return item, leaf_rank, n
@@ -155,62 +180,91 @@ def _derive_seed(*parts: object) -> int:
 
 
 @dataclass(frozen=True)
-class _Proto:
-    """An unoptimised proposal: ``subtree`` in place of leaf
-    ``expansion_leaf`` of the parent's tree (the whole tree when the parent
-    is the empty program), with provenance, the structure key and the
-    counts its complexity is computed from: depth, parameter leaves and
-    variable leaves.
-
-    The tree and its initial parameter values, the subtree's sampled values
-    and the parent's optimised values for the parameters that survive, are
-    built on first access, since most proposals are never optimised.
-    """
+class _Site:
+    """The leaf an expansion replaces and what its proposals share: the
+    parent's tree (None for the empty program), optimised parameter values
+    and key, the key's text before and after the leaf, the first free
+    parameter id, the name-sorted variables of each dimension and the run
+    seed."""
 
     parent_ast: ProgramAst | None
     parent_params: Mapping[int, np.ndarray]
-    subtree: Node
     parent_key: str
-    expansion_leaf: int | None
-    seed: int
-    key: str
+    leaf_id: int | None
+    prefix: str
+    suffix: str
+    pid_start: int
+    names: Mapping[int, list[str]]
+    run_seed: int
+
+
+@dataclass(frozen=True)
+class _Proto:
+    """An unoptimised proposal: an application of ``fn`` in place of its
+    site's leaf, whose arguments are parameters or variables as
+    ``pattern`` says (True for a variable), with the counts its complexity
+    is computed from: depth, parameter leaves and variable leaves.
+
+    Its seed, its drawn arguments, its key, its tree and its initial
+    parameter values (the drawn ones, and the parent's optimised values for
+    the parameters that survive) are built on first access, since most
+    proposals are never drawn.
+    """
+
+    site: _Site
+    fn: FunctionSpec
+    pattern: tuple[bool, ...]
     counts: tuple[int, int, int]
+
+    @property
+    def parent_key(self) -> str:
+        return self.site.parent_key
+
+    @property
+    def expansion_leaf(self) -> int | None:
+        return self.site.leaf_id
+
+    @cached_property
+    def seed(self) -> int:
+        site = self.site
+        leaf = -1 if site.leaf_id is None else site.leaf_id
+        return _derive_seed(site.run_seed, site.parent_key, leaf, self.fn.name, self.pattern)
+
+    @cached_property
+    def children(self) -> tuple[ParamLeaf | VarLeaf, ...]:
+        rng = np.random.default_rng(self.seed)
+        children = []
+        pid = self.site.pid_start
+        for want_var, dim in zip(self.pattern, self.fn.arg_dims):
+            if want_var:
+                names = self.site.names[dim]
+                children.append(VarLeaf(names[int(rng.integers(len(names)))], dim))
+            else:
+                init = tuple(float(x) for x in rng.normal(0.0, _PARAM_INIT_STD, size=dim))
+                children.append(ParamLeaf(pid, dim, init))
+                pid += 1
+        return tuple(children)
+
+    @cached_property
+    def key(self) -> str:
+        return self.site.prefix + _application_key(self.fn.name, self.children) + self.site.suffix
 
     @cached_property
     def ast(self) -> ProgramAst:
-        if self.parent_ast is None:
-            return ProgramAst(self.subtree)
-        return replace_node(self.parent_ast, self.expansion_leaf, self.subtree)
+        fn, site = self.fn, self.site
+        if site.parent_ast is None:
+            return ProgramAst(ActionNode(fn.name, self.children, fn.out_dim))
+        subtree = FunctionNode(fn.name, self.children, fn.out_dim)
+        return replace_node(site.parent_ast, site.leaf_id, subtree)
 
     @cached_property
     def params(self) -> dict[int, np.ndarray]:
         params = initial_params(self.ast)
-        params.update({pid: v for pid, v in self.parent_params.items() if pid in params})
+        params.update({pid: v for pid, v in self.site.parent_params.items() if pid in params})
         return params
 
     def complexity(self, weights: ComplexityWeights) -> float:
         return structural_cost(*self.counts, weights)
-
-
-def _build_subtree(
-    head, pattern: tuple[bool, ...], variables: dict[str, int], pid_start: int, rng
-) -> tuple | None:
-    """Children for one replacement application: each argument becomes a
-    fresh parameter (sampled) or a random variable of the required
-    dimension.  Returns None when a variable slot has no candidate."""
-    children = []
-    pid = pid_start
-    for want_var, dim in zip(pattern, head.arg_dims):
-        if want_var:
-            names = sorted(n for n, d in variables.items() if d == dim)
-            if not names:
-                return None
-            children.append(VarLeaf(names[int(rng.integers(len(names)))], dim))
-        else:
-            init = tuple(float(x) for x in rng.normal(0.0, _PARAM_INIT_STD, size=dim))
-            children.append(ParamLeaf(pid, dim, init))
-            pid += 1
-    return tuple(children)
 
 
 def _application_key(name: str, children: tuple) -> str:
@@ -218,23 +272,40 @@ def _application_key(name: str, children: tuple) -> str:
     return f"({name} {' '.join('?' if isinstance(c, ParamLeaf) else c.name for c in children)})"
 
 
+@lru_cache(maxsize=None)
+def _patterns(
+    arg_dims: tuple[int, ...], var_dims: frozenset[int]
+) -> tuple[tuple[tuple[bool, ...], int], ...]:
+    """The argument patterns (True for a variable) whose variable slots all
+    have a variable of their dimension, each with its number of variable
+    slots."""
+    return tuple(
+        (pattern, pattern.count(True))
+        for pattern in itertools.product((False, True), repeat=len(arg_dims))
+        if all(dim in var_dims for want_var, dim in zip(pattern, arg_dims) if want_var)
+    )
+
+
+def _proposals(
+    site: _Site, functions: list[FunctionSpec], tree_depth: int, n_params: int, n_vars: int
+) -> list[_Proto]:
+    """One undrawn proposal per function and drawable argument pattern.  The
+    counts are those of the parent's tree without the replaced leaf, and
+    the depth of the new tree."""
+    var_dims = frozenset(site.names)
+    return [
+        _Proto(site, fn, pattern, (tree_depth, n_params + fn.arity - new_vars, n_vars + new_vars))
+        for fn in functions
+        for pattern, new_vars in _patterns(fn.arg_dims, var_dims)
+    ]
+
+
 def expand_empty(registry: Registry, schema: object, run_seed: int) -> list[_Proto]:
     """Proposals for the empty program: one application of each action per
     argument pattern."""
-    variables = _as_variables(schema)
-    protos = []
-    for action in registry.actions():
-        for pattern in itertools.product((False, True), repeat=action.arity):
-            seed = _derive_seed(run_seed, "()", -1, action.name, pattern)
-            rng = np.random.default_rng(seed)
-            children = _build_subtree(action, pattern, variables, 0, rng)
-            if children is None:
-                continue
-            subtree = ActionNode(action.name, children, action.out_dim)
-            key = _application_key(action.name, children)
-            counts = (1, pattern.count(False), pattern.count(True))
-            protos.append(_Proto(None, {}, subtree, "()", None, seed, key, counts))
-    return protos
+    names = names_by_dim(_as_variables(schema))
+    site = _Site(None, {}, "()", None, "", "", 0, names, run_seed)
+    return _proposals(site, registry.actions(), 1, 0, 0)
 
 
 def expand(
@@ -271,25 +342,13 @@ def expand(
     tree_depth = max(depth(cand.ast), leaf_depth + 1)
     n_params = sum(isinstance(n, ParamLeaf) for _, n in tree_leaves) - isinstance(leaf, ParamLeaf)
     n_vars = len(tree_leaves) - 1 - n_params
-    variables = _as_variables(trace.schema)
+    names = names_by_dim(trace.schema.variables)
     pid_start = next_pid(cand.ast)
-    protos = []
-    for fn in registry.pure_functions():
-        if fn.out_dim != leaf.dim:
-            continue
-        for pattern in itertools.product((False, True), repeat=fn.arity):
-            seed = _derive_seed(run_seed, cand.key, leaf_id, fn.name, pattern)
-            rng = np.random.default_rng(seed)
-            children = _build_subtree(fn, pattern, variables, pid_start, rng)
-            if children is None:
-                continue
-            subtree = FunctionNode(fn.name, children, fn.out_dim)
-            key = prefix + _application_key(fn.name, children) + suffix
-            counts = (tree_depth, n_params + pattern.count(False), n_vars + pattern.count(True))
-            protos.append(
-                _Proto(cand.ast, cand.opt.params, subtree, cand.key, leaf_id, seed, key, counts)
-            )
-    return protos
+    site = _Site(
+        cand.ast, cand.opt.params, cand.key, leaf_id, prefix, suffix, pid_start, names, run_seed
+    )
+    functions = [fn for fn in registry.pure_functions() if fn.out_dim == leaf.dim]
+    return _proposals(site, functions, tree_depth, n_params, n_vars)
 
 
 def induce(
@@ -301,18 +360,19 @@ def induce(
     """Search for a program whose execution matches the trace.
 
     Queues the expansions of the empty program, then repeatedly pops the
-    first queue entry.  A deferred proposal is optimised and pushed back
-    with its score; a candidate is returned if it matches, otherwise its
-    highest-gradient leaf is expanded and the new proposals are queued,
-    deferred.  A popped candidate with more than one leaf is re-pushed once
-    so its second-best leaf also gets expanded.  Only pops of candidates
-    count as iterations.
+    first queue entry.  A group is drawn, and those of its proposals whose
+    structure is not queued yet go back deferred; a deferred proposal is
+    optimised and pushed back with its score; a candidate is returned if it
+    matches, otherwise its highest-gradient leaf is expanded and the new
+    proposals are queued undrawn, one group per complexity.  A popped
+    candidate with more than one leaf is re-pushed once so its second-best
+    leaf also gets expanded.  Only pops of candidates count as iterations.
 
     Returns the accepted candidate (if one was found) plus the ``top_k``
     best-scoring structures among every proposal that optimising on arrival
-    would have scored: once the search ends, deferred proposals are
-    optimised in queue order until the next bound exceeds the k-th best
-    score.
+    would have scored: once the search ends, groups are drawn and deferred
+    proposals optimised in queue order until the next bound exceeds the
+    k-th best score.
     """
     if not registry.actions():
         raise ValueError("registry must contain at least one action")
@@ -324,10 +384,10 @@ def induce(
     queue = CandidateQueue()
     # structure key -> ((score, complexity, n), best candidate); ``n`` keeps
     # the first-queued candidate on a tie, whatever order they are optimised in
-    scored: dict[str, tuple[tuple[float, float, int], Candidate]] = {}
-    optimised = opt_iters = 0
+    scored: dict[str, tuple[tuple[float, float, tuple[int, ...]], Candidate]] = {}
+    proposed = optimised = opt_iters = 0
 
-    def optimise(deferred: _Deferred, n: int) -> Candidate:
+    def optimise(deferred: _Deferred, n: tuple[int, ...]) -> Candidate:
         nonlocal optimised, opt_iters
         optimised += 1
         proto = deferred.proto
@@ -358,10 +418,23 @@ def induce(
         return cand
 
     def defer(protos: list[_Proto]) -> None:
-        for proto in sorted(protos, key=lambda p: p.key):
+        nonlocal proposed
+        proposed += len(protos)
+        groups: dict[float, list[_Proto]] = {}
+        for proto in protos:
+            groups.setdefault(proto.complexity(config.weights), []).append(proto)
+        for cost, members in groups.items():
+            queue.push(_Group(members, cost))
+
+    # equal keys mean equal structures, hence equal complexities, and groups
+    # of one complexity pop in event order: every key is first drawn in the
+    # group that would have queued it had every proposal been drawn on arrival
+    def draw(group: _Group, n: tuple[int, ...]) -> None:
+        rank = itertools.count()
+        for proto in sorted(group.protos, key=lambda p: p.key):
             if proto.key not in queue.visited:
                 queue.visited.add(proto.key)
-                queue.push(_Deferred(proto, proto.complexity(config.weights)))
+                queue.push(_Deferred(proto, group.complexity), n=(*n, next(rank)))
 
     defer(expand_empty(registry, trace.schema, config.seed))
 
@@ -369,6 +442,9 @@ def induce(
     solution = None
     while len(queue) and iterations < config.max_iterations:
         cand, leaf_rank, n = queue.pop()
+        if isinstance(cand, _Group):
+            draw(cand, n)
+            continue
         if isinstance(cand, _Deferred):
             queue.push(optimise(cand, n), n=n)
             continue
@@ -384,20 +460,23 @@ def induce(
     # exceeds the k-th best score no later entry can enter the top k
     while len(queue):
         cand, _, n = queue.pop()
-        if not isinstance(cand, _Deferred):
+        if isinstance(cand, Candidate):
             continue
         if len(scored) >= config.top_k:
             kth = heapq.nsmallest(config.top_k, (rank[0] for rank, _ in scored.values()))[-1]
             if cand.complexity > kth:
                 break
-        optimise(cand, n)
+        if isinstance(cand, _Group):
+            draw(cand, n)
+        else:
+            optimise(cand, n)
 
     top = sorted((c for _, c in scored.values()), key=lambda c: (c.score, c.complexity, c.key))
     return SolutionSet(
         solution,
         tuple(top[: config.top_k]),
         iterations,
-        len(queue.visited),
+        proposed,
         optimised,
         opt_iters,
         perf_counter() - t0,

@@ -15,15 +15,33 @@ class TraceFormatError(Exception):
     """Document does not satisfy the trace file contract."""
 
 
+def _unwritable(name: str) -> str | None:
+    """Why ``name`` cannot stand for a variable or an action in program text
+    and structure keys, or None if it can."""
+    if not name or any(ch.isspace() or ch in "()[]" for ch in name):
+        return "must be non-empty and hold no whitespace, (, ), [ or ]"
+    if name == "?":
+        return "is the parameter mark of structure keys"
+    try:
+        float(name)
+    except ValueError:
+        return None
+    return "reads as a number"
+
+
 @dataclass(frozen=True)
 class TraceSchema:
     variables: dict[str, int]  # variable name -> dimension
     actions: dict[str, int]  # action name -> parameter dimension
 
     def __post_init__(self) -> None:
-        for name, dim in {**self.variables, **self.actions}.items():
-            if dim < 1:
-                raise TraceFormatError(f"{name}: dimension must be >= 1")
+        for section in (self.variables, self.actions):
+            for name, dim in section.items():
+                problem = _unwritable(name)
+                if problem is not None:
+                    raise TraceFormatError(f"name {name!r} {problem}")
+                if dim < 1:
+                    raise TraceFormatError(f"{name}: dimension must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -164,14 +182,11 @@ class VariableIndex:
     """
 
     def __init__(self, trace: ObservationTrace):
-        self.names: dict[int, list[str]] = {}
-        self.values: dict[int, np.ndarray] = {}
-        by_dim: dict[int, list[str]] = {}
-        for name, dim in sorted(trace.schema.variables.items()):
-            by_dim.setdefault(dim, []).append(name)
-        for dim, names in by_dim.items():
-            self.names[dim] = names
-            self.values[dim] = np.stack([trace.var_matrix(n) for n in names], axis=1)
+        self.names = names_by_dim(trace.schema.variables)
+        self.values = {
+            dim: np.stack([trace.var_matrix(n) for n in names], axis=1)
+            for dim, names in self.names.items()
+        }
 
     def query_steps(self, dim: int, points: np.ndarray) -> np.ndarray:
         """Vectorised query for timesteps 1..n: ``points`` has shape
@@ -184,6 +199,14 @@ class VariableIndex:
         diff = self.values[dim][:n] - points[..., None, :]  # (..., n, n_vars, d)
         # the arithmetic of np.linalg.norm(diff, axis=-1) without its dispatch overhead
         return np.sqrt(np.add.reduce(diff * diff, axis=-1)).argmin(axis=-1)
+
+
+def names_by_dim(variables: Mapping[str, int]) -> dict[int, list[str]]:
+    """The variable names of each dimension, sorted by name."""
+    by_dim: dict[int, list[str]] = {}
+    for name, dim in sorted(variables.items()):
+        by_dim.setdefault(dim, []).append(name)
+    return by_dim
 
 
 def build_variable_index(trace: ObservationTrace) -> VariableIndex:

@@ -383,3 +383,25 @@ class TestInduce:
         path.write_text(json.dumps(doc))
         assert run_cli(["induce", "--trace", str(path)]) == 2
         assert "dimension must be an integer" in capsys.readouterr().err
+
+    # names that program text and structure keys cannot carry: "(x" and ""
+    # broke the key splicing of expand, a variable "?" collided with the
+    # parameter mark of keys, and "1.5" printed as a parameter literal
+    @pytest.mark.parametrize("name", ["", "a b", "\tx", "(x", "x)", "[x", "x]", "?", "1.5", "nan"])
+    @pytest.mark.parametrize("section, old", [("variables", "x"), ("actions", "accel")])
+    def test_name_that_programs_cannot_carry_rejected(
+        self, small_trace, tmp_path, capsys, section, old, name
+    ):
+        doc = json.loads(small_trace.read_text())
+        schema = doc["schema"][section]
+        schema[name] = schema.pop(old)
+        for step in doc["steps"]:
+            if section == "variables":
+                step["vars"][name] = step["vars"].pop(old)
+            else:
+                step["action"]["name"] = name
+        path = tmp_path / "bad.trace"
+        path.write_text(json.dumps(doc))
+        flags = ["--max-iterations", "5"]
+        assert run_cli(["induce", "--trace", str(path), *flags]) == 2
+        assert f"name {name!r}" in capsys.readouterr().err

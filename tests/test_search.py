@@ -160,7 +160,7 @@ class TestExpand:
     )
     def test_key_and_complexity_without_the_tree(self, text, scalar_registry, scalar_schema):
         # keys are spliced and complexities counted from the parent's, at
-        # every leaf and depth; the tree is built only when asked for
+        # every leaf and depth; nothing is drawn or built until asked for
         trace = make_trace({"x": [1.0], "v": [1.0]}, [1.0])
         ast = parse_program(text, scalar_registry, scalar_schema)
         cand = _candidate(ast, scalar_registry, trace)
@@ -171,7 +171,7 @@ class TestExpand:
             for proto in expand(cand, scalar_registry, trace, 5, rank)
         ]
         assert len(protos) == 12 * len(leaves(ast))
-        assert not any("ast" in proto.__dict__ for proto in protos)
+        assert not any({"seed", "key", "ast"} & proto.__dict__.keys() for proto in protos)
         for proto in protos:
             assert proto.key == canonical_key(proto.ast)
             assert proto.complexity(weights) == complexity(proto.ast, weights)
@@ -180,12 +180,14 @@ class TestExpand:
             assert proto.complexity(weights) == complexity(proto.ast, weights)
 
     def test_key_that_does_not_match_the_tree_is_refused(self, scalar_registry, monkeypatch):
+        # keys are made when a proposal is drawn; here every argument is
+        # keyed as a parameter, so (accel x), popped first, is keyed (accel ?)
         trace = make_trace({"x": [1.0], "v": [1.0]}, [1.0])
-        wrong = [
-            dataclasses.replace(proto, key="(accel v)" if proto.key == "(accel ?)" else "(accel ?)")
-            for proto in expand_empty(scalar_registry, trace.schema, 0)
-        ]
-        monkeypatch.setattr(search, "expand_empty", lambda *args: wrong)
+        monkeypatch.setattr(
+            search,
+            "_application_key",
+            lambda name, children: f"({name} {' '.join('?' for _ in children)})",
+        )
         with pytest.raises(RuntimeError, match="does not match its tree"):
             induce(trace, scalar_registry, config=RunConfig(max_iterations=2))
 
@@ -474,6 +476,31 @@ class TestDeferredSearch:
         assert len(many.top) == 30
         assert many.optimised > few.optimised
         assert many.iterations == few.iterations
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+    def test_undrawn_proposals_make_no_draws(self, name, monkeypatch):
+        # only the proposals whose complexity group reaches the top of the
+        # queue are drawn, each with its own generator
+        make, config, _ = GOLDEN_CASES[name]
+        trace = make()
+        registry = standard_registry(trace.schema.variables, trace.schema.actions)
+        counts = {"generators": 0, "expanded": 0}
+
+        def counted(fn, key, size=len):
+            def wrapper(*args, **kwargs):
+                out = fn(*args, **kwargs)
+                counts[key] += size(out)
+                return out
+
+            return wrapper
+
+        generators = counted(np.random.default_rng, "generators", lambda _: 1)
+        monkeypatch.setattr(np.random, "default_rng", generators)
+        monkeypatch.setattr(search, "expand", counted(search.expand, "expanded"))
+        monkeypatch.setattr(search, "expand_empty", counted(search.expand_empty, "expanded"))
+        result = induce(trace, registry, config=config)
+        assert result.proposed == counts["expanded"]
+        assert result.optimised <= counts["generators"] <= result.proposed / 4
 
     def test_many_ties(self):
         make, config = EXACTNESS_CASES["ties_at_098"]
