@@ -2,13 +2,13 @@
 
 The loss is a sum of per-step action errors, so the backward pass seeds one
 upstream gradient row per executed step and walks the tape that ``execute``
-ran in reverse, applying each call's vector-Jacobian product to the stored
-activations of its arguments.  Every node of a tree has one parent, so each
-op receives its upstream gradient exactly once before it is visited.  A
-parameter op sums its rows over steps; a variable op keeps one row per read
-time.  ``backprop`` is that reverse loop; it leaves the
-summing to its caller, so the optimiser can run it over K stacked blocks of
-steps and sum each block on its own.
+ran in reverse, applying each call's vector-Jacobian product, the root
+action's included, to the stored activations of its arguments.  Every node
+of a tree has one parent, so each op receives its upstream gradient exactly
+once before it is visited.  A parameter op sums its rows over steps; a
+variable op keeps one row per read time.  ``backprop`` is that reverse loop;
+it leaves the summing to its caller, so the optimiser can run it over K
+stacked blocks of steps and sum each block on its own.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .interpreter import ACTION, CALL, PARAM, ErrorSpec, ExecutionResult, Op, Tape
+from .interpreter import CALL, PARAM, ErrorSpec, ExecutionResult, Op, Tape
 
 
 @dataclass(frozen=True)
@@ -69,13 +69,6 @@ def backprop(
         if kind is CALL:
             for i, gi in zip(args, vjp(tuple(values[i][:n] for i in args), g)):
                 upstream[i] = gi
-        elif kind is ACTION:
-            # the action's parameters are its arguments concatenated
-            offset = 0
-            for i in args:
-                d = tape[i].dim
-                upstream[i] = g[:, offset : offset + d]
-                offset += d
         else:
             out.append((op, g))
     return out
@@ -87,17 +80,14 @@ def backward(result: ExecutionResult, spec: ErrorSpec) -> Gradients:
 
     The gradient is seeded per executed step from the action-error
     derivative and propagated by the reverse loop over ``result.tape``.
-    The tape carries the VJPs of the registry it was compiled with.
+    The tape carries the VJPs of the registry it was compiled with.  Each
+    parameter id names one leaf (the parser and ``expand`` number them).
     """
     seed = seed_rows(result.theta_hat, result.theta_obs, result.name_mask, spec)
     grads = Gradients({}, {})
     for (kind, nid, _, _, key, _, _), g in backprop(result.tape, result.activations, seed):
         if kind is PARAM:
-            total = g.sum(axis=0)
-            if key in grads.params:
-                grads.params[key] = grads.params[key] + total
-            else:
-                grads.params[key] = total
+            grads.params[key] = g.sum(axis=0)
         else:
             grads.slot_reads[nid] = g
     return grads

@@ -9,7 +9,8 @@ in one vectorised pass and truncated at the first offending step; the result
 is identical to step-by-step execution.
 
 Each structure is compiled once per registry into a postorder tape (a
-Wengert list): one op per node, children before parents.  The forward pass
+Wengert list): one op per node, children before parents; every application,
+the root action's included, is a call of its registry entry.  The forward pass
 (``forward``) is one loop over the tape and keeps every op's values; the
 backward pass in ``autodiff`` is the reverse loop over those values.  Both
 work on rows that are independent of each other, so the optimiser also runs
@@ -27,7 +28,6 @@ from typing import Callable, Mapping, NamedTuple
 import numpy as np
 
 from .program import (
-    ActionNode,
     Impl,
     ParamLeaf,
     ProgramAst,
@@ -139,7 +139,7 @@ def discretize_actions(theta: np.ndarray, deadband: float) -> np.ndarray:
 # tape
 
 
-PARAM, VAR, CALL, ACTION = "param", "var", "call", "action"
+PARAM, VAR, CALL = "param", "var", "call"
 
 
 class Op(NamedTuple):
@@ -147,8 +147,8 @@ class Op(NamedTuple):
 
     ``args`` are the tape positions of the node's children.  ``key`` is the
     parameter id of a param op, the variable name of a var op and the
-    function or action name otherwise; call ops carry the registry's bound
-    ``impl`` and ``vjp``.
+    function or action name otherwise; call ops, the root action's included,
+    carry the registry's bound ``impl`` and ``vjp``.
     """
 
     kind: str
@@ -183,11 +183,8 @@ def compile_tape(ast: ProgramAst, registry: Registry) -> Tape:
             ops.append(Op(VAR, nid, node.dim, (), node.name, None, None))
         else:
             args = tuple(lower(child) for child in node.children)
-            if isinstance(node, ActionNode):
-                ops.append(Op(ACTION, nid, node.dim, args, node.name, None, None))
-            else:
-                fn = node.name
-                ops.append(Op(CALL, nid, node.dim, args, fn, registry.impl(fn), registry.vjp(fn)))
+            fn = node.name
+            ops.append(Op(CALL, nid, node.dim, args, fn, registry.impl(fn), registry.vjp(fn)))
         return len(ops) - 1
 
     lower(ast.root)
@@ -227,7 +224,8 @@ def evaluate_step(
     ast: ProgramAst, registry: Registry, memory: MemoryState
 ) -> tuple[str, np.ndarray, list[np.ndarray]]:
     """Evaluate the program once against a single memory state by plain
-    recursion, independently of the tape.
+    recursion, independently of the tape, applying each registry ``impl``,
+    the root action's included, to one row.
 
     Returns the action name, its parameter vector and the value of every
     node in preorder.
@@ -246,11 +244,7 @@ def evaluate_step(
         elif isinstance(node, VarLeaf):
             value = np.asarray(memory.variables[node.name], dtype=float).reshape(-1)
         else:
-            args = [ev(child) for child in node.children]
-            if isinstance(node, ActionNode):
-                value = np.concatenate(args)
-            else:
-                value = registry.impl(node.name)(*[a.reshape(1, -1) for a in args])[0]
+            value = registry.impl(node.name)(*[ev(c).reshape(1, -1) for c in node.children])[0]
         values[slot] = value
         return value
 
@@ -282,10 +276,8 @@ def forward(
             column = np.empty((rows, dim))
             column[:] = params[key]
             values.append(column)
-        elif kind is CALL:
-            values.append(impl(*[values[i] for i in args]))
         else:
-            values.append(np.concatenate([values[i] for i in args], axis=1))
+            values.append(impl(*[values[i] for i in args]))
     return values
 
 

@@ -374,16 +374,13 @@ def _look_ahead(
     losses = block_sums(errors, blocks) + float(spec.len_error(trace.length, n))
     losses[np.isnan(losses)] = np.inf
 
-    sums: dict[int, np.ndarray] = {}
     slot_rows: dict[int, np.ndarray] = {}
     for op, g in backprop(tape, values, seed_rows(out, theta_obs, name_match, spec)):
         if op.kind is PARAM:
             total = block_sums(g, blocks)
-            sums[op.key] = sums[op.key] + total if op.key in sums else total
+            holds &= (total.view(np.uint64) == grads.params[op.key].view(np.uint64)).all(axis=1)
         else:
             slot_rows[op.node_id] = g.reshape(blocks, n, op.dim)
-    for pid, total in sums.items():
-        holds &= (total.view(np.uint64) == grads.params[pid].view(np.uint64)).all(axis=1)
     slot_acc = {}
     for nid, leaf, _, column in rebindable_leaves(ast, index)[1]:
         g_rows = slot_rows[nid]

@@ -14,6 +14,8 @@ from typing import Callable, Union
 
 import numpy as np
 
+from .trace import TraceSchema
+
 
 class ProgramError(Exception):
     """Base class for program construction and formatting errors."""
@@ -54,13 +56,12 @@ class FunctionNode:
 
 
 @dataclass(frozen=True)
-class ActionNode:
-    name: str
-    children: tuple["Node", ...]
-    dim: int  # total action-parameter dimension
+class ActionNode(FunctionNode):
+    """The root: an application like any other, of a primitive action whose
+    parameter dimension is ``dim``; its type marks the root."""
 
 
-Node = Union[ParamLeaf, VarLeaf, FunctionNode, ActionNode]
+Node = Union[ParamLeaf, VarLeaf, FunctionNode]
 
 
 @dataclass(frozen=True)
@@ -124,8 +125,9 @@ Vjp = Callable[[tuple[np.ndarray, ...], np.ndarray], tuple[np.ndarray, ...]]
 class Registry:
     """Named function and action signatures with their semantics.
 
-    Every entry carries a vectorised implementation and one differentiation
-    rule, its vectorised vector-Jacobian product.  Both take (rows, d_i)
+    Every entry, action or function, carries a vectorised implementation and
+    one differentiation rule, its vectorised vector-Jacobian product, and
+    nothing else evaluates or differentiates it.  Both take (rows, d_i)
     arrays and must treat rows independently: each output row depends only
     on the same row of the inputs, bit for bit, whatever the other rows and
     however many there are.  The interpreter relies on this to evaluate a
@@ -165,10 +167,10 @@ class Registry:
 
 
 def _as_variables(schema: object) -> dict[str, int]:
-    """Accept either a plain name->dim mapping or an object with a
-    ``variables`` attribute (a trace schema)."""
+    """Accept either a plain name->dim mapping, held to the trace schema's
+    name rule, or an object with a ``variables`` attribute (a schema)."""
     if isinstance(schema, Mapping):
-        return dict(schema)
+        schema = TraceSchema(dict(schema), {})
     variables = getattr(schema, "variables", None)
     if variables is None:
         raise ProgramTypeError("schema must be a mapping or carry .variables")
@@ -185,7 +187,8 @@ def standard_registry(variables: object, actions: Mapping[str, int]) -> Registry
     elementwise within a row (``scale``'s gradient sums over a row's own
     components), so rows are independent as ``Registry`` requires.
     """
-    var_dims = _as_variables(variables)
+    # the schema's name rule covers the action names too
+    var_dims = TraceSchema(_as_variables(variables), dict(actions)).variables
     reg = Registry()
     dims = sorted(set(var_dims.values()) | {d for d in actions.values()})
     for d in dims:
@@ -229,7 +232,7 @@ def iter_nodes(ast: ProgramAst) -> list[tuple[int, Node]]:
     while stack:
         node = stack.pop()
         out.append((len(out), node))
-        if isinstance(node, (FunctionNode, ActionNode)):
+        if isinstance(node, FunctionNode):
             stack.extend(reversed(node.children))
     object.__setattr__(ast, "_nodes_cache", out)
     return out
@@ -261,11 +264,8 @@ def replace_node(ast: ProgramAst, node_id: int, replacement: Node) -> ProgramAst
             # skip the subtree rooted here in the numbering
             counter[0] += _subtree_size(node) - 1
             return replacement
-        if isinstance(node, (FunctionNode, ActionNode)):
-            children = tuple(rebuild(c) for c in node.children)
-            if isinstance(node, ActionNode):
-                return ActionNode(node.name, children, node.dim)
-            return FunctionNode(node.name, children, node.dim)
+        if isinstance(node, FunctionNode):
+            return type(node)(node.name, tuple(rebuild(c) for c in node.children), node.dim)
         return node
 
     new_root = rebuild(ast.root)
@@ -276,7 +276,7 @@ def replace_node(ast: ProgramAst, node_id: int, replacement: Node) -> ProgramAst
 
 
 def _subtree_size(node: Node) -> int:
-    if isinstance(node, (FunctionNode, ActionNode)):
+    if isinstance(node, FunctionNode):
         return 1 + sum(_subtree_size(c) for c in node.children)
     return 1
 
@@ -301,7 +301,7 @@ def depth(ast: ProgramAst) -> int:
         return 0
 
     def node_depth(node: Node) -> int:
-        if isinstance(node, (FunctionNode, ActionNode)):
+        if isinstance(node, FunctionNode):
             return 1 + max(node_depth(c) for c in node.children)
         return 0
 

@@ -4,11 +4,18 @@ synthetic paddle controller with discretised actions."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .trace import ObservationTrace, TraceSchema, TraceStep
+
+
+def _require_finite(cfg: object) -> None:
+    """Raise ValueError naming the first NaN or infinite float field of ``cfg``."""
+    for f in fields(cfg):
+        if f.type == "float" and not math.isfinite(getattr(cfg, f.name)):
+            raise ValueError(f"{f.name} must be finite")
 
 
 @dataclass(frozen=True)
@@ -23,6 +30,7 @@ class SecondOrderConfig:
     steps: int = 100
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if self.dt <= 0:
             raise ValueError("dt must be positive")
         if self.steps < 1:
@@ -79,12 +87,11 @@ class PaddleConfig:
     seed: int = 7
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if self.deadband < 0:
             raise ValueError("deadband must be nonnegative")
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
-        if not (math.isfinite(self.c_agent) and math.isfinite(self.c_ball)):
-            raise ValueError("coefficients must be finite")
         if self.height <= 0 or self.ball_speed <= 0 or self.paddle_speed <= 0:
             raise ValueError("height and speeds must be positive")
 

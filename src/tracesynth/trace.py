@@ -102,11 +102,13 @@ class ObservationTrace:
         return cache
 
     def var_matrix(self, name: str) -> np.ndarray:
-        """Values of one variable over all steps, shape (T, d)."""
+        """Values of one variable over all steps, shape (T, d), read-only:
+        an execution's values may be this very array."""
         cache = self._cache()
         key = ("var", name)
         if key not in cache:
             cache[key] = np.stack([s.vars[name] for s in self.steps])
+            cache[key].flags.writeable = False
         return cache[key]
 
     def var_matrices(self) -> dict[str, np.ndarray]:

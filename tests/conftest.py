@@ -19,7 +19,6 @@ import numpy as np
 import pytest
 
 from tracesynth import (
-    ActionNode,
     Candidate,
     ErrorSpec,
     OptimizedCandidate,
@@ -104,10 +103,9 @@ def eval_program_at(
             if nid in override:
                 return np.asarray(override[nid], dtype=float)
             return np.asarray(var_values[node.name], dtype=float)
-        args = [ev(c) for c in node.children]
-        if isinstance(node, ActionNode):
-            return np.concatenate(args)
-        return registry.impl(node.name)(*[a.reshape(1, -1) for a in args])[0]
+        # every application, the root action included, applies its entry
+        args = [ev(c).reshape(1, -1) for c in node.children]
+        return registry.impl(node.name)(*args)[0]
 
     return ev(ast.root)
 

@@ -4,16 +4,29 @@ from tracesynth import (
     ActionNode,
     ErrorSpec,
     FunctionNode,
+    FunctionSpec,
+    OptimizeConfig,
     ParamLeaf,
     ProgramAst,
+    SecondOrderConfig,
     VarLeaf,
     backward,
+    evaluate_step,
     execute,
+    memory_at,
+    optimize,
     parse_program,
+    simulate_second_order,
     standard_registry,
 )
 from tracesynth.program import initial_params, leaves
-from tests.conftest import make_trace, mixed_action_case, reference_loss
+from tests.conftest import (
+    assert_same_optimum,
+    make_trace,
+    mixed_action_case,
+    reference_loss,
+    sequential_optimize,
+)
 
 
 def _jacobian(registry, name, args, index):
@@ -201,3 +214,67 @@ class TestFiniteDifferences:
                 np.testing.assert_allclose(g[0], fd, rtol=1e-5, atol=1e-7)
                 checked += 1
         assert checked > 50
+
+
+def _doubling_registry():
+    """The functions on scalar x and v plus an action ``accel`` whose
+    registry entry is not the identity: impl 2·x, VJP 2·g."""
+    registry = standard_registry({"x": 1, "v": 1}, {})
+    registry.register(
+        FunctionSpec("accel", (1,), 1, is_action=True),
+        lambda x: 2.0 * x,
+        lambda args, g: (2.0 * g,),
+    )
+    return registry
+
+
+class TestActionEntry:
+    """The root action's registry entry is its only rule, in every pass."""
+
+    def test_execute_evaluate_step_and_backward_apply_it(self):
+        registry = _doubling_registry()
+        rng = np.random.default_rng(5)
+        trace = make_trace(
+            {"x": rng.normal(size=6).tolist(), "v": rng.normal(size=6).tolist()},
+            rng.normal(size=6).tolist(),
+        )
+        text = "(accel (add (scale 0.7 x) (scale -0.3 v)))"
+        ast = parse_program(text, registry, {"x": 1, "v": 1})
+        params = initial_params(ast)
+        spec = ErrorSpec(max_step_error=1e9)
+        want = 2.0 * (0.7 * trace.var_matrix("x") - 0.3 * trace.var_matrix("v"))
+        res = execute(ast, params, trace, registry, spec)
+        np.testing.assert_allclose(res.theta_hat, want, rtol=1e-12)
+        np.testing.assert_allclose(
+            res.loss, reference_loss(ast, registry, params, trace, spec), rtol=1e-12
+        )
+        for t in range(1, trace.length + 1):
+            _, theta, _ = evaluate_step(ast, registry, memory_at(trace, t, params))
+            np.testing.assert_allclose(theta, want[t - 1], rtol=1e-12)
+
+        grads = backward(res, spec)
+        h = 1e-6
+        for pid, g in grads.params.items():
+            up = reference_loss(ast, registry, {**params, pid: params[pid] + h}, trace, spec)
+            dn = reference_loss(ast, registry, {**params, pid: params[pid] - h}, trace, spec)
+            np.testing.assert_allclose(g, [(up - dn) / (2 * h)], rtol=1e-6)
+        for nid, rows in grads.slot_reads.items():
+            name = dict(leaves(ast))[nid].name
+            for t in range(1, trace.length + 1):
+                base = trace.steps[t - 1].vars[name]
+                up = reference_loss(ast, registry, params, trace, spec, override=(t, nid, base + h))
+                dn = reference_loss(ast, registry, params, trace, spec, override=(t, nid, base - h))
+                np.testing.assert_allclose(rows[t - 1], (up - dn) / (2 * h), rtol=1e-5, atol=1e-8)
+
+    def test_optimize_applies_it(self):
+        registry = _doubling_registry()
+        trace = simulate_second_order(SecondOrderConfig(k1=-9.8, k2=0.0, x0=0.1, steps=100))
+        ast = parse_program("(accel (scale 0.0 x))", registry, trace.schema)
+        config = OptimizeConfig(max_opt_iters=1500)
+        got = optimize(ast, initial_params(ast), trace, registry, ErrorSpec(), config)
+        assert_same_optimum(
+            got, sequential_optimize(ast, initial_params(ast), trace, registry, ErrorSpec(), config)
+        )
+        # accel doubles its argument, so the law -9.8·x is fitted near c = -4.9
+        assert got.stop == "matched"
+        np.testing.assert_allclose(got.params[0], [-4.9], atol=0.3)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import importlib
 
+import tracesynth
 from perfbench import layers
 from tracesynth import (
     RunConfig,
@@ -42,3 +43,18 @@ def test_traced_induce_counts_expansion_and_queue():
     metrics = timer.metrics()
     assert metrics["search.expand.proposals_per_call"] > 0
     assert metrics["search.queue.calls"] > 0
+
+
+def test_probe_reports_every_layer_at_every_length():
+    # the probe calls library signatures directly (a schema passed to
+    # parse_program, OptimizerState.fresh by position) and drops the
+    # keyword arguments a signature no longer takes, so a changed
+    # signature shows here as an error or a missing metric
+    metrics = layers.probe(tracesynth)
+    want = {
+        f"probe.{layer}.T{length}.us"
+        for length in layers.PROBE_CALLS
+        for layer in layers.PROBE_LAYERS
+    }
+    assert len(want) == 12 and metrics.keys() == want
+    assert all(value > 0 for value in metrics.values())

@@ -1,5 +1,6 @@
 import json
 import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from tracesynth import (
     standard_registry,
     trace_to_dict,
 )
-from tracesynth.cli import run_cli
+from tracesynth.cli import SYSTEMS, run_cli
 from tracesynth.program import initial_params
 
 
@@ -62,6 +63,23 @@ class TestSimulate:
         out = tmp_path / "t.trace"
         assert run_cli(["simulate", system, "--out", str(out), flag, "0.3"]) == 2
         assert f"simulate {system} does not take {flag}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize(
+        "system, field",
+        [
+            (system, f.name)
+            for system, (base, _) in SYSTEMS.items()
+            for f in fields(base)
+            if f.type == "float"
+        ],
+    )
+    def test_non_finite_setting_rejected(self, tmp_path, capsys, system, field, value):
+        out = tmp_path / "t.trace"
+        flag = "--" + field.replace("_", "-")
+        assert run_cli(["simulate", system, "--out", str(out), flag, value]) == 2
+        assert f"{field} must be finite" in capsys.readouterr().err
         assert not out.exists()
 
     def test_usage_error(self):

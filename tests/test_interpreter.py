@@ -88,11 +88,14 @@ class TestTape:
             ("call", 2, "scale"),
             ("var", 5, "v"),
             ("call", 1, "sub"),
-            ("action", 0, "accel"),
+            ("call", 0, "accel"),
         ]
         assert [op.args for op in tape] == [(), (), (0, 1), (), (2, 3), (4,)]
         assert tape[2].impl is scalar_registry.impl("scale")
         assert tape[2].vjp is scalar_registry.vjp("scale")
+        # the root action is applied through its registry entry like any call
+        assert tape[5].impl is scalar_registry.impl("accel")
+        assert tape[5].vjp is scalar_registry.vjp("accel")
 
     def test_compiled_once_per_registry(self, scalar_registry, scalar_schema):
         ast, _ = _program("(accel (add x v))", scalar_registry, scalar_schema)
@@ -110,6 +113,15 @@ class TestTape:
         assert len(res.activations) == len(res.tape) == 4
         assert all(len(a) == 3 for a in res.activations)
         np.testing.assert_array_equal(res.theta_hat, res.activations[-1][:2])
+
+    def test_predictions_shared_with_the_trace_are_read_only(self, scalar_registry, scalar_schema):
+        # the identity action returns its argument, here the trace's own matrix
+        trace = make_trace({"x": [1.0, 2.0], "v": [0, 0]}, [1.0, 2.0])
+        ast, params = _program("(accel x)", scalar_registry, scalar_schema)
+        res = execute(ast, params, trace, scalar_registry)
+        assert np.shares_memory(res.theta_hat, trace.var_matrix("x"))
+        with pytest.raises(ValueError, match="read-only"):
+            res.theta_hat[0] = 0.0
 
 
 class TestExecute:

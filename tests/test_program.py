@@ -13,10 +13,13 @@ from tracesynth import (
     ProgramAst,
     ProgramError,
     ProgramTypeError,
+    TraceFormatError,
     VarLeaf,
     canonical_key,
     complexity,
     depth,
+    enumerate_programs,
+    expand_empty,
     initial_params,
     parse_program,
     print_program,
@@ -63,6 +66,32 @@ class TestParse:
         registry = standard_registry({"u": 2}, {"go": 2})
         with pytest.raises(ParseError, match="not finite"):
             parse_program("(go (add2 u [1.0 nan]))", registry, {"u": 2})
+
+
+class TestNameRule:
+    """Names given as a plain mapping are held to the trace schema's rule."""
+
+    def test_expand_empty_rejects_the_parameter_mark(self):
+        # "?" as a variable would give (accel ?) two meanings as a structure key
+        registry = standard_registry({"x": 1}, {"accel": 1})
+        with pytest.raises(TraceFormatError, match="parameter mark"):
+            expand_empty(registry, {"?": 1, "x": 1}, 3)
+        with pytest.raises(TraceFormatError, match="parameter mark"):
+            standard_registry({"?": 1, "x": 1}, {"accel": 1})
+
+    def test_parse_rejects_a_name_with_whitespace(self):
+        registry = standard_registry({"x": 1}, {"accel": 1})
+        with pytest.raises(TraceFormatError, match="whitespace"):
+            parse_program("(accel x)", registry, {"a b": 1, "x": 1})
+
+    def test_enumerate_rejects_a_name_with_a_parenthesis(self):
+        registry = standard_registry({"x": 1}, {"accel": 1})
+        with pytest.raises(TraceFormatError, match="whitespace"):
+            enumerate_programs(registry, {"(x": 1}, 2)
+
+    def test_registry_rejects_an_action_name_that_reads_as_a_number(self):
+        with pytest.raises(TraceFormatError, match="reads as a number"):
+            standard_registry({"x": 1}, {"1e3": 1})
 
 
 class TestPrint:
