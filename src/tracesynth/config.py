@@ -29,10 +29,9 @@ class RunConfig:
             # bool is a subclass of int, but a config value of true is a mistake
             if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[f.type]):
                 raise ValueError(f"{f.name} must be of type {f.type}, not {type(value).__name__}")
-        # nan compares false with everything, so it would pass the checks below
-        for name in ("max_step_error", "learning_rate", "deadband"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+            # nan compares false with everything, so it would pass the checks below
+            if f.type == "float" and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite")
         positive = {
             "max_step_error": self.max_step_error,
             "learning_rate": self.learning_rate,

@@ -38,6 +38,7 @@ from time import perf_counter
 import numpy as np
 
 from .config import RunConfig
+from .draws import Stream
 from .interpreter import ErrorSpec, matches_trace
 from .optimizer import OptimizedCandidate, optimize
 from .program import (
@@ -208,7 +209,10 @@ class _Proto:
     Its seed, its drawn arguments, its key, its tree and its initial
     parameter values (the drawn ones, and the parent's optimised values for
     the parameters that survive) are built on first access, since most
-    proposals are never drawn.
+    proposals are never drawn.  The arguments are drawn from
+    ``draws.Stream(seed)``, numpy's ``default_rng(seed)`` stream: a
+    variable slot takes ``integers(len(names))`` (two slots share one
+    64-bit output) and a parameter slot ``normal(0.0, _PARAM_INIT_STD, dim)``.
     """
 
     site: _Site
@@ -232,15 +236,15 @@ class _Proto:
 
     @cached_property
     def children(self) -> tuple[ParamLeaf | VarLeaf, ...]:
-        rng = np.random.default_rng(self.seed)
+        rng = Stream(self.seed)
         children = []
         pid = self.site.pid_start
         for want_var, dim in zip(self.pattern, self.fn.arg_dims):
             if want_var:
                 names = self.site.names[dim]
-                children.append(VarLeaf(names[int(rng.integers(len(names)))], dim))
+                children.append(VarLeaf(names[rng.integers(len(names))], dim))
             else:
-                init = tuple(float(x) for x in rng.normal(0.0, _PARAM_INIT_STD, size=dim))
+                init = tuple(rng.normal(0.0, _PARAM_INIT_STD, dim))
                 children.append(ParamLeaf(pid, dim, init))
                 pid += 1
         return tuple(children)

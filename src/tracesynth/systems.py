@@ -8,6 +8,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .draws import Stream
 from .trace import ObservationTrace, TraceSchema, TraceStep
 
 
@@ -100,11 +101,11 @@ def simulate_paddle(cfg: PaddleConfig) -> ObservationTrace:
     """Generate a discretised-control trace: vars {agent_y, ball_y,
     opponent_y} and action move(theta) with theta in {-1, 0, +1}."""
     schema = TraceSchema({"agent_y": 1, "ball_y": 1, "opponent_y": 1}, {"move": 1})
-    rng = np.random.default_rng(cfg.seed)
-    ball = float(rng.uniform(0.1, 0.9)) * cfg.height
+    rng = Stream(cfg.seed)
+    ball = rng.uniform(0.1, 0.9) * cfg.height
     ball_v = cfg.ball_speed * (1.0 if rng.random() < 0.5 else -1.0)
-    agent = float(rng.uniform(0.2, 0.8)) * cfg.height
-    opp_phase = float(rng.uniform(0.0, 2.0 * math.pi))
+    agent = rng.uniform(0.2, 0.8) * cfg.height
+    opp_phase = rng.uniform(0.0, 2.0 * math.pi)
     steps = []
     for t in range(1, cfg.steps + 1):
         opponent = cfg.height * (0.5 + 0.35 * math.sin(0.11 * t + opp_phase))

@@ -356,6 +356,16 @@ class TestInduce:
         assert run_cli(["induce", "--trace", str(small_trace), "--config", str(cfg_path)]) == 2
         assert f"{field} must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("field", [f.name for f in fields(RunConfig) if f.type == "float"])
+    def test_every_float_config_field_must_be_finite(
+        self, small_trace, tmp_path, capsys, field, value
+    ):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({field: value}))
+        assert run_cli(["induce", "--trace", str(small_trace), "--config", str(cfg_path)]) == 2
+        assert f"{field} must be finite" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "field, value, message",
         [

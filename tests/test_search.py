@@ -494,8 +494,7 @@ class TestDeferredSearch:
 
             return wrapper
 
-        generators = counted(np.random.default_rng, "generators", lambda _: 1)
-        monkeypatch.setattr(np.random, "default_rng", generators)
+        monkeypatch.setattr(search, "Stream", counted(search.Stream, "generators", lambda _: 1))
         monkeypatch.setattr(search, "expand", counted(search.expand, "expanded"))
         monkeypatch.setattr(search, "expand_empty", counted(search.expand_empty, "expanded"))
         result = induce(trace, registry, config=config)
