@@ -8,18 +8,22 @@ votes, over the executed timesteps, on which variable those nudged values
 are closest to.  Winning a strict majority of steps rebinds the leaf and
 resets all gradient history.
 
-Most iterations repeat the one before them: execution stops at the same
-step and the parameter gradient is the same to the bit, so AdaGrad walks
-each parameter with a fixed gradient and a shrinking step.  After an
-iteration that re-binds nothing, ``optimize`` predicts the next K iterates
-on the assumption that the gradient stays the same, evaluates all K in one
-forward and one backward pass over K stacked blocks of the executed steps,
-and accepts the longest prefix of blocks for which the assumption holds
-exactly: the block stops at the same step, its parameter gradient equals
-the assumed one bit for bit, and its vote re-binds no leaf.  Each accepted
-block counts as one iteration, and the plain loop resumes at the first block
-that is not accepted, so trees, parameter bytes, losses, re-bindings and
-the iteration count are those of the plain loop.
+Most iterations repeat one of the few before them: execution stops at the
+same step and the parameter gradient is the same to the bit.  Either it is
+the last iteration's, while AdaGrad walks each parameter with a fixed
+gradient and a shrinking step, or it comes round in a short cycle, while
+AdaGrad zig-zags across a kink of the error (on the paddle trace, cycles
+such as A, A, B, B are common).  Once the plain iterations confirm a cycle
+(their last P (parameter gradient, executed length) pairs equal the P
+before them, P <= ``MAX_PERIOD``), ``optimize`` predicts the next K
+iterates on the assumption that the cycle goes on, evaluates all K in one
+forward and one backward pass over K blocks of steps, and accepts the
+longest prefix of blocks for which the assumption holds exactly: the block
+stops at its predicted step, its parameter gradient equals the predicted
+one bit for bit, and its vote re-binds no leaf.  Each accepted block counts
+as one iteration, and the plain loop resumes at the first block that is not
+accepted, so trees, parameter bytes, losses, re-bindings and the iteration
+count are those of the plain loop.
 """
 
 from __future__ import annotations
@@ -43,11 +47,14 @@ from .interpreter import (
 from .program import ProgramAst, Registry, VarLeaf, leaves, replace_node
 from .trace import ObservationTrace, VariableIndex, build_variable_index
 
-# look-ahead blocks after a plain iteration; doubled while every block is
-# accepted, reset when one is not
-FIRST_BLOCKS = 4
-# most rows (blocks x executed steps) in one look-ahead pass, which keeps
-# its arrays to a few hundred kilobytes
+# the longest cycle of (parameter gradient, executed length) pairs that a
+# look-ahead follows; the plain loop keeps the last 2 * MAX_PERIOD pairs
+MAX_PERIOD = 4
+# look-ahead blocks in the first pass over a confirmed cycle; doubled while
+# every block is accepted, reset when one is not
+FIRST_BLOCKS = 64
+# most rows (blocks x the cycle's longest executed length) in one
+# look-ahead pass, which keeps its arrays to a few hundred kilobytes
 ROW_BUDGET = 4096
 # added under the square root of every AdaGrad accumulator
 DIV_GUARD = 1e-8
@@ -109,27 +116,27 @@ def adagrad_step(state: OptimizerState, grads: Gradients) -> OptimizerState:
 def adagrad_walk(
     param: np.ndarray,
     acc: np.ndarray | None,
-    g: np.ndarray,
+    gs: np.ndarray,
     steps: int,
     learning_rate: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``steps`` AdaGrad updates of one parameter, all with the gradient
-    ``g``, as ``adagrad_step`` makes them one at a time.  Returns the
-    parameter before and after each update, shape (steps + 1, d), and the
-    sum of squared gradients after each update, (steps, d); ``acc`` is the
-    sum before them, None for zero.
+    """``steps`` AdaGrad updates of one parameter, update k with the
+    gradient ``gs[k % P]`` of a (P, d) cycle, as ``adagrad_step`` makes
+    them one at a time.  Returns the parameter before and after each
+    update, shape (steps + 1, d), and the sum of squared gradients after
+    each update, (steps, d); ``acc`` is the sum before them, None for zero.
 
     ``np.add.accumulate`` and ``np.subtract.accumulate`` fold along the
     first axis one row at a time, so every row is computed with the same
     operations, in the same order, as a single update.
     """
-    sq = g * g
-    totals = np.empty((steps,) + sq.shape)
+    g = gs[np.arange(steps) % len(gs)]
+    totals = g * g
     # an absent accumulator is zero, and 0.0 + x == x bit for bit
-    totals[0] = sq if acc is None else acc + sq
-    totals[1:] = sq
+    if acc is not None:
+        totals[0] = acc + totals[0]
     np.add.accumulate(totals, axis=0, out=totals)
-    moves = np.empty((steps + 1,) + sq.shape)
+    moves = np.empty((steps + 1,) + gs.shape[1:])
     moves[0] = param
     moves[1:] = learning_rate * g / np.sqrt(totals + DIV_GUARD)
     return np.subtract.accumulate(moves, axis=0, out=moves), totals
@@ -278,18 +285,27 @@ def reassign_variables(
     return rebound, reset, True
 
 
-def block_sums(rows: np.ndarray, blocks: int) -> np.ndarray:
-    """The sums of ``blocks`` equal runs of consecutive ``rows``, each bit
-    for bit the ``sum(axis=0)`` of its run, as ``execute`` and ``backward``
-    take it: numpy reduces every run in the same order as a run alone."""
-    return np.add.reduce(rows.reshape((blocks, -1) + rows.shape[1:]), axis=1)
+Pair = tuple[Gradients, int]  # parameter gradient and executed length of an iteration
 
 
-def _same_gradient(a: Gradients, b: Gradients) -> bool:
-    """Whether two parameter gradients are equal bit for bit."""
-    return a.params.keys() == b.params.keys() and all(
-        a.params[pid].tobytes() == g.tobytes() for pid, g in b.params.items()
+def _same_pair(a: Pair, b: Pair) -> bool:
+    """Whether two iterations stopped at the same step with parameter
+    gradients equal bit for bit."""
+    (ga, na), (gb, nb) = a, b
+    return (
+        na == nb
+        and ga.params.keys() == gb.params.keys()
+        and all(ga.params[pid].tobytes() == g.tobytes() for pid, g in gb.params.items())
     )
+
+
+def _confirmed_cycle(recent: list[Pair]) -> list[Pair] | None:
+    """The last P pairs of ``recent`` if they equal the P before them, for
+    the longest such P up to ``MAX_PERIOD``; None if there is none."""
+    for p in range(MAX_PERIOD, 0, -1):
+        if len(recent) >= 2 * p and all(map(_same_pair, recent[-2 * p : -p], recent[-p:])):
+            return recent[-p:]
+    return None
 
 
 @dataclass(frozen=True)
@@ -302,9 +318,10 @@ class _Lookahead:
     """
 
     losses: list[float]  # per block
+    lengths: list[int]  # executed length per block
     accepted: int
     walks: dict[int, tuple[np.ndarray, np.ndarray]]  # pid -> adagrad_walk
-    slot_acc: dict[int, np.ndarray]  # node id -> (K, n, d) folded accumulators
+    slot_acc: dict[int, np.ndarray]  # node id -> (K, n_max, d) folded accumulators
 
     def params(self, state: OptimizerState, j: int) -> dict[int, np.ndarray]:
         """The parameters block ``j`` ran with."""
@@ -327,8 +344,7 @@ class _Lookahead:
 def _look_ahead(
     ast: ProgramAst,
     state: OptimizerState,
-    grads: Gradients,
-    n: int,
+    cycle: list[Pair],
     blocks: int,
     trace: ObservationTrace,
     registry: Registry,
@@ -336,58 +352,95 @@ def _look_ahead(
     index: VariableIndex,
 ) -> _Lookahead:
     """Evaluate ``blocks`` iterates from ``state`` on the assumption that
-    every one of them stops at step ``n`` and has the parameter gradient of
-    ``grads``, the last iteration's, which re-bound nothing.
+    they repeat ``cycle``, the (parameter gradient, executed length) pairs
+    of the last P iterations, none of which re-bound a leaf: block j stops
+    at step n_j with the parameter gradient G_j of pair j % P.
 
-    One forward and one backward pass run over ``blocks`` stacked copies of
-    the first ``n`` steps, one per predicted parameter setting.  A block
-    holds the assumption when its first error over the threshold is at its
-    last row, its parameter gradient equals ``grads.params`` bit for bit and
-    its vote, with the slot accumulators folded over the blocks before it,
-    re-binds no leaf.
+    One forward and one backward pass run over a grid of ``blocks`` rows,
+    one per predicted parameter setting, each holding the first n_max steps
+    of the trace, n_max the cycle's longest length; block j is the first
+    n_j steps of its row.  A block holds the assumption when its first
+    error over the threshold is at its last step, its parameter gradient
+    equals G_j bit for bit and its vote, with the slot accumulators folded
+    over the blocks before it, re-binds no leaf.  Sums and votes over a
+    block are taken over the first n steps of every row for each length n
+    of the cycle, and each block keeps those of its own length.
     """
     lr = state.learning_rate
+    # pair j % P of the cycle predicts block j
+    phase = np.arange(blocks) % len(cycle)
+    lengths = np.array([n for _, n in cycle])[phase]
+    width = int(lengths.max())
+    by_length = [(n, lengths == n) for n in sorted({n for _, n in cycle})]
+
+    def per_block(of_length) -> np.ndarray:
+        """``of_length(n)``, a (blocks, ...) array, for each length n of
+        the cycle, each block taking the one of its length."""
+        (n, _), *rest = by_length
+        out = of_length(n)
+        for n, at in rest:
+            out = np.where(at.reshape((-1,) + (1,) * (out.ndim - 1)), of_length(n), out)
+        return out
+
+    gradients = {
+        pid: np.array([g.params[pid] for g, _ in cycle]) for pid in cycle[0][0].params
+    }
     walks = {
-        pid: adagrad_walk(state.params[pid], state.param_acc.get(pid), g, blocks, lr)
-        for pid, g in grads.params.items()
+        pid: adagrad_walk(state.params[pid], state.param_acc.get(pid), gs, blocks, lr)
+        for pid, gs in gradients.items()
     }
     tape = compile_tape(ast, registry)
-    rows = blocks * n
-    # row r of the stacked blocks is step r % n
-    steps = np.arange(rows) % n
+    rows = blocks * width
+    # row r of the grid is step r % width
+    steps = np.arange(rows) % width
 
     def stacked(a: np.ndarray) -> np.ndarray:
         return a.take(steps, axis=0)
 
     var_values = trace.var_matrices()
     variables = {op.key: stacked(var_values[op.key]) for op in tape if op.kind is VAR}
-    params = {pid: np.repeat(walk[:blocks], n, axis=0) for pid, (walk, _) in walks.items()}
+    params = {pid: np.repeat(walk[:blocks], width, axis=0) for pid, (walk, _) in walks.items()}
     values = forward(tape, variables, params, rows)
 
     theta_obs, name_match, all_match = trace.action_targets(ast.root.name, ast.root.dim)
     theta_obs, name_match = stacked(theta_obs), stacked(name_match)
     out = values[-1]
-    errors = action_errors(out, theta_obs, name_match, all_match, spec)
+    errors = action_errors(out, theta_obs, name_match, all_match, spec).reshape(blocks, width)
     # NaN fails the test, as in ``execute``
-    within = (errors <= spec.max_step_error).reshape(blocks, n)
-    holds = within[:, :-1].all(axis=1) & ~within[:, -1]
-    losses = block_sums(errors, blocks) + float(spec.len_error(trace.length, n))
+    within = errors <= spec.max_step_error
+    holds = per_block(lambda n: within[:, : n - 1].all(axis=1) & ~within[:, n - 1])
+    # each sum runs over a block's steps in the order ``execute`` and
+    # ``backward`` sum an execution of that length
+    losses = per_block(
+        lambda n: np.add.reduce(errors[:, :n], axis=1) + float(spec.len_error(trace.length, n))
+    )
     losses[np.isnan(losses)] = np.inf
 
     slot_rows: dict[int, np.ndarray] = {}
     for op, g in backprop(tape, values, seed_rows(out, theta_obs, name_match, spec)):
+        g = g.reshape(blocks, width, op.dim)
         if op.kind is PARAM:
-            total = block_sums(g, blocks)
-            holds &= (total.view(np.uint64) == grads.params[op.key].view(np.uint64)).all(axis=1)
+            total = per_block(lambda n: np.add.reduce(g[:, :n], axis=1))
+            want = gradients[op.key][phase]
+            holds &= (total.view(np.uint64) == want.view(np.uint64)).all(axis=1)
         else:
-            slot_rows[op.node_id] = g.reshape(blocks, n, op.dim)
+            slot_rows[op.node_id] = g
+    # the steps of each row that its block executes; none past them enter
+    # an accumulator
+    live = None if len(by_length) == 1 else (np.arange(width) < lengths[:, None])[..., None]
     slot_acc = {}
     for nid, leaf, _, column in rebindable_leaves(ast, index)[1]:
         g_rows = slot_rows[nid]
-        slot_acc[nid] = acc = _fold_slot(state.slot_acc.get(nid), g_rows * g_rows)
-        holds &= ~_renames(index, leaf, column, g_rows, acc, lr)
+        sq = g_rows * g_rows
+        if live is not None:
+            # not a product with the mask: a NaN row times 0 is NaN
+            sq = np.where(live, sq, 0.0)
+        slot_acc[nid] = acc = _fold_slot(state.slot_acc.get(nid), sq)
+        holds &= ~per_block(
+            lambda n: _renames(index, leaf, column, g_rows[:, :n], acc[:, :n], lr)
+        )
     accepted = blocks if holds.all() else int(holds.argmin())
-    return _Lookahead(losses.tolist(), accepted, walks, slot_acc)
+    return _Lookahead(losses.tolist(), lengths.tolist(), accepted, walks, slot_acc)
 
 
 @dataclass(frozen=True)
@@ -423,10 +476,13 @@ def optimize(
     reached.  Returns the best-loss state seen (gradient steps can overshoot
     near the acceptance threshold).
 
-    After each iteration that re-binds nothing and stops at a step error
-    over the threshold, the next iterations are evaluated ahead in blocks
-    (see the module docstring), ``FIRST_BLOCKS`` at first and twice as many
-    each time all are accepted, within ``ROW_BUDGET`` rows and the cap.
+    Once the iterations since the last re-binding, each stopped at a step
+    error over the threshold, end in a cycle of up to ``MAX_PERIOD`` pairs
+    (see the module docstring), the next iterations are evaluated ahead in
+    blocks that repeat it: ``FIRST_BLOCKS`` at first and twice as many each
+    time all are accepted, within ``ROW_BUDGET`` rows and the cap.  When a
+    block is not accepted, the plain loop runs it and looks for a cycle
+    again.
 
     The call keeps a tree table, binding -> tree, that it passes to every
     ``reassign_variables``: each binding the leaves take is built, and its
@@ -475,26 +531,23 @@ def optimize(
     cap = max(1, config.max_opt_iters)
     iterations = 0
     blocks = FIRST_BLOCKS
-    # (gradient, executed length) of the last plain iteration, if it
-    # re-bound nothing and stopped at a step over the threshold
-    last: tuple[Gradients, int] | None = None
-    # the iteration to look ahead from, if any
-    lead: tuple[Gradients, int] | None = None
-    # after a look-ahead that accepts no block, the next waits until two
-    # plain iterations in a row agree, since the gradient is changing
-    fruitless = False
+    # (parameter gradient, executed length) of the last iterations since
+    # the last re-binding, newest last, each of which stopped at a step
+    # over the threshold
+    recent: list[Pair] = []
+    # the pairs the next iterations are predicted to repeat, once confirmed
+    cycle: list[Pair] | None = None
     while iterations < cap:
-        if lead is not None:
-            grads, n = lead
-            lead = None
-            k = min(blocks, cap - iterations, ROW_BUDGET // n)
+        if cycle is not None:
+            k = min(blocks, cap - iterations, ROW_BUDGET // max(n for _, n in cycle))
             if k < 2:
+                cycle = None
                 continue
-            ahead = _look_ahead(ast, state, grads, n, k, trace, registry, spec, index)
+            ahead = _look_ahead(ast, state, cycle, k, trace, registry, spec, index)
             newest = None
             for j in range(ahead.accepted):
                 iterations += 1
-                if improves((1, -n, ahead.losses[j])):
+                if improves((1, -ahead.lengths[j], ahead.losses[j])):
                     newest = j
                 if stagnant >= TOL_WINDOW:
                     break
@@ -503,12 +556,16 @@ def optimize(
             if stagnant >= TOL_WINDOW:
                 return finish("stagnant")
             state = ahead.state(state, ahead.accepted)
-            fruitless = ahead.accepted == 0
+            p = len(cycle)
+            done = range(max(0, ahead.accepted - 2 * MAX_PERIOD), ahead.accepted)
+            recent = [*recent, *(cycle[j % p] for j in done)][-2 * MAX_PERIOD :]
             if ahead.accepted == k:
                 blocks *= 2
-                lead = (grads, n)
+                # the next pass starts where this one stopped in the cycle
+                cycle = cycle[k % p :] + cycle[: k % p]
             else:
                 blocks = FIRST_BLOCKS
+                cycle = None
             continue
         result = execute(ast, state.params, trace, registry, spec)
         iterations += 1
@@ -527,12 +584,8 @@ def optimize(
         # a re-binding keeps every leaf's kind and dimension, so ``free`` holds
         ast, state, rebound = reassign_variables(ast, state, grads, index, trees)
         if rebound or not result.terminated_early:
-            last = None
+            recent = []
             continue
-        agree = last is not None and last[1] == result.executed_len and _same_gradient(
-            last[0], grads
-        )
-        last = (grads, result.executed_len)
-        if agree or not fruitless:
-            lead = last
+        recent = [*recent[1 - 2 * MAX_PERIOD :], (grads, result.executed_len)]
+        cycle = _confirmed_cycle(recent)
     return finish("cap")

@@ -12,9 +12,10 @@ the number of optimiser iterations, of variable re-bindings and of
 search that optimises every proposal on arrival were recorded before the
 optimiser kept one tree per binding; those of ``induce``, which defers each
 proposal until it reaches the top of the queue, after that change.  The
-``execute`` counts were recorded after the optimiser began to evaluate runs
-of iterations in look-ahead blocks, which leaves the other totals as they
-were.  Every proposal ``induce`` optimises must take exactly the steps it
+``execute`` counts were recorded after the optimiser began to follow cycles
+of up to four iterations in look-ahead blocks, which leaves the other
+totals as they were.  The damped case was recorded, digest and totals,
+before that change.  Every proposal ``induce`` optimises must take exactly the steps it
 takes in the reference run.  The paddle values were recorded again when the
 discrete error model began to add ``max_step_error + 1`` to a misclassified
 step.
@@ -56,6 +57,15 @@ CASES = {
         ),
         "36d51cd98a490f1b4f86173fd20626ae8692f3edf9c52c150e5bf267add54f39",
     ),
+    # the damped benchmark workload at one of its seeds: candidates execute a
+    # step or two, and most optimiser iterations come round in short cycles
+    "damped_seed5": (
+        lambda: simulate_second_order(
+            SecondOrderConfig(k1=-4.0, k2=-0.25, x0=1.0, v0=2.0, steps=200)
+        ),
+        RunConfig(seed=5, max_iterations=12, max_step_error=0.01),
+        "e40ed1a1ec90e1dc6754ecc8da02956d6e2081b89368a86ba529e396d091a412",
+    ),
 }
 
 
@@ -63,12 +73,16 @@ CASES = {
 # search that optimises every proposal on arrival (the reference loop) and
 # by ``induce``, which optimises a proposal only when it reaches the top of
 # the queue
-REFERENCE_TRAJECTORIES = {"pendulum": (1391, 170), "paddle": (1654, 8)}
-TRAJECTORIES = {"pendulum": (123, 4), "paddle": (109, 3)}
+REFERENCE_TRAJECTORIES = {
+    "pendulum": (1391, 170),
+    "paddle": (1654, 8),
+    "damped_seed5": (16204, 0),
+}
+TRAJECTORIES = {"pendulum": (123, 4), "paddle": (109, 3), "damped_seed5": (2210, 0)}
 # name -> ``execute`` calls of the same runs: look-ahead blocks evaluate
 # most iterations without one
-REFERENCE_EXECUTES = {"pendulum": 326, "paddle": 941}
-EXECUTES = {"pendulum": 40, "paddle": 36}
+REFERENCE_EXECUTES = {"pendulum": 368, "paddle": 476, "damped_seed5": 2547}
+EXECUTES = {"pendulum": 47, "paddle": 33, "damped_seed5": 86}
 
 
 # the golden runs and a damped oscillator whose coverage grows slowly

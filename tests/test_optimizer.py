@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,9 +22,12 @@ from tracesynth import (
     SecondOrderConfig,
 )
 from tracesynth import interpreter, optimizer
-from tracesynth.optimizer import ROW_BUDGET, adagrad_walk, block_sums
+from tracesynth.autodiff import backward
+from tracesynth.optimizer import FIRST_BLOCKS, ROW_BUDGET, _same_pair, adagrad_walk
 from tracesynth.program import canonical_key, initial_params, leaves
+from tests import conftest
 from tests.conftest import (
+    _same_array_dicts,
     assert_same_optimum,
     make_trace,
     mixed_action_case,
@@ -276,11 +281,47 @@ def _pendulum_trace():
     return simulate_second_order(SecondOrderConfig(k1=-9.8, k2=0.0, x0=0.1, steps=100))
 
 
+def _damped_trace():
+    # the damped benchmark trace; candidates execute a step or two of it
+    return simulate_second_order(SecondOrderConfig(k1=-4.0, k2=-0.25, x0=1.0, v0=2.0, steps=200))
+
+
+def _same_state(a, b) -> bool:
+    return all(
+        _same_array_dicts(getattr(a, name), getattr(b, name))
+        for name in ("params", "param_acc", "slot_acc")
+    )
+
+
+def _check_against_plain_loop(ahead, ast, state, cycle, blocks, trace, registry, spec, index):
+    """Run the plain loop from the state a look-ahead started from: the
+    look-ahead accepts exactly the blocks whose iterations repeat the cycle
+    and re-bind nothing, and each has the loss, parameters and state after
+    it, accumulators included, of that iteration, bit for bit."""
+    plain = state
+    for j in range(blocks):
+        assert _same_array_dicts(ahead.params(state, j), plain.params)
+        result = interpreter.execute(ast, plain.params, trace, registry, spec)
+        grads = backward(result, spec)
+        after = adagrad_step(plain, grads)
+        _, after, rebound = reassign_variables(ast, after, grads, index)
+        pair = (grads, result.executed_len)
+        if rebound or not result.terminated_early or not _same_pair(pair, cycle[j % len(cycle)]):
+            assert ahead.accepted == j
+            return
+        assert np.float64(ahead.losses[j]).tobytes() == np.float64(result.loss).tobytes()
+        assert _same_state(ahead.state(state, j + 1), after)
+        plain = after
+    assert ahead.accepted == blocks
+
+
 @pytest.fixture
 def look_aheads(monkeypatch):
-    """(iterations before, blocks, blocks accepted) of every look-ahead of
-    one ``optimize`` call.  The iterations before a look-ahead are the plain
-    ones, one ``execute`` call each, and the blocks accepted before it."""
+    """(iterations before, blocks, blocks accepted, the cycle's executed
+    lengths) of every look-ahead of one ``optimize`` call, each checked
+    against the plain loop.  The iterations before a look-ahead are the
+    plain ones, one ``execute`` call each, and the blocks accepted before
+    it."""
     out = []
     executes = [0]
     execute, look_ahead = optimizer.execute, optimizer._look_ahead
@@ -289,15 +330,27 @@ def look_aheads(monkeypatch):
         executes[0] += 1
         return execute(*args, **kwargs)
 
-    def recording(ast, state, grads, n, blocks, *args):
-        ahead = look_ahead(ast, state, grads, n, blocks, *args)
-        start = executes[0] + sum(accepted for _, _, accepted in out)
-        out.append((start, blocks, ahead.accepted))
+    def recording(ast, state, cycle, blocks, *args):
+        ahead = look_ahead(ast, state, cycle, blocks, *args)
+        _check_against_plain_loop(ahead, ast, state, cycle, blocks, *args)
+        start = executes[0] + sum(accepted for _, _, accepted, _ in out)
+        out.append((start, blocks, ahead.accepted, tuple(n for _, n in cycle)))
         return ahead
 
     monkeypatch.setattr(optimizer, "execute", counting)
     monkeypatch.setattr(optimizer, "_look_ahead", recording)
     return out
+
+
+def _in_blocks(look_aheads, out, lengths=None):
+    """Iterations of ``out`` that ran in accepted blocks, of passes over a
+    cycle with these executed lengths if given; a stop inside a pass ends
+    its count."""
+    return sum(
+        min(accepted, out.iterations - start)
+        for start, _, accepted, cycle in look_aheads
+        if lengths is None or cycle == lengths
+    )
 
 
 def _both(text, registry, schema, trace, config, spec=ErrorSpec()):
@@ -313,17 +366,18 @@ def _both(text, registry, schema, trace, config, spec=ErrorSpec()):
 
 class TestLookAhead:
     def test_walk_equals_repeated_single_steps(self, scalar_registry, scalar_schema):
+        # update k of the walk takes gradient k % P of a cycle of period P
         ast = parse_program("(accel (scale 0.0 x))", scalar_registry, scalar_schema)
         rng = np.random.default_rng(3)
-        for acc in (None, np.array([0.25])):
+        for period, acc in itertools.product((1, 2, 3, 4), (None, np.array([0.25]))):
             state = OptimizerState.fresh(ast, {0: rng.normal(size=1)}, OptimizeConfig())
             if acc is not None:
                 state.param_acc[0] = acc
-            g = _grads_for(params={0: [rng.normal()]})
-            walk, totals = adagrad_walk(state.params[0], acc, g.params[0], 6, 0.2)
+            gs = rng.normal(size=(period, 1))
+            walk, totals = adagrad_walk(state.params[0], acc, gs, 7, 0.2)
             assert walk[0].tobytes() == state.params[0].tobytes()
-            for j in range(6):
-                state = adagrad_step(state, g)
+            for j in range(7):
+                state = adagrad_step(state, _grads_for(params={0: gs[j % period]}))
                 assert walk[j + 1].tobytes() == state.params[0].tobytes()
                 assert totals[j].tobytes() == state.param_acc[0].tobytes()
 
@@ -365,13 +419,14 @@ class TestLookAhead:
             "(accel (scale 0.0 x))", scalar_registry, scalar_schema, _pendulum_trace(),
             OptimizeConfig(max_opt_iters=1500),
         )
-        accepted = sum(a for _, _, a in look_aheads)
+        accepted = sum(a for _, _, a, _ in look_aheads)
         assert accepted > 0.8 * out.iterations
-        assert max(blocks for _, blocks, _ in look_aheads) >= 64
+        assert max(blocks for _, blocks, _, _ in look_aheads) >= 4 * FIRST_BLOCKS
 
     def test_nonlinear_program_gradient_changes(self, look_aheads):
-        # both parameters of a product move, so no iteration repeats the
-        # last; x has no rival, so it stays bound
+        # both parameters of a product move, so no iteration repeats one of
+        # the few before it and no cycle is confirmed; x has no rival, so it
+        # stays bound
         pendulum = _pendulum_trace()
         trace = make_trace(
             {"x": pendulum.var_matrix("x")[:, 0].tolist()}, pendulum.theta_matrix()[:, 0].tolist()
@@ -382,7 +437,7 @@ class TestLookAhead:
             OptimizeConfig(max_opt_iters=300),
         )
         assert out.stop == "matched" and out.iterations > 20
-        assert look_aheads and all(accepted == 0 for _, _, accepted in look_aheads)
+        assert look_aheads == []
 
     def test_stagnation_stop_inside_a_block(
         self, scalar_registry, scalar_schema, look_aheads, monkeypatch
@@ -394,7 +449,7 @@ class TestLookAhead:
             OptimizeConfig(),
         )
         assert out.stop == "stagnant"
-        start, blocks, accepted = look_aheads[-1]
+        start, blocks, accepted, _ = look_aheads[-1]
         assert start < out.iterations < start + accepted
 
     def test_mixed_action_trace(self, look_aheads):
@@ -406,7 +461,7 @@ class TestLookAhead:
             ErrorSpec(max_step_error=0.5),
         )
         assert out.result.executed_len == 3
-        assert sum(accepted for _, _, accepted in look_aheads) > 0
+        assert sum(accepted for _, _, accepted, _ in look_aheads) > 0
 
     def test_cap_inside_the_block_schedule(self, scalar_registry, scalar_schema, look_aheads):
         out = _both(
@@ -414,10 +469,11 @@ class TestLookAhead:
             OptimizeConfig(max_opt_iters=37),
         )
         assert (out.iterations, out.stop) == (37, "cap")
-        # the schedule 4, 8, 16, 32 is cut short by the cap
-        start, blocks, accepted = look_aheads[-1]
+        # two plain iterations confirm the cycle, and the cap cuts the first
+        # pass short
+        (start, blocks, accepted, _), = look_aheads
         assert start + blocks == start + accepted == 37
-        assert blocks < 32
+        assert blocks < FIRST_BLOCKS
 
     def test_rows_stay_within_budget(self, scalar_registry, scalar_schema, monkeypatch):
         rows = []
@@ -442,9 +498,10 @@ class TestLookAhead:
     def test_two_blocks_must_fit_the_budget(
         self, n, looked_ahead, scalar_registry, scalar_schema, look_aheads
     ):
-        # every step matches but the last, so each iteration executes n steps
+        # every step matches but the last, so each iteration executes n steps,
+        # and all are under-predicted, so the gradient stays the same
         xs = np.linspace(0.01, 0.02, n)
-        thetas = 2.0 * xs
+        thetas = 3.0 * xs
         thetas[-1] = 100.0
         trace = make_trace({"x": xs.tolist(), "v": [0.0] * n}, thetas.tolist())
         out = _both(
@@ -453,6 +510,60 @@ class TestLookAhead:
         )
         assert out.result.executed_len == n
         assert bool(look_aheads) == looked_ahead
+
+    def test_period_two_at_one_step(self, scalar_registry, scalar_schema, look_aheads):
+        # AdaGrad zig-zags across the kink of the error at the one executed
+        # step: the gradient flips sign every iteration
+        out = _both(
+            "(accel (scale v 0.2))", scalar_registry, scalar_schema, _damped_trace(),
+            OptimizeConfig(), ErrorSpec(max_step_error=0.01),
+        )
+        assert _in_blocks(look_aheads, out, (1, 1)) > out.iterations / 2
+        assert len(look_aheads) < out.iterations / 20
+
+    def test_cycle_of_mixed_lengths(self, scalar_registry, scalar_schema, look_aheads):
+        # the zig-zag admits step 2 once in three iterations, so the blocks
+        # of one pass stop at steps 2, 1, 1, 2, 1, 1, ...
+        out = _both(
+            "(accel (scale v 0.3))", scalar_registry, scalar_schema, _damped_trace(),
+            OptimizeConfig(), ErrorSpec(max_step_error=0.01),
+        )
+        assert any(sorted(lengths) == [1, 1, 2] and a > 2 for _, _, a, lengths in look_aheads)
+        assert _in_blocks(look_aheads, out) > out.iterations / 2
+
+    def test_plain_loop_resumes_at_the_first_rejected_block(
+        self, scalar_registry, scalar_schema, look_aheads, monkeypatch
+    ):
+        # every plain iteration, those after a pass that a block breaks
+        # included, runs at its iteration number with the parameters of the
+        # sequential loop
+        runs, reference = [], []
+        execute = optimizer.execute
+
+        def recording(ast, params, *args):
+            accepted = sum(a for _, _, a, _ in look_aheads)
+            runs.append((len(runs) + accepted, params))
+            return execute(ast, params, *args)
+
+        def reference_run(ast, params, *args):
+            reference.append(params)
+            return interpreter.execute(ast, params, *args)
+
+        monkeypatch.setattr(optimizer, "execute", recording)
+        monkeypatch.setattr(conftest, "execute", reference_run)
+        out = _both(
+            "(accel (scale v 0.2))", scalar_registry, scalar_schema, _damped_trace(),
+            OptimizeConfig(), ErrorSpec(max_step_error=0.01),
+        )
+        assert len(reference) == out.iterations
+        breaks = {start + a for start, blocks, a, _ in look_aheads if 0 < a < blocks}
+        resumed = [(i, params) for i, params in runs if i in breaks]
+        assert len(resumed) >= 2
+        # an ``execute`` past the last iteration evaluates the best state
+        for i, params in runs:
+            if i < out.iterations:
+                assert params.keys() == reference[i].keys()
+                assert all(params[k].tobytes() == reference[i][k].tobytes() for k in params)
 
 
 def _special_rows(rng, shape):
@@ -465,22 +576,27 @@ def _special_rows(rng, shape):
 @settings(max_examples=300, deadline=None)
 @given(
     blocks=st.integers(1, 9),
-    n=st.integers(1, 300),
+    width=st.integers(1, 300),
+    cut=st.integers(0, 299),
     d=st.integers(0, 3),
     strided=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_block_sums_equal_each_blocks_sum(blocks, n, d, strided, seed):
-    """The batched reduction of ``_look_ahead`` against the per-run sum of
+def test_block_sums_equal_each_blocks_sum(blocks, width, cut, d, strided, seed):
+    """The batched reduction of ``_look_ahead``, over the first n steps of
+    every row of a (blocks, width) grid, against the per-run sum of
     ``execute`` (d = 0: step errors) and ``backward`` (parameter gradient
     rows, also as the strided views that an action's arguments get)."""
     rng = np.random.default_rng(seed)
-    shape = (blocks * n,) if d == 0 else (blocks * n, d)
+    shape = (blocks * width,) if d == 0 else (blocks * width, d)
     rows = _special_rows(rng, shape)
     if strided and d:
-        wide = np.zeros((blocks * n, d + 2))
+        wide = np.zeros((blocks * width, d + 2))
         wide[:, 1 : d + 1] = rows
         rows = wide[:, 1 : d + 1]
-    sums = block_sums(rows, blocks)
-    for k in range(blocks):
-        assert sums[k].tobytes() == rows[k * n : (k + 1) * n].sum(axis=0).tobytes()
+    grid = rows.reshape((blocks, width) + rows.shape[1:])
+    for n in {width, width - cut % width}:
+        sums = np.add.reduce(grid[:, :n], axis=1)
+        for k in range(blocks):
+            want = rows[k * width : k * width + n].sum(axis=0)
+            assert sums[k].tobytes() == want.tobytes()
