@@ -218,35 +218,44 @@ def standard_registry(variables: object, actions: Mapping[str, int]) -> Registry
 # tree utilities
 
 
+def _walk(
+    ast: ProgramAst,
+) -> tuple[list[tuple[int, Node]], list[int], list[tuple[int, ParamLeaf | VarLeaf]]]:
+    """The preorder walk of the tree: (node id, node) pairs, the depth of
+    each node (its number of ancestors) by node id, and the leaves with
+    their node ids; memoised on the immutable tree."""
+    walk = ast.__dict__.get("_walk")
+    if walk is None:
+        nodes, depths, tree_leaves = [], [], []
+        stack = [] if ast.is_empty else [(ast.root, 0)]
+        # explicit preorder walk; children pushed in reverse to pop left-first
+        while stack:
+            node, level = stack.pop()
+            nid = len(nodes)
+            nodes.append((nid, node))
+            depths.append(level)
+            if isinstance(node, FunctionNode):
+                stack.extend((c, level + 1) for c in reversed(node.children))
+            else:
+                tree_leaves.append((nid, node))
+        walk = (nodes, depths, tree_leaves)
+        object.__setattr__(ast, "_walk", walk)
+    return walk
+
+
 def iter_nodes(ast: ProgramAst) -> list[tuple[int, Node]]:
-    """(preorder index, node) pairs for every node of the tree; memoised on
-    the immutable tree."""
-    if ast.is_empty:
-        return []
-    cached = ast.__dict__.get("_nodes_cache")
-    if cached is not None:
-        return cached
-    out: list[tuple[int, Node]] = []
-    stack: list[Node] = [ast.root]
-    # explicit preorder walk; children pushed in reverse to pop left-first
-    while stack:
-        node = stack.pop()
-        out.append((len(out), node))
-        if isinstance(node, FunctionNode):
-            stack.extend(reversed(node.children))
-    object.__setattr__(ast, "_nodes_cache", out)
-    return out
+    """(preorder index, node) pairs for every node of the tree."""
+    return _walk(ast)[0]
 
 
 def leaves(ast: ProgramAst) -> list[tuple[int, ParamLeaf | VarLeaf]]:
     """Leaves of the tree with their preorder node ids (stable slot ids)."""
-    cached = ast.__dict__.get("_leaves_cache")
-    if cached is not None:
-        return cached
-    out = [(i, n) for i, n in iter_nodes(ast) if isinstance(n, (ParamLeaf, VarLeaf))]
-    if not ast.is_empty:
-        object.__setattr__(ast, "_leaves_cache", out)
-    return out
+    return _walk(ast)[2]
+
+
+def node_depth(ast: ProgramAst, node_id: int) -> int:
+    """Edges from the root to the node with preorder id ``node_id``."""
+    return _walk(ast)[1][node_id]
 
 
 def replace_node(ast: ProgramAst, node_id: int, replacement: Node) -> ProgramAst:
@@ -297,15 +306,7 @@ def initial_params(ast: ProgramAst) -> dict[int, np.ndarray]:
 
 def depth(ast: ProgramAst) -> int:
     """Edges on the longest root-to-leaf path; the empty program has depth 0."""
-    if ast.is_empty:
-        return 0
-
-    def node_depth(node: Node) -> int:
-        if isinstance(node, FunctionNode):
-            return 1 + max(node_depth(c) for c in node.children)
-        return 0
-
-    return node_depth(ast.root)
+    return max(_walk(ast)[1], default=0)
 
 
 def structural_cost(

@@ -29,7 +29,6 @@ import hashlib
 import heapq
 import itertools
 import math
-import re
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -42,6 +41,7 @@ from .draws import Stream
 from .interpreter import ErrorSpec, matches_trace
 from .optimizer import OptimizedCandidate, optimize
 from .program import (
+    EMPTY_PROGRAM,
     ActionNode,
     ComplexityWeights,
     FunctionNode,
@@ -57,12 +57,16 @@ from .program import (
     initial_params,
     leaves,
     next_pid,
+    node_depth,
     replace_node,
     structural_cost,
 )
 from .trace import ObservationTrace, build_variable_index, names_by_dim
 
 _PARAM_INIT_STD = math.sqrt(0.1)  # proposals drawn from N(0, variance 0.1)
+# Python's default limit on the digits of an int converted to text
+MAX_COUNT_DIGITS = 4300
+_COUNT_LIMIT = 10**MAX_COUNT_DIGITS
 
 
 @dataclass(frozen=True)
@@ -184,16 +188,13 @@ def _derive_seed(*parts: object) -> int:
 class _Site:
     """The leaf an expansion replaces and what its proposals share: the
     parent's tree (None for the empty program), optimised parameter values
-    and key, the key's text before and after the leaf, the first free
-    parameter id, the name-sorted variables of each dimension and the run
-    seed."""
+    and key, the first free parameter id, the name-sorted variables of each
+    dimension and the run seed."""
 
     parent_ast: ProgramAst | None
     parent_params: Mapping[int, np.ndarray]
     parent_key: str
     leaf_id: int | None
-    prefix: str
-    suffix: str
     pid_start: int
     names: Mapping[int, list[str]]
     run_seed: int
@@ -220,14 +221,6 @@ class _Proto:
     pattern: tuple[bool, ...]
     counts: tuple[int, int, int]
 
-    @property
-    def parent_key(self) -> str:
-        return self.site.parent_key
-
-    @property
-    def expansion_leaf(self) -> int | None:
-        return self.site.leaf_id
-
     @cached_property
     def seed(self) -> int:
         site = self.site
@@ -251,7 +244,7 @@ class _Proto:
 
     @cached_property
     def key(self) -> str:
-        return self.site.prefix + _application_key(self.fn.name, self.children) + self.site.suffix
+        return canonical_key(self.ast)
 
     @cached_property
     def ast(self) -> ProgramAst:
@@ -269,11 +262,6 @@ class _Proto:
 
     def complexity(self, weights: ComplexityWeights) -> float:
         return structural_cost(*self.counts, weights)
-
-
-def _application_key(name: str, children: tuple) -> str:
-    """``canonical_key`` of one application with leaf arguments."""
-    return f"({name} {' '.join('?' if isinstance(c, ParamLeaf) else c.name for c in children)})"
 
 
 @lru_cache(maxsize=None)
@@ -308,7 +296,7 @@ def expand_empty(registry: Registry, schema: object, run_seed: int) -> list[_Pro
     """Proposals for the empty program: one application of each action per
     argument pattern."""
     names = names_by_dim(_as_variables(schema))
-    site = _Site(None, {}, "()", None, "", "", 0, names, run_seed)
+    site = _Site(None, {}, canonical_key(EMPTY_PROGRAM), None, 0, names, run_seed)
     return _proposals(site, registry.actions(), 1, 0, 0)
 
 
@@ -324,33 +312,20 @@ def expand(
 
     For a leaf of dimension d and each compatible function, all 2^arity
     parameter/variable argument patterns are proposed; surviving parameters
-    keep the candidate's optimised values.  Each proposal's key is the
-    parent's key with the application's text in place of the leaf's, and
-    its counts follow from the parent's.
+    keep the candidate's optimised values.  Each proposal's counts follow
+    from the parent's.
     """
     ranked = ranked_leaves(cand)
     if leaf_rank >= len(ranked):
         return []
     leaf_id = ranked[leaf_rank]
     tree_leaves = leaves(cand.ast)
-    position = [nid for nid, _ in tree_leaves].index(leaf_id)
-    leaf = tree_leaves[position][1]
-    # leaf tokens of the key, in preorder; a function name follows "("
-    spans = [
-        m.span() for m in re.finditer(r"[^\s()]+", cand.key) if cand.key[m.start() - 1] != "("
-    ]
-    start, end = spans[position]
-    prefix, suffix = cand.key[:start], cand.key[end:]
-    # the leaf's depth is the number of applications still open before it
-    leaf_depth = prefix.count("(") - prefix.count(")")
-    tree_depth = max(depth(cand.ast), leaf_depth + 1)
+    leaf = dict(tree_leaves)[leaf_id]
+    tree_depth = max(depth(cand.ast), node_depth(cand.ast, leaf_id) + 1)
     n_params = sum(isinstance(n, ParamLeaf) for _, n in tree_leaves) - isinstance(leaf, ParamLeaf)
     n_vars = len(tree_leaves) - 1 - n_params
     names = names_by_dim(trace.schema.variables)
-    pid_start = next_pid(cand.ast)
-    site = _Site(
-        cand.ast, cand.opt.params, cand.key, leaf_id, prefix, suffix, pid_start, names, run_seed
-    )
+    site = _Site(cand.ast, cand.opt.params, cand.key, leaf_id, next_pid(cand.ast), names, run_seed)
     functions = [fn for fn in registry.pure_functions() if fn.out_dim == leaf.dim]
     return _proposals(site, functions, tree_depth, n_params, n_vars)
 
@@ -395,8 +370,6 @@ def induce(
         nonlocal optimised, opt_iters
         optimised += 1
         proto = deferred.proto
-        if canonical_key(proto.ast) != proto.key:
-            raise RuntimeError(f"proposal key {proto.key} does not match its tree")
         opt = optimize(proto.ast, proto.params, trace, registry, spec, opt_config, index)
         opt_iters += opt.iterations
         loss = opt.result.loss
@@ -411,8 +384,8 @@ def induce(
             complexity=cost,
             score=cost + loss,
             key=canonical_key(opt.ast),
-            parent_key=proto.parent_key,
-            expansion_leaf=proto.expansion_leaf,
+            parent_key=proto.site.parent_key,
+            expansion_leaf=proto.site.leaf_id,
             seed=proto.seed,
         )
         rank = (cand.score, cost, n)
@@ -490,32 +463,32 @@ def induce(
 def enumerate_programs(registry: Registry, schema: object, max_depth: int) -> int:
     """Exact count of distinct program structures (parameters collapsed, variable
     names distinct, argument order significant) of depth at most ``max_depth``
-    under the expansion grammar."""
+    under the expansion grammar.  Raises ``ValueError`` once the count has
+    more than ``MAX_COUNT_DIGITS`` digits.
+
+    Counts one depth at a time: a slot of a dimension holds a parameter, a
+    variable or an application whose slots hold one depth less.  Slot counts
+    saturate at the limit, which leaves every count below it exact, and the
+    count stops growing once no slot count changes."""
     variables = _as_variables(schema)
     fns = registry.pure_functions()
-
-    def n_vars(dim: int) -> int:
-        return sum(1 for d in variables.values() if d == dim)
-
-    @lru_cache(maxsize=None)
-    def slot_count(dim: int, budget: int) -> int:
-        total = 1 + n_vars(dim)
-        if budget >= 1:
-            for fn in fns:
-                if fn.out_dim != dim:
-                    continue
-                prod = 1
-                for ad in fn.arg_dims:
-                    prod *= slot_count(ad, budget - 1)
-                total += prod
-        return total
-
-    if max_depth < 1:
-        return 0
+    actions = registry.actions()
+    dims = {d for fn in (*fns, *actions) for d in (*fn.arg_dims, fn.out_dim)}
+    leaf_counts = {d: 1 + sum(1 for v in variables.values() if v == d) for d in dims}
+    slots = leaf_counts
     total = 0
-    for action in registry.actions():
-        prod = 1
-        for ad in action.arg_dims:
-            prod *= slot_count(ad, max_depth - 1)
-        total += prod
+    for _ in range(max_depth):
+        total = sum(math.prod(slots[d] for d in action.arg_dims) for action in actions)
+        if total >= _COUNT_LIMIT:
+            raise ValueError(
+                f"more than {MAX_COUNT_DIGITS} digits in the count of structures"
+                f" of depth <= {max_depth}"
+            )
+        grown = dict(leaf_counts)
+        for fn in fns:
+            grown[fn.out_dim] += math.prod(slots[d] for d in fn.arg_dims)
+        grown = {d: min(count, _COUNT_LIMIT) for d, count in grown.items()}
+        if grown == slots:
+            break
+        slots = grown
     return total

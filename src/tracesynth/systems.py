@@ -64,7 +64,7 @@ def simulate_second_order(cfg: SecondOrderConfig) -> ObservationTrace:
         )
         v = v + theta * cfg.dt
         x = x + v * cfg.dt
-    return ObservationTrace(schema, tuple(steps)).validate()
+    return ObservationTrace(schema, tuple(steps))
 
 
 @dataclass(frozen=True)
@@ -95,6 +95,8 @@ class PaddleConfig:
             raise ValueError("steps must be >= 1")
         if self.height <= 0 or self.ball_speed <= 0 or self.paddle_speed <= 0:
             raise ValueError("height and speeds must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 def simulate_paddle(cfg: PaddleConfig) -> ObservationTrace:
@@ -129,4 +131,4 @@ def simulate_paddle(cfg: PaddleConfig) -> ObservationTrace:
             ball, ball_v = -ball, -ball_v
         elif ball > cfg.height:
             ball, ball_v = 2.0 * cfg.height - ball, -ball_v
-    return ObservationTrace(schema, tuple(steps)).validate()
+    return ObservationTrace(schema, tuple(steps))

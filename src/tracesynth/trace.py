@@ -61,7 +61,7 @@ class ObservationTrace:
     def length(self) -> int:
         return len(self.steps)
 
-    def validate(self) -> "ObservationTrace":
+    def __post_init__(self) -> None:
         if not self.steps:
             raise TraceFormatError("trace must contain at least one step")
         for i, step in enumerate(self.steps):
@@ -90,7 +90,6 @@ class ObservationTrace:
         if not np.isfinite(np.concatenate([s.theta for s in self.steps])).all():
             t = next(s.t for s in self.steps if not np.isfinite(s.theta).all())
             raise TraceFormatError(f"step {t}: action theta is not finite")
-        return self
 
     def _cache(self) -> dict:
         # dense views are rebuilt on demand and memoised; the trace is
@@ -271,7 +270,7 @@ def trace_from_dict(doc: dict) -> ObservationTrace:
         except (TypeError, ValueError, AttributeError) as exc:
             raise TraceFormatError(f"bad step: {exc}") from None
         steps.append(step)
-    return ObservationTrace(schema, tuple(steps)).validate()
+    return ObservationTrace(schema, tuple(steps))
 
 
 def trace_to_dict(trace: ObservationTrace) -> dict:

@@ -76,7 +76,7 @@ def make_trace(
         )
         for i in range(length)
     )
-    return ObservationTrace(TraceSchema(schema_vars, schema_actions), steps).validate()
+    return ObservationTrace(TraceSchema(schema_vars, schema_actions), steps)
 
 
 def eval_program_at(
@@ -184,8 +184,8 @@ def eager_induce(trace, registry, config):
                 complexity=cost,
                 score=cost + loss,
                 key=canonical_key(opt.ast),
-                parent_key=proto.parent_key,
-                expansion_leaf=proto.expansion_leaf,
+                parent_key=proto.site.parent_key,
+                expansion_leaf=proto.site.leaf_id,
                 seed=proto.seed,
             )
             prev = scored.get(cand.key)

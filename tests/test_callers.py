@@ -10,6 +10,10 @@ re-exported by ``tracesynth/__init__.py`` is not referenced by that.
 
 Every parameter of a function defined with ``def`` in ``tracesynth`` is
 read by its body, apart from those in ``UNREAD_PARAMETERS``.
+
+Every name a module-level import in ``tracesynth`` binds is read by its
+module.  ``__init__.py``, whose imports are the package's re-exports, and
+``from __future__`` imports are exempt.
 """
 
 from __future__ import annotations
@@ -133,3 +137,26 @@ def test_every_parameter_is_read():
         for found in _unread_parameters(path, ast.parse(path.read_text(encoding="utf-8")))
     ]
     assert sorted(unread) == sorted(UNREAD_PARAMETERS)
+
+
+def _unused_imports(path: Path, tree: ast.Module) -> list[str]:
+    """``module.name`` of every name bound by a module-level import, other
+    than from ``__future__``, that no name in the module reads."""
+    bound = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound += [(alias.asname or alias.name).split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [alias.asname or alias.name for alias in node.names]
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return [f"{path.stem}.{name}" for name in bound if name not in read]
+
+
+def test_every_import_is_used():
+    unused = [
+        found
+        for path in SOURCES
+        if path.parent == PACKAGE and path.name != "__init__.py"
+        for found in _unused_imports(path, ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert unused == []

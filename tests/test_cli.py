@@ -17,6 +17,7 @@ from tracesynth import (
 )
 from tracesynth.cli import SYSTEMS, run_cli
 from tracesynth.program import initial_params
+from tracesynth.search import MAX_COUNT_DIGITS
 
 
 def _extract_programs_section(report: str) -> str:
@@ -63,6 +64,12 @@ class TestSimulate:
         out = tmp_path / "t.trace"
         assert run_cli(["simulate", system, "--out", str(out), flag, "0.3"]) == 2
         assert f"simulate {system} does not take {flag}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_paddle_seed_named(self, tmp_path, capsys):
+        out = tmp_path / "t.trace"
+        assert run_cli(["simulate", "paddle", "--out", str(out), "--seed", "-1"]) == 2
+        assert capsys.readouterr().err == "error: seed must be >= 0\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -152,6 +159,26 @@ class TestEnumerate:
         assert run_cli(["enumerate", "--depth", "2", "--trace", str(trace_path)]) == 0
         out = capsys.readouterr().out
         assert "30" in out  # 3 leaves + 3 functions x 9 leaf pairs
+
+    def test_largest_printable_count(self, tmp_path, capsys):
+        trace_path = tmp_path / "p.trace"
+        run_cli(["simulate", "pendulum", "--out", str(trace_path)])
+        capsys.readouterr()
+        assert run_cli(["enumerate", "--depth", "13", "--trace", str(trace_path)]) == 0
+        out = capsys.readouterr().out
+        assert re.fullmatch(r"structures with depth <= 13: 20203416075\d{3992}\n", out)
+
+    @pytest.mark.parametrize("depth", [14, 40, 1200])
+    def test_count_too_long_to_print_refused(self, tmp_path, capsys, depth):
+        trace_path = tmp_path / "p.trace"
+        run_cli(["simulate", "pendulum", "--out", str(trace_path)])
+        capsys.readouterr()
+        assert run_cli(["enumerate", "--depth", str(depth), "--trace", str(trace_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            f"error: more than {MAX_COUNT_DIGITS} digits in the count of structures"
+            f" of depth <= {depth}\n"
+        )
 
 
 class TestInduce:

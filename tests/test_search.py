@@ -1,4 +1,6 @@
 import dataclasses
+import math
+from functools import cache
 
 import numpy as np
 import pytest
@@ -28,10 +30,13 @@ from tracesynth.program import (
     canonical_key,
     complexity,
     initial_params,
+    iter_nodes,
     leaves,
+    node_depth,
 )
 from tracesynth.search import expand, expand_empty, ranked_leaves
 from tests.conftest import eager_induce, make_trace
+from tests.test_program import _random_ast
 from tests.test_golden import CASES as GOLDEN_CASES
 
 
@@ -129,7 +134,7 @@ class TestExpand:
             assert selected not in child_leaf_ids or not isinstance(
                 dict(leaves(proto.ast)).get(selected), type(parent_nodes[selected])
             )
-            assert proto.expansion_leaf == selected
+            assert proto.site.leaf_id == selected
 
     def test_deterministic_across_calls(self, scalar_registry, scalar_schema):
         trace = make_trace({"x": [1.0], "v": [1.0]}, [1.0])
@@ -156,13 +161,21 @@ class TestExpand:
 
     @pytest.mark.parametrize(
         "text",
-        ["(accel 0.5)", "(accel (add x 0.5))", "(accel (sub (scale 0.5 (add v x)) x))"],
+        [
+            "(accel 0.5)",
+            "(accel (add x 0.5))",
+            "(accel (sub (scale 0.5 (add v x)) x))",
+            *range(8),  # seeds of random trees of depth budget 3
+        ],
     )
     def test_key_and_complexity_without_the_tree(self, text, scalar_registry, scalar_schema):
-        # keys are spliced and complexities counted from the parent's, at
-        # every leaf and depth; nothing is drawn or built until asked for
+        # complexities are counted from the parent's, at every leaf and
+        # depth; nothing is drawn or built until asked for
         trace = make_trace({"x": [1.0], "v": [1.0]}, [1.0])
-        ast = parse_program(text, scalar_registry, scalar_schema)
+        if isinstance(text, str):
+            ast = parse_program(text, scalar_registry, scalar_schema)
+        else:
+            ast = _random_ast(np.random.default_rng(text), 3)
         cand = _candidate(ast, scalar_registry, trace)
         weights = RunConfig().weights
         protos = [
@@ -175,21 +188,25 @@ class TestExpand:
         for proto in protos:
             assert proto.key == canonical_key(proto.ast)
             assert proto.complexity(weights) == complexity(proto.ast, weights)
+            assert _walk_depths(proto.ast) == _ancestor_counts(proto.ast.root)
         for proto in expand_empty(scalar_registry, scalar_schema, 5):
             assert proto.key == canonical_key(proto.ast)
             assert proto.complexity(weights) == complexity(proto.ast, weights)
+        assert _walk_depths(ast) == _ancestor_counts(ast.root)
 
-    def test_key_that_does_not_match_the_tree_is_refused(self, scalar_registry, monkeypatch):
-        # keys are made when a proposal is drawn; here every argument is
-        # keyed as a parameter, so (accel x), popped first, is keyed (accel ?)
-        trace = make_trace({"x": [1.0], "v": [1.0]}, [1.0])
-        monkeypatch.setattr(
-            search,
-            "_application_key",
-            lambda name, children: f"({name} {' '.join('?' for _ in children)})",
-        )
-        with pytest.raises(RuntimeError, match="does not match its tree"):
-            induce(trace, scalar_registry, config=RunConfig(max_iterations=2))
+
+def _walk_depths(ast):
+    """The depth of every node of the tree from the memoised walk, in preorder."""
+    return [node_depth(ast, nid) for nid, _ in iter_nodes(ast)]
+
+
+def _ancestor_counts(node, ancestors=0):
+    """The number of ancestors of every node of the subtree, in preorder,
+    counted by recursion."""
+    out = [ancestors]
+    for child in getattr(node, "children", ()):
+        out += _ancestor_counts(child, ancestors + 1)
+    return out
 
 
 class TestQueue:
@@ -344,6 +361,41 @@ class TestEnumerate:
 
     def test_depth_zero(self, scalar_registry):
         assert enumerate_programs(scalar_registry, {"x": 1, "v": 1}, 0) == 0
+
+    def test_matches_recursive_reference(self, scalar_registry):
+        variables = {"x": 1, "v": 1}
+        for d in range(14):
+            want = _recursive_count(scalar_registry, variables, d)
+            assert enumerate_programs(scalar_registry, variables, d) == want
+
+    def test_grammar_without_functions_stops_growing(self):
+        registry = Registry()
+        registry.register(
+            FunctionSpec("a", (1,), 1, is_action=True), lambda x: x, lambda args, g: (g,)
+        )
+        assert enumerate_programs(registry, {"x": 1}, 10**9) == 2
+
+
+def _recursive_count(registry, variables, max_depth):
+    """Reference count: a slot of dimension ``dim`` with ``budget``
+    applications below it holds a parameter, a variable or a function of
+    slots with one budget less."""
+
+    @cache
+    def slot_count(dim, budget):
+        total = 1 + sum(1 for d in variables.values() if d == dim)
+        if budget >= 1:
+            for fn in registry.pure_functions():
+                if fn.out_dim == dim:
+                    total += math.prod(slot_count(ad, budget - 1) for ad in fn.arg_dims)
+        return total
+
+    if max_depth < 1:
+        return 0
+    return sum(
+        math.prod(slot_count(ad, max_depth - 1) for ad in action.arg_dims)
+        for action in registry.actions()
+    )
 
 
 class TestInduce:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from tracesynth import (
     PENDULUM,
+    ObservationTrace,
     TraceFormatError,
     build_variable_index,
     load_trace,
@@ -44,6 +46,14 @@ class TestLoad:
         doc["steps"][1]["t"] = 3
         with pytest.raises(TraceFormatError):
             trace_from_dict(doc)
+
+    def test_direct_construction_validates(self):
+        trace = make_trace({"x": [1.0, 2.0]}, [1.0, 2.0])
+        nan_step = dataclasses.replace(trace.steps[0], vars={"x": np.array([np.nan])})
+        with pytest.raises(TraceFormatError, match="at least one step"):
+            ObservationTrace(trace.schema, ())
+        with pytest.raises(TraceFormatError, match="variable x is not finite"):
+            ObservationTrace(trace.schema, (nan_step, trace.steps[1]))
 
     def test_not_json(self, tmp_path):
         path = tmp_path / "bad.trace"
