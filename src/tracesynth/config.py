@@ -50,6 +50,7 @@ class RunConfig:
         if self.error_model == "discrete" and self.deadband == 0:
             # a prediction of 0 would then be within 0 of both class +1 and class -1
             raise ValueError("deadband must be > 0 for the discrete error model")
+        self.error_spec()  # which refuses a threshold it cannot add its penalty to
 
     def optimize_config(self) -> OptimizeConfig:
         return OptimizeConfig(learning_rate=self.learning_rate, max_opt_iters=self.max_opt_iters)

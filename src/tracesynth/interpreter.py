@@ -79,7 +79,9 @@ class ErrorSpec:
     threshold above which execution terminates.  A step whose observed
     action has another name than the program's root action has the error
     ``max_step_error + 1`` alone, with zero gradient: ``act_error`` is not
-    applied to it, and execution terminates there.
+    applied to it, and execution terminates there.  So ``max_step_error +
+    1`` must exceed ``max_step_error``: NaN, ±inf and magnitudes from 2**53
+    up raise ``ValueError``.
 
     Contract: ``act_error`` and ``len_error`` are never negative, so a loss
     is never negative and a program's complexity is a lower bound on its
@@ -92,6 +94,12 @@ class ErrorSpec:
     act_error_grad: Callable[[np.ndarray, np.ndarray], np.ndarray] = euclidean_error_grad
     len_error: Callable[[int, int], float] = zero_length_error
     max_step_error: float = 0.05
+
+    def __post_init__(self) -> None:
+        # in floats, as the error arrays hold it: an int compares exactly
+        x = float(self.max_step_error)
+        if not x + 1.0 > x:
+            raise ValueError(f"max_step_error must be finite with magnitude below 2**53, not {x!r}")
 
 
 def discretized_error_spec(deadband: float, max_step_error: float) -> ErrorSpec:

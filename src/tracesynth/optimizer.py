@@ -45,7 +45,7 @@ from .interpreter import (
     matches_trace,
 )
 from .program import ProgramAst, Registry, VarLeaf, leaves, replace_node
-from .trace import ObservationTrace, VariableIndex, build_variable_index
+from .trace import ObservationTrace, VariableIndex
 
 # the longest cycle of (parameter gradient, executed length) pairs that a
 # look-ahead follows; the plain loop keeps the last 2 * MAX_PERIOD pairs
@@ -349,7 +349,6 @@ def _look_ahead(
     trace: ObservationTrace,
     registry: Registry,
     spec: ErrorSpec,
-    index: VariableIndex,
 ) -> _Lookahead:
     """Evaluate ``blocks`` iterates from ``state`` on the assumption that
     they repeat ``cycle``, the (parameter gradient, executed length) pairs
@@ -429,7 +428,7 @@ def _look_ahead(
     # an accumulator
     live = None if len(by_length) == 1 else (np.arange(width) < lengths[:, None])[..., None]
     slot_acc = {}
-    for nid, leaf, _, column in rebindable_leaves(ast, index)[1]:
+    for nid, leaf, _, column in rebindable_leaves(ast, trace.index)[1]:
         g_rows = slot_rows[nid]
         sq = g_rows * g_rows
         if live is not None:
@@ -437,7 +436,7 @@ def _look_ahead(
             sq = np.where(live, sq, 0.0)
         slot_acc[nid] = acc = _fold_slot(state.slot_acc.get(nid), sq)
         holds &= ~per_block(
-            lambda n: _renames(index, leaf, column, g_rows[:, :n], acc[:, :n], lr)
+            lambda n: _renames(trace.index, leaf, column, g_rows[:, :n], acc[:, :n], lr)
         )
     accepted = blocks if holds.all() else int(holds.argmin())
     return _Lookahead(losses.tolist(), lengths.tolist(), accepted, walks, slot_acc)
@@ -469,7 +468,6 @@ def optimize(
     registry: Registry,
     spec: ErrorSpec = ErrorSpec(),
     config: OptimizeConfig = OptimizeConfig(),
-    index: VariableIndex | None = None,
 ) -> OptimizedCandidate:
     """Alternate forward, backward, AdaGrad and variable rebinding until the
     execution matches the trace, the loss stagnates, or the iteration cap is
@@ -489,8 +487,6 @@ def optimize(
     tape lowered, once per call.  The table is local and is dropped on
     return.
     """
-    if index is None:
-        index = build_variable_index(trace)
     state = OptimizerState.fresh(ast, params, config)
     # states at different executed lengths are incomparable (the loss sums
     # over more steps), so "best" prefers matching, then coverage, then loss
@@ -498,7 +494,7 @@ def optimize(
     # tree, parameters and result of the best state; a look-ahead block has
     # no result yet
     best: tuple[ProgramAst, dict[int, np.ndarray], ExecutionResult | None] | None = None
-    binding, slots = rebindable_leaves(ast, index)
+    binding, slots = rebindable_leaves(ast, trace.index)
     # a parameter leaf or a variable leaf with a rival of its dimension
     free = len(binding) < len(leaves(ast)) or bool(slots)
     trees: dict[Binding, ProgramAst] = {}
@@ -543,7 +539,7 @@ def optimize(
             if k < 2:
                 cycle = None
                 continue
-            ahead = _look_ahead(ast, state, cycle, k, trace, registry, spec, index)
+            ahead = _look_ahead(ast, state, cycle, k, trace, registry, spec)
             newest = None
             for j in range(ahead.accepted):
                 iterations += 1
@@ -582,7 +578,7 @@ def optimize(
         grads = backward(result, spec)
         state = adagrad_step(state, grads)
         # a re-binding keeps every leaf's kind and dimension, so ``free`` holds
-        ast, state, rebound = reassign_variables(ast, state, grads, index, trees)
+        ast, state, rebound = reassign_variables(ast, state, grads, trace.index, trees)
         if rebound or not result.terminated_early:
             recent = []
             continue

@@ -61,7 +61,7 @@ from .program import (
     replace_node,
     structural_cost,
 )
-from .trace import ObservationTrace, build_variable_index, names_by_dim
+from .trace import ObservationTrace, names_by_dim
 
 _PARAM_INIT_STD = math.sqrt(0.1)  # proposals drawn from N(0, variance 0.1)
 # Python's default limit on the digits of an int converted to text
@@ -324,7 +324,7 @@ def expand(
     tree_depth = max(depth(cand.ast), node_depth(cand.ast, leaf_id) + 1)
     n_params = sum(isinstance(n, ParamLeaf) for _, n in tree_leaves) - isinstance(leaf, ParamLeaf)
     n_vars = len(tree_leaves) - 1 - n_params
-    names = names_by_dim(trace.schema.variables)
+    names = trace.index.names
     site = _Site(cand.ast, cand.opt.params, cand.key, leaf_id, next_pid(cand.ast), names, run_seed)
     functions = [fn for fn in registry.pure_functions() if fn.out_dim == leaf.dim]
     return _proposals(site, functions, tree_depth, n_params, n_vars)
@@ -359,7 +359,6 @@ def induce(
     if spec is None:
         spec = config.error_spec()
     opt_config = config.optimize_config()
-    index = build_variable_index(trace)
     queue = CandidateQueue()
     # structure key -> ((score, complexity, n), best candidate); ``n`` keeps
     # the first-queued candidate on a tie, whatever order they are optimised in
@@ -370,7 +369,7 @@ def induce(
         nonlocal optimised, opt_iters
         optimised += 1
         proto = deferred.proto
-        opt = optimize(proto.ast, proto.params, trace, registry, spec, opt_config, index)
+        opt = optimize(proto.ast, proto.params, trace, registry, spec, opt_config)
         opt_iters += opt.iterations
         loss = opt.result.loss
         if not loss >= 0.0:
@@ -463,13 +462,15 @@ def induce(
 def enumerate_programs(registry: Registry, schema: object, max_depth: int) -> int:
     """Exact count of distinct program structures (parameters collapsed, variable
     names distinct, argument order significant) of depth at most ``max_depth``
-    under the expansion grammar.  Raises ``ValueError`` once the count has
-    more than ``MAX_COUNT_DIGITS`` digits.
+    under the expansion grammar.  Raises ``ValueError`` for a negative depth
+    and once the count has more than ``MAX_COUNT_DIGITS`` digits.
 
     Counts one depth at a time: a slot of a dimension holds a parameter, a
     variable or an application whose slots hold one depth less.  Slot counts
     saturate at the limit, which leaves every count below it exact, and the
     count stops growing once no slot count changes."""
+    if max_depth < 0:
+        raise ValueError(f"depth must be >= 0, not {max_depth}")
     variables = _as_variables(schema)
     fns = registry.pure_functions()
     actions = registry.actions()

@@ -54,8 +54,14 @@ class TraceStep:
 
 @dataclass(frozen=True)
 class ObservationTrace:
+    """A validated trace and the read-only arrays built with it: each
+    variable's column, each action's targets and the nearest-variable index."""
+
     schema: TraceSchema
     steps: tuple[TraceStep, ...]
+    _columns: dict[str, np.ndarray] = field(init=False, repr=False, compare=False)
+    _targets: dict[str, tuple] = field(init=False, repr=False, compare=False)
+    index: VariableIndex = field(init=False, repr=False, compare=False)
 
     @property
     def length(self) -> int:
@@ -70,19 +76,18 @@ class ObservationTrace:
             for name, dim in self.schema.variables.items():
                 if name not in step.vars:
                     raise TraceFormatError(f"step {step.t}: missing variable {name}")
-                if step.vars[name].shape != (dim,):
-                    raise TraceFormatError(f"step {step.t}: variable {name} has wrong dimension")
+                _require_row(step.t, f"variable {name}", step.vars[name], dim)
             for name in step.vars:
                 if name not in self.schema.variables:
                     raise TraceFormatError(f"step {step.t}: undeclared variable {name}")
             if step.action_name not in self.schema.actions:
                 raise TraceFormatError(f"step {step.t}: undeclared action {step.action_name}")
-            want = self.schema.actions[step.action_name]
-            if step.theta.shape != (want,):
-                raise TraceFormatError(
-                    f"step {step.t}: action {step.action_name} expects theta of dimension {want}"
-                )
-        for name, values in self.var_matrices().items():
+            _require_row(step.t, "action theta", step.theta, self.schema.actions[step.action_name])
+        columns = {
+            name: _read_only(np.stack([s.vars[name] for s in self.steps]))
+            for name in self.schema.variables
+        }
+        for name, values in columns.items():
             finite = np.isfinite(values).all(axis=1)
             if not finite.all():
                 t = int(np.argmin(finite)) + 1
@@ -90,66 +95,54 @@ class ObservationTrace:
         if not np.isfinite(np.concatenate([s.theta for s in self.steps])).all():
             t = next(s.t for s in self.steps if not np.isfinite(s.theta).all())
             raise TraceFormatError(f"step {t}: action theta is not finite")
-
-    def _cache(self) -> dict:
-        # dense views are rebuilt on demand and memoised; the trace is
-        # immutable so the cache never invalidates
-        cache = self.__dict__.get("_dense_cache")
-        if cache is None:
-            cache = {}
-            object.__setattr__(self, "_dense_cache", cache)
-        return cache
+        targets = {}
+        for name, dim in self.schema.actions.items():
+            mask = np.array([s.action_name == name for s in self.steps])
+            observed = np.full((self.length, dim), np.nan)
+            if mask.any():
+                observed[mask] = np.stack([s.theta for s in self.steps if s.action_name == name])
+            targets[name] = (_read_only(observed), _read_only(mask), bool(mask.all()))
+        object.__setattr__(self, "_columns", columns)
+        object.__setattr__(self, "_targets", targets)
+        object.__setattr__(self, "index", build_variable_index(self))
 
     def var_matrix(self, name: str) -> np.ndarray:
         """Values of one variable over all steps, shape (T, d), read-only:
         an execution's values may be this very array."""
-        cache = self._cache()
-        key = ("var", name)
-        if key not in cache:
-            cache[key] = np.stack([s.vars[name] for s in self.steps])
-            cache[key].flags.writeable = False
-        return cache[key]
+        return self._columns[name]
 
     def var_matrices(self) -> dict[str, np.ndarray]:
         """``var_matrix`` of every schema variable, keyed by name."""
-        cache = self._cache()
-        if "vars" not in cache:
-            cache["vars"] = {name: self.var_matrix(name) for name in self.schema.variables}
-        return cache["vars"]
-
-    def theta_matrix(self) -> np.ndarray:
-        """Observed action parameters over all steps, shape (T, D).
-
-        Only meaningful when every step uses the same action (padded with
-        NaN where dimensions differ otherwise)."""
-        cache = self._cache()
-        if "theta" not in cache:
-            dmax = max(s.theta.shape[0] for s in self.steps)
-            out = np.full((self.length, dmax), np.nan)
-            for i, s in enumerate(self.steps):
-                out[i, : s.theta.shape[0]] = s.theta
-            cache["theta"] = out
-        return cache["theta"]
+        return self._columns
 
     def action_targets(self, name: str, dim: int) -> tuple[np.ndarray, np.ndarray, bool]:
         """What a program whose root is action ``name`` of dimension ``dim``
-        is compared against: the observed parameters (T, dim), the mask of
-        steps whose observed action is ``name``, and whether that is every
-        step.  Raises ``ValueError`` if the schema gives ``name`` another
-        dimension."""
-        cache = self._cache()
-        key = ("targets", name, dim)
-        targets = cache.get(key)
-        if targets is None:
-            if self.schema.actions.get(name, dim) != dim:
-                raise ValueError(
-                    f"action {name} has dimension {self.schema.actions[name]} in the trace"
-                    f" schema, not {dim}"
-                )
-            name_match = np.array([s.action_name == name for s in self.steps])
-            targets = (self.theta_matrix()[:, :dim], name_match, bool(name_match.all()))
-            cache[key] = targets
-        return targets
+        is compared against: the observed parameters (T, dim), NaN on the
+        steps of other actions, the mask of steps whose observed action is
+        ``name``, and whether that is every step.  Raises ``ValueError`` if
+        the schema gives ``name`` another dimension."""
+        if self.schema.actions.get(name, dim) != dim:
+            raise ValueError(
+                f"action {name} has dimension {self.schema.actions[name]} in the trace"
+                f" schema, not {dim}"
+            )
+        if name not in self._targets:
+            # an action the schema does not declare is observed at no step
+            return np.full((self.length, dim), np.nan), np.zeros(self.length, bool), False
+        return self._targets[name]
+
+
+def _require_row(t: int, what: str, value: object, dim: int) -> None:
+    """Refuse a step's variable or theta that is not a NumPy array of shape (dim,)."""
+    if not isinstance(value, np.ndarray):
+        raise TraceFormatError(f"step {t}: {what} is a {type(value).__name__}, not a NumPy array")
+    if value.shape != (dim,):
+        raise TraceFormatError(f"step {t}: {what} has shape {value.shape}, not ({dim},)")
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)
@@ -185,7 +178,7 @@ class VariableIndex:
     def __init__(self, trace: ObservationTrace):
         self.names = names_by_dim(trace.schema.variables)
         self.values = {
-            dim: np.stack([trace.var_matrix(n) for n in names], axis=1)
+            dim: _read_only(np.stack([trace.var_matrix(n) for n in names], axis=1))
             for dim, names in self.names.items()
         }
 
@@ -211,8 +204,8 @@ def names_by_dim(variables: Mapping[str, int]) -> dict[int, list[str]]:
 
 
 def build_variable_index(trace: ObservationTrace) -> VariableIndex:
-    """Build the per-timestep nearest-variable index for a trace.  The trace
-    is immutable during induction, so all timesteps are indexed once."""
+    """Build the per-timestep nearest-variable index for a trace; a trace
+    builds its own ``index`` with this once, when it is made."""
     return VariableIndex(trace)
 
 

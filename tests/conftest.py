@@ -30,10 +30,10 @@ from tracesynth import (
     Registry,
     TraceSchema,
     TraceStep,
+    VariableIndex,
     VarLeaf,
     adagrad_step,
     backward,
-    build_variable_index,
     canonical_key,
     complexity,
     execute,
@@ -156,6 +156,21 @@ def mixed_action_case() -> tuple[Registry, ObservationTrace]:
     return registry, trace
 
 
+def mixed_dimension_case() -> tuple[Registry, ObservationTrace]:
+    """A registry and a trace with actions of two dimensions: accel (dim 1)
+    at steps 1-2 and turn (dim 2) at steps 3-4; brake is declared and
+    never observed."""
+    actions = {"accel": 1, "turn": 2, "brake": 1}
+    registry = standard_registry({"x": 1, "p": 2}, actions)
+    trace = make_trace(
+        {"x": [0.5, 1.0, 1.5, 2.0], "p": [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [2.0, 2.0]]},
+        [[1.1], [2.0], [1.0, 1.2], [2.0, 2.0]],
+        action=["accel", "accel", "turn", "turn"],
+        actions=actions,
+    )
+    return registry, trace
+
+
 def eager_induce(trace, registry, config):
     """Reference search: ``induce`` as it was before proposals were deferred,
     optimising each one when it is queued.  Returns the solution (or None),
@@ -163,7 +178,6 @@ def eager_induce(trace, registry, config):
     leaf rank)`` of every popped candidate.  Calls ``optimizer.optimize``
     through the module, so a test can count its calls."""
     spec = config.error_spec()
-    index = build_variable_index(trace)
     heap, counter, visited, scored, pops = [], itertools.count(), set(), {}, []
 
     def push(cand, leaf_rank=0):
@@ -175,7 +189,7 @@ def eager_induce(trace, registry, config):
                 continue
             visited.add(proto.key)
             opt = optimizer.optimize(
-                proto.ast, proto.params, trace, registry, spec, config.optimize_config(), index
+                proto.ast, proto.params, trace, registry, spec, config.optimize_config()
             )
             cost, loss = complexity(opt.ast, config.weights), opt.result.loss
             cand = Candidate(
@@ -209,14 +223,13 @@ def eager_induce(trace, registry, config):
     return solution, tuple(top[: config.top_k]), iterations, pops
 
 
-def sequential_optimize(ast, params, trace, registry, spec, config, index=None):
+def sequential_optimize(ast, params, trace, registry, spec, config):
     """Reference optimiser: the loop of ``optimize`` as it was before
     look-ahead blocks, one ``execute``, ``backward``, ``adagrad_step`` and
     ``reassign_variables`` per iteration.  Returns the
     ``OptimizedCandidate`` that ``optimize`` must return bit for bit."""
-    index = index if index is not None else build_variable_index(trace)
     state = OptimizerState.fresh(ast, params, config)
-    binding, slots = optimizer.rebindable_leaves(ast, index)
+    binding, slots = optimizer.rebindable_leaves(ast, trace.index)
     free = len(binding) < len(leaves(ast)) or bool(slots)
     trees, best, stagnant, iterations, stop = {}, None, 0, 0, "cap"
     for _ in range(max(1, config.max_opt_iters)):
@@ -238,7 +251,7 @@ def sequential_optimize(ast, params, trace, registry, spec, config, index=None):
             break
         grads = backward(result, spec)
         state = adagrad_step(state, grads)
-        ast, state, _ = reassign_variables(ast, state, grads, index, trees)
+        ast, state, _ = reassign_variables(ast, state, grads, trace.index, trees)
     _, best_ast, best_params, best_result = best
     grads = backward(best_result, spec)
     return OptimizedCandidate(best_ast, best_params, best_result, grads, iterations, stop)
@@ -272,6 +285,20 @@ def assert_same_optimum(got, want) -> None:
     for name in ("params", "slot_reads"):
         assert _same_array_dicts(getattr(got.grads, name), getattr(want.grads, name)), name
     assert (got.iterations, got.stop) == (want.iterations, want.stop)
+
+
+@pytest.fixture
+def index_builds(monkeypatch) -> list[VariableIndex]:
+    """Every ``VariableIndex`` constructed while the test runs."""
+    built = []
+    init = VariableIndex.__init__
+
+    def counting(self, trace):
+        built.append(self)
+        init(self, trace)
+
+    monkeypatch.setattr(VariableIndex, "__init__", counting)
+    return built
 
 
 @pytest.fixture

@@ -168,6 +168,20 @@ class TestEnumerate:
         out = capsys.readouterr().out
         assert re.fullmatch(r"structures with depth <= 13: 20203416075\d{3992}\n", out)
 
+    @pytest.mark.parametrize(
+        "depth, code, out", [(0, 0, "structures with depth <= 0: 0\n"), (-5, 2, "")]
+    )
+    def test_depth_zero_counts_nothing_and_negative_is_refused(
+        self, tmp_path, capsys, depth, code, out
+    ):
+        trace_path = tmp_path / "p.trace"
+        run_cli(["simulate", "pendulum", "--out", str(trace_path)])
+        capsys.readouterr()
+        assert run_cli(["enumerate", "--depth", str(depth), "--trace", str(trace_path)]) == code
+        captured = capsys.readouterr()
+        assert captured.out == out
+        assert captured.err == ("" if code == 0 else f"error: depth must be >= 0, not {depth}\n")
+
     @pytest.mark.parametrize("depth", [14, 40, 1200])
     def test_count_too_long_to_print_refused(self, tmp_path, capsys, depth):
         trace_path = tmp_path / "p.trace"
@@ -410,6 +424,15 @@ class TestInduce:
         cfg_path.write_text(json.dumps({field: value}))
         assert run_cli(["induce", "--trace", str(small_trace), "--config", str(cfg_path)]) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("threshold", ["9007199254740992", "1e20"])
+    @pytest.mark.parametrize("model", ["euclidean", "discrete"])
+    def test_threshold_too_large_for_the_penalty_rejected(
+        self, small_trace, capsys, model, threshold
+    ):
+        flags = ["--error-model", model, "--max-step-error", threshold]
+        assert run_cli(["induce", "--trace", str(small_trace), *flags]) == 2
+        assert "max_step_error must be finite with magnitude below 2**53" in capsys.readouterr().err
 
     def test_zero_deadband_rejected_for_discrete_model(self, small_trace, capsys):
         flags = ["--error-model", "discrete", "--deadband", "0"]

@@ -19,8 +19,9 @@ from tracesynth import (
     simulate_paddle,
     standard_registry,
 )
+from tracesynth.autodiff import backward, seed_rows
 from tracesynth.program import EMPTY_PROGRAM, initial_params
-from tests.conftest import make_trace, reference_loss
+from tests.conftest import make_trace, mixed_action_case, mixed_dimension_case, reference_loss
 
 
 def _program(text, registry, schema):
@@ -179,6 +180,24 @@ class TestExecute:
         assert res.terminated_early
         assert res.step_errors[0] > spec.max_step_error
 
+    @pytest.mark.parametrize(
+        "text, stop, matched, grad",
+        [("(accel (scale 2.0 x))", 3, [0.1, 0.0], -0.5), ("(turn (scale2 1.0 p))", 1, [], 0.0)],
+    )
+    def test_mixed_dimension_root_stops_at_the_other_action(self, text, stop, matched, grad):
+        # each root is compared with its own action's steps only and stops
+        # at the first step of the other, with the penalty and zero seed
+        registry, trace = mixed_dimension_case()
+        ast, params = _program(text, registry, trace.schema)
+        spec = ErrorSpec(max_step_error=0.5)
+        res = execute(ast, params, trace, registry, spec)
+        assert (res.executed_len, res.terminated_early) == (stop, True)
+        np.testing.assert_allclose(res.step_errors, [*matched, spec.max_step_error + 1.0])
+        seed = seed_rows(res.theta_hat, res.theta_obs, res.name_mask, spec)
+        assert seed.shape == (stop, ast.root.dim)
+        np.testing.assert_array_equal(seed[-1], 0.0)
+        np.testing.assert_allclose(backward(res, spec).params[0], [grad])
+
     def test_registry_contradicting_the_schema_raises(self, scalar_schema):
         # the trace gives accel dimension 1; a 2-dimensional accel is not
         # comparable with any step, so it must not score 0 there
@@ -243,7 +262,38 @@ class TestExecute:
             )
 
 
+TOO_LARGE = "max_step_error must be finite with magnitude below 2"
+
+
 class TestErrorSpecs:
+    @pytest.mark.parametrize(
+        "threshold", [2.0**53, 2**53 + 3, 1e20, -1e20, np.nan, np.inf, -np.inf]
+    )
+    def test_threshold_too_large_for_the_penalty_refused(self, threshold):
+        # max_step_error + 1 would not exceed the threshold, so a step of the
+        # wrong action or class would pass
+        with pytest.raises(ValueError, match=TOO_LARGE):
+            ErrorSpec(max_step_error=threshold)
+        with pytest.raises(ValueError, match=TOO_LARGE):
+            discretized_error_spec(0.05, threshold)
+
+    @pytest.mark.parametrize("threshold", [2.0**53, 1e20])
+    @pytest.mark.parametrize("model", ["euclidean", "discrete"])
+    def test_run_config_refuses_the_same_thresholds(self, threshold, model):
+        with pytest.raises(ValueError, match=TOO_LARGE):
+            RunConfig(max_step_error=threshold, error_model=model)
+
+    def test_largest_threshold_still_stops_at_the_wrong_action(self):
+        threshold = 2.0**53 - 1
+        registry, trace = mixed_action_case()
+        ast, params = _program("(accel (scale 2.0 x))", registry, {"x": 1})
+        for model in ("euclidean", "discrete"):
+            config = RunConfig(max_step_error=threshold, error_model=model)
+            assert config.max_step_error == threshold
+        res = execute(ast, params, trace, registry, ErrorSpec(max_step_error=threshold))
+        assert (res.executed_len, res.terminated_early) == (3, True)
+        assert res.step_errors[-1] == threshold + 1.0
+
     def test_default_error_zero_iff_equal(self):
         spec = ErrorSpec()
         a = np.array([[1.0, 2.0]])

@@ -218,6 +218,13 @@ class TestOptimize:
         assert flips >= 8
         assert len({id(tape) for tape, _ in tapes}) == len(set(bindings)) == 2
 
+    def test_reads_the_index_of_its_trace(self, scalar_registry, scalar_schema, index_builds):
+        trace = simulate_second_order(SecondOrderConfig(k1=-9.8, k2=0.0, x0=0.1, steps=20))
+        ast = parse_program("(accel (sub (add v 0.0) x))", scalar_registry, scalar_schema)
+        out = optimize(ast, initial_params(ast), trace, scalar_registry, ErrorSpec())
+        assert out.iterations > 1
+        assert index_builds == [trace.index]  # the one built with the trace
+
     def test_pendulum_coefficient_recovery(self, scalar_registry):
         trace = simulate_second_order(SecondOrderConfig(k1=-9.8, k2=0.0, x0=1.0))
         ast = parse_program("(accel (scale 0.1 x))", scalar_registry, {"x": 1, "v": 1})
@@ -293,7 +300,7 @@ def _same_state(a, b) -> bool:
     )
 
 
-def _check_against_plain_loop(ahead, ast, state, cycle, blocks, trace, registry, spec, index):
+def _check_against_plain_loop(ahead, ast, state, cycle, blocks, trace, registry, spec):
     """Run the plain loop from the state a look-ahead started from: the
     look-ahead accepts exactly the blocks whose iterations repeat the cycle
     and re-bind nothing, and each has the loss, parameters and state after
@@ -304,7 +311,7 @@ def _check_against_plain_loop(ahead, ast, state, cycle, blocks, trace, registry,
         result = interpreter.execute(ast, plain.params, trace, registry, spec)
         grads = backward(result, spec)
         after = adagrad_step(plain, grads)
-        _, after, rebound = reassign_variables(ast, after, grads, index)
+        _, after, rebound = reassign_variables(ast, after, grads, trace.index)
         pair = (grads, result.executed_len)
         if rebound or not result.terminated_early or not _same_pair(pair, cycle[j % len(cycle)]):
             assert ahead.accepted == j
@@ -429,7 +436,8 @@ class TestLookAhead:
         # stays bound
         pendulum = _pendulum_trace()
         trace = make_trace(
-            {"x": pendulum.var_matrix("x")[:, 0].tolist()}, pendulum.theta_matrix()[:, 0].tolist()
+            {"x": pendulum.var_matrix("x")[:, 0].tolist()},
+            pendulum.action_targets("accel", 1)[0][:, 0].tolist(),
         )
         registry = standard_registry({"x": 1}, {"accel": 1})
         out = _both(

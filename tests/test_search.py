@@ -321,6 +321,11 @@ def brute_force_structures(registry, variables, max_depth):
 
 
 class TestEnumerate:
+    def test_negative_depth_raises(self, scalar_registry, scalar_schema):
+        with pytest.raises(ValueError, match="depth must be >= 0, not -1"):
+            enumerate_programs(scalar_registry, scalar_schema, -1)
+        assert enumerate_programs(scalar_registry, scalar_schema, 0) == 0
+
     def test_tiny_grammar_depth1(self):
         registry = Registry()
         registry.register(
@@ -412,6 +417,12 @@ class TestInduce:
         assert sol.solution.complexity == 15
         p = sol.solution.opt.params[0][0]
         assert abs(p - 0.7) <= 0.05
+
+    def test_reads_the_index_of_its_trace(self, scalar_registry, index_builds):
+        trace = simulate_second_order(SecondOrderConfig(k1=-9.8, k2=0.0, x0=0.1, steps=100))
+        sol = induce(trace, scalar_registry, config=RunConfig(max_iterations=5))
+        assert sol.optimised > 1
+        assert index_builds == [trace.index]  # the one built with the trace
 
     def test_no_action_registry_rejected(self, scalar_registry, scalar_schema):
         registry = Registry()

@@ -48,7 +48,7 @@ class TestSecondOrder:
         trace = simulate_second_order(OSCILLATOR)
         x = trace.var_matrix("x")[:, 0]
         v = trace.var_matrix("v")[:, 0]
-        theta = trace.theta_matrix()[:, 0]
+        theta = trace.action_targets("accel", 1)[0][:, 0]
         np.testing.assert_allclose(theta, -4.0 * x - 0.25 * v, rtol=1e-12)
 
     def test_defaults(self):
@@ -95,7 +95,7 @@ class TestPaddle:
         trace = simulate_paddle(cfg)
         ball = trace.var_matrix("ball_y")[:, 0]
         agent = trace.var_matrix("agent_y")[:, 0]
-        theta = trace.theta_matrix()[:, 0]
+        theta = trace.action_targets("move", 1)[0][:, 0]
         u = cfg.c_ball * ball - cfg.c_agent * agent
         want = discretize_actions(u.reshape(-1, 1), cfg.deadband)[:, 0]
         np.testing.assert_array_equal(theta, want)
@@ -104,7 +104,7 @@ class TestPaddle:
         cfg = PaddleConfig()
         trace = simulate_paddle(cfg)
         agent = trace.var_matrix("agent_y")[:, 0]
-        theta = trace.theta_matrix()[:, 0]
+        theta = trace.action_targets("move", 1)[0][:, 0]
         for i in range(len(agent) - 1):
             expected = np.clip(agent[i] + theta[i] * cfg.paddle_speed, 0, cfg.height)
             np.testing.assert_allclose(agent[i + 1], expected, rtol=1e-12)
@@ -117,7 +117,7 @@ class TestPaddle:
 
     def test_actions_discrete(self):
         trace = simulate_paddle(PaddleConfig())
-        theta = trace.theta_matrix()[:, 0]
+        theta = trace.action_targets("move", 1)[0][:, 0]
         assert set(np.unique(theta)) <= {-1.0, 0.0, 1.0}
 
     def test_bit_identical_with_seed(self):

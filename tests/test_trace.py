@@ -16,7 +16,7 @@ from tracesynth import (
     trace_from_dict,
     trace_to_dict,
 )
-from tests.conftest import make_trace
+from tests.conftest import make_trace, mixed_dimension_case
 
 
 class TestLoad:
@@ -177,3 +177,60 @@ class TestNearestVariable:
         assert winners.shape == (3, 4)
         for k in range(3):
             np.testing.assert_array_equal(winners[k], index.query_steps(1, points[k]))
+
+
+class TestDerivedArrays:
+    """Columns, action targets and the index are built with the trace and
+    handed out read-only."""
+
+    def test_action_targets_of_mixed_dimensions(self):
+        _, trace = mixed_dimension_case()
+        nan = np.nan
+        for name, dim, want, mask in (
+            ("accel", 1, [[1.1], [2.0], [nan], [nan]], [True, True, False, False]),
+            ("turn", 2, [[nan] * 2, [nan] * 2, [1.0, 1.2], [2.0, 2.0]], [False, False, True, True]),
+            ("brake", 1, [[nan]] * 4, [False] * 4),
+            ("jump", 2, [[nan] * 2] * 4, [False] * 4),  # not in the schema
+        ):
+            observed, name_match, all_match = trace.action_targets(name, dim)
+            assert observed.shape == (4, dim)
+            np.testing.assert_array_equal(observed, want)
+            np.testing.assert_array_equal(name_match, mask)
+            assert all_match is False
+        with pytest.raises(ValueError, match="turn has dimension 2 in the trace schema, not 1"):
+            trace.action_targets("turn", 1)
+
+    def test_single_action_targets_cover_every_step(self):
+        trace = simulate_second_order(PENDULUM)
+        observed, name_match, all_match = trace.action_targets("accel", 1)
+        want = np.stack([s.theta for s in trace.steps])
+        assert observed.tobytes() == want.tobytes()
+        assert name_match.all() and all_match is True
+
+    def test_arrays_are_read_only(self):
+        _, trace = mixed_dimension_case()
+        arrays = [
+            *trace.var_matrices().values(),
+            *trace.action_targets("accel", 1)[:2],
+            *trace.action_targets("turn", 2)[:2],
+            *trace.index.values.values(),
+        ]
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0
+
+    def test_index_is_built_with_the_trace(self):
+        _, trace = mixed_dimension_case()
+        assert trace.index.names == {1: ["x"], 2: ["p"]}
+        assert trace.index.values[2].tobytes() == trace.var_matrix("p")[:, None].tobytes()
+
+    @pytest.mark.parametrize("field", ["variable x", "action theta"])
+    def test_list_instead_of_array_refused(self, field):
+        trace = make_trace({"x": [1.0, 2.0]}, [1.0, 2.0])
+        if field == "variable x":
+            bad = dataclasses.replace(trace.steps[1], vars={"x": [0.1]})
+        else:
+            bad = dataclasses.replace(trace.steps[1], theta=[0.1])
+        want = f"step 2: {field} is a list, not a NumPy array"
+        with pytest.raises(TraceFormatError, match=want):
+            ObservationTrace(trace.schema, (trace.steps[0], bad))
