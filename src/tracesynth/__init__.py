@@ -1,6 +1,31 @@
 """tracesynth: induce short typed s-expression programs that reproduce
 observed state-action traces, via gradient descent inside a best-first
-structure search."""
+structure search.
+
+Importing tracesynth before numpy loads numpy with a one-thread BLAS pool.
+numpy's bundled OpenBLAS otherwise starts a worker per extra CPU when it
+loads, and each worker spins for a while before it sleeps.  tracesynth
+gives them no work (its only BLAS call is the norm of a few numbers), yet
+the spin is CPU time charged to every short ``induce`` process.  OpenBLAS
+reads its thread count once, when it loads, so ``OPENBLAS_NUM_THREADS`` is
+set to 1 for that moment only and ``os.environ`` is left as it was.  Where
+the caller has set ``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` or
+``OMP_NUM_THREADS``, or numpy is already loaded, nothing changes.  The
+trade-off: a host that imports tracesynth first and then runs large BLAS
+work gets one BLAS thread, unless it sets one of those variables itself or
+imports numpy first.
+"""
+
+import os
+import sys
+
+_BLAS_THREAD_VARIABLES = {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"}
+if "numpy" not in sys.modules and not _BLAS_THREAD_VARIABLES & os.environ.keys():
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy  # noqa: F401
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
 
 from .autodiff import Gradients, backward
 from .config import RunConfig

@@ -53,14 +53,14 @@ def _build_parser() -> argparse.ArgumentParser:
         sim.add_argument("--" + name.replace("_", "-"), type=flag_type)
 
     ind = sub.add_parser("induce", help="induce a program reproducing a trace")
-    ind.add_argument("--trace", required=True)
-    ind.add_argument("--out", default=None)
+    ind.add_argument("--trace", required=True, help="trace file to induce a program from")
+    ind.add_argument("--out", default=None, help="write the report here, not to stdout")
     _add_error_model_flags(ind)
     _add_search_flags(ind)
 
     ev = sub.add_parser("eval", help="evaluate a program file against a trace")
-    ev.add_argument("--program", required=True)
-    ev.add_argument("--trace", required=True)
+    ev.add_argument("--program", required=True, help="file holding one program's text")
+    ev.add_argument("--trace", required=True, help="trace file to evaluate it on")
     _add_error_model_flags(ev)
 
     enum = sub.add_parser("enumerate", help="count program structures up to a depth")
@@ -73,19 +73,55 @@ def _add_error_model_flags(cmd: argparse.ArgumentParser) -> None:
     """Flags that decide whether a program matches a trace; ``induce`` and
     ``eval`` share them so both judge a program by the same rule."""
     cmd.add_argument("--config", default=None, help="JSON file of run-config fields")
-    cmd.add_argument("--max-step-error", type=float, dest="max_step_error")
-    cmd.add_argument("--error-model", choices=["euclidean", "discrete"], dest="error_model")
-    cmd.add_argument("--deadband", type=float, dest="deadband")
+    cmd.add_argument(
+        "--max-step-error",
+        type=float,
+        dest="max_step_error",
+        help="largest error a matched step may have; under the discrete model it only"
+        " sizes the penalty of a misclassified step",
+    )
+    cmd.add_argument(
+        "--error-model",
+        choices=["euclidean", "discrete"],
+        dest="error_model",
+        help="euclidean: distance to the observed action; discrete: a match needs every"
+        " step classified right into {-1, 0, +1}, whatever --max-step-error",
+    )
+    cmd.add_argument(
+        "--deadband",
+        type=float,
+        dest="deadband",
+        help="discrete model: a prediction within this of 0 is class 0",
+    )
 
 
 def _add_search_flags(cmd: argparse.ArgumentParser) -> None:
-    cmd.add_argument("--seed", type=int)
-    cmd.add_argument("--learning-rate", type=float, dest="learning_rate")
-    cmd.add_argument("--max-opt-iters", type=int, dest="max_opt_iters")
-    cmd.add_argument("--max-iterations", type=int, dest="max_iterations")
-    cmd.add_argument("--top-k", type=int, dest="top_k")
+    cmd.add_argument("--seed", type=int, help="seed of the search's random draws")
     cmd.add_argument(
-        "--weights", type=float, nargs=3, metavar=("DEPTH", "PARAMS", "VARS"), dest="weights"
+        "--learning-rate", type=float, dest="learning_rate", help="AdaGrad learning rate"
+    )
+    cmd.add_argument(
+        "--max-opt-iters",
+        type=int,
+        dest="max_opt_iters",
+        help="optimiser iterations allowed per candidate structure",
+    )
+    cmd.add_argument(
+        "--max-iterations",
+        type=int,
+        dest="max_iterations",
+        help="search iterations before giving up without a match",
+    )
+    cmd.add_argument(
+        "--top-k", type=int, dest="top_k", help="how many best candidates the report lists"
+    )
+    cmd.add_argument(
+        "--weights",
+        type=float,
+        nargs=3,
+        metavar=("DEPTH", "PARAMS", "VARS"),
+        dest="weights",
+        help="complexity cost per unit of tree depth, parameter leaf and variable leaf",
     )
 
 

@@ -3,12 +3,11 @@ command-line surface."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, fields, replace
 
 from .interpreter import ErrorSpec, discretized_error_spec
 from .optimizer import OptimizeConfig
-from .program import ComplexityWeights
+from .program import ComplexityWeights, is_finite
 
 
 @dataclass(frozen=True)
@@ -30,7 +29,7 @@ class RunConfig:
             if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[f.type]):
                 raise ValueError(f"{f.name} must be of type {f.type}, not {type(value).__name__}")
             # nan compares false with everything, so it would pass the checks below
-            if f.type == "float" and not math.isfinite(value):
+            if f.type == "float" and not is_finite(value):
                 raise ValueError(f"{f.name} must be finite")
         positive = {
             "max_step_error": self.max_step_error,
@@ -108,4 +107,6 @@ def _as_weights(value: object) -> ComplexityWeights:
         and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in value)
     ):
         raise ValueError("weights must be three numbers: depth, params, variables")
+    if not all(is_finite(x) for x in value):
+        raise ValueError("weights must be finite")
     return ComplexityWeights(*[float(x) for x in value])

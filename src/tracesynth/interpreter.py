@@ -97,7 +97,10 @@ class ErrorSpec:
 
     def __post_init__(self) -> None:
         # in floats, as the error arrays hold it: an int compares exactly
-        x = float(self.max_step_error)
+        try:
+            x = float(self.max_step_error)
+        except OverflowError:  # an int too large for a float
+            x = math.inf
         if not x + 1.0 > x:
             raise ValueError(f"max_step_error must be finite with magnitude below 2**53, not {x!r}")
 
@@ -114,6 +117,11 @@ def discretized_error_spec(deadband: float, max_step_error: float) -> ErrorSpec:
     Correctly classified steps contribute no gradient, and every
     misclassified step, the boundary included, pulls with unit slope
     toward its class region.
+
+    A correctly classified step has error 0 and a misclassified one more
+    than ``max_step_error``, so a program matches the trace exactly when it
+    classifies every step right, whatever the threshold: ``max_step_error``
+    only sets the size of the misclassification penalty.
     """
 
     def err(theta_hat: np.ndarray, theta: np.ndarray) -> np.ndarray:

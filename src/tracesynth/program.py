@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Union
 
 import numpy as np
@@ -111,9 +111,19 @@ class ComplexityWeights:
     variables: float = 1.0
 
     def __post_init__(self) -> None:
-        weights = (self.depth, self.params, self.variables)
-        if not all(math.isfinite(w) and w >= 0 for w in weights):
-            raise ValueError("complexity weights must be finite and nonnegative")
+        for f in fields(self):
+            weight = getattr(self, f.name)
+            if not (is_finite(weight) and weight >= 0):
+                raise ValueError(f"complexity weight {f.name} must be finite and nonnegative")
+
+
+def is_finite(x: float) -> bool:
+    """``math.isfinite``, except that an int too large for a float is not
+    finite rather than an ``OverflowError``."""
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
 
 
 # impl(*args) -> output, vectorised over a leading row axis: (n, d_i) -> (n, out)

@@ -9,13 +9,14 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .draws import Stream
+from .program import is_finite
 from .trace import ObservationTrace, TraceSchema, TraceStep
 
 
 def _require_finite(cfg: object) -> None:
     """Raise ValueError naming the first NaN or infinite float field of ``cfg``."""
     for f in fields(cfg):
-        if f.type == "float" and not math.isfinite(getattr(cfg, f.name)):
+        if f.type == "float" and not is_finite(getattr(cfg, f.name)):
             raise ValueError(f"{f.name} must be finite")
 
 

@@ -248,22 +248,38 @@ def trace_from_dict(doc: dict) -> ObservationTrace:
         _require(
             type(raw["t"]) is int, f"step field 't' must be an integer, got {raw['t']!r}"
         )
-        action = raw["action"]
+        t, action = raw["t"], raw["action"]
+        _require(isinstance(raw["vars"], dict), f"step {t}: vars must be an object")
         _require(
             isinstance(action, dict) and "name" in action and "theta" in action,
             "step action needs name and theta",
         )
-        try:
-            step = TraceStep(
-                t=raw["t"],
-                vars={k: np.asarray(v, dtype=float).reshape(-1) for k, v in raw["vars"].items()},
-                action_name=str(action["name"]),
-                theta=np.asarray(action["theta"], dtype=float).reshape(-1),
-            )
-        except (TypeError, ValueError, AttributeError) as exc:
-            raise TraceFormatError(f"bad step: {exc}") from None
+        step = TraceStep(
+            t=t,
+            vars={k: _json_row(t, f"variable {k}", v) for k, v in raw["vars"].items()},
+            action_name=str(action["name"]),
+            theta=_json_row(t, "action theta", action["theta"]),
+        )
         steps.append(step)
     return ObservationTrace(schema, tuple(steps))
+
+
+# the types json.loads gives a number; bool is an int subclass, not an int
+_JSON_NUMBERS = frozenset({int, float})
+
+
+def _json_row(t: int, what: str, value: object) -> np.ndarray:
+    """A step's variable or theta from its JSON value, which must be a flat
+    array of numbers: a string, true or false, a nested array or a bare
+    number is refused, not converted."""
+    if not (type(value) is list and _JSON_NUMBERS.issuperset(map(type, value))):
+        raise TraceFormatError(
+            f"step {t}: {what} must be a flat array of numbers, not {value!r:.40}"
+        )
+    try:
+        return np.array(value, dtype=float)
+    except OverflowError:
+        raise TraceFormatError(f"step {t}: {what} holds an integer too large for a float") from None
 
 
 def trace_to_dict(trace: ObservationTrace) -> dict:

@@ -12,8 +12,8 @@ Every parameter of a function defined with ``def`` in ``tracesynth`` is
 read by its body, apart from those in ``UNREAD_PARAMETERS``.
 
 Every name a module-level import in ``tracesynth`` binds is read by its
-module.  ``__init__.py``, whose imports are the package's re-exports, and
-``from __future__`` imports are exempt.
+module.  The relative imports of ``__init__.py``, which are the package's
+re-exports, and ``from __future__`` imports are exempt.
 """
 
 from __future__ import annotations
@@ -141,22 +141,30 @@ def test_every_parameter_is_read():
 
 def _unused_imports(path: Path, tree: ast.Module) -> list[str]:
     """``module.name`` of every name bound by a module-level import, other
-    than from ``__future__``, that no name in the module reads."""
+    than from ``__future__`` or a relative import in ``__init__.py``, that no
+    name in the module reads."""
     bound = []
     for node in tree.body:
         if isinstance(node, ast.Import):
             bound += [(alias.asname or alias.name).split(".")[0] for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            if path.name == "__init__.py" and node.level > 0:
+                continue  # a re-export
             bound += [alias.asname or alias.name for alias in node.names]
     read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     return [f"{path.stem}.{name}" for name in bound if name not in read]
 
 
 def test_every_import_is_used():
+    stray = "import json\nfrom os import path\nfrom .trace import load_trace\n"
+    assert _unused_imports(PACKAGE / "__init__.py", ast.parse(stray)) == [
+        "__init__.json",
+        "__init__.path",
+    ]
     unused = [
         found
         for path in SOURCES
-        if path.parent == PACKAGE and path.name != "__init__.py"
+        if path.parent == PACKAGE
         for found in _unused_imports(path, ast.parse(path.read_text(encoding="utf-8")))
     ]
     assert unused == []

@@ -1,3 +1,4 @@
+import argparse
 import json
 import re
 from dataclasses import fields
@@ -15,9 +16,12 @@ from tracesynth import (
     standard_registry,
     trace_to_dict,
 )
-from tracesynth.cli import SYSTEMS, run_cli
+from tracesynth.cli import SYSTEMS, _build_parser, run_cli
 from tracesynth.program import initial_params
 from tracesynth.search import MAX_COUNT_DIGITS
+
+# an int too large for a float, which a JSON document can hold
+HUGE_INT = pytest.param(10**400, id="huge-int")
 
 
 def _extract_programs_section(report: str) -> str:
@@ -150,6 +154,16 @@ class TestEval:
         prog = tmp_path / "prog.sexp"
         prog.write_text("(accel x)")
         assert run_cli(["eval", "--program", str(prog), "--trace", "/nonexistent"]) == 2
+
+
+@pytest.mark.parametrize("command", ["induce", "eval"])
+def test_every_flag_has_help(command):
+    parser = _build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    actions = commands.choices[command]._actions
+    assert [a.option_strings for a in actions if not a.help] == []
+    threshold = next(a for a in actions if "--max-step-error" in a.option_strings)
+    assert "discrete model it only sizes the penalty" in threshold.help
 
 
 class TestEnumerate:
@@ -379,6 +393,32 @@ class TestInduce:
         assert "step 4" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "value, problem",
+        [
+            (["0.5"], "must be a flat array of numbers"),
+            ([True], "must be a flat array of numbers"),
+            ([[0.5]], "must be a flat array of numbers"),
+            (0.5, "must be a flat array of numbers"),
+            ([10**400], "holds an integer too large for a float"),
+        ],
+        ids=["string", "true", "nested", "scalar", "huge-int"],
+    )
+    @pytest.mark.parametrize("field", ["variable x", "action theta"])
+    def test_trace_value_that_is_not_an_array_of_numbers_rejected(
+        self, small_trace, tmp_path, capsys, field, value, problem
+    ):
+        doc = json.loads(small_trace.read_text())
+        step = doc["steps"][3]
+        if field == "variable x":
+            step["vars"]["x"] = value
+        else:
+            step["action"]["theta"] = value
+        path = tmp_path / "bad.trace"
+        path.write_text(json.dumps(doc))
+        assert run_cli(["induce", "--trace", str(path)]) == 2
+        assert f"error: step 4: {field} {problem}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "flags, message",
         [
             (["--max-step-error", "nan"], "max_step_error must be finite"),
@@ -397,7 +437,7 @@ class TestInduce:
         assert run_cli(["induce", "--trace", str(small_trace), "--config", str(cfg_path)]) == 2
         assert f"{field} must be finite" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), HUGE_INT])
     @pytest.mark.parametrize("field", [f.name for f in fields(RunConfig) if f.type == "float"])
     def test_every_float_config_field_must_be_finite(
         self, small_trace, tmp_path, capsys, field, value
@@ -406,6 +446,18 @@ class TestInduce:
         cfg_path.write_text(json.dumps({field: value}))
         assert run_cli(["induce", "--trace", str(small_trace), "--config", str(cfg_path)]) == 2
         assert f"{field} must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [float("nan"), HUGE_INT])
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_every_config_weight_must_be_finite(
+        self, small_trace, tmp_path, capsys, position, value
+    ):
+        weights = [10, 5, 1]
+        weights[position] = value
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"weights": weights}))
+        assert run_cli(["induce", "--trace", str(small_trace), "--config", str(cfg_path)]) == 2
+        assert "weights must be finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "field, value, message",

@@ -1,6 +1,7 @@
 """``draws.Stream`` against ``numpy.random.default_rng``, the stream it copies
 bit for bit, and checks that nothing in ``tracesynth`` imports
-``numpy.random``.
+``numpy.random``, and that importing ``tracesynth`` starts no BLAS worker
+thread and leaves ``os.environ`` as it was.
 
 Floats are compared by ``float.hex``, so a sign of zero counts.  A few draws
 are also pinned as literals: NEP 19 does not promise that numpy's
@@ -249,3 +250,41 @@ def test_induce_and_paddle_leave_numpy_random_unimported():
     out = json.loads(proc.stdout)
     assert out["optimised"] > 0
     assert out["loaded"] == []
+
+
+BLAS_PROCESS = """
+import json, os
+before = dict(os.environ)
+import tracesynth as ts
+kept = dict(os.environ) == before
+trace = ts.simulate_second_order(ts.SecondOrderConfig())
+registry = ts.standard_registry(trace.schema.variables, trace.schema.actions)
+ts.induce(trace, registry, config=ts.RunConfig(max_iterations=2))
+print(json.dumps({
+    "threads": len(os.listdir("/proc/self/task")),
+    "environ_kept": kept,
+    "openblas": os.environ.get("OPENBLAS_NUM_THREADS"),
+}))
+"""
+
+
+@pytest.mark.parametrize(
+    "caller",
+    [{}, {"OPENBLAS_NUM_THREADS": "2"}, {"OMP_NUM_THREADS": "2"}],
+    ids=["unset", "OPENBLAS_NUM_THREADS=2", "OMP_NUM_THREADS=2"],
+)
+def test_import_starts_no_blas_worker_and_keeps_the_environment(caller):
+    blas = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in blas}
+    env.update(caller, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT)]))
+    proc = subprocess.run(
+        [sys.executable, "-c", BLAS_PROCESS], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["environ_kept"]
+    assert out["openblas"] == caller.get("OPENBLAS_NUM_THREADS")
+    # OpenBLAS runs the caller's thread count, the main thread included,
+    # capped by the CPUs the process may run on; with no count, one thread
+    wanted = int(next(iter(caller.values()), 1))
+    assert out["threads"] == min(wanted, len(os.sched_getaffinity(0)))

@@ -267,7 +267,9 @@ TOO_LARGE = "max_step_error must be finite with magnitude below 2"
 
 class TestErrorSpecs:
     @pytest.mark.parametrize(
-        "threshold", [2.0**53, 2**53 + 3, 1e20, -1e20, np.nan, np.inf, -np.inf]
+        "threshold",
+        [2.0**53, 2**53 + 3, 1e20, -1e20, np.nan, np.inf, -np.inf]
+        + [pytest.param(10**400, id="huge-int")],
     )
     def test_threshold_too_large_for_the_penalty_refused(self, threshold):
         # max_step_error + 1 would not exceed the threshold, so a step of the

@@ -155,9 +155,10 @@ class TestDepthComplexity:
             ComplexityWeights(-1, 5, 1)
 
     def test_non_finite_weights_rejected(self):
-        # a NaN weight would make every complexity, and so every score, NaN
-        for bad in (float("nan"), float("inf")):
-            with pytest.raises(ValueError, match="finite"):
+        # a NaN weight would make every complexity, and so every score, NaN;
+        # an int too large for a float cannot be made one
+        for bad in (float("nan"), float("inf"), 10**400):
+            with pytest.raises(ValueError, match="complexity weight params must be finite"):
                 ComplexityWeights(10, bad, 1)
 
 

@@ -60,6 +60,8 @@ class TestSecondOrder:
             SecondOrderConfig(dt=0.0)
         with pytest.raises(ValueError):
             SecondOrderConfig(steps=0)
+        with pytest.raises(ValueError, match="k1 must be finite"):
+            SecondOrderConfig(k1=10**400)  # an int too large for a float
 
     def test_bit_identical(self):
         a = simulate_second_order(OSCILLATOR)
@@ -142,6 +144,8 @@ class TestPaddle:
             PaddleConfig(steps=0)
         with pytest.raises(ValueError):
             PaddleConfig(c_agent=float("inf"))
+        with pytest.raises(ValueError, match="deadband must be finite"):
+            PaddleConfig(deadband=10**400)  # an int too large for a float
 
     def test_round_trip_validates(self, tmp_path):
         trace = simulate_paddle(PaddleConfig())

@@ -73,6 +73,15 @@ class TestLoad:
             for name in a.vars:
                 np.testing.assert_array_equal(a.vars[name], b.vars[name])
 
+    def test_json_ints_load_as_floats(self):
+        doc = trace_to_dict(make_trace({"x": [1.5, 2.5]}, [1.5, 2.5]))
+        doc["steps"][0]["vars"]["x"] = [1]
+        doc["steps"][1]["action"]["theta"] = [-2]
+        trace = trace_from_dict(doc)
+        assert trace.steps[0].vars["x"].dtype == trace.steps[1].theta.dtype == np.float64
+        assert trace.var_matrix("x").tolist() == [[1.0], [2.5]]
+        assert trace.steps[1].theta.tolist() == [-2.0]
+
     def test_field_names_exact(self, tmp_path):
         trace = make_trace({"x": [1]}, [2])
         path = tmp_path / "t.trace"
