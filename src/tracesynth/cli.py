@@ -39,6 +39,23 @@ SYSTEMS = {
     "paddle": (PaddleConfig(), simulate_paddle),
 }
 SYSTEM_FIELDS = {f.name: f.type for base, _ in SYSTEMS.values() for f in fields(base)}
+# one line of help per system field; the help of its flag names the systems
+# that take it
+SYSTEM_FIELD_HELP = {
+    "k1": "position coefficient of the law accel = k1*x + k2*v",
+    "k2": "velocity coefficient of the law accel = k1*x + k2*v",
+    "x0": "initial position",
+    "v0": "initial velocity",
+    "dt": "integration time step",
+    "steps": "number of trace steps",
+    "height": "height of the field the ball bounces across",
+    "ball_speed": "distance the ball moves per step",
+    "paddle_speed": "distance the paddle moves per step per unit action",
+    "deadband": "the paddle moves only when |u| exceeds this",
+    "c_agent": "agent coefficient of the law u = c_ball*ball_y - c_agent*agent_y",
+    "c_ball": "ball coefficient of the law u = c_ball*ball_y - c_agent*agent_y",
+    "seed": "seed of the random start positions and opponent phase",
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -46,11 +63,16 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("simulate", help="write a generated trace file")
-    sim.add_argument("system", choices=list(SYSTEMS))
-    sim.add_argument("--out", required=True)
+    sim.add_argument("system", choices=list(SYSTEMS), help="system to simulate")
+    sim.add_argument("--out", required=True, help="trace file to write")
     for name, annotation in SYSTEM_FIELDS.items():
         flag_type = {"float": float, "int": int}[annotation]
-        sim.add_argument("--" + name.replace("_", "-"), type=flag_type)
+        systems = ", ".join(s for s, (base, _) in SYSTEMS.items() if hasattr(base, name))
+        sim.add_argument(
+            "--" + name.replace("_", "-"),
+            type=flag_type,
+            help=f"{SYSTEM_FIELD_HELP[name]} ({systems})",
+        )
 
     ind = sub.add_parser("induce", help="induce a program reproducing a trace")
     ind.add_argument("--trace", required=True, help="trace file to induce a program from")
@@ -64,8 +86,10 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_error_model_flags(ev)
 
     enum = sub.add_parser("enumerate", help="count program structures up to a depth")
-    enum.add_argument("--depth", type=int, required=True)
-    enum.add_argument("--trace", required=True)
+    enum.add_argument("--depth", type=int, required=True, help="largest tree depth to count")
+    enum.add_argument(
+        "--trace", required=True, help="trace file whose schema gives the variables and actions"
+    )
     return parser
 
 

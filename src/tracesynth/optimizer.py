@@ -8,19 +8,22 @@ votes, over the executed timesteps, on which variable those nudged values
 are closest to.  Winning a strict majority of steps rebinds the leaf and
 resets all gradient history.
 
-Most iterations repeat one of the few before them: execution stops at the
-same step and the parameter gradient is the same to the bit.  Either it is
-the last iteration's, while AdaGrad walks each parameter with a fixed
-gradient and a shrinking step, or it comes round in a short cycle, while
-AdaGrad zig-zags across a kink of the error (on the paddle trace, cycles
-such as A, A, B, B are common).  Once the plain iterations confirm a cycle
-(their last P (parameter gradient, executed length) pairs equal the P
-before them, P <= ``MAX_PERIOD``), ``optimize`` predicts the next K
-iterates on the assumption that the cycle goes on, evaluates all K in one
-forward and one backward pass over K blocks of steps, and accepts the
-longest prefix of blocks for which the assumption holds exactly: the block
-stops at its predicted step, its parameter gradient equals the predicted
-one bit for bit, and its vote re-binds no leaf.  Each accepted block counts
+Most iterations repeat one of the few before them: they run the same tree,
+execution stops at the same step and the parameter gradient is the same to
+the bit.  Either it is the last iteration's, while AdaGrad walks each
+parameter with a fixed gradient and a shrinking step, or it comes round in
+a short cycle, while AdaGrad zig-zags across a kink of the error (on the
+paddle trace, cycles such as A, A, B, B are common) or a leaf flips between
+two variables on every iteration (on the pendulum trace, x and v).  Once
+the plain iterations confirm a cycle (their last P (tree, parameter
+gradient, executed length) triples equal the P before them, P <=
+``MAX_PERIOD``, and either every one of them re-binds or none does),
+``optimize`` predicts the next K iterates on the assumption that the cycle
+goes on, evaluates all K in one forward and one backward pass per tree of
+the cycle, and accepts the longest prefix of blocks for which the
+assumption holds exactly: the block stops at its predicted step, its
+parameter gradient equals the predicted one bit for bit, and its vote gives
+exactly the binding of the next block's tree.  Each accepted block counts
 as one iteration, and the plain loop resumes at the first block that is not
 accepted, so trees, parameter bytes, losses, re-bindings and the iteration
 count are those of the plain loop.
@@ -119,12 +122,15 @@ def adagrad_walk(
     gs: np.ndarray,
     steps: int,
     learning_rate: float,
+    reset: bool,
 ) -> tuple[np.ndarray, np.ndarray]:
     """``steps`` AdaGrad updates of one parameter, update k with the
     gradient ``gs[k % P]`` of a (P, d) cycle, as ``adagrad_step`` makes
     them one at a time.  Returns the parameter before and after each
     update, shape (steps + 1, d), and the sum of squared gradients after
     each update, (steps, d); ``acc`` is the sum before them, None for zero.
+    With ``reset`` the sum starts again after every update, as when every
+    iteration re-binds a leaf.
 
     ``np.add.accumulate`` and ``np.subtract.accumulate`` fold along the
     first axis one row at a time, so every row is computed with the same
@@ -135,7 +141,8 @@ def adagrad_walk(
     # an absent accumulator is zero, and 0.0 + x == x bit for bit
     if acc is not None:
         totals[0] = acc + totals[0]
-    np.add.accumulate(totals, axis=0, out=totals)
+    if not reset:
+        np.add.accumulate(totals, axis=0, out=totals)
     moves = np.empty((steps + 1,) + gs.shape[1:])
     moves[0] = param
     moves[1:] = learning_rate * g / np.sqrt(totals + DIV_GUARD)
@@ -165,16 +172,17 @@ def rebindable_leaves(ast: ProgramAst, index: VariableIndex) -> tuple[Binding, l
     return binding, slots
 
 
-def _fold_slot(old: np.ndarray | None, sq: np.ndarray) -> np.ndarray:
+def _fold_slot(old: np.ndarray | None, sq: np.ndarray, reset: bool) -> np.ndarray:
     """A read slot's accumulator over the first n rows after each of K
     updates by squared read gradients ``sq``, (K, n, d), as
     ``reassign_variables`` makes them one at a time; ``old`` is the
-    accumulator before them, None for zero.  Its rows past n are not part
-    of the result (see ``_with_tail``)."""
+    accumulator before them, None for zero, and with ``reset`` the sum
+    starts again after every update.  Its rows past n are not part of the
+    result (see ``_with_tail``)."""
     if old is not None:
         m = min(old.shape[0], sq.shape[1])
         sq[0, :m] += old[:m]
-    return np.add.accumulate(sq, axis=0)
+    return sq if reset else np.add.accumulate(sq, axis=0)
 
 
 def _with_tail(head: np.ndarray, old: np.ndarray | None) -> np.ndarray:
@@ -185,7 +193,7 @@ def _with_tail(head: np.ndarray, old: np.ndarray | None) -> np.ndarray:
     return head if old is None or old.shape[0] <= n else np.concatenate([head, old[n:]])
 
 
-def _renames(
+def _vote(
     index: VariableIndex,
     leaf: VarLeaf,
     column: int,
@@ -193,9 +201,9 @@ def _renames(
     acc: np.ndarray,
     learning_rate: float,
 ) -> np.ndarray:
-    """Whether each of K blocks of read gradients re-binds a variable leaf
-    bound to ``index.names[leaf.dim][column]``, by the vote of
-    ``reassign_variables``.
+    """The column of ``index.names[leaf.dim]`` that each of K blocks of
+    read gradients binds a variable leaf to, by the vote of
+    ``reassign_variables``; ``column`` is its current binding.
 
     ``g_rows`` and ``acc`` are (K, n, d): per block, the gradient of each
     executed read and its accumulator.  A block re-binds when its gradient
@@ -210,7 +218,7 @@ def _renames(
     top = np.sort(votes, axis=1)
     sole = top[:, -1] > top[:, -2]
     moved = g_rows.reshape(K, -1).any(axis=1)
-    return moved & sole & (votes.argmax(axis=1) != column)
+    return np.where(moved & sole, votes.argmax(axis=1), column)
 
 
 def reassign_variables(
@@ -285,26 +293,32 @@ def reassign_variables(
     return rebound, reset, True
 
 
-Pair = tuple[Gradients, int]  # parameter gradient and executed length of an iteration
+Pair = tuple[ProgramAst, Gradients, int]  # tree, parameter gradient, executed length
 
 
 def _same_pair(a: Pair, b: Pair) -> bool:
-    """Whether two iterations stopped at the same step with parameter
-    gradients equal bit for bit."""
-    (ga, na), (gb, nb) = a, b
+    """Whether two iterations ran the same tree, stopped at the same step
+    and had parameter gradients equal bit for bit."""
+    (ta, ga, na), (tb, gb, nb) = a, b
     return (
-        na == nb
+        ta is tb
+        and na == nb
         and ga.params.keys() == gb.params.keys()
         and all(ga.params[pid].tobytes() == g.tobytes() for pid, g in gb.params.items())
     )
 
 
-def _confirmed_cycle(recent: list[Pair]) -> list[Pair] | None:
-    """The last P pairs of ``recent`` if they equal the P before them, for
-    the longest such P up to ``MAX_PERIOD``; None if there is none."""
+def _confirmed_cycle(recent: list[Pair], ast: ProgramAst) -> list[Pair] | None:
+    """The last P pairs of ``recent`` if they equal the P before them, the
+    first of them runs ``ast`` and either each re-binds a leaf (runs
+    another tree than the next) or none does, for the longest such P up to
+    ``MAX_PERIOD``; None if there is none."""
     for p in range(MAX_PERIOD, 0, -1):
         if len(recent) >= 2 * p and all(map(_same_pair, recent[-2 * p : -p], recent[-p:])):
-            return recent[-p:]
+            trees = [tree for tree, _, _ in recent[-p:]]
+            rebinds = {a is not b for a, b in zip(trees, trees[1:] + trees[:1])}
+            if trees[0] is ast and len(rebinds) == 1:
+                return recent[-p:]
     return None
 
 
@@ -312,16 +326,23 @@ def _confirmed_cycle(recent: list[Pair]) -> list[Pair] | None:
 class _Lookahead:
     """K predicted iterates of one structure, evaluated in one pass.
 
-    Block j ran with the parameters of ``walks[pid][0][j]``; ``accepted``
-    blocks from the first one are exactly the iterations the plain loop
-    would run.
+    Block j ran the tree ``tree(j)`` with the parameters of
+    ``walks[pid][0][j]``; ``accepted`` blocks from the first one are
+    exactly the iterations the plain loop would run.
     """
 
     losses: list[float]  # per block
     lengths: list[int]  # executed length per block
     accepted: int
     walks: dict[int, tuple[np.ndarray, np.ndarray]]  # pid -> adagrad_walk
-    slot_acc: dict[int, np.ndarray]  # node id -> (K, n_max, d) folded accumulators
+    # node id -> (K, n_max, d) folded accumulators; empty when blocks re-bind
+    slot_acc: dict[int, np.ndarray]
+    trees: list[ProgramAst]  # of the cycle; block j runs trees[j % P]
+    rebinds: bool  # each block re-binds, which resets every accumulator
+
+    def tree(self, j: int) -> ProgramAst:
+        """The tree block ``j`` runs, after the blocks before it."""
+        return self.trees[j % len(self.trees)]
 
     def params(self, state: OptimizerState, j: int) -> dict[int, np.ndarray]:
         """The parameters block ``j`` ran with."""
@@ -333,6 +354,8 @@ class _Lookahead:
         """The state before block ``j``, after the blocks before it."""
         if j == 0:
             return state
+        if self.rebinds:
+            return OptimizerState(self.params(state, j), {}, {}, state.learning_rate)
         acc = dict(state.param_acc)
         acc.update({pid: totals[j - 1] for pid, (_, totals) in self.walks.items()})
         slot_acc = dict(state.slot_acc)
@@ -351,106 +374,144 @@ def _look_ahead(
     spec: ErrorSpec,
 ) -> _Lookahead:
     """Evaluate ``blocks`` iterates from ``state`` on the assumption that
-    they repeat ``cycle``, the (parameter gradient, executed length) pairs
-    of the last P iterations, none of which re-bound a leaf: block j stops
-    at step n_j with the parameter gradient G_j of pair j % P.
+    they repeat ``cycle``, the (tree, parameter gradient, executed length)
+    pairs of the last P iterations: block j runs the tree T_j of pair
+    j % P, ``ast`` for block 0, and stops at step n_j with the parameter
+    gradient G_j.  Either no pair re-binds a leaf, or each re-binds into
+    the tree of the next; a re-binding resets every accumulator, so then
+    their sums start again after each block.
 
-    One forward and one backward pass run over a grid of ``blocks`` rows,
-    one per predicted parameter setting, each holding the first n_max steps
-    of the trace, n_max the cycle's longest length; block j is the first
-    n_j steps of its row.  A block holds the assumption when its first
-    error over the threshold is at its last step, its parameter gradient
-    equals G_j bit for bit and its vote, with the slot accumulators folded
-    over the blocks before it, re-binds no leaf.  Sums and votes over a
+    For each tree of the cycle, one forward and one backward pass run over
+    a grid with one row per block of that tree, each holding the block's
+    predicted parameters and the first n_max steps of the trace, n_max the
+    longest length of those blocks; block j is the first n_j steps of its
+    row.  A block holds the assumption when its first error over the
+    threshold is at its last step, its parameter gradient equals G_j bit
+    for bit and its vote, with the slot accumulators folded over the blocks
+    before it, binds every leaf as T_{j+1} does.  Sums and votes over a
     block are taken over the first n steps of every row for each length n
-    of the cycle, and each block keeps those of its own length.
+    of the tree's blocks, and each block keeps those of its own length.
     """
     lr = state.learning_rate
+    index = trace.index
+    period = len(cycle)
     # pair j % P of the cycle predicts block j
-    phase = np.arange(blocks) % len(cycle)
-    lengths = np.array([n for _, n in cycle])[phase]
-    width = int(lengths.max())
-    by_length = [(n, lengths == n) for n in sorted({n for _, n in cycle})]
-
-    def per_block(of_length) -> np.ndarray:
-        """``of_length(n)``, a (blocks, ...) array, for each length n of
-        the cycle, each block taking the one of its length."""
-        (n, _), *rest = by_length
-        out = of_length(n)
-        for n, at in rest:
-            out = np.where(at.reshape((-1,) + (1,) * (out.ndim - 1)), of_length(n), out)
-        return out
-
+    phase = np.arange(blocks) % period
+    lengths = np.array([n for _, _, n in cycle])[phase]
+    trees = [tree for tree, _, _ in cycle]
+    # a confirmed cycle re-binds on every pair or on none, so the last pair
+    # re-binds into the first exactly when every pair re-binds
+    rebinds = trees[-1] is not trees[0]
     gradients = {
-        pid: np.array([g.params[pid] for g, _ in cycle]) for pid in cycle[0][0].params
+        pid: np.array([g.params[pid] for _, g, _ in cycle]) for pid in cycle[0][1].params
     }
     walks = {
-        pid: adagrad_walk(state.params[pid], state.param_acc.get(pid), gs, blocks, lr)
+        pid: adagrad_walk(state.params[pid], state.param_acc.get(pid), gs, blocks, lr, rebinds)
         for pid, gs in gradients.items()
     }
-    tape = compile_tape(ast, registry)
-    rows = blocks * width
-    # row r of the grid is step r % width
-    steps = np.arange(rows) % width
-
-    def stacked(a: np.ndarray) -> np.ndarray:
-        return a.take(steps, axis=0)
-
-    var_values = trace.var_matrices()
-    variables = {op.key: stacked(var_values[op.key]) for op in tape if op.kind is VAR}
-    params = {pid: np.repeat(walk[:blocks], width, axis=0) for pid, (walk, _) in walks.items()}
-    values = forward(tape, variables, params, rows)
-
-    theta_obs, name_match, all_match = trace.action_targets(ast.root.name, ast.root.dim)
-    theta_obs, name_match = stacked(theta_obs), stacked(name_match)
-    out = values[-1]
-    errors = action_errors(out, theta_obs, name_match, all_match, spec).reshape(blocks, width)
-    # NaN fails the test, as in ``execute``
-    within = errors <= spec.max_step_error
-    holds = per_block(lambda n: within[:, : n - 1].all(axis=1) & ~within[:, n - 1])
-    # each sum runs over a block's steps in the order ``execute`` and
-    # ``backward`` sum an execution of that length
-    losses = per_block(
-        lambda n: np.add.reduce(errors[:, :n], axis=1) + float(spec.len_error(trace.length, n))
-    )
-    losses[np.isnan(losses)] = np.inf
-
-    slot_rows: dict[int, np.ndarray] = {}
-    for op, g in backprop(tape, values, seed_rows(out, theta_obs, name_match, spec)):
-        g = g.reshape(blocks, width, op.dim)
-        if op.kind is PARAM:
-            total = per_block(lambda n: np.add.reduce(g[:, :n], axis=1))
-            want = gradients[op.key][phase]
-            holds &= (total.view(np.uint64) == want.view(np.uint64)).all(axis=1)
-        else:
-            slot_rows[op.node_id] = g
-    # the steps of each row that its block executes; none past them enter
-    # an accumulator
-    live = None if len(by_length) == 1 else (np.arange(width) < lengths[:, None])[..., None]
-    slot_acc = {}
-    for nid, leaf, _, column in rebindable_leaves(ast, trace.index)[1]:
-        g_rows = slot_rows[nid]
-        sq = g_rows * g_rows
-        if live is not None:
-            # not a product with the mask: a NaN row times 0 is NaN
-            sq = np.where(live, sq, 0.0)
-        slot_acc[nid] = acc = _fold_slot(state.slot_acc.get(nid), sq)
-        holds &= ~per_block(
-            lambda n: _renames(trace.index, leaf, column, g_rows[:, :n], acc[:, :n], lr)
+    if rebinds:
+        # row p: the column of each slot in the tree that follows pair p
+        # (every tree of a structure lists its slots in the same order)
+        following = np.array(
+            [[c for *_, c in rebindable_leaves(t, index)[1]] for t in trees[1:] + trees[:1]]
         )
+        holds, losses = np.empty(blocks, dtype=bool), np.empty(blocks)
+    var_values = trace.var_matrices()
+    theta_all, match_all, all_match = trace.action_targets(ast.root.name, ast.root.dim)
+    slot_acc = {}
+    # each tree of the cycle once, by identity
+    for tree in {id(t): t for t in trees}.values():
+        # the blocks that run this tree
+        mine = slice(blocks)
+        if rebinds:
+            mine = np.flatnonzero(np.array([t is tree for t in trees])[phase])
+        mine_lengths, mine_phase = lengths[mine], phase[mine]
+        count = len(mine_lengths)
+        width = int(mine_lengths.max())
+        by_length = [(n, mine_lengths == n) for n in sorted({n for t, _, n in cycle if t is tree})]
+
+        def per_block(of_length) -> np.ndarray:
+            """``of_length(n)``, a (count, ...) array, for each length n of
+            the tree's blocks, each block taking the one of its length."""
+            (n, _), *rest = by_length
+            out = of_length(n)
+            for n, at in rest:
+                out = np.where(at.reshape((-1,) + (1,) * (out.ndim - 1)), of_length(n), out)
+            return out
+
+        tape = compile_tape(tree, registry)
+        rows = count * width
+        # row r of the grid is step r % width
+        steps = np.arange(rows) % width
+        variables = {
+            op.key: var_values[op.key].take(steps, axis=0) for op in tape if op.kind is VAR
+        }
+        params = {pid: np.repeat(walk[mine], width, axis=0) for pid, (walk, _) in walks.items()}
+        values = forward(tape, variables, params, rows)
+
+        theta_obs, name_match = theta_all.take(steps, axis=0), match_all.take(steps, axis=0)
+        out = values[-1]
+        errors = action_errors(out, theta_obs, name_match, all_match, spec).reshape(count, width)
+        # NaN fails the test, as in ``execute``
+        within = errors <= spec.max_step_error
+        holds_here = per_block(lambda n: within[:, : n - 1].all(axis=1) & ~within[:, n - 1])
+        # each sum runs over a block's steps in the order ``execute`` and
+        # ``backward`` sum an execution of that length
+        losses_here = per_block(
+            lambda n: np.add.reduce(errors[:, :n], axis=1) + float(spec.len_error(trace.length, n))
+        )
+
+        slot_rows: dict[int, np.ndarray] = {}
+        for op, g in backprop(tape, values, seed_rows(out, theta_obs, name_match, spec)):
+            g = g.reshape(count, width, op.dim)
+            if op.kind is PARAM:
+                total = per_block(lambda n: np.add.reduce(g[:, :n], axis=1))
+                want = gradients[op.key][mine_phase]
+                holds_here &= (total.view(np.uint64) == want.view(np.uint64)).all(axis=1)
+            else:
+                slot_rows[op.node_id] = g
+        # the steps of each row that its block executes; none past them enter
+        # an accumulator
+        live = (
+            None if len(by_length) == 1 else (np.arange(width) < mine_lengths[:, None])[..., None]
+        )
+        for i, (nid, leaf, _, column) in enumerate(rebindable_leaves(tree, index)[1]):
+            g_rows = slot_rows[nid]
+            sq = g_rows * g_rows
+            if live is not None:
+                # not a product with the mask: a NaN row times 0 is NaN
+                sq = np.where(live, sq, 0.0)
+            # a re-binding cycle starts right after a re-binding, so ``state``
+            # holds no accumulator to fold into another tree's blocks
+            acc = _fold_slot(state.slot_acc.get(nid), sq, rebinds)
+            if not rebinds:
+                slot_acc[nid] = acc
+            # each block binds the leaf as the tree of its next pair does
+            want = following[mine_phase, i] if rebinds else column
+            holds_here &= want == per_block(
+                lambda n: _vote(index, leaf, column, g_rows[:, :n], acc[:, :n], lr)
+            )
+        if rebinds:
+            holds[mine], losses[mine] = holds_here, losses_here
+        else:
+            holds, losses = holds_here, losses_here
+    losses[np.isnan(losses)] = np.inf
     accepted = blocks if holds.all() else int(holds.argmin())
-    return _Lookahead(losses.tolist(), lengths.tolist(), accepted, walks, slot_acc)
+    return _Lookahead(
+        losses.tolist(), lengths.tolist(), accepted, walks, slot_acc, trees, rebinds
+    )
 
 
 @dataclass(frozen=True)
 class OptimizedCandidate:
     """A structure with its best found parameters, bindings and score.
 
-    ``iterations`` counts the optimiser's iterations, accepted look-ahead
-    blocks included; ``stop`` says why it ended: ``matched`` (the execution
-    matches the trace), ``stagnant`` (the loss stopped improving), ``cap``
-    (``max_opt_iters`` reached) or ``fixed`` (no parameter leaf and no
-    variable leaf with a rival to move).
+    ``iterations`` counts the optimiser's iterations and ``rebinds`` its
+    variable re-bindings, accepted look-ahead blocks included; ``stop``
+    says why it ended: ``matched`` (the execution matches the trace),
+    ``stagnant`` (the loss stopped improving), ``cap`` (``max_opt_iters``
+    reached) or ``fixed`` (no parameter leaf and no variable leaf with a
+    rival to move).
     """
 
     ast: ProgramAst
@@ -458,6 +519,7 @@ class OptimizedCandidate:
     result: ExecutionResult
     grads: Gradients
     iterations: int
+    rebinds: int
     stop: str
 
 
@@ -474,9 +536,10 @@ def optimize(
     reached.  Returns the best-loss state seen (gradient steps can overshoot
     near the acceptance threshold).
 
-    Once the iterations since the last re-binding, each stopped at a step
-    error over the threshold, end in a cycle of up to ``MAX_PERIOD`` pairs
-    (see the module docstring), the next iterations are evaluated ahead in
+    Once the last iterations, each stopped at a step error over the
+    threshold, end in a cycle of up to ``MAX_PERIOD`` pairs that re-bind a
+    leaf on every pair or on none (see the module docstring), the next
+    iterations are evaluated ahead in
     blocks that repeat it: ``FIRST_BLOCKS`` at first and twice as many each
     time all are accepted, within ``ROW_BUDGET`` rows and the cap.  When a
     block is not accepted, the plain loop runs it and looks for a cycle
@@ -522,20 +585,21 @@ def optimize(
         if best_result is None:
             best_result = execute(best_ast, best_params, trace, registry, spec)
         grads = backward(best_result, spec)
-        return OptimizedCandidate(best_ast, best_params, best_result, grads, iterations, stop)
+        return OptimizedCandidate(
+            best_ast, best_params, best_result, grads, iterations, rebinds, stop
+        )
 
     cap = max(1, config.max_opt_iters)
-    iterations = 0
+    iterations = rebinds = 0
     blocks = FIRST_BLOCKS
-    # (parameter gradient, executed length) of the last iterations since
-    # the last re-binding, newest last, each of which stopped at a step
-    # over the threshold
+    # (tree, parameter gradient, executed length) of the last iterations,
+    # newest last, each of which stopped at a step over the threshold
     recent: list[Pair] = []
     # the pairs the next iterations are predicted to repeat, once confirmed
     cycle: list[Pair] | None = None
     while iterations < cap:
         if cycle is not None:
-            k = min(blocks, cap - iterations, ROW_BUDGET // max(n for _, n in cycle))
+            k = min(blocks, cap - iterations, ROW_BUDGET // max(n for _, _, n in cycle))
             if k < 2:
                 cycle = None
                 continue
@@ -547,11 +611,16 @@ def optimize(
                     newest = j
                 if stagnant >= TOL_WINDOW:
                     break
+            else:
+                j = ahead.accepted
+            # in a re-binding cycle every block re-binds, but for the one the
+            # stop falls in, which runs no re-binding
+            rebinds += ahead.rebinds * j
             if newest is not None:
-                best = (ast, ahead.params(state, newest), None)
+                best = (ahead.tree(newest), ahead.params(state, newest), None)
             if stagnant >= TOL_WINDOW:
                 return finish("stagnant")
-            state = ahead.state(state, ahead.accepted)
+            state, ast = ahead.state(state, ahead.accepted), ahead.tree(ahead.accepted)
             p = len(cycle)
             done = range(max(0, ahead.accepted - 2 * MAX_PERIOD), ahead.accepted)
             recent = [*recent, *(cycle[j % p] for j in done)][-2 * MAX_PERIOD :]
@@ -577,11 +646,13 @@ def optimize(
             return finish("stagnant")
         grads = backward(result, spec)
         state = adagrad_step(state, grads)
+        pair = (ast, grads, result.executed_len)
         # a re-binding keeps every leaf's kind and dimension, so ``free`` holds
         ast, state, rebound = reassign_variables(ast, state, grads, trace.index, trees)
-        if rebound or not result.terminated_early:
+        rebinds += rebound
+        if not result.terminated_early:
             recent = []
             continue
-        recent = [*recent[1 - 2 * MAX_PERIOD :], (grads, result.executed_len)]
-        cycle = _confirmed_cycle(recent)
+        recent = [*recent[1 - 2 * MAX_PERIOD :], pair]
+        cycle = _confirmed_cycle(recent, ast)
     return finish("cap")

@@ -231,7 +231,7 @@ def sequential_optimize(ast, params, trace, registry, spec, config):
     state = OptimizerState.fresh(ast, params, config)
     binding, slots = optimizer.rebindable_leaves(ast, trace.index)
     free = len(binding) < len(leaves(ast)) or bool(slots)
-    trees, best, stagnant, iterations, stop = {}, None, 0, 0, "cap"
+    trees, best, stagnant, iterations, rebinds, stop = {}, None, 0, 0, 0, "cap"
     for _ in range(max(1, config.max_opt_iters)):
         result = execute(ast, state.params, trace, registry, spec)
         iterations += 1
@@ -251,10 +251,13 @@ def sequential_optimize(ast, params, trace, registry, spec, config):
             break
         grads = backward(result, spec)
         state = adagrad_step(state, grads)
-        ast, state, _ = reassign_variables(ast, state, grads, trace.index, trees)
+        ast, state, rebound = reassign_variables(ast, state, grads, trace.index, trees)
+        rebinds += rebound
     _, best_ast, best_params, best_result = best
     grads = backward(best_result, spec)
-    return OptimizedCandidate(best_ast, best_params, best_result, grads, iterations, stop)
+    return OptimizedCandidate(
+        best_ast, best_params, best_result, grads, iterations, rebinds, stop
+    )
 
 
 def _same_arrays(a, b) -> bool:
@@ -269,7 +272,7 @@ def _same_array_dicts(a, b) -> bool:
 def assert_same_optimum(got, want) -> None:
     """``got`` and ``want`` are the same ``OptimizedCandidate`` bit for bit:
     tree, parameter bytes, every field of the execution result, gradients,
-    iteration count and stop reason."""
+    iteration and re-binding counts and stop reason."""
     assert got.ast == want.ast
     assert _same_array_dicts(got.params, want.params)
     g, w = got.result, want.result
@@ -284,7 +287,7 @@ def assert_same_optimum(got, want) -> None:
     assert all(_same_arrays(a, b) for a, b in zip(g.activations, w.activations))
     for name in ("params", "slot_reads"):
         assert _same_array_dicts(getattr(got.grads, name), getattr(want.grads, name)), name
-    assert (got.iterations, got.stop) == (want.iterations, want.stop)
+    assert (got.iterations, got.rebinds, got.stop) == (want.iterations, want.rebinds, want.stop)
 
 
 @pytest.fixture

@@ -12,11 +12,13 @@ the number of optimiser iterations, of variable re-bindings and of
 search that optimises every proposal on arrival were recorded before the
 optimiser kept one tree per binding; those of ``induce``, which defers each
 proposal until it reaches the top of the queue, after that change.  The
-``execute`` counts were recorded after the optimiser began to follow cycles
-of up to four iterations in look-ahead blocks, which leaves the other
-totals as they were.  The damped case was recorded, digest and totals,
-before that change.  Every proposal ``induce`` optimises must take exactly the steps it
-takes in the reference run.  The paddle values were recorded again when the
+damped case was recorded, digest and totals, before the optimiser began to
+follow cycles of up to four iterations in look-ahead blocks, and the
+``pendulum_seed42`` case before those cycles could re-bind a leaf; both
+changes leave every total but the ``execute`` counts as it was.  The
+``execute`` counts were recorded after cycles could re-bind.  Every
+proposal ``induce`` optimises must take exactly the steps it takes in the
+reference run.  The paddle values were recorded again when the
 discrete error model began to add ``max_step_error + 1`` to a misclassified
 step.
 """
@@ -66,6 +68,13 @@ CASES = {
         RunConfig(seed=5, max_iterations=12, max_step_error=0.01),
         "e40ed1a1ec90e1dc6754ecc8da02956d6e2081b89368a86ba529e396d091a412",
     ),
+    # the pendulum benchmark workload at one of its seeds: (accel (sub ? v))
+    # runs to the optimiser's cap while its leaf flips between x and v
+    "pendulum_seed42": (
+        lambda: simulate_second_order(SecondOrderConfig(k1=-9.8, k2=0.0, x0=0.1, steps=100)),
+        RunConfig(seed=42, max_iterations=40),
+        "346dce3f6ab4c1189cba05f7db3dc646621d8a6371967a070216227a664de5df",
+    ),
 }
 
 
@@ -77,15 +86,22 @@ REFERENCE_TRAJECTORIES = {
     "pendulum": (1391, 170),
     "paddle": (1654, 8),
     "damped_seed5": (16204, 0),
+    "pendulum_seed42": (24695, 8383),
 }
-TRAJECTORIES = {"pendulum": (123, 4), "paddle": (109, 3), "damped_seed5": (2210, 0)}
+TRAJECTORIES = {
+    "pendulum": (123, 4),
+    "paddle": (109, 3),
+    "damped_seed5": (2210, 0),
+    "pendulum_seed42": (2264, 1534),
+}
 # name -> ``execute`` calls of the same runs: look-ahead blocks evaluate
 # most iterations without one
-REFERENCE_EXECUTES = {"pendulum": 368, "paddle": 476, "damped_seed5": 2547}
-EXECUTES = {"pendulum": 47, "paddle": 33, "damped_seed5": 86}
+REFERENCE_EXECUTES = {"pendulum": 287, "paddle": 476, "damped_seed5": 2547, "pendulum_seed42": 1576}
+EXECUTES = {"pendulum": 47, "paddle": 33, "damped_seed5": 86, "pendulum_seed42": 73}
 
 
-# the golden runs and a damped oscillator whose coverage grows slowly
+# the golden runs, a damped oscillator whose coverage grows slowly and
+# another pendulum benchmark problem with a leaf that flips until the cap
 EXACTNESS_CASES = {
     **{name: (make, config) for name, (make, config, _) in CASES.items()},
     "damped": (
@@ -93,6 +109,10 @@ EXACTNESS_CASES = {
             SecondOrderConfig(k1=-4.0, k2=-0.25, x0=1.0, v0=2.0, steps=200)
         ),
         RunConfig(seed=0, max_iterations=12, max_step_error=0.01),
+    ),
+    "pendulum_seed100": (
+        CASES["pendulum_seed42"][0],
+        RunConfig(seed=100, max_iterations=40),
     ),
 }
 
@@ -119,22 +139,17 @@ def test_optimiser_trajectory(name, monkeypatch):
     make_trace, config, _ = CASES[name]
     counts = {"execute": 0, "rebind": 0, "iterations": 0}
     per_proposal: dict[str, tuple[int, int, int]] = {}
-    execute, reassign = optimizer.execute, optimizer.reassign_variables
-    optimize = optimizer.optimize
+    execute, optimize = optimizer.execute, optimizer.optimize
 
     def counted_execute(*args, **kwargs):
         counts["execute"] += 1
         return execute(*args, **kwargs)
 
-    def counted_reassign(*args, **kwargs):
-        out = reassign(*args, **kwargs)
-        counts["rebind"] += out[2]
-        return out
-
     def counted_optimize(ast, *args, **kwargs):
         before = dict(counts)
         out = optimize(ast, *args, **kwargs)
         counts["iterations"] += out.iterations
+        counts["rebind"] += out.rebinds
         per_proposal[canonical_key(ast)] = tuple(counts[k] - before[k] for k in sorted(counts))
         return out
 
@@ -145,7 +160,6 @@ def test_optimiser_trajectory(name, monkeypatch):
         return dict(counts), dict(per_proposal)
 
     monkeypatch.setattr(optimizer, "execute", counted_execute)
-    monkeypatch.setattr(optimizer, "reassign_variables", counted_reassign)
     monkeypatch.setattr(optimizer, "optimize", counted_optimize)
     monkeypatch.setattr(search_module, "optimize", counted_optimize)
     trace = make_trace()

@@ -208,14 +208,15 @@ class TestOptimize:
             tapes.append((tape, canonical_key(tree)))
             return tape
 
+        # ``execute`` lowers through the interpreter, look-ahead passes directly
         monkeypatch.setattr(interpreter, "compile_tape", recording)
-        optimize(
+        monkeypatch.setattr(optimizer, "compile_tape", recording)
+        out = optimize(
             ast, initial_params(ast), trace, scalar_registry, ErrorSpec(),
             OptimizeConfig(max_opt_iters=150),
         )
+        assert out.rebinds >= 8
         bindings = [key for _, key in tapes]
-        flips = sum(a != b for a, b in zip(bindings, bindings[1:]))
-        assert flips >= 8
         assert len({id(tape) for tape, _ in tapes}) == len(set(bindings)) == 2
 
     def test_reads_the_index_of_its_trace(self, scalar_registry, scalar_schema, index_builds):
@@ -302,23 +303,31 @@ def _same_state(a, b) -> bool:
 
 def _check_against_plain_loop(ahead, ast, state, cycle, blocks, trace, registry, spec):
     """Run the plain loop from the state a look-ahead started from: the
-    look-ahead accepts exactly the blocks whose iterations repeat the cycle
-    and re-bind nothing, and each has the loss, parameters and state after
-    it, accumulators included, of that iteration, bit for bit."""
-    plain = state
+    look-ahead accepts exactly the blocks whose iterations repeat the cycle,
+    the next tree included, and each has the tree, loss, parameters and
+    state after it, accumulators included, of that iteration, bit for
+    bit."""
+    # the cycle's trees, so that a re-binding returns the very same object
+    trees = {optimizer.rebindable_leaves(t, trace.index)[0]: t for t, _, _ in cycle}
+    plain, tree = state, ast
     for j in range(blocks):
+        assert ahead.tree(j) is tree
         assert _same_array_dicts(ahead.params(state, j), plain.params)
-        result = interpreter.execute(ast, plain.params, trace, registry, spec)
+        result = interpreter.execute(tree, plain.params, trace, registry, spec)
         grads = backward(result, spec)
         after = adagrad_step(plain, grads)
-        _, after, rebound = reassign_variables(ast, after, grads, trace.index)
-        pair = (grads, result.executed_len)
-        if rebound or not result.terminated_early or not _same_pair(pair, cycle[j % len(cycle)]):
+        following, after, _ = reassign_variables(tree, after, grads, trace.index, trees)
+        pair = (tree, grads, result.executed_len)
+        if (
+            not result.terminated_early
+            or not _same_pair(pair, cycle[j % len(cycle)])
+            or following is not cycle[(j + 1) % len(cycle)][0]
+        ):
             assert ahead.accepted == j
             return
         assert np.float64(ahead.losses[j]).tobytes() == np.float64(result.loss).tobytes()
         assert _same_state(ahead.state(state, j + 1), after)
-        plain = after
+        plain, tree = after, following
     assert ahead.accepted == blocks
 
 
@@ -341,7 +350,7 @@ def look_aheads(monkeypatch):
         ahead = look_ahead(ast, state, cycle, blocks, *args)
         _check_against_plain_loop(ahead, ast, state, cycle, blocks, *args)
         start = executes[0] + sum(accepted for _, _, accepted, _ in out)
-        out.append((start, blocks, ahead.accepted, tuple(n for _, n in cycle)))
+        out.append((start, blocks, ahead.accepted, tuple(n for _, _, n in cycle)))
         return ahead
 
     monkeypatch.setattr(optimizer, "execute", counting)
@@ -373,20 +382,25 @@ def _both(text, registry, schema, trace, config, spec=ErrorSpec()):
 
 class TestLookAhead:
     def test_walk_equals_repeated_single_steps(self, scalar_registry, scalar_schema):
-        # update k of the walk takes gradient k % P of a cycle of period P
+        # update k of the walk takes gradient k % P of a cycle of period P;
+        # with a reset, each update is followed by a re-binding, which
+        # empties the accumulators
         ast = parse_program("(accel (scale 0.0 x))", scalar_registry, scalar_schema)
         rng = np.random.default_rng(3)
-        for period, acc in itertools.product((1, 2, 3, 4), (None, np.array([0.25]))):
+        cases = itertools.product((1, 2, 3, 4), (None, np.array([0.25])), (False, True))
+        for period, acc, reset in cases:
             state = OptimizerState.fresh(ast, {0: rng.normal(size=1)}, OptimizeConfig())
             if acc is not None:
                 state.param_acc[0] = acc
             gs = rng.normal(size=(period, 1))
-            walk, totals = adagrad_walk(state.params[0], acc, gs, 7, 0.2)
+            walk, totals = adagrad_walk(state.params[0], acc, gs, 7, 0.2, reset)
             assert walk[0].tobytes() == state.params[0].tobytes()
             for j in range(7):
                 state = adagrad_step(state, _grads_for(params={0: gs[j % period]}))
                 assert walk[j + 1].tobytes() == state.params[0].tobytes()
                 assert totals[j].tobytes() == state.param_acc[0].tobytes()
+                if reset:
+                    state.param_acc.clear()
 
     def test_batched_vote_agrees_with_reassign(self, scalar_registry, scalar_schema):
         # few steps and nearby variables, so ties and flips are common
@@ -399,26 +413,30 @@ class TestLookAhead:
         (nid, leaf, _, column), = optimizer.rebindable_leaves(ast, index)[1]
         cfg = OptimizeConfig()
         flips = 0
-        for _ in range(300):
+        for _, reset in itertools.product(range(300), (False, True)):
             n = int(rng.integers(1, 7))
             rows = rng.choice([-2.0, -0.5, 0.0, 0.5, 2.0], size=(5, n, 1))
             rows[rng.random(5) < 0.2] = 0.0
             old = None if rng.random() < 0.3 else rng.random((int(rng.integers(1, 7)), 1))
-            acc = optimizer._fold_slot(old, rows * rows)
-            renames = optimizer._renames(index, leaf, column, rows, acc, 0.2)
+            acc = optimizer._fold_slot(old, rows * rows, reset)
+            columns = optimizer._vote(index, leaf, column, rows, acc, 0.2)
             state = OptimizerState.fresh(ast, {}, cfg)
             if old is not None:
                 state.slot_acc[nid] = old
             for k in range(5):
+                if reset and k:
+                    # as after a re-binding
+                    state.slot_acc.clear()
                 grads = _grads_for(slot_rows={nid: rows[k]})
-                _, state, changed = reassign_variables(ast, state, grads, index)
-                assert bool(renames[k]) == changed
+                rebound, state, changed = reassign_variables(ast, state, grads, index)
+                assert (columns[k] != column) == changed
                 if changed:
+                    assert rebound.root.children[0].name == index.names[1][columns[k]]
                     flips += 1
                     break
-                folded = optimizer._with_tail(acc[k], old)
+                folded = optimizer._with_tail(acc[k], None if reset and k else old)
                 assert folded.tobytes() == state.slot_acc[nid].tobytes()
-        assert flips > 30
+        assert flips > 60
 
     def test_linear_program_runs_ahead(self, scalar_registry, scalar_schema, look_aheads):
         # (scale ? x) has a gradient that is constant while one step executes
@@ -538,6 +556,55 @@ class TestLookAhead:
         )
         assert any(sorted(lengths) == [1, 1, 2] and a > 2 for _, _, a, lengths in look_aheads)
         assert _in_blocks(look_aheads, out) > out.iterations / 2
+
+    def test_flip_cycle_runs_ahead(
+        self, scalar_registry, scalar_schema, look_aheads, monkeypatch
+    ):
+        # (accel (sub ? v)) from its start in the pendulum benchmark search at
+        # RunConfig.seed=42: its leaf flips between v and x on every
+        # iteration until the cap (bound to v it executes 25 steps, bound to
+        # x one), so every block re-binds and passes follow the flips
+        executes = []
+        execute = optimizer.execute
+
+        def counted(*args):
+            executes.append(1)
+            return execute(*args)
+
+        monkeypatch.setattr(optimizer, "execute", counted)
+        out = _both(
+            "(accel (sub -0.18160687821877763 v))", scalar_registry, scalar_schema,
+            _pendulum_trace(), OptimizeConfig(),
+        )
+        assert (out.iterations, out.stop) == (1500, "cap")
+        assert out.rebinds > 1400
+        assert len(executes) < 100
+        assert _in_blocks(look_aheads, out) > 1400
+
+    def test_mixed_cycle_stays_plain(
+        self, scalar_registry, scalar_schema, look_aheads, monkeypatch
+    ):
+        # both leaves of (sub x v) flip together, and the iterations come
+        # round as (A, B, B, B): a cycle that re-binds on some of its pairs
+        # only, which no pass follows
+        trace = make_trace(
+            {"x": [1.0, 0.2, -0.3, 0.0], "v": [0.5, 1.0, -0.3, 0.5]}, [-1.0, -1.0, 1.0, 1.0]
+        )
+        runs = []
+        execute = optimizer.execute
+
+        def recording(ast, *args):
+            runs.append("A" if canonical_key(ast).endswith("(sub x v)))") else "B")
+            return execute(ast, *args)
+
+        monkeypatch.setattr(optimizer, "execute", recording)
+        out = _both(
+            "(accel (scale 1.0 (sub x v)))", scalar_registry, scalar_schema, trace,
+            OptimizeConfig(learning_rate=1.0), ErrorSpec(max_step_error=0.01),
+        )
+        assert "ABBBABBB" in "".join(runs)
+        assert out.rebinds > 10
+        assert all(len(lengths) == 1 for *_, lengths in look_aheads)
 
     def test_plain_loop_resumes_at_the_first_rejected_block(
         self, scalar_registry, scalar_schema, look_aheads, monkeypatch

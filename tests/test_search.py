@@ -55,7 +55,7 @@ def _candidate(ast, registry, trace, norms=None, params=None, spec=None):
         else:
             slot_reads[nid] = g.reshape(1, 1)
     grads = Gradients(param_grads, slot_reads)
-    opt = OptimizedCandidate(ast, params, result, grads, iterations=0, stop="fixed")
+    opt = OptimizedCandidate(ast, params, result, grads, iterations=0, rebinds=0, stop="fixed")
     cost = complexity(ast)
     return Candidate(opt, result.loss, cost, cost + result.loss, canonical_key(ast), None, None, 0)
 
