@@ -14,15 +14,14 @@ stacked blocks of steps and sum each block on its own.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .interpreter import CALL, PARAM, ErrorSpec, ExecutionResult, Op, Tape
 
 
-@dataclass(frozen=True)
-class Gradients:
+class Gradients(NamedTuple):
     """Loss gradients for every leaf of the executed program.
 
     ``params`` maps parameter id -> gradient summed over all executed

@@ -209,8 +209,7 @@ def compile_tape(ast: ProgramAst, registry: Registry) -> Tape:
     return tape
 
 
-@dataclass(frozen=True)
-class ExecutionResult:
+class ExecutionResult(NamedTuple):
     """Outcome of executing a program against a trace.
 
     ``activations`` holds the value of every tape op, in tape order, over

@@ -31,7 +31,7 @@ count are those of the plain loop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -67,15 +67,13 @@ TOL = 1e-9
 TOL_WINDOW = 10
 
 
-@dataclass(frozen=True)
-class OptimizeConfig:
+class OptimizeConfig(NamedTuple):
     learning_rate: float = 0.2
     max_opt_iters: int = 1500
 
 
-@dataclass
-class OptimizerState:
-    """Mutable per-candidate optimisation state.
+class OptimizerState(NamedTuple):
+    """Per-candidate optimisation state; each update returns a new one.
 
     ``params`` holds the current value of every parameter, by parameter id.
     ``param_acc`` holds the AdaGrad sums of squared gradients per parameter;
@@ -322,8 +320,7 @@ def _confirmed_cycle(recent: list[Pair], ast: ProgramAst) -> list[Pair] | None:
     return None
 
 
-@dataclass(frozen=True)
-class _Lookahead:
+class _Lookahead(NamedTuple):
     """K predicted iterates of one structure, evaluated in one pass.
 
     Block j ran the tree ``tree(j)`` with the parameters of
@@ -428,7 +425,7 @@ def _look_ahead(
         mine_lengths, mine_phase = lengths[mine], phase[mine]
         count = len(mine_lengths)
         width = int(mine_lengths.max())
-        by_length = [(n, mine_lengths == n) for n in sorted({n for t, _, n in cycle if t is tree})]
+        by_length = [(n, mine_lengths == n) for n in sorted(set(mine_lengths.tolist()))]
 
         def per_block(of_length) -> np.ndarray:
             """``of_length(n)``, a (count, ...) array, for each length n of
@@ -502,8 +499,7 @@ def _look_ahead(
     )
 
 
-@dataclass(frozen=True)
-class OptimizedCandidate:
+class OptimizedCandidate(NamedTuple):
     """A structure with its best found parameters, bindings and score.
 
     ``iterations`` counts the optimiser's iterations and ``rebinds`` its

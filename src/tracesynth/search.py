@@ -33,6 +33,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from time import perf_counter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -69,8 +70,7 @@ MAX_COUNT_DIGITS = 4300
 _COUNT_LIMIT = 10**MAX_COUNT_DIGITS
 
 
-@dataclass(frozen=True)
-class Candidate:
+class Candidate(NamedTuple):
     """An optimised structure with its score components and provenance."""
 
     opt: OptimizedCandidate
@@ -87,8 +87,7 @@ class Candidate:
         return self.opt.ast
 
 
-@dataclass(frozen=True)
-class SolutionSet:
+class SolutionSet(NamedTuple):
     """Outcome of one induction run: the accepted candidate (if any), the
     best-scoring candidates seen, and run counters: search iterations,
     proposals generated by expansion (duplicate structures included, since
@@ -104,8 +103,7 @@ class SolutionSet:
     wall_time: float
 
 
-@dataclass(frozen=True)
-class _Deferred:
+class _Deferred(NamedTuple):
     """A queued proposal not yet optimised, with its complexity: a lower
     bound on its score, because the loss is never negative."""
 
@@ -113,8 +111,7 @@ class _Deferred:
     complexity: float
 
 
-@dataclass(frozen=True)
-class _Group:
+class _Group(NamedTuple):
     """The proposals of one expansion that share one complexity, queued
     undrawn as one entry; their keys are not known until they are drawn."""
 
@@ -184,8 +181,7 @@ def _derive_seed(*parts: object) -> int:
     return int.from_bytes(digest[:8], "big") >> 1
 
 
-@dataclass(frozen=True)
-class _Site:
+class _Site(NamedTuple):
     """The leaf an expansion replaces and what its proposals share: the
     parent's tree (None for the empty program), optimised parameter values
     and key, the first free parameter id, the name-sorted variables of each

@@ -6,7 +6,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -44,8 +44,7 @@ class TraceSchema:
                     raise TraceFormatError(f"{name}: dimension must be >= 1")
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(NamedTuple):
     t: int
     vars: dict[str, np.ndarray]
     action_name: str

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from tracesynth import (
+    OSCILLATOR,
     Candidate,
     ErrorSpec,
     OptimizedCandidate,
@@ -43,6 +44,8 @@ from tracesynth import (
     matches_trace,
     optimizer,
     reassign_variables,
+    SecondOrderConfig,
+    simulate_second_order,
     standard_registry,
 )
 
@@ -169,6 +172,19 @@ def mixed_dimension_case() -> tuple[Registry, ObservationTrace]:
         actions=actions,
     )
     return registry, trace
+
+
+def joined_oscillator_trace() -> ObservationTrace:
+    """Two 100-step runs of the damped oscillator (k1=-4, k2=-0.25) as one
+    trace: the default ``OSCILLATOR``, then a kicked run from x=-0.5,
+    v=3, with ``t`` running on from 101 to 200."""
+    kicked = SecondOrderConfig(k1=-4.0, k2=-0.25, x0=-0.5, v0=3.0, dt=0.01, steps=100)
+    first, second = simulate_second_order(OSCILLATOR), simulate_second_order(kicked)
+    steps = [
+        TraceStep(t, step.vars, step.action_name, step.theta)
+        for t, step in enumerate(first.steps + second.steps, start=1)
+    ]
+    return ObservationTrace(first.schema, tuple(steps))
 
 
 def eager_induce(trace, registry, config):

@@ -14,6 +14,11 @@ read by its body, apart from those in ``UNREAD_PARAMETERS``.
 Every name a module-level import in ``tracesynth`` binds is read by its
 module.  The relative imports of ``__init__.py``, which are the package's
 re-exports, and ``from __future__`` imports are exempt.
+
+Every ``@dataclass`` in ``tracesynth`` uses a feature that a
+``typing.NamedTuple`` lacks: a ``__post_init__``, a ``field(...)`` default
+or a ``cached_property``, or it is a program-tree type in
+``TREE_DATACLASSES``.  A record that only carries values is a NamedTuple.
 """
 
 from __future__ import annotations
@@ -37,6 +42,16 @@ UNREAD_PARAMETERS = {
     ("interpreter.zero_length_error", "observed_len"): "the ErrorSpec.len_error interface",
     ("interpreter.zero_length_error", "executed_len"): "the ErrorSpec.len_error interface",
     ("optimizer.fresh", "ast"): "perfbench/layers.py's probe passes it positionally",
+}
+# program-tree dataclasses that need no __post_init__, field(...) or
+# cached_property -> why they are not NamedTuples, which equal any tuple of
+# the same values and have no __dict__
+TREE_DATACLASSES = {
+    "program.ParamLeaf": "a leaf equals no other node type with the same values",
+    "program.VarLeaf": "a leaf equals no other node type with the same values",
+    "program.FunctionNode": "an application equals no ActionNode with the same values",
+    "program.ActionNode": "a subclass of FunctionNode whose type marks the root",
+    "program.ProgramAst": "memoises its tape, preorder walk and re-binding slots in __dict__",
 }
 
 
@@ -168,3 +183,55 @@ def test_every_import_is_used():
         for found in _unused_imports(path, ast.parse(path.read_text(encoding="utf-8")))
     ]
     assert unused == []
+
+
+def _named(node: ast.expr, name: str) -> bool:
+    """Whether ``node`` is ``name``, ``module.name`` or a call of either."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    return (isinstance(node, ast.Name) and node.id == name) or (
+        isinstance(node, ast.Attribute) and node.attr == name
+    )
+
+
+def _plain_dataclasses(path: Path, tree: ast.Module) -> list[str]:
+    """``module.Class`` of every module-level ``@dataclass`` with no
+    ``__post_init__``, no ``field(...)`` default and no ``cached_property``."""
+    out = []
+    for node in tree.body:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        if not any(_named(d, "dataclass") for d in node.decorator_list):
+            continue
+        methods = [item for item in node.body if isinstance(item, ast.FunctionDef)]
+        uses = (
+            any(item.name == "__post_init__" for item in methods)
+            or any(
+                isinstance(item, ast.AnnAssign)
+                and item.value is not None
+                and _named(item.value, "field")
+                for item in node.body
+            )
+            or any(_named(d, "cached_property") for m in methods for d in m.decorator_list)
+        )
+        if not uses:
+            out.append(f"{path.stem}.{node.name}")
+    return out
+
+
+def test_every_dataclass_needs_its_features():
+    source = (
+        "@dataclass(frozen=True)\nclass A:\n    x: int\n"
+        "@dataclass\nclass B:\n    x: int\n    def __post_init__(self): pass\n"
+        "@dataclasses.dataclass\nclass C:\n    x: list = dataclasses.field(default_factory=list)\n"
+        "@dataclass\nclass D:\n    @cached_property\n    def x(self): return 1\n"
+        "class E(NamedTuple):\n    x: int\n"
+    )
+    assert _plain_dataclasses(PACKAGE / "m.py", ast.parse(source)) == ["m.A"]
+    plain = [
+        found
+        for path in SOURCES
+        if path.parent == PACKAGE
+        for found in _plain_dataclasses(path, ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert sorted(plain) == sorted(TREE_DATACLASSES)

@@ -292,6 +292,18 @@ class TestInduce:
         assert "no accepted solution" in report
         assert "top[1]" in report
 
+    def test_joined_trace_runs(self, tmp_path, capsys):
+        # at seed 1 the search reaches, within 15 iterations, the optimiser
+        # call whose short look-ahead pass once read past its grid
+        from tests.conftest import joined_oscillator_trace
+        from tracesynth import save_trace
+
+        path = tmp_path / "joined.trace"
+        save_trace(joined_oscillator_trace(), path)
+        code = run_cli(["induce", "--trace", str(path), "--seed", "1", "--max-iterations", "15"])
+        assert code in (0, 3)
+        assert "iterations: 15\n" in capsys.readouterr().out
+
     def test_config_file_and_flag_override(self, small_trace, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"seed": 5, "max_iterations": 7, "top_k": 2}))

@@ -29,6 +29,7 @@ from tests import conftest
 from tests.conftest import (
     _same_array_dicts,
     assert_same_optimum,
+    joined_oscillator_trace,
     make_trace,
     mixed_action_case,
     sequential_optimize,
@@ -580,6 +581,40 @@ class TestLookAhead:
         assert out.rebinds > 1400
         assert len(executes) < 100
         assert _in_blocks(look_aheads, out) > 1400
+
+    def test_pass_shorter_than_a_rebinding_cycle(self, scalar_registry, scalar_schema):
+        # three plain iterations of the pendulum x <-> v flip (bound to x the
+        # leaf executes one step, bound to v 25) and a fourth pair that runs
+        # v one step further: a pass of 3 blocks runs v in block 1 only, so
+        # v's grid is 25 steps wide and must not be read at step 26
+        trace, spec = _pendulum_trace(), ErrorSpec()
+        ast = parse_program("(accel (sub -1.1773095132529003 x))", scalar_registry, scalar_schema)
+        state = OptimizerState.fresh(ast, initial_params(ast), OptimizeConfig())
+        trees, cycle, tree, plain = {}, [], ast, state
+        for _ in range(3):
+            result = execute(tree, plain.params, trace, scalar_registry, spec)
+            grads = backward(result, spec)
+            cycle.append((tree, grads, result.executed_len))
+            plain = adagrad_step(plain, grads)
+            tree, plain, _ = reassign_variables(tree, plain, grads, trace.index, trees)
+        other, grads, n = cycle[1]
+        cycle.append((other, grads, n + 1))
+        assert [t is ast for t, _, _ in cycle] == [True, False, True, False]
+        assert len({n for _, _, n in cycle}) == 3
+        ahead = optimizer._look_ahead(ast, state, cycle, 3, trace, scalar_registry, spec)
+        _check_against_plain_loop(ahead, ast, state, cycle, 3, trace, scalar_registry, spec)
+        assert ahead.accepted == 3
+
+    def test_short_pass_near_the_cap(self, scalar_registry, scalar_schema, look_aheads):
+        # the 12th ``optimize`` call of ``induce`` on the joined oscillator
+        # trace at RunConfig.seed=1: the leaf flips v <-> x, and bound to x
+        # it executes 99 steps, then 101; near the cap a pass gets 3 blocks
+        out = _both(
+            "(accel (scale x 0.1249907045537659))", scalar_registry, scalar_schema,
+            joined_oscillator_trace(), OptimizeConfig(),
+        )
+        assert (out.iterations, out.stop) == (1500, "cap")
+        assert (3, (1, 99, 1, 101)) in {(blocks, n) for _, blocks, _, n in look_aheads}
 
     def test_mixed_cycle_stays_plain(
         self, scalar_registry, scalar_schema, look_aheads, monkeypatch

@@ -218,12 +218,10 @@ class TestQueue:
             "b": parse_program("(accel x)", scalar_registry, scalar_schema),
             "c": parse_program("(accel 1.0)", scalar_registry, scalar_schema),
         }
-        import dataclasses
-
         cands = {name: _candidate(ast, scalar_registry, trace) for name, ast in asts.items()}
         # force equal scores; complexities differ: b=11 < c=15 < a=26
         for name in ("a", "c", "b"):
-            queue.push(dataclasses.replace(cands[name], score=26.0))
+            queue.push(cands[name]._replace(score=26.0))
         popped = [queue.pop()[0] for _ in range(3)]
         assert [c.complexity for c in popped] == sorted(c.complexity for c in popped)
 
@@ -231,21 +229,17 @@ class TestQueue:
         trace = make_trace({"x": [1.0], "v": [1.0]}, [1.0])
         rng = np.random.default_rng(0)
         queue = CandidateQueue()
-        import dataclasses
-
         base = _candidate(
             parse_program("(accel x)", scalar_registry, scalar_schema),
             scalar_registry,
             trace,
         )
         for _ in range(50):
-            queue.push(dataclasses.replace(base, score=float(rng.uniform(0, 100))))
+            queue.push(base._replace(score=float(rng.uniform(0, 100))))
         scores = [queue.pop()[0].score for _ in range(50)]
         assert scores == sorted(scores)
 
     def test_insertion_order_breaks_remaining_ties(self, scalar_registry, scalar_schema):
-        import dataclasses
-
         trace = make_trace({"x": [1.0], "v": [1.0]}, [1.0])
         base = _candidate(
             parse_program("(accel x)", scalar_registry, scalar_schema),
@@ -253,8 +247,8 @@ class TestQueue:
             trace,
         )
         queue = CandidateQueue()
-        first = dataclasses.replace(base, seed=1)
-        second = dataclasses.replace(base, seed=2)
+        first = base._replace(seed=1)
+        second = base._replace(seed=2)
         queue.push(first)
         queue.push(second)
         assert queue.pop()[0].seed == 1

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 
 import numpy as np
@@ -49,7 +48,7 @@ class TestLoad:
 
     def test_direct_construction_validates(self):
         trace = make_trace({"x": [1.0, 2.0]}, [1.0, 2.0])
-        nan_step = dataclasses.replace(trace.steps[0], vars={"x": np.array([np.nan])})
+        nan_step = trace.steps[0]._replace(vars={"x": np.array([np.nan])})
         with pytest.raises(TraceFormatError, match="at least one step"):
             ObservationTrace(trace.schema, ())
         with pytest.raises(TraceFormatError, match="variable x is not finite"):
@@ -237,9 +236,9 @@ class TestDerivedArrays:
     def test_list_instead_of_array_refused(self, field):
         trace = make_trace({"x": [1.0, 2.0]}, [1.0, 2.0])
         if field == "variable x":
-            bad = dataclasses.replace(trace.steps[1], vars={"x": [0.1]})
+            bad = trace.steps[1]._replace(vars={"x": [0.1]})
         else:
-            bad = dataclasses.replace(trace.steps[1], theta=[0.1])
+            bad = trace.steps[1]._replace(theta=[0.1])
         want = f"step 2: {field} is a list, not a NumPy array"
         with pytest.raises(TraceFormatError, match=want):
             ObservationTrace(trace.schema, (trace.steps[0], bad))
