@@ -27,10 +27,27 @@ exactly the binding of the next block's tree.  Each accepted block counts
 as one iteration, and the plain loop resumes at the first block that is not
 accepted, so trees, parameter bytes, losses, re-bindings and the iteration
 count are those of the plain loop.
+
+Two outcomes are known without evaluating them.  A vote is settled when no
+rival can win it: a read's accumulator holds that read's own squared
+gradient, so while it is finite no component of the nudge exceeds the
+learning rate lr.  Rounding the nudged value at most doubles its move, so
+when half the distance from the bound variable to its nearest rival
+exceeds 2 * lr * sqrt(d) on every executed step, every nudged read stays
+nearest to it (``_settled``).  A state is stationary when a plain
+iteration stopped early, re-bound nothing and left every parameter's bytes
+unchanged.  Every later iteration then runs the same tree on the same
+bytes, so it has the same execution, loss and gradient, and counts as
+stagnant; its step has the same sign and shrinks as the accumulator grows,
+so the parameters stay put.  ``optimize`` then asks the slots only for the
+votes of the iterations left before the stagnation stop or the cap
+(``_stationary_rebinding``) and resumes the plain loop after the first one
+that re-binds, with the state the plain loop would have.
 """
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -191,6 +208,26 @@ def _with_tail(head: np.ndarray, old: np.ndarray | None) -> np.ndarray:
     return head if old is None or old.shape[0] <= n else np.concatenate([head, old[n:]])
 
 
+def _settled(
+    index: VariableIndex, leaf: VarLeaf, column: int, acc: np.ndarray, learning_rate: float
+) -> bool:
+    """Whether no rival of the variable in ``column`` can win a vote over
+    the first n steps with the accumulator rows ``acc``, (..., n, d).
+
+    Each row holds its read's own g*g, so while ``acc`` is finite no
+    component of a nudge ``lr * g / sqrt(acc + DIV_GUARD)`` exceeds lr and
+    its norm is at most lr * sqrt(d); rounding the nudged value at most
+    doubles its move.  When the variable's gap (``VariableIndex.gaps``) at
+    step n exceeds twice that, every nudged read is nearer its own variable
+    than any rival.  The relative (d + 8) * 2**-50 covers the rounding of
+    the nudge, the distances and the gap.  A NaN or infinite row fails.
+    """
+    d = leaf.dim
+    limit = 2 * learning_rate * math.sqrt(d) * (1 + (d + 8) * 2.0**-50)
+    # the rows are sums of squares, so their sum is finite only if each is
+    return index.gaps[d][acc.shape[-2] - 1, column] > limit and math.isfinite(acc.sum())
+
+
 def _vote(
     index: VariableIndex,
     leaf: VarLeaf,
@@ -206,9 +243,13 @@ def _vote(
     ``g_rows`` and ``acc`` are (K, n, d): per block, the gradient of each
     executed read and its accumulator.  A block re-binds when its gradient
     is not all zero and a variable other than the bound one wins a strict
-    majority of the nudged reads.
+    majority of the nudged reads.  A settled vote (``_settled``) keeps
+    every block's binding without a query, which holds for each block whose
+    rows of ``acc`` include its own squared gradients.
     """
     K, n = g_rows.shape[:2]
+    if _settled(index, leaf, column, acc, learning_rate):
+        return np.full(K, column)
     values = index.values[leaf.dim][:n, column]
     adjusted = values - learning_rate * g_rows / np.sqrt(acc + DIV_GUARD)
     nearest = index.query_steps(leaf.dim, adjusted)  # (K, n)
@@ -217,6 +258,55 @@ def _vote(
     sole = top[:, -1] > top[:, -2]
     moved = g_rows.reshape(K, -1).any(axis=1)
     return np.where(moved & sole, votes.argmax(axis=1), column)
+
+
+def _stationary_rebinding(
+    ast: ProgramAst, state: OptimizerState, grads: Gradients, index: VariableIndex, count: int
+) -> tuple[int, dict[int, VarLeaf]] | None:
+    """The first of the next ``count`` iterations of a stationary state
+    whose vote re-binds a leaf, counted from 0, with its renames; None if
+    none does.  Each of them runs ``ast`` on the same parameter bytes, so
+    it has the gradients ``grads``, and its slot accumulators are those of
+    ``state`` plus one more squared read gradient per iteration."""
+    if count < 1:
+        return None
+    votes = {}
+    for nid, leaf, names, column in rebindable_leaves(ast, index)[1]:
+        g_rows = grads.slot_reads.get(nid)
+        if g_rows is not None:
+            sq = np.repeat((g_rows * g_rows)[None], count, axis=0)
+            acc = _fold_slot(state.slot_acc.get(nid), sq, False)
+            g_rows = np.broadcast_to(g_rows, sq.shape)
+            columns = _vote(index, leaf, column, g_rows, acc, state.learning_rate)
+            votes[nid] = (leaf, names, column, columns)
+    moved = [columns != column for _, _, column, columns in votes.values()]
+    if not np.any(moved):
+        return None
+    first = int(np.any(moved, axis=0).argmax())
+    return first, {
+        nid: VarLeaf(names[columns[first]], leaf.dim)
+        for nid, (leaf, names, column, columns) in votes.items()
+        if columns[first] != column
+    }
+
+
+def _rebind(
+    ast: ProgramAst, renames: dict[int, VarLeaf], trees: dict[Binding, ProgramAst]
+) -> ProgramAst:
+    """``ast`` with the variable leaves of ``renames`` replaced: the tree of
+    ``trees`` for the new binding, built with ``replace_node`` and entered
+    only if absent.  ``ast`` is entered too, so flipping a leaf back returns
+    the very same object."""
+    var_leaves = [(nid, leaf) for nid, leaf in leaves(ast) if isinstance(leaf, VarLeaf)]
+    trees.setdefault(tuple(leaf.name for _, leaf in var_leaves), ast)
+    new_binding = tuple(renames.get(nid, leaf).name for nid, leaf in var_leaves)
+    rebound = trees.get(new_binding)
+    if rebound is None:
+        rebound = ast
+        for nid, leaf in renames.items():
+            rebound = replace_node(rebound, nid, leaf)
+        trees[new_binding] = rebound
+    return rebound
 
 
 def reassign_variables(
@@ -233,7 +323,10 @@ def reassign_variables(
     squared-gradient accumulator per read time), and the nearest variable of
     the same dimension is looked up per timestep.  A variable that wins a
     strict majority of the steps replaces the current one; ties keep the
-    current binding.  Any rebinding resets all accumulators.
+    current binding, and so does a leaf whose reads all have zero
+    gradient.  Any rebinding resets all accumulators.  A settled vote keeps
+    the binding without a query: each read's accumulator holds its own
+    squared gradient, so no nudge takes it halfway to a rival (``_settled``).
 
     ``trees`` is the tree table of one structure, keyed by binding (see
     ``rebindable_leaves``).  A re-binding returns the table's tree for the
@@ -241,7 +334,7 @@ def reassign_variables(
     the current tree is entered too, so flipping a leaf back returns the
     very same object.  Without a table every re-binding builds a new tree.
     """
-    binding, slots = rebindable_leaves(ast, index)
+    _, slots = rebindable_leaves(ast, index)
     slot_acc = dict(state.slot_acc)
     renames: dict[int, VarLeaf] = {}
     for nid, leaf, names, column in slots:
@@ -261,8 +354,9 @@ def reassign_variables(
                 old[:n] += acc
                 acc = old
         slot_acc[nid] = acc
-        if not g_rows.any():
-            # zero gradient leaves every virtual read at the variable itself
+        if not g_rows.any() or _settled(index, leaf, column, acc[:n], state.learning_rate):
+            # zero gradient leaves every virtual read at the variable itself,
+            # and no nudge of a settled vote takes a read to a rival
             continue
         values = index.values[leaf.dim][:n, column]
         adjusted = values - state.learning_rate * g_rows / np.sqrt(acc[:n] + DIV_GUARD)
@@ -276,17 +370,7 @@ def reassign_variables(
     if not renames:
         kept = OptimizerState(state.params, state.param_acc, slot_acc, state.learning_rate)
         return ast, kept, False
-    trees = {} if trees is None else trees
-    trees.setdefault(binding, ast)
-    new_binding = tuple(
-        renames.get(nid, leaf).name for nid, leaf in leaves(ast) if isinstance(leaf, VarLeaf)
-    )
-    rebound = trees.get(new_binding)
-    if rebound is None:
-        rebound = ast
-        for nid, leaf in renames.items():
-            rebound = replace_node(rebound, nid, leaf)
-        trees[new_binding] = rebound
+    rebound = _rebind(ast, renames, {} if trees is None else trees)
     reset = OptimizerState(state.params, {}, {}, state.learning_rate)
     return rebound, reset, True
 
@@ -539,7 +623,8 @@ def optimize(
     blocks that repeat it: ``FIRST_BLOCKS`` at first and twice as many each
     time all are accepted, within ``ROW_BUDGET`` rows and the cap.  When a
     block is not accepted, the plain loop runs it and looks for a cycle
-    again.
+    again.  After a stationary plain iteration (see the module docstring)
+    only the votes of the iterations left are taken.
 
     The call keeps a tree table, binding -> tree, that it passes to every
     ``reassign_variables``: each binding the leaves take is built, and its
@@ -550,9 +635,9 @@ def optimize(
     # states at different executed lengths are incomparable (the loss sums
     # over more steps), so "best" prefers matching, then coverage, then loss
     best_key: tuple[int, int, float] | None = None
-    # tree, parameters and result of the best state; a look-ahead block has
-    # no result yet
-    best: tuple[ProgramAst, dict[int, np.ndarray], ExecutionResult | None] | None = None
+    # tree, parameters, result and gradient of the best state; a look-ahead
+    # block has neither yet
+    best: tuple[ProgramAst, dict, ExecutionResult | None, Gradients | None] | None = None
     binding, slots = rebindable_leaves(ast, trace.index)
     # a parameter leaf or a variable leaf with a rival of its dimension
     free = len(binding) < len(leaves(ast)) or bool(slots)
@@ -577,10 +662,11 @@ def optimize(
 
     def finish(stop: str) -> OptimizedCandidate:
         assert best is not None
-        best_ast, best_params, best_result = best
+        best_ast, best_params, best_result, grads = best
         if best_result is None:
             best_result = execute(best_ast, best_params, trace, registry, spec)
-        grads = backward(best_result, spec)
+        if grads is None:
+            grads = backward(best_result, spec)
         return OptimizedCandidate(
             best_ast, best_params, best_result, grads, iterations, rebinds, stop
         )
@@ -613,7 +699,7 @@ def optimize(
             # stop falls in, which runs no re-binding
             rebinds += ahead.rebinds * j
             if newest is not None:
-                best = (ahead.tree(newest), ahead.params(state, newest), None)
+                best = (ahead.tree(newest), ahead.params(state, newest), None, None)
             if stagnant >= TOL_WINDOW:
                 return finish("stagnant")
             state, ast = ahead.state(state, ahead.accepted), ahead.tree(ahead.accepted)
@@ -633,7 +719,7 @@ def optimize(
         matched = matches_trace(result)
         if improves((0 if matched else 1, -result.executed_len, result.loss)):
             # adagrad_step never updates parameter arrays in place
-            best = (ast, dict(state.params), result)
+            best = (ast, dict(state.params), result, None)
         if matched:
             return finish("matched")
         if not free:
@@ -641,6 +727,9 @@ def optimize(
         if stagnant >= TOL_WINDOW:
             return finish("stagnant")
         grads = backward(result, spec)
+        if best[2] is result:
+            best = (*best[:3], grads)
+        before = state.params
         state = adagrad_step(state, grads)
         pair = (ast, grads, result.executed_len)
         # a re-binding keeps every leaf's kind and dimension, so ``free`` holds
@@ -650,5 +739,23 @@ def optimize(
             recent = []
             continue
         recent = [*recent[1 - 2 * MAX_PERIOD :], pair]
+        if not rebound and all(state.params[p].tobytes() == before[p].tobytes() for p in before):
+            # stationary: each iteration to the stagnation stop repeats this
+            # one, the last of them without a vote
+            left = TOL_WINDOW - stagnant
+            found = _stationary_rebinding(
+                ast, state, grads, trace.index, min(left - 1, cap - iterations)
+            )
+            if found is None:
+                stop = "stagnant" if iterations + left <= cap else "cap"
+                iterations = min(iterations + left, cap)
+                return finish(stop)
+            # the plain loop after the k + 1 stagnant iterations, the last of
+            # which re-binds
+            k, renames = found
+            iterations, stagnant, rebinds = iterations + k + 1, stagnant + k + 1, rebinds + 1
+            ast = _rebind(ast, renames, trees)
+            state = OptimizerState(state.params, {}, {}, state.learning_rate)
+            recent = [*recent, *[pair] * (k + 1)][-2 * MAX_PERIOD :]
         cycle = _confirmed_cycle(recent, ast)
     return finish("cap")

@@ -172,6 +172,15 @@ class VariableIndex:
     answers queries by a vectorised scan: exact, and deterministic because
     candidates are ordered by variable name (argmin takes the first, i.e.
     lexicographically smallest, on ties).
+
+    ``gaps[dim]`` is read-only, (T, n_vars): row t - 1 holds, for each
+    variable, half its distance to the nearest other variable of its
+    dimension, at the step where that is least among steps 1..t.  Distances
+    are computed as ``query_steps`` computes them.  A gap below 2**-500 is
+    0 and one above 2**500 is 2**500, so that the squares of distances up
+    to a few gaps are normal floats; a lone variable's gap is 2**500.  A
+    query point nearer to a variable than its gap is nearest to it
+    (``optimizer._settled`` relies on this).
     """
 
     def __init__(self, trace: ObservationTrace):
@@ -180,6 +189,7 @@ class VariableIndex:
             dim: _read_only(np.stack([trace.var_matrix(n) for n in names], axis=1))
             for dim, names in self.names.items()
         }
+        self.gaps = {dim: _rival_gaps(values) for dim, values in self.values.items()}
 
     def query_steps(self, dim: int, points: np.ndarray) -> np.ndarray:
         """Vectorised query for timesteps 1..n: ``points`` has shape
@@ -192,6 +202,20 @@ class VariableIndex:
         diff = self.values[dim][:n] - points[..., None, :]  # (..., n, n_vars, d)
         # the arithmetic of np.linalg.norm(diff, axis=-1) without its dispatch overhead
         return np.sqrt(np.add.reduce(diff * diff, axis=-1)).argmin(axis=-1)
+
+
+def _rival_gaps(values: np.ndarray) -> np.ndarray:
+    """``VariableIndex.gaps`` of one dimension's (T, n_vars, d) values."""
+    gaps = np.empty(values.shape[:2])
+    # one variable at a time keeps the arrays (T, n_vars, d)
+    for j in range(values.shape[1]):
+        diff = values - values[:, j : j + 1]
+        dist = np.sqrt(np.add.reduce(diff * diff, axis=-1))
+        dist[:, j] = np.inf
+        gaps[:, j] = 0.5 * dist.min(axis=1)
+    gaps = np.minimum.accumulate(gaps, axis=0)
+    # NaN compares false, so it becomes 0 too
+    return _read_only(np.where(gaps >= 2.0**-500, np.minimum(gaps, 2.0**500), 0.0))
 
 
 def names_by_dim(variables: Mapping[str, int]) -> dict[int, list[str]]:

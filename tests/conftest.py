@@ -6,8 +6,9 @@ several suites use it as the ground truth.  ``eager_induce`` is the search
 loop that optimises every proposal as soon as it is queued, the reference
 for the deferred search in ``induce``.  ``sequential_optimize`` is the
 optimiser loop that runs one ``execute``/``backward``/AdaGrad/re-binding
-pass per iteration, the reference for the look-ahead blocks of
-``optimize``.
+pass per iteration, with a nearest-variable query on every vote
+(``unpruned_reassign``): the reference for the look-ahead blocks, the
+settled votes and the stationary tail of ``optimize``.
 """
 
 from __future__ import annotations
@@ -43,11 +44,11 @@ from tracesynth import (
     leaves,
     matches_trace,
     optimizer,
-    reassign_variables,
     SecondOrderConfig,
     simulate_second_order,
     standard_registry,
 )
+from tracesynth.program import replace_node
 
 
 def make_trace(
@@ -239,10 +240,56 @@ def eager_induce(trace, registry, config):
     return solution, tuple(top[: config.top_k]), iterations, pops
 
 
+def unpruned_vote(index, leaf, column, g, acc, learning_rate) -> int:
+    """The column of ``index.names[leaf.dim]`` that the executed reads'
+    gradients ``g`` and accumulators ``acc``, both (n, d), vote a leaf
+    bound to ``column`` to, querying ``index.query_steps`` whatever the
+    distances.  Each read is nudged by ``lr * g / sqrt(acc + DIV_GUARD)``;
+    a variable other than the bound one must win a strict majority of the
+    nearest-variable votes, and an all-zero gradient keeps the binding."""
+    if not g.any():
+        return column
+    n = g.shape[0]
+    step = learning_rate * g / np.sqrt(acc + optimizer.DIV_GUARD)
+    nearest = index.query_steps(leaf.dim, index.values[leaf.dim][:n, column] - step)
+    votes = np.bincount(nearest, minlength=len(index.names[leaf.dim]))
+    winner = int(votes.argmax())
+    return winner if (votes == votes[winner]).sum() == 1 else column
+
+
+def unpruned_reassign(ast, state, grads, index, trees):
+    """``reassign_variables`` written from its docstring, with
+    ``unpruned_vote``.  Each slot's accumulator adds the squares of its
+    read gradients over the executed rows and keeps its rows past them.
+    Any re-binding resets every accumulator; ``trees`` maps a tree's
+    canonical key to the first tree built with it."""
+    _, slots = optimizer.rebindable_leaves(ast, index)
+    slot_acc = dict(state.slot_acc)
+    renames = {}
+    for nid, leaf, names, column in slots:
+        g = grads.slot_reads.get(nid)
+        if g is None:
+            continue
+        n = g.shape[0]
+        acc = slot_acc.get(nid, np.zeros((0, leaf.dim)))
+        acc = np.concatenate([acc, np.zeros((max(0, n - len(acc)), leaf.dim))])
+        acc[:n] = g * g + acc[:n]
+        slot_acc[nid] = acc
+        winner = unpruned_vote(index, leaf, column, g, acc[:n], state.learning_rate)
+        if winner != column:
+            renames[nid] = VarLeaf(names[winner], leaf.dim)
+    if not renames:
+        return ast, OptimizerState(state.params, state.param_acc, slot_acc, state.learning_rate), 0
+    for nid, leaf in renames.items():
+        ast = replace_node(ast, nid, leaf)
+    ast = trees.setdefault(canonical_key(ast), ast)
+    return ast, OptimizerState(state.params, {}, {}, state.learning_rate), 1
+
+
 def sequential_optimize(ast, params, trace, registry, spec, config):
     """Reference optimiser: the loop of ``optimize`` as it was before
     look-ahead blocks, one ``execute``, ``backward``, ``adagrad_step`` and
-    ``reassign_variables`` per iteration.  Returns the
+    ``unpruned_reassign`` per iteration.  Returns the
     ``OptimizedCandidate`` that ``optimize`` must return bit for bit."""
     state = OptimizerState.fresh(ast, params, config)
     binding, slots = optimizer.rebindable_leaves(ast, trace.index)
@@ -267,7 +314,7 @@ def sequential_optimize(ast, params, trace, registry, spec, config):
             break
         grads = backward(result, spec)
         state = adagrad_step(state, grads)
-        ast, state, rebound = reassign_variables(ast, state, grads, trace.index, trees)
+        ast, state, rebound = unpruned_reassign(ast, state, grads, trace.index, trees)
         rebinds += rebound
     _, best_ast, best_params, best_result = best
     grads = backward(best_result, spec)

@@ -16,7 +16,8 @@ damped case was recorded, digest and totals, before the optimiser began to
 follow cycles of up to four iterations in look-ahead blocks, and the
 ``pendulum_seed42`` case before those cycles could re-bind a leaf; both
 changes leave every total but the ``execute`` counts as it was.  The
-``execute`` counts were recorded after cycles could re-bind.  Every
+``execute`` counts were recorded after cycles could re-bind, and again
+once settled votes and stationary tails were decided without one.  Every
 proposal ``induce`` optimises must take exactly the steps it takes in the
 reference run.  The paddle values were recorded again when the
 discrete error model began to add ``max_step_error + 1`` to a misclassified
@@ -96,8 +97,8 @@ TRAJECTORIES = {
 }
 # name -> ``execute`` calls of the same runs: look-ahead blocks evaluate
 # most iterations without one
-REFERENCE_EXECUTES = {"pendulum": 287, "paddle": 476, "damped_seed5": 2547, "pendulum_seed42": 1576}
-EXECUTES = {"pendulum": 47, "paddle": 33, "damped_seed5": 86, "pendulum_seed42": 73}
+REFERENCE_EXECUTES = {"pendulum": 269, "paddle": 466, "damped_seed5": 2462, "pendulum_seed42": 1515}
+EXECUTES = {"pendulum": 40, "paddle": 26, "damped_seed5": 75, "pendulum_seed42": 66}
 
 
 # the golden runs, a damped oscillator whose coverage grows slowly and

@@ -24,7 +24,7 @@ from tracesynth import (
 from tracesynth import interpreter, optimizer
 from tracesynth.autodiff import backward
 from tracesynth.optimizer import FIRST_BLOCKS, ROW_BUDGET, _same_pair, adagrad_walk
-from tracesynth.program import canonical_key, initial_params, leaves
+from tracesynth.program import VarLeaf, canonical_key, initial_params, leaves
 from tests import conftest
 from tests.conftest import (
     _same_array_dicts,
@@ -33,6 +33,8 @@ from tests.conftest import (
     make_trace,
     mixed_action_case,
     sequential_optimize,
+    unpruned_reassign,
+    unpruned_vote,
 )
 
 
@@ -710,3 +712,226 @@ def test_block_sums_equal_each_blocks_sum(blocks, width, cut, d, strided, seed):
         for k in range(blocks):
             want = rows[k * width : k * width + n].sum(axis=0)
             assert sums[k].tobytes() == want.tobytes()
+
+
+def _settled(index, slot, acc, lr) -> bool:
+    _, leaf, _, column = slot
+    return optimizer._settled(index, leaf, column, acc, lr)
+
+
+class TestSettledVotes:
+    def test_every_damped_vote_is_settled(self, scalar_registry, scalar_schema):
+        # x and v lie 0.81-1.0 apart over damped steps 1-4 and 0.74 apart at
+        # step 5, against twice the largest nudge, 2 * 0.2; pendulum's lie
+        # 0.1 apart at step 1
+        ast = parse_program("(accel x)", scalar_registry, scalar_schema)
+        damped, pendulum = _damped_trace(), _pendulum_trace()
+        for trace, settled in ((damped, [True] * 4 + [False]), (pendulum, [False])):
+            slot, = optimizer.rebindable_leaves(ast, trace.index)[1]
+            steps = range(1, len(settled) + 1)
+            assert [_settled(trace.index, slot, np.ones((n, 1)), 0.2) for n in steps] == settled
+        # a NaN or infinite accumulator row settles nothing
+        slot, = optimizer.rebindable_leaves(ast, damped.index)[1]
+        for bad in (np.nan, np.inf):
+            assert not _settled(damped.index, slot, np.array([[1.0], [bad]]), 0.2)
+
+    def test_rounding_can_double_a_nudge(self):
+        # b is bound, a lies 2 below it and floats near b are 1 apart: a nudge
+        # of 0.75 rounds to a move of 1, halfway to a, and the tie goes to a,
+        # so a gap of 1 with a learning rate of 0.75 is not settled
+        b = 2.0**52 + 10
+        trace = make_trace({"a": [b - 2], "b": [b]}, [0.0])
+        registry = standard_registry(trace.schema.variables, {"accel": 1})
+        ast = parse_program("(accel b)", registry, trace.schema)
+        slot, = optimizer.rebindable_leaves(ast, trace.index)[1]
+        _, leaf, _, column = slot
+        g = np.ones((1, 1))
+        assert trace.index.gaps[1][0, column] == 1.0 > 0.75
+        assert unpruned_vote(trace.index, leaf, column, g, g * g, 0.75) != column
+        assert not _settled(trace.index, slot, g * g, 0.75)
+
+
+# gradient entries: zeros of both signs, NaN, infinities, extreme magnitudes
+_SPECIAL_ROWS = [0.0, -0.0, np.nan, np.inf, -np.inf, 1e300, -1e300, 1e-300, -1e-300]
+# accumulator entries carried from earlier iterations, NaN rows included
+_OLD_ACC = [0.0, 0.25, 4.0, 1e-300, 1e300, np.nan, np.inf]
+# a rival's distance from the first variable, in learning rates: equal or
+# nearly equal, near the bound (4 * sqrt(d) learning rates), far, or any
+_NEAR = [0.0, 1e-12, 1e-3, 1.0, 2.0]
+_BORDER = [3.99, 4.0, 4.0 + 1e-12, 4.01, 5.65, 4 * np.sqrt(2), 4 * np.sqrt(2) + 1e-12, 5.67]
+_FAR = [8.0, 40.0]
+_RIVAL_DISTANCES = [_NEAR, _BORDER, _FAR, _NEAR + _BORDER + _FAR]
+
+
+@st.composite
+def _vote_cases(draw):
+    """A trace of 2-3 variables of dimension d over n steps, a leaf bound to
+    one of them, K blocks of read gradients (K, n, d), an earlier
+    accumulator or None, and a learning rate in [1e-3, 10]."""
+    d, m, n, blocks = (draw(st.integers(*r)) for r in ((1, 2), (2, 3), (1, 4), (1, 3)))
+    lr = 10.0 ** draw(st.floats(-3, 1))
+    # far from zero, rounding the nudged value moves it as much as the nudge
+    scale = draw(st.sampled_from([1.0, 1e3, lr * 2**52, lr * 2**53]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    base = rng.uniform(-scale, scale, size=(n, 1, d))
+    ways = rng.normal(size=(n, m - 1, d))
+    ways /= np.linalg.norm(ways, axis=-1, keepdims=True)
+    far = lr * rng.choice(draw(st.sampled_from(_RIVAL_DISTANCES)), size=(n, m - 1, 1))
+    values = np.concatenate([base, base + ways * far], axis=1)
+    names = "abc"[:m]
+    trace = make_trace(
+        {name: values[:, j].tolist() for j, name in enumerate(names)}, [[0.0] * d] * n
+    )
+    bound = names[draw(st.integers(0, m - 1))]
+    g = rng.normal(size=(blocks, n, d)) * 10.0 ** rng.integers(-6, 6, size=(blocks, n, d))
+    if draw(st.booleans()):
+        special = rng.random(g.shape) < 0.2
+        g[special] = rng.choice(_SPECIAL_ROWS, size=int(special.sum()))
+    old = None
+    if draw(st.booleans()):
+        # finite entries only, or NaN and infinite ones too
+        entries = _OLD_ACC[: draw(st.sampled_from([3, len(_OLD_ACC)]))]
+        old = rng.choice(entries, size=(int(rng.integers(1, 6)), d))
+    return trace, bound, g, old, lr
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=_vote_cases(), reset=st.booleans())
+def test_a_settled_vote_keeps_the_binding(case, reset):
+    """Wherever ``_settled`` holds, the vote that queries every nudged read
+    keeps the binding, in ``_vote`` per block and in
+    ``reassign_variables``; and both agree with that vote everywhere."""
+    trace, bound, g, old, lr = case
+    d = g.shape[-1]
+    registry = standard_registry(trace.schema.variables, {"accel": d})
+    ast = parse_program(f"(accel {bound})", registry, trace.schema)
+    slot, = optimizer.rebindable_leaves(ast, trace.index)[1]
+    # NaN and infinite rows make NumPy warn
+    with np.errstate(all="ignore"):
+        _check_votes(trace.index, ast, slot, g, old, lr, reset)
+
+
+def _check_votes(index, ast, slot, g, old, lr, reset):
+    nid, leaf, _, column = slot
+    acc = optimizer._fold_slot(old, g * g, reset)
+    want = [unpruned_vote(index, leaf, column, g[k], acc[k], lr) for k in range(len(g))]
+    assert optimizer._vote(index, leaf, column, g, acc, lr).tolist() == want
+    if _settled(index, slot, acc, lr):
+        assert want == [column] * len(g)
+
+    state = OptimizerState.fresh(ast, {}, OptimizeConfig(learning_rate=lr))
+    if old is not None:
+        state.slot_acc[nid] = old
+    grads = _grads_for(slot_rows={nid: g[0]})
+    got_ast, got_state, got = reassign_variables(ast, state, grads, index)
+    want_ast, want_state, rebound = unpruned_reassign(ast, state, grads, index, {})
+    assert (canonical_key(got_ast), got) == (canonical_key(want_ast), bool(rebound))
+    assert _same_array_dicts(got_state.slot_acc, want_state.slot_acc)
+    # the first block's accumulator is the one ``reassign_variables`` votes with
+    if _settled(index, slot, acc[0], lr):
+        assert not rebound
+
+
+@pytest.fixture
+def tails(monkeypatch):
+    """Every stationary tail of one ``optimize`` call as (``execute`` calls
+    before it, votes asked for, first re-binding or None), and the
+    ``execute`` calls so far, last."""
+    out, executes = [], [0]
+    execute, stationary = optimizer.execute, optimizer._stationary_rebinding
+
+    def counting(*args, **kwargs):
+        executes[0] += 1
+        return execute(*args, **kwargs)
+
+    def recording(*args):
+        found = stationary(*args)
+        out.append((executes[0], args[-1], found))
+        return found
+
+    monkeypatch.setattr(optimizer, "execute", counting)
+    monkeypatch.setattr(optimizer, "_stationary_rebinding", recording)
+    return out, executes
+
+
+def _ended_in_a_tail(tails) -> None:
+    """The last tail of the call ended it, and no ``execute`` call came
+    after it: ``finish`` reuses the stationary iteration's result and
+    gradient."""
+    recorded, executes = tails
+    before, _, found = recorded[-1]
+    assert found is None and executes[0] == before
+
+
+class TestStationaryTail:
+    """A plain iteration that stops early, re-binds nothing and leaves every
+    parameter's bytes as they were is repeated by every later one, up to
+    the stagnation stop or the cap; each case agrees with the plain loop."""
+
+    @pytest.mark.parametrize(
+        "trace, spec, plain",
+        [
+            # x re-binds to v on the first iteration, and v's votes, with x
+            # 0.1 away, are queried
+            (_pendulum_trace(), ErrorSpec(), 2),
+            # every vote is settled
+            (_damped_trace(), ErrorSpec(max_step_error=0.01), 1),
+        ],
+        ids=["pendulum", "damped"],
+    )
+    def test_parameter_free_tree(self, trace, spec, plain, scalar_registry, scalar_schema, tails):
+        out = _both("(accel x)", scalar_registry, scalar_schema, trace, OptimizeConfig(), spec)
+        _ended_in_a_tail(tails)
+        assert (out.stop, out.iterations) == ("stagnant", plain + optimizer.TOL_WINDOW)
+        assert tails[1][0] == plain
+
+    def test_zero_parameter_gradient(self, scalar_registry, scalar_schema, tails):
+        # v = 0 at step 1, so the parameter's gradient is 0; the read of v is
+        # nudged away from x and keeps its binding
+        out = _both(
+            "(accel (scale 0.5 v))", scalar_registry, scalar_schema, _pendulum_trace(),
+            OptimizeConfig(),
+        )
+        _ended_in_a_tail(tails)
+        assert (out.stop, out.iterations) == ("stagnant", 11)
+
+    def test_cap_inside_the_tail(self, scalar_registry, scalar_schema, tails):
+        out = _both(
+            "(accel x)", scalar_registry, scalar_schema, _damped_trace(),
+            OptimizeConfig(max_opt_iters=5), ErrorSpec(max_step_error=0.01),
+        )
+        _ended_in_a_tail(tails)
+        assert (out.stop, out.iterations) == ("cap", 5)
+        assert tails[0] == [(1, 4, None)]
+
+    def _three_variables(self):
+        # a leaf bound to c reads c = 0 and executes three steps; with a
+        # learning rate of 1 the nudged reads vote (b, a, c) on the first
+        # iteration, a tie, and (a, a, c) once the nudge has shrunk to
+        # 1/sqrt(2)
+        trace = make_trace(
+            {"a": [0.7, 1.0, 10.0, 0.0], "b": [1.0, 5.0, -10.0, 0.0], "c": [0.0] * 4},
+            [0.05, 0.05, 5.0, 0.0],
+        )
+        registry = standard_registry(trace.schema.variables, {"accel": 1})
+        return _both(
+            "(accel c)", registry, trace.schema, trace, OptimizeConfig(learning_rate=1.0),
+            ErrorSpec(max_step_error=0.1),
+        )
+
+    def test_a_tail_vote_rebinds(self, tails):
+        # each read's nudge shrinks towards its own variable as the tail's
+        # accumulators grow, so with two scalar variables (pendulum's x and v)
+        # the rival can only lose votes, barring rounding ties of reads far
+        # beyond both; a third variable lets a later vote re-bind
+        out = self._three_variables()
+        assert tails[0][0] == (1, optimizer.TOL_WINDOW - 1, (0, {1: VarLeaf("a", 1)}))
+        assert out.rebinds > 1 and out.stop == "stagnant"
+
+    def test_stagnant_when_the_tail_starts(self, tails):
+        # after a tail re-binds, the plain loop goes on with the stagnant
+        # count it had: the tails start at 0, 3, 6 and 9 stagnant iterations,
+        # so each asks for fewer votes, and the last for none
+        self._three_variables()
+        assert [count for _, count, _ in tails[0]] == [9, 6, 3, 0]
+        _ended_in_a_tail(tails)

@@ -174,6 +174,19 @@ class TestNearestVariable:
                 best = min(dists.values())
                 assert got[t - 1] == min(name for name in names if dists[name] == best)
 
+    def test_gaps_are_half_the_nearest_rival_distance(self):
+        # a running minimum over the steps
+        trace = make_trace(
+            {"a": [0.0, 0.0, 0.0], "b": [1.0, 0.5, 3.0], "c": [4.0, -0.4, 4.0]}, [0.0] * 3
+        )
+        gaps = trace.index.gaps[1]
+        np.testing.assert_array_equal(gaps, [[0.5, 0.5, 1.5], [0.2, 0.25, 0.2], [0.2, 0.25, 0.2]])
+        assert not gaps.flags.writeable
+        # below 2**-500 a gap is 0, and a lone variable's is 2**500
+        trace = make_trace({"x": [0.0], "v": [1e-160], "p": [[1.0, 2.0]]}, [0.0])
+        np.testing.assert_array_equal(trace.index.gaps[1], [[0.0, 0.0]])
+        np.testing.assert_array_equal(trace.index.gaps[2], [[2.0**500]])
+
     def test_query_steps_takes_leading_axes(self):
         rng = np.random.default_rng(2)
         trace = make_trace(
