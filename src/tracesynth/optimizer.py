@@ -28,21 +28,19 @@ as one iteration, and the plain loop resumes at the first block that is not
 accepted, so trees, parameter bytes, losses, re-bindings and the iteration
 count are those of the plain loop.
 
-Two outcomes are known without evaluating them.  A vote is settled when no
-rival can win it: a read's accumulator holds that read's own squared
-gradient, so while it is finite no component of the nudge exceeds the
-learning rate lr.  Rounding the nudged value at most doubles its move, so
-when half the distance from the bound variable to its nearest rival
-exceeds 2 * lr * sqrt(d) on every executed step, every nudged read stays
-nearest to it (``_settled``).  A state is stationary when a plain
-iteration stopped early, re-bound nothing and left every parameter's bytes
-unchanged.  Every later iteration then runs the same tree on the same
-bytes, so it has the same execution, loss and gradient, and counts as
-stagnant; its step has the same sign and shrinks as the accumulator grows,
-so the parameters stay put.  ``optimize`` then asks the slots only for the
-votes of the iterations left before the stagnation stop or the cap
-(``_stationary_rebinding``) and resumes the plain loop after the first one
-that re-binds, with the state the plain loop would have.
+Two outcomes are known without evaluating them.  A vote is settled when
+no rival can win it: no nudge exceeds the learning rate lr in any
+component, so when half the distance from the bound variable to its
+nearest rival exceeds 2 * lr * sqrt(d) on every executed step, every
+nudged read stays nearest to it (``_settled``).  A state is stationary
+when a plain iteration stopped early, re-bound nothing and left every
+parameter's bytes unchanged.  Every later iteration then runs the same
+tree on the same bytes, so it has the same execution, loss and gradient,
+and counts as stagnant; its step has the same sign and shrinks as the
+accumulator grows, so the parameters stay put.  So the pair is a cycle of
+one pair whose blocks are known: a pass over it takes their loss, length
+and read gradients from the pair, and only their votes are taken (none
+for a scalar leaf with one rival, ``_stationary_keeps``).
 """
 
 from __future__ import annotations
@@ -260,53 +258,28 @@ def _vote(
     return np.where(moved & sole, votes.argmax(axis=1), column)
 
 
-def _stationary_rebinding(
-    ast: ProgramAst, state: OptimizerState, grads: Gradients, index: VariableIndex, count: int
-) -> tuple[int, dict[int, VarLeaf]] | None:
-    """The first of the next ``count`` iterations of a stationary state
-    whose vote re-binds a leaf, counted from 0, with its renames; None if
-    none does.  Each of them runs ``ast`` on the same parameter bytes, so
-    it has the gradients ``grads``, and its slot accumulators are those of
-    ``state`` plus one more squared read gradient per iteration."""
-    if count < 1:
-        return None
-    votes = {}
-    for nid, leaf, names, column in rebindable_leaves(ast, index)[1]:
-        g_rows = grads.slot_reads.get(nid)
-        if g_rows is not None:
-            sq = np.repeat((g_rows * g_rows)[None], count, axis=0)
-            acc = _fold_slot(state.slot_acc.get(nid), sq, False)
-            g_rows = np.broadcast_to(g_rows, sq.shape)
-            columns = _vote(index, leaf, column, g_rows, acc, state.learning_rate)
-            votes[nid] = (leaf, names, column, columns)
-    moved = [columns != column for _, _, column, columns in votes.values()]
-    if not np.any(moved):
-        return None
-    first = int(np.any(moved, axis=0).argmax())
-    return first, {
-        nid: VarLeaf(names[columns[first]], leaf.dim)
-        for nid, (leaf, names, column, columns) in votes.items()
-        if columns[first] != column
-    }
+def _stationary_keeps(index: VariableIndex, column: int, acc: np.ndarray, lr: float) -> bool:
+    """Whether every block of a pass over a stationary pair keeps the
+    binding of a scalar leaf in ``column`` with one rival; ``acc`` holds
+    the blocks' accumulators, (K, n, 1).
 
-
-def _rebind(
-    ast: ProgramAst, renames: dict[int, VarLeaf], trees: dict[Binding, ProgramAst]
-) -> ProgramAst:
-    """``ast`` with the variable leaves of ``renames`` replaced: the tree of
-    ``trees`` for the new binding, built with ``replace_node`` and entered
-    only if absent.  ``ast`` is entered too, so flipping a leaf back returns
-    the very same object."""
-    var_leaves = [(nid, leaf) for nid, leaf in leaves(ast) if isinstance(leaf, VarLeaf)]
-    trees.setdefault(tuple(leaf.name for _, leaf in var_leaves), ast)
-    new_binding = tuple(renames.get(nid, leaf).name for nid, leaf in var_leaves)
-    rebound = trees.get(new_binding)
-    if rebound is None:
-        rebound = ast
-        for nid, leaf in renames.items():
-            rebound = replace_node(rebound, nid, leaf)
-        trees[new_binding] = rebound
-    return rebound
+    Each block nudges the reads with the pair's gradient g and an
+    accumulator no smaller than the last, and rounded IEEE operations are
+    monotone, so every nudged read moves towards its bound variable without
+    crossing it; while ``acc`` is finite, ``acc >= g*g`` keeps the read
+    within 2 * lr of it.  Between the two variables, the read's computed
+    distance to the bound one shrinks and to the rival grows; beyond the
+    bound one, the gap keeps the two distances more than lr * 2**-39 apart,
+    far above their rounding, so they never tie.  So the rival never gains
+    votes over the stationary iteration's vote, which did not re-bind.
+    """
+    return (
+        acc.shape[-1] == 1
+        and len(index.names[1]) == 2
+        and index.gaps[1][acc.shape[-2] - 1, column] > lr * 2.0**-40
+        # the rows are sums of squares, so their sum is finite only if each is
+        and math.isfinite(acc.sum())
+    )
 
 
 def reassign_variables(
@@ -370,7 +343,16 @@ def reassign_variables(
     if not renames:
         kept = OptimizerState(state.params, state.param_acc, slot_acc, state.learning_rate)
         return ast, kept, False
-    rebound = _rebind(ast, renames, {} if trees is None else trees)
+    trees = {} if trees is None else trees
+    var_leaves = [(nid, leaf) for nid, leaf in leaves(ast) if isinstance(leaf, VarLeaf)]
+    trees.setdefault(tuple(leaf.name for _, leaf in var_leaves), ast)
+    new_binding = tuple(renames.get(nid, leaf).name for nid, leaf in var_leaves)
+    rebound = trees.get(new_binding)
+    if rebound is None:
+        rebound = ast
+        for nid, leaf in renames.items():
+            rebound = replace_node(rebound, nid, leaf)
+        trees[new_binding] = rebound
     reset = OptimizerState(state.params, {}, {}, state.learning_rate)
     return rebound, reset, True
 
@@ -405,7 +387,7 @@ def _confirmed_cycle(recent: list[Pair], ast: ProgramAst) -> list[Pair] | None:
 
 
 class _Lookahead(NamedTuple):
-    """K predicted iterates of one structure, evaluated in one pass.
+    """K predicted iterates of one structure, from one pass.
 
     Block j ran the tree ``tree(j)`` with the parameters of
     ``walks[pid][0][j]``; ``accepted`` blocks from the first one are
@@ -427,9 +409,7 @@ class _Lookahead(NamedTuple):
 
     def params(self, state: OptimizerState, j: int) -> dict[int, np.ndarray]:
         """The parameters block ``j`` ran with."""
-        params = dict(state.params)
-        params.update({pid: walk[j] for pid, (walk, _) in self.walks.items()})
-        return params
+        return {**state.params, **{pid: walk[j] for pid, (walk, _) in self.walks.items()}}
 
     def state(self, state: OptimizerState, j: int) -> OptimizerState:
         """The state before block ``j``, after the blocks before it."""
@@ -437,8 +417,7 @@ class _Lookahead(NamedTuple):
             return state
         if self.rebinds:
             return OptimizerState(self.params(state, j), {}, {}, state.learning_rate)
-        acc = dict(state.param_acc)
-        acc.update({pid: totals[j - 1] for pid, (_, totals) in self.walks.items()})
+        acc = {**state.param_acc, **{pid: totals[j - 1] for pid, (_, totals) in self.walks.items()}}
         slot_acc = dict(state.slot_acc)
         for nid, folded in self.slot_acc.items():
             slot_acc[nid] = _with_tail(folded[j - 1], state.slot_acc.get(nid))
@@ -453,6 +432,7 @@ def _look_ahead(
     trace: ObservationTrace,
     registry: Registry,
     spec: ErrorSpec,
+    known: float | None = None,
 ) -> _Lookahead:
     """Evaluate ``blocks`` iterates from ``state`` on the assumption that
     they repeat ``cycle``, the (tree, parameter gradient, executed length)
@@ -472,6 +452,8 @@ def _look_ahead(
     before it, binds every leaf as T_{j+1} does.  Sums and votes over a
     block are taken over the first n steps of every row for each length n
     of the tree's blocks, and each block keeps those of its own length.
+    With a ``known`` loss, ``cycle`` is a stationary pair: no grid is
+    evaluated, and each block has the pair's loss, length and read gradients.
     """
     lr = state.learning_rate
     index = trace.index
@@ -483,9 +465,7 @@ def _look_ahead(
     # a confirmed cycle re-binds on every pair or on none, so the last pair
     # re-binds into the first exactly when every pair re-binds
     rebinds = trees[-1] is not trees[0]
-    gradients = {
-        pid: np.array([g.params[pid] for _, g, _ in cycle]) for pid in cycle[0][1].params
-    }
+    gradients = {pid: np.array([g.params[pid] for _, g, _ in cycle]) for pid in cycle[0][1].params}
     walks = {
         pid: adagrad_walk(state.params[pid], state.param_acc.get(pid), gs, blocks, lr, rebinds)
         for pid, gs in gradients.items()
@@ -520,42 +500,47 @@ def _look_ahead(
                 out = np.where(at.reshape((-1,) + (1,) * (out.ndim - 1)), of_length(n), out)
             return out
 
-        tape = compile_tape(tree, registry)
-        rows = count * width
-        # row r of the grid is step r % width
-        steps = np.arange(rows) % width
-        variables = {
-            op.key: var_values[op.key].take(steps, axis=0) for op in tape if op.kind is VAR
-        }
-        params = {pid: np.repeat(walk[mine], width, axis=0) for pid, (walk, _) in walks.items()}
-        values = forward(tape, variables, params, rows)
+        if known is None:
+            tape = compile_tape(tree, registry)
+            rows = count * width
+            # row r of the grid is step r % width
+            steps = np.arange(rows) % width
+            variables = {
+                op.key: var_values[op.key].take(steps, axis=0) for op in tape if op.kind is VAR
+            }
+            params = {pid: np.repeat(w[mine], width, axis=0) for pid, (w, _) in walks.items()}
+            values = forward(tape, variables, params, rows)
 
-        theta_obs, name_match = theta_all.take(steps, axis=0), match_all.take(steps, axis=0)
-        out = values[-1]
-        errors = action_errors(out, theta_obs, name_match, all_match, spec).reshape(count, width)
-        # NaN fails the test, as in ``execute``
-        within = errors <= spec.max_step_error
-        holds_here = per_block(lambda n: within[:, : n - 1].all(axis=1) & ~within[:, n - 1])
-        # each sum runs over a block's steps in the order ``execute`` and
-        # ``backward`` sum an execution of that length
-        losses_here = per_block(
-            lambda n: np.add.reduce(errors[:, :n], axis=1) + float(spec.len_error(trace.length, n))
-        )
+            theta_obs, name_match = theta_all.take(steps, axis=0), match_all.take(steps, axis=0)
+            out = values[-1]
+            errors = action_errors(out, theta_obs, name_match, all_match, spec).reshape(count, -1)
+            # NaN fails the test, as in ``execute``
+            within = errors <= spec.max_step_error
+            holds_here = per_block(lambda n: within[:, : n - 1].all(axis=1) & ~within[:, n - 1])
+            # each sum runs over a block's steps in the order ``execute`` and
+            # ``backward`` sum an execution of that length
+            losses_here = per_block(
+                lambda n: np.add.reduce(errors[:, :n], axis=1)
+                + float(spec.len_error(trace.length, n))
+            )
 
-        slot_rows: dict[int, np.ndarray] = {}
-        for op, g in backprop(tape, values, seed_rows(out, theta_obs, name_match, spec)):
-            g = g.reshape(count, width, op.dim)
-            if op.kind is PARAM:
-                total = per_block(lambda n: np.add.reduce(g[:, :n], axis=1))
-                want = gradients[op.key][mine_phase]
-                holds_here &= (total.view(np.uint64) == want.view(np.uint64)).all(axis=1)
-            else:
-                slot_rows[op.node_id] = g
+            slot_rows: dict[int, np.ndarray] = {}
+            for op, g in backprop(tape, values, seed_rows(out, theta_obs, name_match, spec)):
+                g = g.reshape(count, width, op.dim)
+                if op.kind is PARAM:
+                    total = per_block(lambda n: np.add.reduce(g[:, :n], axis=1))
+                    want = gradients[op.key][mine_phase]
+                    holds_here &= (total.view(np.uint64) == want.view(np.uint64)).all(axis=1)
+                else:
+                    slot_rows[op.node_id] = g
+        else:
+            # every block repeats the stationary pair
+            holds_here, losses_here = np.ones(count, dtype=bool), np.full(count, known)
+            reads = cycle[0][1].slot_reads
+            slot_rows = {nid: np.repeat(g[None], count, axis=0) for nid, g in reads.items()}
         # the steps of each row that its block executes; none past them enter
         # an accumulator
-        live = (
-            None if len(by_length) == 1 else (np.arange(width) < mine_lengths[:, None])[..., None]
-        )
+        live = (np.arange(width) < mine_lengths[:, None])[..., None] if by_length[1:] else None
         for i, (nid, leaf, _, column) in enumerate(rebindable_leaves(tree, index)[1]):
             g_rows = slot_rows[nid]
             sq = g_rows * g_rows
@@ -567,6 +552,8 @@ def _look_ahead(
             acc = _fold_slot(state.slot_acc.get(nid), sq, rebinds)
             if not rebinds:
                 slot_acc[nid] = acc
+            if known is not None and _stationary_keeps(index, column, acc, lr):
+                continue
             # each block binds the leaf as the tree of its next pair does
             want = following[mine_phase, i] if rebinds else column
             holds_here &= want == per_block(
@@ -619,17 +606,17 @@ def optimize(
     Once the last iterations, each stopped at a step error over the
     threshold, end in a cycle of up to ``MAX_PERIOD`` pairs that re-bind a
     leaf on every pair or on none (see the module docstring), the next
-    iterations are evaluated ahead in
-    blocks that repeat it: ``FIRST_BLOCKS`` at first and twice as many each
-    time all are accepted, within ``ROW_BUDGET`` rows and the cap.  When a
-    block is not accepted, the plain loop runs it and looks for a cycle
-    again.  After a stationary plain iteration (see the module docstring)
-    only the votes of the iterations left are taken.
+    iterations are evaluated ahead in blocks that repeat it:
+    ``FIRST_BLOCKS`` at first and twice as many each time all are accepted,
+    within ``ROW_BUDGET`` rows and the cap.  When a block is not accepted,
+    the plain loop runs it and looks for a cycle again.  A stationary
+    iteration is a cycle of one pair whose blocks are known and stagnant:
+    its pass runs to the stagnation stop or the cap, and leaves the block
+    count of evaluated passes as it was.
 
-    The call keeps a tree table, binding -> tree, that it passes to every
+    The call keeps a tree table, binding -> tree, for every
     ``reassign_variables``: each binding the leaves take is built, and its
-    tape lowered, once per call.  The table is local and is dropped on
-    return.
+    tape lowered, once per call, and the table is dropped on return.
     """
     state = OptimizerState.fresh(ast, params, config)
     # states at different executed lengths are incomparable (the loss sums
@@ -677,15 +664,18 @@ def optimize(
     # (tree, parameter gradient, executed length) of the last iterations,
     # newest last, each of which stopped at a step over the threshold
     recent: list[Pair] = []
-    # the pairs the next iterations are predicted to repeat, once confirmed
+    # the pairs the next iterations are predicted to repeat, once confirmed,
+    # and the loss of a stationary pair, whose blocks are known
     cycle: list[Pair] | None = None
+    known: float | None = None
     while iterations < cap:
         if cycle is not None:
-            k = min(blocks, cap - iterations, ROW_BUDGET // max(n for _, _, n in cycle))
-            if k < 2:
+            if known is not None:
+                k = min(TOL_WINDOW - stagnant, cap - iterations)
+            elif (k := min(blocks, cap - iterations, ROW_BUDGET // max(n for *_, n in cycle))) < 2:
                 cycle = None
                 continue
-            ahead = _look_ahead(ast, state, cycle, k, trace, registry, spec)
+            ahead = _look_ahead(ast, state, cycle, k, trace, registry, spec, known)
             newest = None
             for j in range(ahead.accepted):
                 iterations += 1
@@ -700,6 +690,9 @@ def optimize(
             rebinds += ahead.rebinds * j
             if newest is not None:
                 best = (ahead.tree(newest), ahead.params(state, newest), None, None)
+            if known is not None and ahead.accepted < k and stagnant + 1 >= TOL_WINDOW:
+                # the known block ending the pass is the stop, made before its vote
+                iterations, stagnant = iterations + 1, stagnant + 1
             if stagnant >= TOL_WINDOW:
                 return finish("stagnant")
             state, ast = ahead.state(state, ahead.accepted), ahead.tree(ahead.accepted)
@@ -711,7 +704,7 @@ def optimize(
                 # the next pass starts where this one stopped in the cycle
                 cycle = cycle[k % p :] + cycle[: k % p]
             else:
-                blocks = FIRST_BLOCKS
+                blocks = FIRST_BLOCKS if known is None else blocks
                 cycle = None
             continue
         result = execute(ast, state.params, trace, registry, spec)
@@ -740,22 +733,7 @@ def optimize(
             continue
         recent = [*recent[1 - 2 * MAX_PERIOD :], pair]
         if not rebound and all(state.params[p].tobytes() == before[p].tobytes() for p in before):
-            # stationary: each iteration to the stagnation stop repeats this
-            # one, the last of them without a vote
-            left = TOL_WINDOW - stagnant
-            found = _stationary_rebinding(
-                ast, state, grads, trace.index, min(left - 1, cap - iterations)
-            )
-            if found is None:
-                stop = "stagnant" if iterations + left <= cap else "cap"
-                iterations = min(iterations + left, cap)
-                return finish(stop)
-            # the plain loop after the k + 1 stagnant iterations, the last of
-            # which re-binds
-            k, renames = found
-            iterations, stagnant, rebinds = iterations + k + 1, stagnant + k + 1, rebinds + 1
-            ast = _rebind(ast, renames, trees)
-            state = OptimizerState(state.params, {}, {}, state.learning_rate)
-            recent = [*recent, *[pair] * (k + 1)][-2 * MAX_PERIOD :]
-        cycle = _confirmed_cycle(recent, ast)
+            cycle, known = [pair], result.loss
+        else:
+            cycle, known = _confirmed_cycle(recent, ast), None
     return finish("cap")

@@ -335,30 +335,42 @@ def _check_against_plain_loop(ahead, ast, state, cycle, blocks, trace, registry,
 
 
 @pytest.fixture
-def look_aheads(monkeypatch):
-    """(iterations before, blocks, blocks accepted, the cycle's executed
-    lengths) of every look-ahead of one ``optimize`` call, each checked
-    against the plain loop.  The iterations before a look-ahead are the
+def passes(monkeypatch):
+    """Every look-ahead pass of one ``optimize`` call, each checked against
+    the plain loop, and every tree that ``execute`` ran, in order.  A pass
+    is recorded twice: as (iterations before, blocks, blocks accepted, the
+    cycle's executed lengths) in the first list, and if it is over a
+    stationary pair, as (``execute`` calls before it, blocks, blocks
+    accepted) in the second too.  The iterations before a pass are the
     plain ones, one ``execute`` call each, and the blocks accepted before
     it."""
-    out = []
-    executes = [0]
+    out, known_passes, runs = [], [], []
     execute, look_ahead = optimizer.execute, optimizer._look_ahead
 
-    def counting(*args, **kwargs):
-        executes[0] += 1
-        return execute(*args, **kwargs)
+    def counting(ast, *args, **kwargs):
+        runs.append(ast)
+        return execute(ast, *args, **kwargs)
 
-    def recording(ast, state, cycle, blocks, *args):
-        ahead = look_ahead(ast, state, cycle, blocks, *args)
-        _check_against_plain_loop(ahead, ast, state, cycle, blocks, *args)
-        start = executes[0] + sum(accepted for _, _, accepted, _ in out)
+    def recording(ast, state, cycle, blocks, trace, registry, spec, known=None):
+        ahead = look_ahead(ast, state, cycle, blocks, trace, registry, spec, known)
+        _check_against_plain_loop(ahead, ast, state, cycle, blocks, trace, registry, spec)
+        start = len(runs) + sum(accepted for _, _, accepted, _ in out)
         out.append((start, blocks, ahead.accepted, tuple(n for _, _, n in cycle)))
+        if known is not None:
+            known_passes.append((len(runs), blocks, ahead.accepted))
         return ahead
 
     monkeypatch.setattr(optimizer, "execute", counting)
     monkeypatch.setattr(optimizer, "_look_ahead", recording)
-    return out
+    return out, known_passes, runs
+
+
+@pytest.fixture
+def look_aheads(passes):
+    """(iterations before, blocks, blocks accepted, the cycle's executed
+    lengths) of every look-ahead pass of one ``optimize`` call, each checked
+    against the plain loop (see ``passes``)."""
+    return passes[0]
 
 
 def _in_blocks(look_aheads, out, lengths=None):
@@ -832,47 +844,104 @@ def _check_votes(index, ast, slot, g, old, lr, reset):
         assert not rebound
 
 
+# a rival's distance from the first variable, in learning rates: equal, either
+# side of the 2**-39 that ``_stationary_keeps`` asks for, or near the 2 that a
+# read can move
+_TWO_WAY_DISTANCES = [
+    0.0, 2.0**-41, 2.0**-39 * (1 - 2.0**-20), 2.0**-39 * (1 + 2.0**-20), 2.0**-38,
+    1e-6, 0.5, 1.0, 1.9, 2.0, 2.1, 4.0,
+]
+
+
+@st.composite
+def _stationary_cases(draw):
+    """Two scalar variables over n steps at magnitudes from 1e-300 to 1e300,
+    the one a leaf is bound to, a stationary pair's read gradients (n, 1),
+    the accumulator before its iteration or None, the blocks of a pass and
+    a learning rate in [1e-3, 10]."""
+    n, blocks = draw(st.integers(1, 4)), draw(st.integers(1, 12))
+    lr = 10.0 ** draw(st.floats(-3, 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    first = rng.uniform(-1, 1, n) * 10.0 ** draw(st.sampled_from([-300, -100, 0, 3, 100, 300]))
+    apart = lr * rng.choice([-1.0, 1.0], n) * rng.choice(_TWO_WAY_DISTANCES, n)
+    trace = make_trace({"a": first.tolist(), "b": (first + apart).tolist()}, [0.0] * n)
+    g = rng.normal(size=(n, 1)) * 10.0 ** rng.integers(-6, 6, size=(n, 1))
+    if draw(st.booleans()):
+        special = rng.random(g.shape) < 0.3
+        g[special] = rng.choice(_SPECIAL_ROWS, size=int(special.sum()))
+    old = None
+    if draw(st.booleans()):
+        entries = _OLD_ACC[: draw(st.sampled_from([3, len(_OLD_ACC)]))]
+        old = rng.choice(entries, size=(int(rng.integers(1, 6)), 1))
+    return trace, draw(st.sampled_from("ab")), g, old, lr, blocks
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=_stationary_cases())
+def test_a_stationary_pass_keeps_a_two_way_binding(case):
+    """Wherever ``_stationary_keeps`` holds and the stationary iteration's
+    vote kept the binding, the vote that queries every nudged read keeps
+    it on every block of the pass; a gradient row that is not finite
+    fails the rule."""
+    trace, bound, g, old, lr, blocks = case
+    registry = standard_registry(trace.schema.variables, {"accel": 1})
+    ast = parse_program(f"(accel {bound})", registry, trace.schema)
+    (_, leaf, _, column), = optimizer.rebindable_leaves(ast, trace.index)[1]
+    # NaN and infinite rows make NumPy warn
+    with np.errstate(all="ignore"):
+        # row 0: the stationary iteration's accumulator; row k: block k's
+        acc = optimizer._fold_slot(old, np.repeat((g * g)[None], blocks + 1, axis=0), False)
+        keeps = optimizer._stationary_keeps(trace.index, column, acc[1:], lr)
+        votes = [unpruned_vote(trace.index, leaf, column, g, a, lr) for a in acc]
+    if not np.isfinite(g).all():
+        assert not keeps
+    if keeps and votes[0] == column:
+        assert votes[1:] == [column] * blocks
+
+
+def test_a_rounding_tie_can_hand_a_read_to_the_rival():
+    # a lies 2**-54 above b, half the spacing of floats in [0.5, 1): the
+    # stationary read at -0.816 is strictly nearer b, but the next block's
+    # smaller nudge reads -0.632, whose distance to a rounds to its distance
+    # to b, and the tie goes to a; the gap rules such passes out
+    trace = make_trace({"a": [2.0**-54], "b": [0.0]}, [0.0])
+    registry = standard_registry(trace.schema.variables, {"accel": 1})
+    ast = parse_program("(accel b)", registry, trace.schema)
+    (_, leaf, _, column), = optimizer.rebindable_leaves(ast, trace.index)[1]
+    g = np.array([[2.0]])
+    acc = optimizer._fold_slot(np.array([[2.0]]), np.repeat((g * g)[None], 2, axis=0), False)
+    assert [unpruned_vote(trace.index, leaf, column, g, a, 1.0) for a in acc] == [1, 0]
+    assert not optimizer._stationary_keeps(trace.index, column, acc[1:], 1.0)
+
+
 @pytest.fixture
-def tails(monkeypatch):
-    """Every stationary tail of one ``optimize`` call as (``execute`` calls
-    before it, votes asked for, first re-binding or None), and the
-    ``execute`` calls so far, last."""
-    out, executes = [], [0]
-    execute, stationary = optimizer.execute, optimizer._stationary_rebinding
-
-    def counting(*args, **kwargs):
-        executes[0] += 1
-        return execute(*args, **kwargs)
-
-    def recording(*args):
-        found = stationary(*args)
-        out.append((executes[0], args[-1], found))
-        return found
-
-    monkeypatch.setattr(optimizer, "execute", counting)
-    monkeypatch.setattr(optimizer, "_stationary_rebinding", recording)
-    return out, executes
+def tails(passes):
+    """Every pass over a stationary pair of one ``optimize`` call as
+    (``execute`` calls before it, blocks, blocks accepted), each checked
+    against the plain loop, and the trees ``execute`` ran, last."""
+    return passes[1], passes[2]
 
 
 def _ended_in_a_tail(tails) -> None:
-    """The last tail of the call ended it, and no ``execute`` call came
-    after it: ``finish`` reuses the stationary iteration's result and
-    gradient."""
-    recorded, executes = tails
-    before, _, found = recorded[-1]
-    assert found is None and executes[0] == before
+    """No ``execute`` call came after the last pass over a stationary pair:
+    it ended the call, and ``finish`` reuses the stationary iteration's
+    result and gradient."""
+    recorded, runs = tails
+    assert len(runs) == recorded[-1][0]
 
 
 class TestStationaryTail:
     """A plain iteration that stops early, re-binds nothing and leaves every
     parameter's bytes as they were is repeated by every later one, up to
-    the stagnation stop or the cap; each case agrees with the plain loop."""
+    the stagnation stop or the cap: a pass over it takes no ``execute``
+    call, and a block whose vote re-binds ends the pass and runs in the
+    plain loop.  Each case agrees with the plain loop."""
 
     @pytest.mark.parametrize(
         "trace, spec, plain",
         [
-            # x re-binds to v on the first iteration, and v's votes, with x
-            # 0.1 away, are queried
+            # x re-binds to v on the first iteration; v has one rival, x,
+            # 0.1 away, so no vote of the pass is taken
             (_pendulum_trace(), ErrorSpec(), 2),
             # every vote is settled
             (_damped_trace(), ErrorSpec(max_step_error=0.01), 1),
@@ -883,7 +952,7 @@ class TestStationaryTail:
         out = _both("(accel x)", scalar_registry, scalar_schema, trace, OptimizeConfig(), spec)
         _ended_in_a_tail(tails)
         assert (out.stop, out.iterations) == ("stagnant", plain + optimizer.TOL_WINDOW)
-        assert tails[1][0] == plain
+        assert len(tails[1]) == plain
 
     def test_zero_parameter_gradient(self, scalar_registry, scalar_schema, tails):
         # v = 0 at step 1, so the parameter's gradient is 0; the read of v is
@@ -902,7 +971,7 @@ class TestStationaryTail:
         )
         _ended_in_a_tail(tails)
         assert (out.stop, out.iterations) == ("cap", 5)
-        assert tails[0] == [(1, 4, None)]
+        assert tails[0] == [(1, 4, 4)]
 
     def _three_variables(self):
         # a leaf bound to c reads c = 0 and executes three steps; with a
@@ -920,18 +989,24 @@ class TestStationaryTail:
         )
 
     def test_a_tail_vote_rebinds(self, tails):
-        # each read's nudge shrinks towards its own variable as the tail's
-        # accumulators grow, so with two scalar variables (pendulum's x and v)
-        # the rival can only lose votes, barring rounding ties of reads far
-        # beyond both; a third variable lets a later vote re-bind
+        # each read's nudge shrinks towards its own variable as the pass's
+        # accumulators grow, so with two scalar variables (pendulum's x and
+        # v) the rival cannot gain votes; a third variable lets a later vote
+        # re-bind
         out = self._three_variables()
-        assert tails[0][0] == (1, optimizer.TOL_WINDOW - 1, (0, {1: VarLeaf("a", 1)}))
+        recorded, runs = tails
+        # the first block of the first pass re-binds c to a, so the pass
+        # accepts none and the plain loop runs that block: a second
+        # ``execute`` of the stationary tree, then the tree bound to a
+        assert recorded[0] == (1, optimizer.TOL_WINDOW, 0)
+        assert runs[1] is runs[0] and runs[0].root.children[0] == VarLeaf("c", 1)
+        assert runs[2].root.children[0] == VarLeaf("a", 1)
         assert out.rebinds > 1 and out.stop == "stagnant"
 
     def test_stagnant_when_the_tail_starts(self, tails):
-        # after a tail re-binds, the plain loop goes on with the stagnant
-        # count it had: the tails start at 0, 3, 6 and 9 stagnant iterations,
-        # so each asks for fewer votes, and the last for none
+        # after a pass's block re-binds, the plain loop goes on with the
+        # stagnant count it had: the passes start at 0, 3, 6 and 9 stagnant
+        # iterations, so each is sized to fewer blocks before the stop
         self._three_variables()
-        assert [count for _, count, _ in tails[0]] == [9, 6, 3, 0]
+        assert [blocks for _, blocks, _ in tails[0]] == [10, 7, 4, 1]
         _ended_in_a_tail(tails)
