@@ -27,12 +27,13 @@ if "numpy" not in sys.modules and not _BLAS_THREAD_VARIABLES & os.environ.keys()
     finally:
         del os.environ["OPENBLAS_NUM_THREADS"]
 
-from .autodiff import Gradients, backward
 from .config import RunConfig
 from .interpreter import (
     ErrorSpec,
     EvaluationError,
     ExecutionResult,
+    Gradients,
+    backward,
     compile_tape,
     discretize_actions,
     discretized_error_spec,

@@ -1,6 +1,6 @@
-"""Forward pass: lower a program to a flat tape, run the tape against a
-trace, accumulate the action-error loss and stop early when a step exceeds
-the error threshold.
+"""The tape of a program: lower it, run it against a trace, accumulate the
+action-error loss, stop early when a step exceeds the error threshold, and
+back-propagate the loss through the same tape.
 
 A program here is a per-step policy: the action expression is re-evaluated
 at every timestep with the variable leaves re-read from that step's memory.
@@ -10,11 +10,17 @@ is identical to step-by-step execution.
 
 Each structure is compiled once per registry into a postorder tape (a
 Wengert list): one op per node, children before parents; every application,
-the root action's included, is a call of its registry entry.  The forward pass
-(``forward``) is one loop over the tape and keeps every op's values; the
-backward pass in ``autodiff`` is the reverse loop over those values.  Both
-work on rows that are independent of each other, so the optimiser also runs
-them over K stacked copies of the executed steps at once.  ``evaluate_step``
+the root action's included, is a call of its registry entry.  The tape is
+run by two row-level steps.  ``evaluate_rows`` is one loop over the tape
+that keeps every op's values, each row's action error and the row targets.
+``row_gradients`` seeds one upstream row per row from the action-error
+derivative and runs ``backprop``, the reverse loop over those values, which
+applies each call's vector-Jacobian product to the stored activations of its
+arguments; every node of a tree has one parent, so each op receives its
+upstream gradient exactly once before it is visited.  Rows are independent
+of each other, so ``execute`` and ``backward`` run the two steps over the
+timesteps of one execution, and the optimiser runs them over K stacked
+copies of the executed steps under K parameter settings.  ``evaluate_step``
 is a separate plain recursion over the tree, kept as an independent check.
 """
 
@@ -22,6 +28,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Callable, Mapping, NamedTuple
 
@@ -215,7 +222,7 @@ class ExecutionResult(NamedTuple):
     ``activations`` holds the value of every tape op, in tape order, over
     every step of the trace: ``execute`` evaluates all steps before it
     finds where execution stops, so only the first ``executed_len`` rows
-    belong to the execution.  ``autodiff.backward`` reads those rows.
+    belong to the execution.  ``backward`` reads those rows.
     """
 
     theta_hat: np.ndarray  # (T', D) predicted action parameters
@@ -267,24 +274,37 @@ def evaluate_step(
     return ast.root.name, theta, values
 
 
-def forward(
-    tape: Tape,
-    variables: Mapping[str, np.ndarray],
+def evaluate_rows(
+    ast: ProgramAst,
     params: Mapping[int, np.ndarray],
-    rows: int,
-) -> list[np.ndarray]:
-    """The value of every tape op over ``rows`` rows: one loop over the tape.
+    trace: ObservationTrace,
+    registry: Registry,
+    spec: ErrorSpec,
+    steps: np.ndarray | None = None,
+) -> tuple[Tape, list[np.ndarray], np.ndarray, np.ndarray, np.ndarray]:
+    """The program's tape over rows of trace steps: one loop over the tape,
+    then each row's error against the targets of
+    ``ObservationTrace.action_targets``, the error model's where the
+    observed action has the root's name and ``max_step_error + 1`` alone
+    where it has another.
 
-    ``variables`` maps a variable name to its (rows, d) values.
-    ``params[pid]`` is broadcast to (rows, dim): one vector for every row,
-    or one vector per row.  Registry functions treat rows independently, so
-    the rows may be the timesteps of one execution or K blocks of the same
-    timesteps under K parameter settings.
+    Returns the tape, every op's (rows, dim) values in tape order, the
+    (rows,) errors, and the row targets: the observed action parameters
+    (rows, D) and the mask of rows whose observed action is the root's.
+    ``steps`` holds the 0-based trace step of each row; None is every step
+    in trace order, whose variable values are the trace's own read-only
+    arrays.  ``params[pid]`` is broadcast to (rows, dim): one vector for
+    every row, or one vector per row.  Registry functions treat rows
+    independently, so the rows may be the timesteps of one execution or K
+    blocks of the same timesteps under K parameter settings.
     """
+    tape = compile_tape(ast, registry)
+    rows = trace.length if steps is None else len(steps)
     values: list[np.ndarray] = []
     for kind, _, dim, args, key, impl, _ in tape:
         if kind is VAR:
-            values.append(variables[key])
+            column = trace.var_matrix(key)
+            values.append(column if steps is None else column.take(steps, axis=0))
         elif kind is PARAM:
             if key not in params:
                 raise EvaluationError(f"unbound parameter p{key}")
@@ -293,25 +313,16 @@ def forward(
             values.append(column)
         else:
             values.append(impl(*[values[i] for i in args]))
-    return values
-
-
-def action_errors(
-    out: np.ndarray,
-    theta_obs: np.ndarray,
-    name_match: np.ndarray,
-    all_match: bool,
-    spec: ErrorSpec,
-) -> np.ndarray:
-    """Per-row error of predicted action parameters against the targets of
-    ``ObservationTrace.action_targets``: the error model's where the
-    observed action has the predicted one's name, and ``max_step_error +
-    1`` alone where it has another."""
+    out, root = values[-1], tape[-1]
+    theta_obs, name_match, all_match = trace.action_targets(root.key, root.dim)
+    if steps is not None:
+        theta_obs, name_match = theta_obs.take(steps, axis=0), name_match.take(steps, axis=0)
     if all_match:
-        return spec.act_error(out, theta_obs)
-    errors = np.full(out.shape[0], spec.max_step_error + 1.0)
-    errors[name_match] = spec.act_error(out[name_match], theta_obs[name_match])
-    return errors
+        errors = spec.act_error(out, theta_obs)
+    else:
+        errors = np.full(rows, spec.max_step_error + 1.0)
+        errors[name_match] = spec.act_error(out[name_match], theta_obs[name_match])
+    return tape, values, errors, theta_obs, name_match
 
 
 def execute(
@@ -330,13 +341,8 @@ def execute(
     errors over the executed prefix plus the length error, and ``+inf``
     where that sum is NaN.
     """
-    tape = compile_tape(ast, registry)
+    tape, values, errors, theta_obs, name_match = evaluate_rows(ast, params, trace, registry, spec)
     T = trace.length
-    values = forward(tape, trace.var_matrices(), params, T)
-    out = values[-1]
-
-    theta_obs, name_match, all_match = trace.action_targets(ast.root.name, ast.root.dim)
-    errors = action_errors(out, theta_obs, name_match, all_match, spec)
 
     # NaN compares false with everything, so it must fail the test, not pass it
     over = (~(errors <= spec.max_step_error)).nonzero()[0]
@@ -350,7 +356,7 @@ def execute(
     if math.isnan(loss):
         loss = math.inf  # NaN would break the order of the search queue
     return ExecutionResult(
-        theta_hat=out[:executed],
+        theta_hat=values[-1][:executed],
         theta_obs=theta_obs[:executed],
         name_mask=name_match[:executed],
         step_errors=step_errors,
@@ -369,3 +375,86 @@ def matches_trace(result: ExecutionResult) -> bool:
     over the threshold, i.e. ``execute`` did not stop early, and the length
     error is zero."""
     return not result.terminated_early and result.length_error == 0.0
+
+
+# ---------------------------------------------------------------------------
+# backward pass
+
+
+class Gradients(NamedTuple):
+    """Loss gradients for every leaf of the executed program.
+
+    ``params`` maps parameter id -> gradient summed over all executed
+    steps.  ``slot_reads`` maps a variable leaf's node id -> its gradient
+    rows (n, d), one per executed step, i.e. per time the leaf was read.
+    """
+
+    params: dict[int, np.ndarray]
+    slot_reads: dict[int, np.ndarray]
+
+
+def backprop(
+    tape: Tape, values: Sequence[np.ndarray], seed: np.ndarray
+) -> tuple[dict[int, np.ndarray], dict[int, np.ndarray]]:
+    """The reverse loop over a tape: propagate the (n, D) ``seed`` from the
+    root action through every call's vector-Jacobian product, reading the
+    first n rows of each op's forward ``values``.
+
+    Returns the gradient rows (n, dim) of every parameter leaf, by parameter
+    id, and of every variable leaf, by node id, each in reverse tape order;
+    a parameter's rows are not summed.
+    """
+    n = seed.shape[0]
+    upstream: list[np.ndarray | None] = [None] * len(tape)
+    upstream[-1] = seed
+    params, reads = {}, {}
+    for pos in range(len(tape) - 1, -1, -1):
+        kind, nid, _, args, key, _, vjp = tape[pos]
+        g = upstream[pos]
+        if kind is CALL:
+            for i, gi in zip(args, vjp(tuple(values[i][:n] for i in args), g)):
+                upstream[i] = gi
+        elif kind is PARAM:
+            params[key] = g
+        else:
+            reads[nid] = g
+    return params, reads
+
+
+def row_gradients(
+    tape: Tape,
+    values: Sequence[np.ndarray],
+    theta_obs: np.ndarray,
+    name_match: np.ndarray,
+    spec: ErrorSpec,
+) -> tuple[dict[int, np.ndarray], dict[int, np.ndarray]]:
+    """The gradient of each of the first n rows' action error, n the rows
+    of ``theta_obs``, with respect to every parameter leaf (by parameter id)
+    and every variable read (by node id), one gradient row per row, from
+    the ``values`` and targets of ``evaluate_rows``.
+
+    A row whose observed action has another name than the root carries
+    only the flat penalty, which has zero gradient.
+    """
+    theta_hat = values[-1][: theta_obs.shape[0]]
+    if name_match.all():
+        seed = spec.act_error_grad(theta_hat, theta_obs)
+    else:
+        seed = np.zeros_like(theta_hat)
+        if name_match.any():
+            seed[name_match] = spec.act_error_grad(theta_hat[name_match], theta_obs[name_match])
+    return backprop(tape, values, seed)
+
+
+def backward(result: ExecutionResult, spec: ErrorSpec) -> Gradients:
+    """Differentiate the loss of an execution with respect to every
+    parameter and variable leaf: ``row_gradients`` over its executed steps,
+    each parameter's rows summed.
+
+    The tape carries the VJPs of the registry it was compiled with.  Each
+    parameter id names one leaf (the parser and ``expand`` number them).
+    """
+    params, reads = row_gradients(
+        result.tape, result.activations, result.theta_obs, result.name_mask, spec
+    )
+    return Gradients({pid: g.sum(axis=0) for pid, g in params.items()}, reads)

@@ -50,17 +50,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .autodiff import Gradients, backprop, backward, seed_rows
 from .interpreter import (
-    PARAM,
-    VAR,
     ErrorSpec,
     ExecutionResult,
-    action_errors,
-    compile_tape,
+    Gradients,
+    backward,
+    evaluate_rows,
     execute,
-    forward,
     matches_trace,
+    row_gradients,
 )
 from .program import ProgramAst, Registry, VarLeaf, leaves, replace_node
 from .trace import ObservationTrace, VariableIndex
@@ -425,7 +423,6 @@ class _Lookahead(NamedTuple):
 
 
 def _look_ahead(
-    ast: ProgramAst,
     state: OptimizerState,
     cycle: list[Pair],
     blocks: int,
@@ -437,16 +434,16 @@ def _look_ahead(
     """Evaluate ``blocks`` iterates from ``state`` on the assumption that
     they repeat ``cycle``, the (tree, parameter gradient, executed length)
     pairs of the last P iterations: block j runs the tree T_j of pair
-    j % P, ``ast`` for block 0, and stops at step n_j with the parameter
-    gradient G_j.  Either no pair re-binds a leaf, or each re-binds into
-    the tree of the next; a re-binding resets every accumulator, so then
-    their sums start again after each block.
+    j % P and stops at step n_j with the parameter gradient G_j.  Either no
+    pair re-binds a leaf, or each re-binds into the tree of the next; a
+    re-binding resets every accumulator, so then their sums start again
+    after each block.
 
-    For each tree of the cycle, one forward and one backward pass run over
-    a grid with one row per block of that tree, each holding the block's
-    predicted parameters and the first n_max steps of the trace, n_max the
-    longest length of those blocks; block j is the first n_j steps of its
-    row.  A block holds the assumption when its first error over the
+    For each tree of the cycle, ``evaluate_rows`` and ``row_gradients`` run
+    over a grid with one row per block of that tree, each holding the
+    block's predicted parameters and the first n_max steps of the trace,
+    n_max the longest length of those blocks; block j is the first n_j
+    steps of its row.  A block holds the assumption when its first error over the
     threshold is at its last step, its parameter gradient equals G_j bit
     for bit and its vote, with the slot accumulators folded over the blocks
     before it, binds every leaf as T_{j+1} does.  Sums and votes over a
@@ -477,8 +474,6 @@ def _look_ahead(
             [[c for *_, c in rebindable_leaves(t, index)[1]] for t in trees[1:] + trees[:1]]
         )
         holds, losses = np.empty(blocks, dtype=bool), np.empty(blocks)
-    var_values = trace.var_matrices()
-    theta_all, match_all, all_match = trace.action_targets(ast.root.name, ast.root.dim)
     slot_acc = {}
     # each tree of the cycle once, by identity
     for tree in {id(t): t for t in trees}.values():
@@ -501,19 +496,13 @@ def _look_ahead(
             return out
 
         if known is None:
-            tape = compile_tape(tree, registry)
-            rows = count * width
             # row r of the grid is step r % width
-            steps = np.arange(rows) % width
-            variables = {
-                op.key: var_values[op.key].take(steps, axis=0) for op in tape if op.kind is VAR
-            }
+            steps = np.arange(count * width) % width
             params = {pid: np.repeat(w[mine], width, axis=0) for pid, (w, _) in walks.items()}
-            values = forward(tape, variables, params, rows)
-
-            theta_obs, name_match = theta_all.take(steps, axis=0), match_all.take(steps, axis=0)
-            out = values[-1]
-            errors = action_errors(out, theta_obs, name_match, all_match, spec).reshape(count, -1)
+            tape, values, errors, theta_obs, name_match = evaluate_rows(
+                tree, params, trace, registry, spec, steps
+            )
+            errors = errors.reshape(count, -1)
             # NaN fails the test, as in ``execute``
             within = errors <= spec.max_step_error
             holds_here = per_block(lambda n: within[:, : n - 1].all(axis=1) & ~within[:, n - 1])
@@ -524,15 +513,13 @@ def _look_ahead(
                 + float(spec.len_error(trace.length, n))
             )
 
-            slot_rows: dict[int, np.ndarray] = {}
-            for op, g in backprop(tape, values, seed_rows(out, theta_obs, name_match, spec)):
-                g = g.reshape(count, width, op.dim)
-                if op.kind is PARAM:
-                    total = per_block(lambda n: np.add.reduce(g[:, :n], axis=1))
-                    want = gradients[op.key][mine_phase]
-                    holds_here &= (total.view(np.uint64) == want.view(np.uint64)).all(axis=1)
-                else:
-                    slot_rows[op.node_id] = g
+            param_rows, reads = row_gradients(tape, values, theta_obs, name_match, spec)
+            for pid, g in param_rows.items():
+                g = g.reshape(count, width, -1)
+                total = per_block(lambda n: np.add.reduce(g[:, :n], axis=1))
+                want = gradients[pid][mine_phase]
+                holds_here &= (total.view(np.uint64) == want.view(np.uint64)).all(axis=1)
+            slot_rows = {nid: g.reshape(count, width, -1) for nid, g in reads.items()}
         else:
             # every block repeats the stationary pair
             holds_here, losses_here = np.ones(count, dtype=bool), np.full(count, known)
@@ -675,7 +662,7 @@ def optimize(
             elif (k := min(blocks, cap - iterations, ROW_BUDGET // max(n for *_, n in cycle))) < 2:
                 cycle = None
                 continue
-            ahead = _look_ahead(ast, state, cycle, k, trace, registry, spec, known)
+            ahead = _look_ahead(state, cycle, k, trace, registry, spec, known)
             newest = None
             for j in range(ahead.accepted):
                 iterations += 1

@@ -110,10 +110,6 @@ class ObservationTrace:
         an execution's values may be this very array."""
         return self._columns[name]
 
-    def var_matrices(self) -> dict[str, np.ndarray]:
-        """``var_matrix`` of every schema variable, keyed by name."""
-        return self._columns
-
     def action_targets(self, name: str, dim: int) -> tuple[np.ndarray, np.ndarray, bool]:
         """What a program whose root is action ``name`` of dimension ``dim``
         is compared against: the observed parameters (T, dim), NaN on the
@@ -207,10 +203,12 @@ class VariableIndex:
 def _rival_gaps(values: np.ndarray) -> np.ndarray:
     """``VariableIndex.gaps`` of one dimension's (T, n_vars, d) values."""
     gaps = np.empty(values.shape[:2])
-    # one variable at a time keeps the arrays (T, n_vars, d)
+    # one variable at a time keeps the arrays (T, n_vars, d); a distance
+    # that overflows to inf is clamped below with the rest
     for j in range(values.shape[1]):
-        diff = values - values[:, j : j + 1]
-        dist = np.sqrt(np.add.reduce(diff * diff, axis=-1))
+        with np.errstate(over="ignore"):
+            diff = values - values[:, j : j + 1]
+            dist = np.sqrt(np.add.reduce(diff * diff, axis=-1))
         dist[:, j] = np.inf
         gaps[:, j] = 0.5 * dist.min(axis=1)
     gaps = np.minimum.accumulate(gaps, axis=0)

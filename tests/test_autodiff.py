@@ -19,6 +19,7 @@ from tracesynth import (
     simulate_second_order,
     standard_registry,
 )
+from tracesynth.interpreter import row_gradients
 from tracesynth.program import initial_params, leaves
 from tests.conftest import (
     assert_same_optimum,
@@ -114,10 +115,18 @@ class TestBackward:
         two = make_trace({"x": [0.5, -0.8], "v": [0, 0]}, [1.5, 0.3])
         one_a = make_trace({"x": [0.5], "v": [0]}, [1.5])
         one_b = make_trace({"x": [-0.8], "v": [0]}, [0.3])
-        g2 = backward(execute(ast, params, two, scalar_registry, spec), spec)
+        res = execute(ast, params, two, scalar_registry, spec)
+        g2 = backward(res, spec)
         ga = backward(execute(ast, params, one_a, scalar_registry, spec), spec)
         gb = backward(execute(ast, params, one_b, scalar_registry, spec), spec)
         np.testing.assert_allclose(g2.params[0], ga.params[0] + gb.params[0], rtol=1e-12)
+        # rows are independent: each step's row of the two-step execution is
+        # that step's one-step gradient, bit for bit
+        param_rows, _ = row_gradients(res.tape, res.activations, res.theta_obs, res.name_mask, spec)
+        assert [row.tobytes() for row in param_rows[0]] == [
+            ga.params[0].tobytes(),
+            gb.params[0].tobytes(),
+        ]
 
     def test_per_read_gradients_match_reference(self, scalar_registry, scalar_schema):
         rng = np.random.default_rng(2)

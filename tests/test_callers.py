@@ -19,6 +19,10 @@ Every ``@dataclass`` in ``tracesynth`` uses a feature that a
 ``typing.NamedTuple`` lacks: a ``__post_init__``, a ``field(...)`` default
 or a ``cached_property``, or it is a program-tree type in
 ``TREE_DATACLASSES``.  A record that only carries values is a NamedTuple.
+
+Only ``interpreter.py`` knows the tape: no other module in ``tracesynth``
+refers to or imports a name in ``TAPE_NAMES``.  The re-exports of
+``__init__.py`` are exempt.
 """
 
 from __future__ import annotations
@@ -42,6 +46,11 @@ UNREAD_PARAMETERS = {
     ("interpreter.zero_length_error", "observed_len"): "the ErrorSpec.len_error interface",
     ("interpreter.zero_length_error", "executed_len"): "the ErrorSpec.len_error interface",
     ("optimizer.fresh", "ast"): "perfbench/layers.py's probe passes it positionally",
+}
+# the op kinds, the forward loop, the lowering, the row errors, the
+# error-model seed and the reverse loop of the tape
+TAPE_NAMES = {
+    "PARAM", "VAR", "CALL", "forward", "compile_tape", "action_errors", "seed_rows", "backprop"
 }
 # program-tree dataclasses that need no __post_init__, field(...) or
 # cached_property -> why they are not NamedTuples, which equal any tuple of
@@ -235,3 +244,29 @@ def test_every_dataclass_needs_its_features():
         for found in _plain_dataclasses(path, ast.parse(path.read_text(encoding="utf-8")))
     ]
     assert sorted(plain) == sorted(TREE_DATACLASSES)
+
+
+def _tape_names(path: Path, tree: ast.Module) -> list[str]:
+    """``module.name`` of every name in ``TAPE_NAMES`` that the module
+    refers to or imports, relative imports in ``__init__.py`` apart."""
+    found = _references(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and not (path.name == "__init__.py" and node.level):
+            found.update(alias.name for alias in node.names)
+    return [f"{path.stem}.{name}" for name in sorted(TAPE_NAMES & found)]
+
+
+def test_only_the_interpreter_knows_the_tape():
+    stray = "from .interpreter import VAR, execute\nkind = op.kind is interpreter.PARAM\n"
+    assert _tape_names(PACKAGE / "optimizer.py", ast.parse(stray)) == [
+        "optimizer.PARAM",
+        "optimizer.VAR",
+    ]
+    assert _tape_names(PACKAGE / "__init__.py", ast.parse("from .interpreter import VAR\n")) == []
+    outside = [
+        found
+        for path in SOURCES
+        if path.parent == PACKAGE and path.name != "interpreter.py"
+        for found in _tape_names(path, ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert outside == []

@@ -19,7 +19,7 @@ from tracesynth import (
     simulate_paddle,
     standard_registry,
 )
-from tracesynth.autodiff import backward, seed_rows
+from tracesynth.interpreter import backward, row_gradients
 from tracesynth.program import EMPTY_PROGRAM, initial_params
 from tests.conftest import make_trace, mixed_action_case, mixed_dimension_case, reference_loss
 
@@ -193,9 +193,9 @@ class TestExecute:
         res = execute(ast, params, trace, registry, spec)
         assert (res.executed_len, res.terminated_early) == (stop, True)
         np.testing.assert_allclose(res.step_errors, [*matched, spec.max_step_error + 1.0])
-        seed = seed_rows(res.theta_hat, res.theta_obs, res.name_mask, spec)
-        assert seed.shape == (stop, ast.root.dim)
-        np.testing.assert_array_equal(seed[-1], 0.0)
+        param_rows, _ = row_gradients(res.tape, res.activations, res.theta_obs, res.name_mask, spec)
+        assert param_rows[0].shape == (stop, 1)
+        np.testing.assert_array_equal(param_rows[0][-1], 0.0)
         np.testing.assert_allclose(backward(res, spec).params[0], [grad])
 
     def test_registry_contradicting_the_schema_raises(self, scalar_schema):

@@ -22,7 +22,7 @@ from tracesynth import (
     SecondOrderConfig,
 )
 from tracesynth import interpreter, optimizer
-from tracesynth.autodiff import backward
+from tracesynth.interpreter import backward
 from tracesynth.optimizer import FIRST_BLOCKS, ROW_BUDGET, _same_pair, adagrad_walk
 from tracesynth.program import VarLeaf, canonical_key, initial_params, leaves
 from tests import conftest
@@ -211,9 +211,8 @@ class TestOptimize:
             tapes.append((tape, canonical_key(tree)))
             return tape
 
-        # ``execute`` lowers through the interpreter, look-ahead passes directly
+        # ``execute`` and look-ahead passes both lower through the interpreter
         monkeypatch.setattr(interpreter, "compile_tape", recording)
-        monkeypatch.setattr(optimizer, "compile_tape", recording)
         out = optimize(
             ast, initial_params(ast), trace, scalar_registry, ErrorSpec(),
             OptimizeConfig(max_opt_iters=150),
@@ -304,7 +303,7 @@ def _same_state(a, b) -> bool:
     )
 
 
-def _check_against_plain_loop(ahead, ast, state, cycle, blocks, trace, registry, spec):
+def _check_against_plain_loop(ahead, state, cycle, blocks, trace, registry, spec):
     """Run the plain loop from the state a look-ahead started from: the
     look-ahead accepts exactly the blocks whose iterations repeat the cycle,
     the next tree included, and each has the tree, loss, parameters and
@@ -312,7 +311,7 @@ def _check_against_plain_loop(ahead, ast, state, cycle, blocks, trace, registry,
     bit."""
     # the cycle's trees, so that a re-binding returns the very same object
     trees = {optimizer.rebindable_leaves(t, trace.index)[0]: t for t, _, _ in cycle}
-    plain, tree = state, ast
+    plain, tree = state, cycle[0][0]
     for j in range(blocks):
         assert ahead.tree(j) is tree
         assert _same_array_dicts(ahead.params(state, j), plain.params)
@@ -351,9 +350,9 @@ def passes(monkeypatch):
         runs.append(ast)
         return execute(ast, *args, **kwargs)
 
-    def recording(ast, state, cycle, blocks, trace, registry, spec, known=None):
-        ahead = look_ahead(ast, state, cycle, blocks, trace, registry, spec, known)
-        _check_against_plain_loop(ahead, ast, state, cycle, blocks, trace, registry, spec)
+    def recording(state, cycle, blocks, trace, registry, spec, known=None):
+        ahead = look_ahead(state, cycle, blocks, trace, registry, spec, known)
+        _check_against_plain_loop(ahead, state, cycle, blocks, trace, registry, spec)
         start = len(runs) + sum(accepted for _, _, accepted, _ in out)
         out.append((start, blocks, ahead.accepted, tuple(n for _, _, n in cycle)))
         if known is not None:
@@ -518,13 +517,13 @@ class TestLookAhead:
 
     def test_rows_stay_within_budget(self, scalar_registry, scalar_schema, monkeypatch):
         rows = []
-        forward = optimizer.forward
+        evaluate_rows = optimizer.evaluate_rows
 
-        def recording(tape, variables, params, n_rows):
-            rows.append(n_rows)
-            return forward(tape, variables, params, n_rows)
+        def recording(ast, params, trace, registry, spec, steps):
+            rows.append(len(steps))
+            return evaluate_rows(ast, params, trace, registry, spec, steps)
 
-        monkeypatch.setattr(optimizer, "forward", recording)
+        monkeypatch.setattr(optimizer, "evaluate_rows", recording)
         # a small step keeps one step executing for every iteration
         out = _both(
             "(accel (scale 0.0 x))", scalar_registry, scalar_schema, _pendulum_trace(),
@@ -615,8 +614,8 @@ class TestLookAhead:
         cycle.append((other, grads, n + 1))
         assert [t is ast for t, _, _ in cycle] == [True, False, True, False]
         assert len({n for _, _, n in cycle}) == 3
-        ahead = optimizer._look_ahead(ast, state, cycle, 3, trace, scalar_registry, spec)
-        _check_against_plain_loop(ahead, ast, state, cycle, 3, trace, scalar_registry, spec)
+        ahead = optimizer._look_ahead(state, cycle, 3, trace, scalar_registry, spec)
+        _check_against_plain_loop(ahead, state, cycle, 3, trace, scalar_registry, spec)
         assert ahead.accepted == 3
 
     def test_short_pass_near_the_cap(self, scalar_registry, scalar_schema, look_aheads):

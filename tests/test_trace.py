@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -187,6 +188,17 @@ class TestNearestVariable:
         np.testing.assert_array_equal(trace.index.gaps[1], [[0.0, 0.0]])
         np.testing.assert_array_equal(trace.index.gaps[2], [[2.0**500]])
 
+    @pytest.mark.parametrize("x, v", [(1e200, 0.0), (1.5e308, -1.5e308)])
+    def test_overflowing_distances_load_without_a_warning(self, x, v):
+        # the squared distance, or the difference itself, overflows to inf,
+        # and the gap is clamped to 2**500
+        step = {"t": 1, "vars": {"x": [x], "v": [v]}, "action": {"name": "accel", "theta": [0.0]}}
+        doc = {"schema": {"variables": {"x": 1, "v": 1}, "actions": {"accel": 1}}, "steps": [step]}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trace = trace_from_dict(doc)
+        np.testing.assert_array_equal(trace.index.gaps[1], [[2.0**500, 2.0**500]])
+
     def test_query_steps_takes_leading_axes(self):
         rng = np.random.default_rng(2)
         trace = make_trace(
@@ -231,7 +243,7 @@ class TestDerivedArrays:
     def test_arrays_are_read_only(self):
         _, trace = mixed_dimension_case()
         arrays = [
-            *trace.var_matrices().values(),
+            *map(trace.var_matrix, trace.schema.variables),
             *trace.action_targets("accel", 1)[:2],
             *trace.action_targets("turn", 2)[:2],
             *trace.index.values.values(),
