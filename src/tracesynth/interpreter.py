@@ -43,7 +43,7 @@ from .program import (
     VarLeaf,
     Vjp,
 )
-from .trace import MemoryState, ObservationTrace
+from .trace import MemoryState, ObservationTrace, distances
 
 
 class EvaluationError(ProgramError):
@@ -54,22 +54,18 @@ class EvaluationError(ProgramError):
 # error model
 
 
-def row_norms(a: np.ndarray, keepdims: bool = False) -> np.ndarray:
-    """Euclidean norm of each row of an (n, d) array; the arithmetic of
-    ``np.linalg.norm(a, axis=1)`` without its dispatch overhead."""
-    return np.sqrt(np.add.reduce(a * a, axis=1, keepdims=keepdims))
-
-
 def euclidean_error(theta_hat: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """Per-step Euclidean action-parameter error; inputs are (n, D)."""
-    return row_norms(theta_hat - theta)
+    return distances(theta_hat, theta)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def euclidean_error_grad(theta_hat: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """d(error)/d(theta_hat), rows (theta_hat-theta)/||.||; the zero
-    subgradient is used where the norm vanishes."""
+    subgradient is used where the norm vanishes, and a row whose difference
+    is too large for a float is NaN, without a warning."""
     diff = theta_hat - theta
-    norm = row_norms(diff, keepdims=True)
+    norm = distances(theta_hat, theta, keepdims=True)
     return np.divide(diff, norm, out=np.zeros(diff.shape), where=norm > 0.0)
 
 

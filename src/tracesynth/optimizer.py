@@ -14,19 +14,20 @@ the bit.  Either it is the last iteration's, while AdaGrad walks each
 parameter with a fixed gradient and a shrinking step, or it comes round in
 a short cycle, while AdaGrad zig-zags across a kink of the error (on the
 paddle trace, cycles such as A, A, B, B are common) or a leaf flips between
-two variables on every iteration (on the pendulum trace, x and v).  Once
-the plain iterations confirm a cycle (their last P (tree, parameter
-gradient, executed length) triples equal the P before them, P <=
-``MAX_PERIOD``, and either every one of them re-binds or none does),
-``optimize`` predicts the next K iterates on the assumption that the cycle
-goes on, evaluates all K in one forward and one backward pass per tree of
-the cycle, and accepts the longest prefix of blocks for which the
+two variables on every iteration (on the pendulum trace, x and v).  Each
+plain iteration that stops early takes the signature of its tree, executed
+length and parameter gradient once (``_pair``).  Once the plain iterations
+confirm a cycle (the signatures of their last P equal those of the P before
+them, P <= ``MAX_PERIOD``, and either every one of them re-binds or none
+does), ``optimize`` predicts the next K iterates on the assumption that
+the cycle goes on, evaluates all K in one forward and one backward pass per
+tree of the cycle, and accepts the longest prefix of blocks for which the
 assumption holds exactly: the block stops at its predicted step, its
 parameter gradient equals the predicted one bit for bit, and its vote gives
 exactly the binding of the next block's tree.  Each accepted block counts
 as one iteration, and the plain loop resumes at the first block that is not
 accepted, so trees, parameter bytes, losses, re-bindings and the iteration
-count are those of the plain loop.
+count are those of the plain loop; a pass reuses the cycle's signatures.
 
 Two outcomes are known without evaluating them.  A vote is settled when
 no rival can win it: no nudge exceeds the learning rate lr in any
@@ -63,8 +64,8 @@ from .interpreter import (
 from .program import ProgramAst, Registry, VarLeaf, leaves, replace_node
 from .trace import ObservationTrace, VariableIndex
 
-# the longest cycle of (parameter gradient, executed length) pairs that a
-# look-ahead follows; the plain loop keeps the last 2 * MAX_PERIOD pairs
+# the longest cycle of pairs (see ``_pair``) that a look-ahead follows; the
+# plain loop keeps the last 2 * MAX_PERIOD pairs
 MAX_PERIOD = 4
 # look-ahead blocks in the first pass over a confirmed cycle; doubled while
 # every block is accepted, reset when one is not
@@ -215,8 +216,9 @@ def _settled(
     its norm is at most lr * sqrt(d); rounding the nudged value at most
     doubles its move.  When the variable's gap (``VariableIndex.gaps``) at
     step n exceeds twice that, every nudged read is nearer its own variable
-    than any rival.  The relative (d + 8) * 2**-50 covers the rounding of
-    the nudge, the distances and the gap.  A NaN or infinite row fails.
+    than any rival: gaps and queries both measure with ``trace.distances``.
+    The relative (d + 8) * 2**-50 covers the rounding of the nudge, the
+    distances and the gap.  A NaN or infinite row fails.
     """
     d = leaf.dim
     limit = 2 * learning_rate * math.sqrt(d) * (1 + (d + 8) * 2.0**-50)
@@ -355,29 +357,26 @@ def reassign_variables(
     return rebound, reset, True
 
 
-Pair = tuple[ProgramAst, Gradients, int]  # tree, parameter gradient, executed length
+Pair = tuple[ProgramAst, Gradients, int, tuple]  # see ``_pair``
 
 
-def _same_pair(a: Pair, b: Pair) -> bool:
-    """Whether two iterations ran the same tree, stopped at the same step
-    and had parameter gradients equal bit for bit."""
-    (ta, ga, na), (tb, gb, nb) = a, b
-    return (
-        ta is tb
-        and na == nb
-        and ga.params.keys() == gb.params.keys()
-        and all(ga.params[pid].tobytes() == g.tobytes() for pid, g in gb.params.items())
-    )
+def _pair(tree: ProgramAst, grads: Gradients, n: int) -> Pair:
+    """An iteration's tree, parameter gradient and executed length, and its
+    signature: the tree by identity, the length and each parameter id with
+    its gradient's bytes.  The pair keeps its tree alive, so no other tree
+    takes its id while the pair is compared."""
+    return tree, grads, n, (id(tree), n, {pid: g.tobytes() for pid, g in grads.params.items()})
 
 
 def _confirmed_cycle(recent: list[Pair], ast: ProgramAst) -> list[Pair] | None:
-    """The last P pairs of ``recent`` if they equal the P before them, the
-    first of them runs ``ast`` and either each re-binds a leaf (runs
-    another tree than the next) or none does, for the longest such P up to
-    ``MAX_PERIOD``; None if there is none."""
+    """The last P pairs of ``recent`` if their signatures equal those of
+    the P before them, the first of them runs ``ast`` and either each
+    re-binds a leaf (runs another tree than the next) or none does, for the
+    longest such P up to ``MAX_PERIOD``; None if there is none."""
+    signatures = [signature for *_, signature in recent]
     for p in range(MAX_PERIOD, 0, -1):
-        if len(recent) >= 2 * p and all(map(_same_pair, recent[-2 * p : -p], recent[-p:])):
-            trees = [tree for tree, _, _ in recent[-p:]]
+        if len(recent) >= 2 * p and signatures[-2 * p : -p] == signatures[-p:]:
+            trees = [tree for tree, *_ in recent[-p:]]
             rebinds = {a is not b for a, b in zip(trees, trees[1:] + trees[:1])}
             if trees[0] is ast and len(rebinds) == 1:
                 return recent[-p:]
@@ -432,12 +431,11 @@ def _look_ahead(
     known: float | None = None,
 ) -> _Lookahead:
     """Evaluate ``blocks`` iterates from ``state`` on the assumption that
-    they repeat ``cycle``, the (tree, parameter gradient, executed length)
-    pairs of the last P iterations: block j runs the tree T_j of pair
-    j % P and stops at step n_j with the parameter gradient G_j.  Either no
-    pair re-binds a leaf, or each re-binds into the tree of the next; a
-    re-binding resets every accumulator, so then their sums start again
-    after each block.
+    they repeat ``cycle``, the pairs (see ``_pair``) of the last P
+    iterations: block j runs the tree T_j of pair j % P and stops at step
+    n_j with the parameter gradient G_j.  Either no pair re-binds a leaf,
+    or each re-binds into the tree of the next; a re-binding resets every
+    accumulator, so then their sums start again after each block.
 
     For each tree of the cycle, ``evaluate_rows`` and ``row_gradients`` run
     over a grid with one row per block of that tree, each holding the
@@ -457,12 +455,12 @@ def _look_ahead(
     period = len(cycle)
     # pair j % P of the cycle predicts block j
     phase = np.arange(blocks) % period
-    lengths = np.array([n for _, _, n in cycle])[phase]
-    trees = [tree for tree, _, _ in cycle]
+    lengths = np.array([n for _, _, n, _ in cycle])[phase]
+    trees = [tree for tree, *_ in cycle]
     # a confirmed cycle re-binds on every pair or on none, so the last pair
     # re-binds into the first exactly when every pair re-binds
     rebinds = trees[-1] is not trees[0]
-    gradients = {pid: np.array([g.params[pid] for _, g, _ in cycle]) for pid in cycle[0][1].params}
+    gradients = {pid: np.array([g.params[pid] for _, g, *_ in cycle]) for pid in cycle[0][1].params}
     walks = {
         pid: adagrad_walk(state.params[pid], state.param_acc.get(pid), gs, blocks, lr, rebinds)
         for pid, gs in gradients.items()
@@ -648,8 +646,8 @@ def optimize(
     cap = max(1, config.max_opt_iters)
     iterations = rebinds = 0
     blocks = FIRST_BLOCKS
-    # (tree, parameter gradient, executed length) of the last iterations,
-    # newest last, each of which stopped at a step over the threshold
+    # the pairs of the last iterations, newest last, each of which stopped
+    # at a step over the threshold
     recent: list[Pair] = []
     # the pairs the next iterations are predicted to repeat, once confirmed,
     # and the loss of a stationary pair, whose blocks are known
@@ -659,7 +657,7 @@ def optimize(
         if cycle is not None:
             if known is not None:
                 k = min(TOL_WINDOW - stagnant, cap - iterations)
-            elif (k := min(blocks, cap - iterations, ROW_BUDGET // max(n for *_, n in cycle))) < 2:
+            elif (k := min(blocks, cap - iterations, ROW_BUDGET // max(p[2] for p in cycle))) < 2:
                 cycle = None
                 continue
             ahead = _look_ahead(state, cycle, k, trace, registry, spec, known)
@@ -711,7 +709,7 @@ def optimize(
             best = (*best[:3], grads)
         before = state.params
         state = adagrad_step(state, grads)
-        pair = (ast, grads, result.executed_len)
+        pair = _pair(ast, grads, result.executed_len)
         # a re-binding keeps every leaf's kind and dimension, so ``free`` holds
         ast, state, rebound = reassign_variables(ast, state, grads, trace.index, trees)
         rebinds += rebound

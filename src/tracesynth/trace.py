@@ -159,6 +159,15 @@ def memory_at(
     return MemoryState(t, dict(step.vars), dict(params or {}))
 
 
+@np.errstate(over="ignore")
+def distances(a: np.ndarray, b: np.ndarray, keepdims: bool = False) -> np.ndarray:
+    """Euclidean distances between ``a`` and ``b`` along the last axis, the
+    arithmetic of ``np.linalg.norm(a - b, axis=-1)`` without its dispatch
+    overhead; a distance too large for a float is inf, without a warning."""
+    diff = a - b
+    return np.sqrt(np.add.reduce(diff * diff, axis=-1, keepdims=keepdims))
+
+
 class VariableIndex:
     """Exact nearest-neighbour lookup over variable values, per timestep and
     per dimension.
@@ -171,10 +180,10 @@ class VariableIndex:
 
     ``gaps[dim]`` is read-only, (T, n_vars): row t - 1 holds, for each
     variable, half its distance to the nearest other variable of its
-    dimension, at the step where that is least among steps 1..t.  Distances
-    are computed as ``query_steps`` computes them.  A gap below 2**-500 is
-    0 and one above 2**500 is 2**500, so that the squares of distances up
-    to a few gaps are normal floats; a lone variable's gap is 2**500.  A
+    dimension, at the step where that is least among steps 1..t.  Gaps and
+    queries both measure distances with ``distances``.  A gap below 2**-500
+    is 0 and one above 2**500 is 2**500, so that the squares of distances
+    up to a few gaps are normal floats; a lone variable's gap is 2**500.  A
     query point nearer to a variable than its gap is nearest to it
     (``optimizer._settled`` relies on this).
     """
@@ -195,9 +204,7 @@ class VariableIndex:
         if dim not in self.names:
             raise KeyError(f"no variable of dimension {dim}")
         n = points.shape[-2]
-        diff = self.values[dim][:n] - points[..., None, :]  # (..., n, n_vars, d)
-        # the arithmetic of np.linalg.norm(diff, axis=-1) without its dispatch overhead
-        return np.sqrt(np.add.reduce(diff * diff, axis=-1)).argmin(axis=-1)
+        return distances(self.values[dim][:n], points[..., None, :]).argmin(axis=-1)
 
 
 def _rival_gaps(values: np.ndarray) -> np.ndarray:
@@ -206,9 +213,7 @@ def _rival_gaps(values: np.ndarray) -> np.ndarray:
     # one variable at a time keeps the arrays (T, n_vars, d); a distance
     # that overflows to inf is clamped below with the rest
     for j in range(values.shape[1]):
-        with np.errstate(over="ignore"):
-            diff = values - values[:, j : j + 1]
-            dist = np.sqrt(np.add.reduce(diff * diff, axis=-1))
+        dist = distances(values, values[:, j : j + 1])
         dist[:, j] = np.inf
         gaps[:, j] = 0.5 * dist.min(axis=1)
     gaps = np.minimum.accumulate(gaps, axis=0)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -13,6 +15,7 @@ from tracesynth import (
     discretized_error_spec,
     evaluate_step,
     execute,
+    induce,
     matches_trace,
     memory_at,
     parse_program,
@@ -261,6 +264,20 @@ class TestExecute:
                 rtol=1e-12,
             )
 
+    def test_overflowing_distances_run_without_a_warning(self, scalar_registry, scalar_schema):
+        # x's squared distance to theta, and to a query point, overflows to
+        # inf: the step error is inf and x is never the nearest variable
+        trace = make_trace({"x": [1e200, 1e200], "v": [0.0, 0.0]}, [0.0, 0.0])
+        ast, params = _program("(accel x)", scalar_registry, scalar_schema)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = execute(ast, params, trace, scalar_registry, ErrorSpec())
+            assert (res.loss, res.executed_len) == (np.inf, 1)
+            (reads,) = backward(res, ErrorSpec()).slot_reads.values()
+            np.testing.assert_array_equal(reads, [[0.0]])
+            np.testing.assert_array_equal(trace.index.query_steps(1, np.array([[0.5]])), [0])
+            induce(trace, scalar_registry, config=RunConfig(max_iterations=3))
+
 
 TOO_LARGE = "max_step_error must be finite with magnitude below 2"
 
@@ -314,6 +331,16 @@ class TestErrorSpecs:
         want = np.zeros_like(diff)
         want[norm > 0] = diff[norm > 0] / norm[norm > 0, None]
         np.testing.assert_array_equal(spec.act_error_grad(theta_hat, theta), want)
+
+    def test_euclidean_error_overflows_without_a_warning(self):
+        # the square overflows in the first row, the difference itself in the
+        # second, whose gradient is inf / inf
+        theta_hat, theta = np.array([[1e200], [1.5e308]]), np.array([[0.0], [-1.5e308]])
+        spec = ErrorSpec()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            np.testing.assert_array_equal(spec.act_error(theta_hat, theta), [np.inf, np.inf])
+            np.testing.assert_array_equal(spec.act_error_grad(theta_hat, theta), [[0.0], [np.nan]])
 
     def test_default_length_error_zero(self):
         assert ErrorSpec().len_error(10, 10) == 0.0

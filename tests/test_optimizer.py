@@ -23,8 +23,8 @@ from tracesynth import (
 )
 from tracesynth import interpreter, optimizer
 from tracesynth.interpreter import backward
-from tracesynth.optimizer import FIRST_BLOCKS, ROW_BUDGET, _same_pair, adagrad_walk
-from tracesynth.program import VarLeaf, canonical_key, initial_params, leaves
+from tracesynth.optimizer import FIRST_BLOCKS, ROW_BUDGET, _pair, adagrad_walk
+from tracesynth.program import VarLeaf, canonical_key, initial_params, leaves, replace_node
 from tests import conftest
 from tests.conftest import (
     _same_array_dicts,
@@ -310,7 +310,7 @@ def _check_against_plain_loop(ahead, state, cycle, blocks, trace, registry, spec
     state after it, accumulators included, of that iteration, bit for
     bit."""
     # the cycle's trees, so that a re-binding returns the very same object
-    trees = {optimizer.rebindable_leaves(t, trace.index)[0]: t for t, _, _ in cycle}
+    trees = {optimizer.rebindable_leaves(t, trace.index)[0]: t for t, *_ in cycle}
     plain, tree = state, cycle[0][0]
     for j in range(blocks):
         assert ahead.tree(j) is tree
@@ -319,10 +319,10 @@ def _check_against_plain_loop(ahead, state, cycle, blocks, trace, registry, spec
         grads = backward(result, spec)
         after = adagrad_step(plain, grads)
         following, after, _ = reassign_variables(tree, after, grads, trace.index, trees)
-        pair = (tree, grads, result.executed_len)
+        pair = _pair(tree, grads, result.executed_len)
         if (
             not result.terminated_early
-            or not _same_pair(pair, cycle[j % len(cycle)])
+            or pair[3] != cycle[j % len(cycle)][3]
             or following is not cycle[(j + 1) % len(cycle)][0]
         ):
             assert ahead.accepted == j
@@ -354,7 +354,7 @@ def passes(monkeypatch):
         ahead = look_ahead(state, cycle, blocks, trace, registry, spec, known)
         _check_against_plain_loop(ahead, state, cycle, blocks, trace, registry, spec)
         start = len(runs) + sum(accepted for _, _, accepted, _ in out)
-        out.append((start, blocks, ahead.accepted, tuple(n for _, _, n in cycle)))
+        out.append((start, blocks, ahead.accepted, tuple(n for _, _, n, _ in cycle)))
         if known is not None:
             known_passes.append((len(runs), blocks, ahead.accepted))
         return ahead
@@ -392,6 +392,41 @@ def _both(text, registry, schema, trace, config, spec=ErrorSpec()):
         got, sequential_optimize(ast, initial_params(ast), trace, registry, spec, config)
     )
     return got
+
+
+class TestSignature:
+    """The signature of ``_pair`` is equal for two iterations exactly when
+    they ran the same tree, stopped at the same step and had parameter
+    gradients equal bit for bit."""
+
+    def test_what_tells_iterations_apart(self, scalar_registry, scalar_schema):
+        ast = parse_program("(accel (scale 0.5 x))", scalar_registry, scalar_schema)
+        ((nid, _),) = [(nid, leaf) for nid, leaf in leaves(ast) if isinstance(leaf, VarLeaf)]
+        rebound = replace_node(ast, nid, VarLeaf("v", 1))
+
+        def signature(tree, n, params):
+            return _pair(tree, _grads_for(params=params), n)[3]
+
+        base = signature(ast, 3, {0: [0.25]})
+        # fresh gradient arrays with the same bytes
+        assert signature(ast, 3, {0: [0.25]}) == base
+        # a re-bound tree with the same gradients, and the same tree a step on
+        assert signature(rebound, 3, {0: [0.25]}) != base
+        assert signature(ast, 4, {0: [0.25]}) != base
+        # 0.0 == -0.0, but their bytes differ
+        assert signature(ast, 3, {0: [0.0]}) != signature(ast, 3, {0: [-0.0]})
+        # other parameter ids
+        assert signature(ast, 3, {1: [0.25]}) != base
+        assert signature(ast, 3, {0: [0.25], 1: [0.25]}) != base
+        assert signature(ast, 3, {}) != base
+
+    def test_a_nan_gradient_equals_its_own_bits(self, scalar_registry, scalar_schema):
+        # NaN != NaN, but the bytes of one bit pattern are equal
+        ast = parse_program("(accel (scale 0.5 x))", scalar_registry, scalar_schema)
+        nan, other = np.array([0x7FF8000000000001, 0x7FF8000000000002], dtype=np.uint64).view(float)
+        a, b, c = (_pair(ast, _grads_for(params={0: [g]}), 3)[3] for g in (nan, nan, other))
+        assert a == b
+        assert a != c
 
 
 class TestLookAhead:
@@ -607,13 +642,13 @@ class TestLookAhead:
         for _ in range(3):
             result = execute(tree, plain.params, trace, scalar_registry, spec)
             grads = backward(result, spec)
-            cycle.append((tree, grads, result.executed_len))
+            cycle.append(_pair(tree, grads, result.executed_len))
             plain = adagrad_step(plain, grads)
             tree, plain, _ = reassign_variables(tree, plain, grads, trace.index, trees)
-        other, grads, n = cycle[1]
-        cycle.append((other, grads, n + 1))
-        assert [t is ast for t, _, _ in cycle] == [True, False, True, False]
-        assert len({n for _, _, n in cycle}) == 3
+        other, grads, n, _ = cycle[1]
+        cycle.append(_pair(other, grads, n + 1))
+        assert [t is ast for t, *_ in cycle] == [True, False, True, False]
+        assert len({n for _, _, n, _ in cycle}) == 3
         ahead = optimizer._look_ahead(state, cycle, 3, trace, scalar_registry, spec)
         _check_against_plain_loop(ahead, state, cycle, 3, trace, scalar_registry, spec)
         assert ahead.accepted == 3
