@@ -155,7 +155,11 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
         doc = json.loads(Path(args.config).read_text(encoding="utf-8"))
         config = RunConfig.from_dict(doc)
     # a flag a command lacks, or one not given, is absent or None: no override
-    return config.override(**{f.name: getattr(args, f.name, None) for f in fields(RunConfig)})
+    config = config.override(**{f.name: getattr(args, f.name, None) for f in fields(RunConfig)})
+    # a config file may hold a deadband under any model, as every report's does
+    if args.deadband is not None and config.error_model != "discrete":
+        raise ValueError("--deadband needs the discrete error model (--error-model discrete)")
+    return config
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:

@@ -69,10 +69,6 @@ def euclidean_error_grad(theta_hat: np.ndarray, theta: np.ndarray) -> np.ndarray
     return np.divide(diff, norm, out=np.zeros(diff.shape), where=norm > 0.0)
 
 
-def zero_length_error(observed_len: int, executed_len: int) -> float:
-    return 0.0
-
-
 @dataclass(frozen=True)
 class ErrorSpec:
     """User-specified equivalence between executed and observed actions.
@@ -86,16 +82,15 @@ class ErrorSpec:
     1`` must exceed ``max_step_error``: NaN, ±inf and magnitudes from 2**53
     up raise ``ValueError``.
 
-    Contract: ``act_error`` and ``len_error`` are never negative, so a loss
-    is never negative and a program's complexity is a lower bound on its
-    search score; the search relies on this and raises ``ValueError`` on a
-    negative loss.  A NaN step error ends execution at that step and makes
-    the loss ``+inf``.
+    The loss of an execution is the sum of its step errors (``prefix_sums``).
+    Contract: ``act_error`` is never negative, so a loss is never negative
+    and a program's complexity is a lower bound on its search score; the
+    search relies on this and raises ``ValueError`` on a negative loss.  A
+    NaN step error ends execution at that step and makes the loss ``+inf``.
     """
 
     act_error: Callable[[np.ndarray, np.ndarray], np.ndarray] = euclidean_error
     act_error_grad: Callable[[np.ndarray, np.ndarray], np.ndarray] = euclidean_error_grad
-    len_error: Callable[[int, int], float] = zero_length_error
     max_step_error: float = 0.05
 
     def __post_init__(self) -> None:
@@ -144,7 +139,7 @@ def discretized_error_spec(deadband: float, max_step_error: float) -> ErrorSpec:
         grad_zero = np.where(np.abs(theta_hat) > deadband, np.sign(theta_hat), 0.0)
         return np.where(theta > 0.5, grad_pos, np.where(theta < -0.5, grad_neg, grad_zero))
 
-    return ErrorSpec(err, err_grad, zero_length_error, max_step_error)
+    return ErrorSpec(err, err_grad, max_step_error)
 
 
 def discretize_actions(theta: np.ndarray, deadband: float) -> np.ndarray:
@@ -221,11 +216,9 @@ class ExecutionResult(NamedTuple):
     belong to the execution.  ``backward`` reads those rows.
     """
 
-    theta_hat: np.ndarray  # (T', D) predicted action parameters
     theta_obs: np.ndarray  # (T', D) observed targets over the executed prefix
     name_mask: np.ndarray  # (T',) executed steps whose observed action is the root's
     step_errors: np.ndarray  # (T',) per-step action errors
-    length_error: float
     loss: float
     observed_len: int
     executed_len: int
@@ -270,6 +263,7 @@ def evaluate_step(
     return ast.root.name, theta, values
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def evaluate_rows(
     ast: ProgramAst,
     params: Mapping[int, np.ndarray],
@@ -292,7 +286,8 @@ def evaluate_rows(
     arrays.  ``params[pid]`` is broadcast to (rows, dim): one vector for
     every row, or one vector per row.  Registry functions treat rows
     independently, so the rows may be the timesteps of one execution or K
-    blocks of the same timesteps under K parameter settings.
+    blocks of the same timesteps under K parameter settings.  Overflow
+    gives inf or NaN without a warning, and ends ``execute`` at that step.
     """
     tape = compile_tape(ast, registry)
     rows = trace.length if steps is None else len(steps)
@@ -321,6 +316,13 @@ def evaluate_rows(
     return tape, values, errors, theta_obs, name_match
 
 
+def prefix_sums(rows: np.ndarray, n: int) -> np.ndarray:
+    """The sum of the first n steps of (..., steps, d) ``rows``: every loss
+    and parameter gradient of ``execute``, ``backward`` and the look-ahead's
+    blocks, which therefore agree bit for bit."""
+    return np.add.reduce(rows[..., :n, :], axis=-2)
+
+
 def execute(
     ast: ProgramAst,
     params: Mapping[int, np.ndarray],
@@ -334,8 +336,7 @@ def execute(
     observed action; execution stops after the first step whose error is not
     within ``spec.max_step_error``: it exceeds the threshold or is NaN (that
     step's error is included in the loss).  The loss is the sum of per-step
-    errors over the executed prefix plus the length error, and ``+inf``
-    where that sum is NaN.
+    errors over the executed prefix, and ``+inf`` where that sum is NaN.
     """
     tape, values, errors, theta_obs, name_match = evaluate_rows(ast, params, trace, registry, spec)
     T = trace.length
@@ -346,17 +347,13 @@ def execute(
     # a threshold cut at the final step still counts as termination
     terminated = over.size > 0
 
-    step_errors = errors[:executed]
-    length_error = float(spec.len_error(T, executed))
-    loss = float(step_errors.sum() + length_error)
+    loss = float(prefix_sums(errors[:, None], executed)[0])
     if math.isnan(loss):
         loss = math.inf  # NaN would break the order of the search queue
     return ExecutionResult(
-        theta_hat=values[-1][:executed],
         theta_obs=theta_obs[:executed],
         name_mask=name_match[:executed],
-        step_errors=step_errors,
-        length_error=length_error,
+        step_errors=errors[:executed],
         loss=loss,
         observed_len=T,
         executed_len=executed,
@@ -368,9 +365,8 @@ def execute(
 
 def matches_trace(result: ExecutionResult) -> bool:
     """True iff execution covered the whole trace without a step error
-    over the threshold, i.e. ``execute`` did not stop early, and the length
-    error is zero."""
-    return not result.terminated_early and result.length_error == 0.0
+    over the threshold, i.e. ``execute`` did not stop early."""
+    return not result.terminated_early
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +441,7 @@ def row_gradients(
 def backward(result: ExecutionResult, spec: ErrorSpec) -> Gradients:
     """Differentiate the loss of an execution with respect to every
     parameter and variable leaf: ``row_gradients`` over its executed steps,
-    each parameter's rows summed.
+    each parameter's rows summed by ``prefix_sums``.
 
     The tape carries the VJPs of the registry it was compiled with.  Each
     parameter id names one leaf (the parser and ``expand`` number them).
@@ -453,4 +449,4 @@ def backward(result: ExecutionResult, spec: ErrorSpec) -> Gradients:
     params, reads = row_gradients(
         result.tape, result.activations, result.theta_obs, result.name_mask, spec
     )
-    return Gradients({pid: g.sum(axis=0) for pid, g in params.items()}, reads)
+    return Gradients({pid: prefix_sums(g, result.executed_len) for pid, g in params.items()}, reads)

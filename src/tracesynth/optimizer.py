@@ -59,6 +59,7 @@ from .interpreter import (
     evaluate_rows,
     execute,
     matches_trace,
+    prefix_sums,
     row_gradients,
 )
 from .program import ProgramAst, Registry, VarLeaf, leaves, replace_node
@@ -500,21 +501,17 @@ def _look_ahead(
             tape, values, errors, theta_obs, name_match = evaluate_rows(
                 tree, params, trace, registry, spec, steps
             )
-            errors = errors.reshape(count, -1)
+            errors = errors.reshape(count, width, 1)
             # NaN fails the test, as in ``execute``
-            within = errors <= spec.max_step_error
+            within = errors[..., 0] <= spec.max_step_error
             holds_here = per_block(lambda n: within[:, : n - 1].all(axis=1) & ~within[:, n - 1])
-            # each sum runs over a block's steps in the order ``execute`` and
-            # ``backward`` sum an execution of that length
-            losses_here = per_block(
-                lambda n: np.add.reduce(errors[:, :n], axis=1)
-                + float(spec.len_error(trace.length, n))
-            )
+            # each sum adds a block's steps as ``execute`` and ``backward`` do
+            losses_here = per_block(lambda n: prefix_sums(errors, n))[:, 0]
 
             param_rows, reads = row_gradients(tape, values, theta_obs, name_match, spec)
             for pid, g in param_rows.items():
                 g = g.reshape(count, width, -1)
-                total = per_block(lambda n: np.add.reduce(g[:, :n], axis=1))
+                total = per_block(lambda n: prefix_sums(g, n))
                 want = gradients[pid][mine_phase]
                 holds_here &= (total.view(np.uint64) == want.view(np.uint64)).all(axis=1)
             slot_rows = {nid: g.reshape(count, width, -1) for nid, g in reads.items()}

@@ -82,7 +82,7 @@ class TestBackward:
         ast = parse_program("(accel (scale 2.0 x))", scalar_registry, scalar_schema)
         spec = ErrorSpec(max_step_error=100.0)
         res = execute(ast, initial_params(ast), trace, scalar_registry, spec)
-        np.testing.assert_allclose(res.theta_hat, [[1.0]])
+        np.testing.assert_allclose(res.activations[-1][: res.executed_len], [[1.0]])
         grads = backward(res, spec)
         np.testing.assert_allclose(grads.params[0], [-0.5])
         (slot_rows,) = grads.slot_reads.values()
@@ -253,7 +253,7 @@ class TestActionEntry:
         spec = ErrorSpec(max_step_error=1e9)
         want = 2.0 * (0.7 * trace.var_matrix("x") - 0.3 * trace.var_matrix("v"))
         res = execute(ast, params, trace, registry, spec)
-        np.testing.assert_allclose(res.theta_hat, want, rtol=1e-12)
+        np.testing.assert_allclose(res.activations[-1][: res.executed_len], want, rtol=1e-12)
         np.testing.assert_allclose(
             res.loss, reference_loss(ast, registry, params, trace, spec), rtol=1e-12
         )

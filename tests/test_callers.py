@@ -43,8 +43,6 @@ IDENTIFIER = re.compile(r"[A-Za-z_]\w*")
 DEFINITION = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 # (module.function, parameter) -> why the body need not read it
 UNREAD_PARAMETERS = {
-    ("interpreter.zero_length_error", "observed_len"): "the ErrorSpec.len_error interface",
-    ("interpreter.zero_length_error", "executed_len"): "the ErrorSpec.len_error interface",
     ("optimizer.fresh", "ast"): "perfbench/layers.py's probe passes it positionally",
 }
 # the op kinds, the forward loop, the lowering, the row errors, the

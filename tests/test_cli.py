@@ -117,6 +117,9 @@ class TestEval:
             (["--error-model", "discrete", "--max-step-error", "0.02"], None, "true"),
             ([], {"error_model": "discrete", "max_step_error": 0.02}, "true"),
             ([], None, "false"),
+            (["--deadband", "0.05"], {"error_model": "discrete"}, "true"),
+            (["--error-model", "discrete", "--deadband", "0.9"], None, "false"),
+            ([], {"deadband": 0.3}, "false"),
         ],
     )
     def test_error_model_options(self, tmp_path, capsys, flags, config, verdict):
@@ -127,11 +130,32 @@ class TestEval:
         if config is not None:
             cfg = tmp_path / "cfg.json"
             cfg.write_text(json.dumps(config))
-            flags = ["--config", str(cfg)]
+            flags = ["--config", str(cfg), *flags]
         capsys.readouterr()
         code = run_cli(["eval", "--program", str(prog), "--trace", str(trace_path), *flags])
         assert code == 0
         assert f"matches: {verdict}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "flags, config",
+        [
+            (["--deadband", "0.3"], None),
+            (["--error-model", "euclidean", "--deadband", "0.3"], {"error_model": "discrete"}),
+        ],
+    )
+    def test_deadband_without_the_discrete_model_rejected(self, tmp_path, capsys, flags, config):
+        trace_path = tmp_path / "pd.trace"
+        run_cli(["simulate", "paddle", "--out", str(trace_path)])
+        prog = tmp_path / "prog.sexp"
+        prog.write_text("(move ball_y)")
+        if config is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(config))
+            flags = ["--config", str(cfg), *flags]
+        capsys.readouterr()
+        code = run_cli(["eval", "--program", str(prog), "--trace", str(trace_path), *flags])
+        assert code == 2
+        assert "--deadband needs the discrete error model" in capsys.readouterr().err
 
     def test_bad_program_file(self, tmp_path, capsys):
         trace_path = tmp_path / "p.trace"
@@ -499,6 +523,25 @@ class TestInduce:
         flags = ["--error-model", model, "--max-step-error", threshold]
         assert run_cli(["induce", "--trace", str(small_trace), *flags]) == 2
         assert "max_step_error must be finite with magnitude below 2**53" in capsys.readouterr().err
+
+    def test_deadband_without_the_discrete_model_rejected(self, small_trace, capsys):
+        assert run_cli(["induce", "--trace", str(small_trace), "--deadband", "0.3"]) == 2
+        assert "--deadband needs the discrete error model" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags, config",
+        [
+            # every report's config holds a deadband, the euclidean model's too
+            ([], {"deadband": 0.3}),
+            (["--deadband", "0.3"], {"error_model": "discrete"}),
+        ],
+    )
+    def test_deadband_accepted(self, small_trace, tmp_path, capsys, flags, config):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**config, "max_iterations": 2}))
+        flags = ["--config", str(cfg_path), *flags]
+        assert run_cli(["induce", "--trace", str(small_trace), *flags]) in (0, 3)
+        assert "error:" not in capsys.readouterr().err
 
     def test_zero_deadband_rejected_for_discrete_model(self, small_trace, capsys):
         flags = ["--error-model", "discrete", "--deadband", "0"]

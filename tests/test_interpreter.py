@@ -116,16 +116,16 @@ class TestTape:
         assert res.executed_len == 2
         assert len(res.activations) == len(res.tape) == 4
         assert all(len(a) == 3 for a in res.activations)
-        np.testing.assert_array_equal(res.theta_hat, res.activations[-1][:2])
 
     def test_predictions_shared_with_the_trace_are_read_only(self, scalar_registry, scalar_schema):
         # the identity action returns its argument, here the trace's own matrix
         trace = make_trace({"x": [1.0, 2.0], "v": [0, 0]}, [1.0, 2.0])
         ast, params = _program("(accel x)", scalar_registry, scalar_schema)
         res = execute(ast, params, trace, scalar_registry)
-        assert np.shares_memory(res.theta_hat, trace.var_matrix("x"))
+        theta_hat = res.activations[-1][: res.executed_len]
+        assert np.shares_memory(theta_hat, trace.var_matrix("x"))
         with pytest.raises(ValueError, match="read-only"):
-            res.theta_hat[0] = 0.0
+            theta_hat[0] = 0.0
 
 
 class TestExecute:
@@ -234,7 +234,7 @@ class TestExecute:
         res = execute(ast, params, trace, scalar_registry, spec)
         for t in range(1, trace.length + 1):
             _, theta, _ = evaluate_step(ast, scalar_registry, memory_at(trace, t, params))
-            np.testing.assert_allclose(res.theta_hat[t - 1], theta, rtol=1e-12)
+            np.testing.assert_allclose(res.activations[-1][t - 1], theta, rtol=1e-12)
 
     def test_loss_self_consistency_random(self, scalar_registry, scalar_schema):
         rng = np.random.default_rng(11)
@@ -250,9 +250,7 @@ class TestExecute:
             spec = ErrorSpec(max_step_error=float(rng.uniform(0.1, 2.0)))
             res = execute(ast, params, trace, scalar_registry, spec)
             # loss recomputable from per-step outputs
-            np.testing.assert_allclose(
-                res.loss, res.step_errors.sum() + res.length_error, rtol=1e-12
-            )
+            np.testing.assert_allclose(res.loss, res.step_errors.sum(), rtol=1e-12)
             # termination iff some step error exceeded the threshold
             assert res.terminated_early == bool(
                 (res.step_errors > spec.max_step_error).any()
@@ -276,6 +274,23 @@ class TestExecute:
             (reads,) = backward(res, ErrorSpec()).slot_reads.values()
             np.testing.assert_array_equal(reads, [[0.0]])
             np.testing.assert_array_equal(trace.index.query_steps(1, np.array([[0.5]])), [0])
+            induce(trace, scalar_registry, config=RunConfig(max_iterations=3))
+
+    def test_overflowing_program_arithmetic_runs_without_a_warning(
+        self, scalar_registry, scalar_schema
+    ):
+        # 2 * x overflows to inf in ``scale``: the step error is inf and its
+        # gradient inf / inf, NaN
+        trace = make_trace({"x": [1.5e308, 1.5e308], "v": [0.0, 0.0]}, [-1.5e308, -1.5e308])
+        ast, params = _program("(accel (scale 2.0 x))", scalar_registry, scalar_schema)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = execute(ast, params, trace, scalar_registry, ErrorSpec())
+            assert (res.loss, res.executed_len) == (np.inf, 1)
+            np.testing.assert_array_equal(res.step_errors, [np.inf])
+            np.testing.assert_array_equal(backward(res, ErrorSpec()).params[0], [np.nan])
+            nearest = trace.index.query_steps(1, np.array([[0.5]]))
+            assert [trace.index.names[1][i] for i in nearest] == ["v"]
             induce(trace, scalar_registry, config=RunConfig(max_iterations=3))
 
 
@@ -341,10 +356,6 @@ class TestErrorSpecs:
             warnings.simplefilter("error")
             np.testing.assert_array_equal(spec.act_error(theta_hat, theta), [np.inf, np.inf])
             np.testing.assert_array_equal(spec.act_error_grad(theta_hat, theta), [[0.0], [np.nan]])
-
-    def test_default_length_error_zero(self):
-        assert ErrorSpec().len_error(10, 10) == 0.0
-        assert ErrorSpec().len_error(10, 3) == 0.0
 
     def test_discretize(self):
         theta = np.array([[0.3], [-0.2], [0.04]])
