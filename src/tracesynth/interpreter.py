@@ -438,6 +438,7 @@ def row_gradients(
     return backprop(tape, values, seed)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def backward(result: ExecutionResult, spec: ErrorSpec) -> Gradients:
     """Differentiate the loss of an execution with respect to every
     parameter and variable leaf: ``row_gradients`` over its executed steps,
@@ -445,6 +446,7 @@ def backward(result: ExecutionResult, spec: ErrorSpec) -> Gradients:
 
     The tape carries the VJPs of the registry it was compiled with.  Each
     parameter id names one leaf (the parser and ``expand`` number them).
+    Overflow gives inf or NaN without a warning, as in ``evaluate_rows``.
     """
     params, reads = row_gradients(
         result.tape, result.activations, result.theta_obs, result.name_mask, spec

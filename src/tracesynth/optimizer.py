@@ -40,8 +40,7 @@ tree on the same bytes, so it has the same execution, loss and gradient,
 and counts as stagnant; its step has the same sign and shrinks as the
 accumulator grows, so the parameters stay put.  So the pair is a cycle of
 one pair whose blocks are known: a pass over it takes their loss, length
-and read gradients from the pair, and only their votes are taken (none
-for a scalar leaf with one rival, ``_stationary_keeps``).
+and read gradients from the pair, and only their votes are taken.
 """
 
 from __future__ import annotations
@@ -257,30 +256,6 @@ def _vote(
     sole = top[:, -1] > top[:, -2]
     moved = g_rows.reshape(K, -1).any(axis=1)
     return np.where(moved & sole, votes.argmax(axis=1), column)
-
-
-def _stationary_keeps(index: VariableIndex, column: int, acc: np.ndarray, lr: float) -> bool:
-    """Whether every block of a pass over a stationary pair keeps the
-    binding of a scalar leaf in ``column`` with one rival; ``acc`` holds
-    the blocks' accumulators, (K, n, 1).
-
-    Each block nudges the reads with the pair's gradient g and an
-    accumulator no smaller than the last, and rounded IEEE operations are
-    monotone, so every nudged read moves towards its bound variable without
-    crossing it; while ``acc`` is finite, ``acc >= g*g`` keeps the read
-    within 2 * lr of it.  Between the two variables, the read's computed
-    distance to the bound one shrinks and to the rival grows; beyond the
-    bound one, the gap keeps the two distances more than lr * 2**-39 apart,
-    far above their rounding, so they never tie.  So the rival never gains
-    votes over the stationary iteration's vote, which did not re-bind.
-    """
-    return (
-        acc.shape[-1] == 1
-        and len(index.names[1]) == 2
-        and index.gaps[1][acc.shape[-2] - 1, column] > lr * 2.0**-40
-        # the rows are sums of squares, so their sum is finite only if each is
-        and math.isfinite(acc.sum())
-    )
 
 
 def reassign_variables(
@@ -534,8 +509,6 @@ def _look_ahead(
             acc = _fold_slot(state.slot_acc.get(nid), sq, rebinds)
             if not rebinds:
                 slot_acc[nid] = acc
-            if known is not None and _stationary_keeps(index, column, acc, lr):
-                continue
             # each block binds the leaf as the tree of its next pair does
             want = following[mine_phase, i] if rebinds else column
             holds_here &= want == per_block(
@@ -572,6 +545,7 @@ class OptimizedCandidate(NamedTuple):
     stop: str
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def optimize(
     ast: ProgramAst,
     params: dict[int, np.ndarray],
@@ -593,12 +567,12 @@ def optimize(
     within ``ROW_BUDGET`` rows and the cap.  When a block is not accepted,
     the plain loop runs it and looks for a cycle again.  A stationary
     iteration is a cycle of one pair whose blocks are known and stagnant:
-    its pass runs to the stagnation stop or the cap, and leaves the block
-    count of evaluated passes as it was.
+    its pass runs to the stagnation stop or the cap.
 
     The call keeps a tree table, binding -> tree, for every
     ``reassign_variables``: each binding the leaves take is built, and its
     tape lowered, once per call, and the table is dropped on return.
+    Overflow gives inf or NaN without a warning, as in ``evaluate_rows``.
     """
     state = OptimizerState.fresh(ast, params, config)
     # states at different executed lengths are incomparable (the loss sums
@@ -672,9 +646,6 @@ def optimize(
             rebinds += ahead.rebinds * j
             if newest is not None:
                 best = (ahead.tree(newest), ahead.params(state, newest), None, None)
-            if known is not None and ahead.accepted < k and stagnant + 1 >= TOL_WINDOW:
-                # the known block ending the pass is the stop, made before its vote
-                iterations, stagnant = iterations + 1, stagnant + 1
             if stagnant >= TOL_WINDOW:
                 return finish("stagnant")
             state, ast = ahead.state(state, ahead.accepted), ahead.tree(ahead.accepted)
@@ -686,7 +657,7 @@ def optimize(
                 # the next pass starts where this one stopped in the cycle
                 cycle = cycle[k % p :] + cycle[: k % p]
             else:
-                blocks = FIRST_BLOCKS if known is None else blocks
+                blocks = FIRST_BLOCKS
                 cycle = None
             continue
         result = execute(ast, state.params, trace, registry, spec)

@@ -18,6 +18,7 @@ from tracesynth import (
     induce,
     matches_trace,
     memory_at,
+    optimize,
     parse_program,
     simulate_paddle,
     standard_registry,
@@ -292,6 +293,21 @@ class TestExecute:
             nearest = trace.index.query_steps(1, np.array([[0.5]]))
             assert [trace.index.names[1][i] for i in nearest] == ["v"]
             induce(trace, scalar_registry, config=RunConfig(max_iterations=3))
+        # the discrete gradient is +-1 however far off the prediction: the
+        # inner parameter's gradient 1e10 * x overflows in the backward pass,
+        # and 1e10 * x in the forward pass, then in AdaGrad's g * g
+        trace = make_trace({"x": [1.5e308, 1.5e308], "v": [0.0, 0.0]}, [0.0, 0.0])
+        spec = RunConfig(error_model="discrete").error_spec()
+        nested, params = _program(
+            "(accel (scale 1e10 (scale 1e-310 x)))", scalar_registry, scalar_schema
+        )
+        outer, outer_params = _program("(accel (scale 1e10 x))", scalar_registry, scalar_schema)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = execute(nested, params, trace, scalar_registry, spec)
+            assert np.isfinite(res.loss)
+            np.testing.assert_array_equal(backward(res, spec).params[1], [np.inf])
+            assert optimize(outer, outer_params, trace, scalar_registry, spec).stop == "stagnant"
 
 
 TOO_LARGE = "max_step_error must be finite with magnitude below 2"

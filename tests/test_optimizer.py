@@ -878,76 +878,6 @@ def _check_votes(index, ast, slot, g, old, lr, reset):
         assert not rebound
 
 
-# a rival's distance from the first variable, in learning rates: equal, either
-# side of the 2**-39 that ``_stationary_keeps`` asks for, or near the 2 that a
-# read can move
-_TWO_WAY_DISTANCES = [
-    0.0, 2.0**-41, 2.0**-39 * (1 - 2.0**-20), 2.0**-39 * (1 + 2.0**-20), 2.0**-38,
-    1e-6, 0.5, 1.0, 1.9, 2.0, 2.1, 4.0,
-]
-
-
-@st.composite
-def _stationary_cases(draw):
-    """Two scalar variables over n steps at magnitudes from 1e-300 to 1e300,
-    the one a leaf is bound to, a stationary pair's read gradients (n, 1),
-    the accumulator before its iteration or None, the blocks of a pass and
-    a learning rate in [1e-3, 10]."""
-    n, blocks = draw(st.integers(1, 4)), draw(st.integers(1, 12))
-    lr = 10.0 ** draw(st.floats(-3, 1))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    first = rng.uniform(-1, 1, n) * 10.0 ** draw(st.sampled_from([-300, -100, 0, 3, 100, 300]))
-    apart = lr * rng.choice([-1.0, 1.0], n) * rng.choice(_TWO_WAY_DISTANCES, n)
-    trace = make_trace({"a": first.tolist(), "b": (first + apart).tolist()}, [0.0] * n)
-    g = rng.normal(size=(n, 1)) * 10.0 ** rng.integers(-6, 6, size=(n, 1))
-    if draw(st.booleans()):
-        special = rng.random(g.shape) < 0.3
-        g[special] = rng.choice(_SPECIAL_ROWS, size=int(special.sum()))
-    old = None
-    if draw(st.booleans()):
-        entries = _OLD_ACC[: draw(st.sampled_from([3, len(_OLD_ACC)]))]
-        old = rng.choice(entries, size=(int(rng.integers(1, 6)), 1))
-    return trace, draw(st.sampled_from("ab")), g, old, lr, blocks
-
-
-@settings(max_examples=400, deadline=None)
-@given(case=_stationary_cases())
-def test_a_stationary_pass_keeps_a_two_way_binding(case):
-    """Wherever ``_stationary_keeps`` holds and the stationary iteration's
-    vote kept the binding, the vote that queries every nudged read keeps
-    it on every block of the pass; a gradient row that is not finite
-    fails the rule."""
-    trace, bound, g, old, lr, blocks = case
-    registry = standard_registry(trace.schema.variables, {"accel": 1})
-    ast = parse_program(f"(accel {bound})", registry, trace.schema)
-    (_, leaf, _, column), = optimizer.rebindable_leaves(ast, trace.index)[1]
-    # NaN and infinite rows make NumPy warn
-    with np.errstate(all="ignore"):
-        # row 0: the stationary iteration's accumulator; row k: block k's
-        acc = optimizer._fold_slot(old, np.repeat((g * g)[None], blocks + 1, axis=0), False)
-        keeps = optimizer._stationary_keeps(trace.index, column, acc[1:], lr)
-        votes = [unpruned_vote(trace.index, leaf, column, g, a, lr) for a in acc]
-    if not np.isfinite(g).all():
-        assert not keeps
-    if keeps and votes[0] == column:
-        assert votes[1:] == [column] * blocks
-
-
-def test_a_rounding_tie_can_hand_a_read_to_the_rival():
-    # a lies 2**-54 above b, half the spacing of floats in [0.5, 1): the
-    # stationary read at -0.816 is strictly nearer b, but the next block's
-    # smaller nudge reads -0.632, whose distance to a rounds to its distance
-    # to b, and the tie goes to a; the gap rules such passes out
-    trace = make_trace({"a": [2.0**-54], "b": [0.0]}, [0.0])
-    registry = standard_registry(trace.schema.variables, {"accel": 1})
-    ast = parse_program("(accel b)", registry, trace.schema)
-    (_, leaf, _, column), = optimizer.rebindable_leaves(ast, trace.index)[1]
-    g = np.array([[2.0]])
-    acc = optimizer._fold_slot(np.array([[2.0]]), np.repeat((g * g)[None], 2, axis=0), False)
-    assert [unpruned_vote(trace.index, leaf, column, g, a, 1.0) for a in acc] == [1, 0]
-    assert not optimizer._stationary_keeps(trace.index, column, acc[1:], 1.0)
-
-
 @pytest.fixture
 def tails(passes):
     """Every pass over a stationary pair of one ``optimize`` call as
@@ -964,6 +894,20 @@ def _ended_in_a_tail(tails) -> None:
     assert len(runs) == recorded[-1][0]
 
 
+def test_a_rounding_tie_can_hand_a_read_to_the_rival(tails):
+    # a lies 2**-54 above b, half the spacing of floats in [0.5, 1): the
+    # k-th iteration nudges the read of b to -0.9 / sqrt(k), strictly nearer
+    # b for k = 1 and 2, but at k = 3 its distance to a rounds to its
+    # distance to b, and the tie goes to a; so the pass over the stationary
+    # first iteration accepts one block and the plain loop runs the third
+    trace = make_trace({"a": [2.0**-54, 0.0], "b": [0.0, 0.0]}, [-5.0, 0.0])
+    registry = standard_registry(trace.schema.variables, {"accel": 1})
+    _both("(accel b)", registry, trace.schema, trace, OptimizeConfig(learning_rate=0.9))
+    recorded, runs = tails
+    assert recorded[0] == (1, optimizer.TOL_WINDOW, 1)
+    assert [tree.root.children[0].name for tree in runs[:3]] == ["b", "b", "a"]
+
+
 class TestStationaryTail:
     """A plain iteration that stops early, re-binds nothing and leaves every
     parameter's bytes as they were is repeated by every later one, up to
@@ -975,7 +919,7 @@ class TestStationaryTail:
         "trace, spec, plain",
         [
             # x re-binds to v on the first iteration; v has one rival, x,
-            # 0.1 away, so no vote of the pass is taken
+            # 0.1 away, so no vote of the pass is settled, and each keeps v
             (_pendulum_trace(), ErrorSpec(), 2),
             # every vote is settled
             (_damped_trace(), ErrorSpec(max_step_error=0.01), 1),
@@ -1023,10 +967,9 @@ class TestStationaryTail:
         )
 
     def test_a_tail_vote_rebinds(self, tails):
-        # each read's nudge shrinks towards its own variable as the pass's
-        # accumulators grow, so with two scalar variables (pendulum's x and
-        # v) the rival cannot gain votes; a third variable lets a later vote
-        # re-bind
+        # a pass's nudges shrink as its accumulators grow, and with a third
+        # variable a smaller nudge can win a vote that was a tie on the
+        # stationary iteration
         out = self._three_variables()
         recorded, runs = tails
         # the first block of the first pass re-binds c to a, so the pass
@@ -1040,7 +983,11 @@ class TestStationaryTail:
     def test_stagnant_when_the_tail_starts(self, tails):
         # after a pass's block re-binds, the plain loop goes on with the
         # stagnant count it had: the passes start at 0, 3, 6 and 9 stagnant
-        # iterations, so each is sized to fewer blocks before the stop
-        self._three_variables()
-        assert [blocks for _, blocks, _ in tails[0]] == [10, 7, 4, 1]
-        _ended_in_a_tail(tails)
+        # iterations, so each is sized to fewer blocks before the stop; the
+        # last one's only block would re-bind, so the plain loop runs it, one
+        # more ``execute``, and stops before its vote
+        out = self._three_variables()
+        recorded, runs = tails
+        assert [blocks for _, blocks, _ in recorded] == [10, 7, 4, 1]
+        assert len(runs) == recorded[-1][0] + 1
+        assert out.stop == "stagnant"
