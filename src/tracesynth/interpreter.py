@@ -62,8 +62,9 @@ def euclidean_error(theta_hat: np.ndarray, theta: np.ndarray) -> np.ndarray:
 @np.errstate(over="ignore", invalid="ignore")
 def euclidean_error_grad(theta_hat: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """d(error)/d(theta_hat), rows (theta_hat-theta)/||.||; the zero
-    subgradient is used where the norm vanishes, and a row whose difference
-    is too large for a float is NaN, without a warning."""
+    subgradient is used where the norm vanishes.  Where ``distances`` is inf
+    the row is 0, and NaN only where the difference itself is inf, without
+    a warning."""
     diff = theta_hat - theta
     norm = distances(theta_hat, theta, keepdims=True)
     return np.divide(diff, norm, out=np.zeros(diff.shape), where=norm > 0.0)
@@ -84,8 +85,9 @@ class ErrorSpec:
 
     The loss of an execution is the sum of its step errors (``prefix_sums``).
     Contract: ``act_error`` is never negative, so a loss is never negative
-    and a program's complexity is a lower bound on its search score; the
-    search relies on this and raises ``ValueError`` on a negative loss.  A
+    and a program's complexity is a lower bound on its search score.  The
+    search runs only ``RunConfig``'s two models, which keep this; a custom
+    ``ErrorSpec`` reaches only ``execute``, ``backward`` and ``optimize``.  A
     NaN step error ends execution at that step and makes the loss ``+inf``.
     """
 

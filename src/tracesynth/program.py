@@ -361,19 +361,16 @@ def _render(ast: ProgramAst, param_text: Callable[[ParamLeaf], str]) -> str:
 # textual format
 
 
-def _format_value(value: np.ndarray, precision: int) -> str:
-    vals = [f"{float(v):#.{precision}g}" for v in np.atleast_1d(value)]
+def _format_value(value: np.ndarray) -> str:
+    vals = [f"{float(v):#.6g}" for v in np.atleast_1d(value)]
     if len(vals) == 1:
         return vals[0]
     return "[" + " ".join(vals) + "]"
 
 
-def print_program(
-    ast: ProgramAst,
-    params: Mapping[int, np.ndarray] | None = None,
-    precision: int = 6,
-) -> str:
-    """Canonical text of a program with parameter values as decimal literals.
+def print_program(ast: ProgramAst, params: Mapping[int, np.ndarray] | None = None) -> str:
+    """Canonical text of a program with parameter values as decimal literals
+    of 6 significant digits.
 
     With ``params=None`` the leaves' initial values are printed; otherwise
     ``params`` must hold a value for every parameter leaf.
@@ -386,7 +383,7 @@ def print_program(
     def param_text(leaf: ParamLeaf) -> str:
         if leaf.pid not in values:
             raise ProgramError(f"missing value for parameter p{leaf.pid}")
-        return _format_value(values[leaf.pid], precision)
+        return _format_value(values[leaf.pid])
 
     return _render(ast, param_text)
 

@@ -39,7 +39,7 @@ import numpy as np
 
 from .config import RunConfig
 from .draws import Stream
-from .interpreter import ErrorSpec, matches_trace
+from .interpreter import matches_trace
 from .optimizer import OptimizedCandidate, optimize
 from .program import (
     EMPTY_PROGRAM,
@@ -196,7 +196,7 @@ class _Site(NamedTuple):
     run_seed: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Proto:
     """An unoptimised proposal: an application of ``fn`` in place of its
     site's leaf, whose arguments are parameters or variables as
@@ -327,12 +327,10 @@ def expand(
 
 
 def induce(
-    trace: ObservationTrace,
-    registry: Registry,
-    spec: ErrorSpec | None = None,
-    config: RunConfig = RunConfig(),
+    trace: ObservationTrace, registry: Registry, config: RunConfig = RunConfig()
 ) -> SolutionSet:
-    """Search for a program whose execution matches the trace.
+    """Search for a program whose execution matches the trace under
+    ``config``'s error model (``RunConfig.error_spec``).
 
     Queues the expansions of the empty program, then repeatedly pops the
     first queue entry.  A group is drawn, and those of its proposals whose
@@ -352,8 +350,7 @@ def induce(
     if not registry.actions():
         raise ValueError("registry must contain at least one action")
     t0 = perf_counter()
-    if spec is None:
-        spec = config.error_spec()
+    spec = config.error_spec()
     opt_config = config.optimize_config()
     queue = CandidateQueue()
     # structure key -> ((score, complexity, n), best candidate); ``n`` keeps
@@ -368,8 +365,6 @@ def induce(
         opt = optimize(proto.ast, proto.params, trace, registry, spec, opt_config)
         opt_iters += opt.iterations
         loss = opt.result.loss
-        if not loss >= 0.0:
-            raise ValueError(f"error model gave the loss {loss!r}; losses must be >= 0")
         cost = complexity(opt.ast, config.weights)
         if cost != deferred.complexity:
             raise RuntimeError(f"re-binding changed the complexity of {proto.key}")

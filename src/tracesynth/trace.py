@@ -51,16 +51,18 @@ class TraceStep(NamedTuple):
     theta: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ObservationTrace:
     """A validated trace and the read-only arrays built with it: each
-    variable's column, each action's targets and the nearest-variable index."""
+    variable's column, each action's targets and the nearest-variable index.
+    Traces compare and hash by identity: field-wise equality would compare
+    arrays, and the schema's dicts do not hash."""
 
     schema: TraceSchema
     steps: tuple[TraceStep, ...]
-    _columns: dict[str, np.ndarray] = field(init=False, repr=False, compare=False)
-    _targets: dict[str, tuple] = field(init=False, repr=False, compare=False)
-    index: VariableIndex = field(init=False, repr=False, compare=False)
+    _columns: dict[str, np.ndarray] = field(init=False, repr=False)
+    _targets: dict[str, tuple] = field(init=False, repr=False)
+    index: VariableIndex = field(init=False, repr=False)
 
     @property
     def length(self) -> int:
@@ -140,13 +142,12 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class MemoryState:
+class MemoryState(NamedTuple):
     """Variable and parameter bindings visible to a program at one timestep."""
 
     t: int
     variables: dict[str, np.ndarray]
-    params: dict[int, np.ndarray] = field(default_factory=dict)
+    params: dict[int, np.ndarray]
 
 
 def memory_at(
@@ -163,7 +164,8 @@ def memory_at(
 def distances(a: np.ndarray, b: np.ndarray, keepdims: bool = False) -> np.ndarray:
     """Euclidean distances between ``a`` and ``b`` along the last axis, the
     arithmetic of ``np.linalg.norm(a - b, axis=-1)`` without its dispatch
-    overhead; a distance too large for a float is inf, without a warning."""
+    overhead.  A distance from sqrt(float max), about 1.34e154, up is inf,
+    without a warning, because its square overflows."""
     diff = a - b
     return np.sqrt(np.add.reduce(diff * diff, axis=-1, keepdims=keepdims))
 

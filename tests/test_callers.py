@@ -15,6 +15,13 @@ Every name a module-level import in ``tracesynth`` binds is read by its
 module.  The relative imports of ``__init__.py``, which are the package's
 re-exports, and ``from __future__`` imports are exempt.
 
+Every parameter with a default of a function defined with ``def`` in
+``tracesynth`` is passed by some call in the package or in ``perfbench/``,
+apart from those in ``UNSET_PARAMETERS``: an option that only tests set
+goes.  A call passes a parameter by keyword, at its position (a method's
+calls pass no ``self`` or ``cls``), or through ``*`` or ``**``; calls are
+matched by name.
+
 Every ``@dataclass`` in ``tracesynth`` uses a feature that a
 ``typing.NamedTuple`` lacks: a ``__post_init__``, a ``field(...)`` default
 or a ``cached_property``, or it is a program-tree type in
@@ -44,6 +51,10 @@ DEFINITION = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 # (module.function, parameter) -> why the body need not read it
 UNREAD_PARAMETERS = {
     ("optimizer.fresh", "ast"): "perfbench/layers.py's probe passes it positionally",
+}
+# (module.function, parameter) -> why no caller passes it
+UNSET_PARAMETERS = {
+    ("cli.run_cli", "argv"): "tests drive the command line through it; main reads sys.argv",
 }
 # the op kinds, the forward loop, the lowering, the row errors, the
 # error-model seed and the reverse loop of the tape
@@ -159,6 +170,91 @@ def test_every_parameter_is_read():
         for found in _unread_parameters(path, ast.parse(path.read_text(encoding="utf-8")))
     ]
     assert sorted(unread) == sorted(UNREAD_PARAMETERS)
+
+
+def _calls(trees: list[ast.Module]) -> dict[str, list[ast.Call]]:
+    """Every call in the trees, by the name it calls: the called name or
+    attribute."""
+    out: dict[str, list[ast.Call]] = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+                name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+                out.setdefault(name, []).append(node)
+    return out
+
+
+def _passes(call: ast.Call, positional: list[str], name: str) -> bool:
+    """Whether ``call`` passes parameter ``name`` of a function whose
+    positional parameters, as its calls count them, are ``positional``."""
+    if any(k.arg in (name, None) for k in call.keywords):  # None is **
+        return True
+    if name not in positional:
+        return False
+    starred = any(isinstance(a, ast.Starred) for a in call.args)
+    return starred or positional.index(name) < len(call.args)
+
+
+def _unset_parameters(
+    path: Path, tree: ast.Module, calls: dict[str, list[ast.Call]]
+) -> list[tuple[str, str]]:
+    """``(module.function, parameter)`` of every parameter with a default of
+    a ``def`` in the tree that no call in ``calls`` passes; calls of a
+    class count as calls of its ``__init__``."""
+    methods = {
+        id(item): node.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not any(_named(d, "staticmethod") for d in item.decorator_list)
+    }
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = node.args
+        positional = [a.arg for a in (*args.posonlyargs, *args.args)]
+        defaulted = positional[len(positional) - len(args.defaults) :]
+        defaulted += [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+        if id(node) in methods:
+            positional = positional[1:]
+        called = methods[id(node)] if node.name == "__init__" else node.name
+        out += [
+            (f"{path.stem}.{node.name}", p)
+            for p in defaulted
+            if not any(_passes(call, positional, p) for call in calls.get(called, ()))
+        ]
+    return out
+
+
+def test_every_optional_parameter_is_set_by_a_caller():
+    stray = ast.parse(
+        "def f(a, b=1, c=2, *, d=3, e=4): pass\n"
+        "def g(a=1, b=2): pass\n"
+        "def h(a, b=1): pass\n"
+        "class K:\n"
+        "    def __init__(self, x=0): pass\n"
+        "    def m(self, x=0, y=0): pass\n"
+        "    @staticmethod\n"
+        "    def s(x=0): pass\n"
+        "f(0, 1, d=2)\ng(**kw)\nh(*xs)\nK(x=1)\nk.m(0)\nK.s()\n"
+    )
+    assert _unset_parameters(PACKAGE / "m.py", stray, _calls([stray])) == [
+        ("m.f", "c"),
+        ("m.f", "e"),
+        ("m.m", "y"),
+        ("m.s", "x"),
+    ]
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+    calls = _calls(list(trees.values()))
+    unset = [
+        found
+        for path, tree in trees.items()
+        if path.parent == PACKAGE
+        for found in _unset_parameters(path, tree, calls)
+    ]
+    assert sorted(unset) == sorted(UNSET_PARAMETERS)
 
 
 def _unused_imports(path: Path, tree: ast.Module) -> list[str]:

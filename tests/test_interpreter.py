@@ -364,14 +364,20 @@ class TestErrorSpecs:
         np.testing.assert_array_equal(spec.act_error_grad(theta_hat, theta), want)
 
     def test_euclidean_error_overflows_without_a_warning(self):
-        # the square overflows in the first row, the difference itself in the
-        # second, whose gradient is inf / inf
-        theta_hat, theta = np.array([[1e200], [1.5e308]]), np.array([[0.0], [-1.5e308]])
+        # the square overflows from sqrt(float max), about 1.34e154, up, where
+        # the gradient is 0; in the last row the difference itself overflows,
+        # and the gradient is inf / inf
+        theta_hat = np.array([[1e154], [1.4e154], [5e199], [1e308]])
+        theta = np.array([[0.0], [0.0], [0.0], [-1e308]])
         spec = ErrorSpec()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            np.testing.assert_array_equal(spec.act_error(theta_hat, theta), [np.inf, np.inf])
-            np.testing.assert_array_equal(spec.act_error_grad(theta_hat, theta), [[0.0], [np.nan]])
+            np.testing.assert_array_equal(
+                spec.act_error(theta_hat, theta), [1e154, np.inf, np.inf, np.inf]
+            )
+            np.testing.assert_array_equal(
+                spec.act_error_grad(theta_hat, theta), [[1.0], [0.0], [0.0], [np.nan]]
+            )
 
     def test_discretize(self):
         theta = np.array([[0.3], [-0.2], [0.04]])

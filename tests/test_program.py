@@ -203,18 +203,18 @@ class TestProperties:
         registry = standard_registry({"x": 1, "v": 1}, {"accel": 1})
         rng = np.random.default_rng(seed)
         ast = _random_ast(rng, 2)
-        text = print_program(ast, precision=9)
+        text = print_program(ast)
         again = parse_program(text, registry, {"x": 1, "v": 1})
         assert canonical_key(again) == canonical_key(ast)
         got = initial_params(again)
         want = initial_params(ast)
         assert len(got) == len(want)
         if want:
-            # parse renumbers pids in reading order, which is preorder here
-            np.testing.assert_allclose(
+            # parse renumbers pids in reading order, which is preorder here;
+            # each value reads back as its 6-digit literal, exactly
+            np.testing.assert_array_equal(
                 np.concatenate([got[k] for k in sorted(got)]),
-                np.concatenate([want[k] for k in sorted(want)]),
-                rtol=1e-7,
+                [float(f"{v:#.6g}") for k in sorted(want) for v in want[k]],
             )
 
     @given(st.integers(0, 10_000))

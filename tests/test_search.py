@@ -592,9 +592,3 @@ class TestNonFiniteErrors:
         scores = [c.score for c, _ in popped]
         assert not any(np.isnan(scores))
         assert scores == sorted(scores)
-
-    def test_negative_loss_rejected(self, scalar_registry):
-        trace = make_trace({"x": [1.0], "v": [0.0]}, [1.0])
-        spec = ErrorSpec(act_error=lambda a, b: -np.ones(len(a)), max_step_error=1.0)
-        with pytest.raises(ValueError, match="losses must be >= 0"):
-            induce(trace, scalar_registry, spec=spec)

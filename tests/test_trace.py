@@ -257,6 +257,12 @@ class TestDerivedArrays:
         assert trace.index.names == {1: ["x"], 2: ["p"]}
         assert trace.index.values[2].tobytes() == trace.var_matrix("p")[:, None].tobytes()
 
+    def test_traces_hash_and_compare_by_identity(self):
+        _, trace = mixed_dimension_case()
+        copy = ObservationTrace(trace.schema, trace.steps)
+        assert len({trace, copy, trace}) == 2
+        assert trace == trace and trace != copy
+
     @pytest.mark.parametrize("field", ["variable x", "action theta"])
     def test_list_instead_of_array_refused(self, field):
         trace = make_trace({"x": [1.0, 2.0]}, [1.0, 2.0])
