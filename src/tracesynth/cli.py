@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Iterable
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -31,6 +32,8 @@ USAGE_ERROR = 1
 INPUT_ERROR = 2
 NO_SOLUTION = 3
 
+# the annotation of a config field -> the type of its flag's value
+FLAG_TYPES = {"float": float, "int": int}
 # system name -> (base config, simulator); each field of a base config is a
 # ``simulate`` flag, typed by its annotation
 SYSTEMS = {
@@ -56,6 +59,29 @@ SYSTEM_FIELD_HELP = {
     "c_ball": "ball coefficient of the law u = c_ball*ball_y - c_agent*agent_y",
     "seed": "seed of the random start positions and opponent phase",
 }
+# each field of ``RunConfig`` is an ``induce`` flag, typed by its annotation
+CONFIG_FIELDS = {f.name: f.type for f in fields(RunConfig)}
+CONFIG_FIELD_HELP = {
+    "max_step_error": "largest error a matched step may have; under the discrete model it only"
+    " sizes the penalty of a misclassified step",
+    "learning_rate": "AdaGrad learning rate",
+    "max_opt_iters": "optimiser iterations allowed per candidate structure",
+    "max_iterations": "search iterations before giving up without a match",
+    "weights": "complexity cost per unit of tree depth, parameter leaf and variable leaf",
+    "top_k": "how many best candidates the report lists",
+    "seed": "seed of the search's random draws",
+    "error_model": "euclidean: distance to the observed action; discrete: a match needs every"
+    " step classified right into {-1, 0, +1}, whatever --max-step-error",
+    "deadband": "discrete model: a prediction within this of 0 is class 0",
+}
+# the flags that take other than one value of their field's type
+CONFIG_FIELD_SHAPE = {
+    "error_model": {"choices": ["euclidean", "discrete"]},
+    "weights": {"type": float, "nargs": 3, "metavar": ("DEPTH", "PARAMS", "VARS")},
+}
+# the fields that decide whether a program matches a trace: ``eval`` takes
+# these, so that ``induce`` and ``eval`` judge a program by the same rule
+MATCH_FIELDS = ("max_step_error", "error_model", "deadband")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -66,24 +92,22 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("system", choices=list(SYSTEMS), help="system to simulate")
     sim.add_argument("--out", required=True, help="trace file to write")
     for name, annotation in SYSTEM_FIELDS.items():
-        flag_type = {"float": float, "int": int}[annotation]
         systems = ", ".join(s for s, (base, _) in SYSTEMS.items() if hasattr(base, name))
         sim.add_argument(
             "--" + name.replace("_", "-"),
-            type=flag_type,
+            type=FLAG_TYPES[annotation],
             help=f"{SYSTEM_FIELD_HELP[name]} ({systems})",
         )
 
     ind = sub.add_parser("induce", help="induce a program reproducing a trace")
     ind.add_argument("--trace", required=True, help="trace file to induce a program from")
     ind.add_argument("--out", default=None, help="write the report here, not to stdout")
-    _add_error_model_flags(ind)
-    _add_search_flags(ind)
+    _add_config_flags(ind, CONFIG_FIELDS)
 
     ev = sub.add_parser("eval", help="evaluate a program file against a trace")
     ev.add_argument("--program", required=True, help="file holding one program's text")
     ev.add_argument("--trace", required=True, help="trace file to evaluate it on")
-    _add_error_model_flags(ev)
+    _add_config_flags(ev, MATCH_FIELDS)
 
     enum = sub.add_parser("enumerate", help="count program structures up to a depth")
     enum.add_argument("--depth", type=int, required=True, help="largest tree depth to count")
@@ -93,60 +117,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_error_model_flags(cmd: argparse.ArgumentParser) -> None:
-    """Flags that decide whether a program matches a trace; ``induce`` and
-    ``eval`` share them so both judge a program by the same rule."""
+def _add_config_flags(cmd: argparse.ArgumentParser, names: Iterable[str]) -> None:
+    """``--config`` and one flag per ``RunConfig`` field in ``names``, typed
+    by its annotation unless ``CONFIG_FIELD_SHAPE`` shapes it."""
     cmd.add_argument("--config", default=None, help="JSON file of run-config fields")
-    cmd.add_argument(
-        "--max-step-error",
-        type=float,
-        dest="max_step_error",
-        help="largest error a matched step may have; under the discrete model it only"
-        " sizes the penalty of a misclassified step",
-    )
-    cmd.add_argument(
-        "--error-model",
-        choices=["euclidean", "discrete"],
-        dest="error_model",
-        help="euclidean: distance to the observed action; discrete: a match needs every"
-        " step classified right into {-1, 0, +1}, whatever --max-step-error",
-    )
-    cmd.add_argument(
-        "--deadband",
-        type=float,
-        dest="deadband",
-        help="discrete model: a prediction within this of 0 is class 0",
-    )
-
-
-def _add_search_flags(cmd: argparse.ArgumentParser) -> None:
-    cmd.add_argument("--seed", type=int, help="seed of the search's random draws")
-    cmd.add_argument(
-        "--learning-rate", type=float, dest="learning_rate", help="AdaGrad learning rate"
-    )
-    cmd.add_argument(
-        "--max-opt-iters",
-        type=int,
-        dest="max_opt_iters",
-        help="optimiser iterations allowed per candidate structure",
-    )
-    cmd.add_argument(
-        "--max-iterations",
-        type=int,
-        dest="max_iterations",
-        help="search iterations before giving up without a match",
-    )
-    cmd.add_argument(
-        "--top-k", type=int, dest="top_k", help="how many best candidates the report lists"
-    )
-    cmd.add_argument(
-        "--weights",
-        type=float,
-        nargs=3,
-        metavar=("DEPTH", "PARAMS", "VARS"),
-        dest="weights",
-        help="complexity cost per unit of tree depth, parameter leaf and variable leaf",
-    )
+    for name in names:
+        shape = CONFIG_FIELD_SHAPE.get(name) or {"type": FLAG_TYPES[CONFIG_FIELDS[name]]}
+        cmd.add_argument("--" + name.replace("_", "-"), help=CONFIG_FIELD_HELP[name], **shape)
 
 
 def _load_config(args: argparse.Namespace) -> RunConfig:

@@ -63,11 +63,18 @@ def euclidean_error(theta_hat: np.ndarray, theta: np.ndarray) -> np.ndarray:
 def euclidean_error_grad(theta_hat: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """d(error)/d(theta_hat), rows (theta_hat-theta)/||.||; the zero
     subgradient is used where the norm vanishes.  Where ``distances`` is inf
-    the row is 0, and NaN only where the difference itself is inf, without
-    a warning."""
+    but the difference is finite, the difference is scaled by its largest
+    magnitude before it is normalised, so the row is still a unit vector;
+    it is NaN only where the difference itself is inf, without a warning."""
     diff = theta_hat - theta
     norm = distances(theta_hat, theta, keepdims=True)
-    return np.divide(diff, norm, out=np.zeros(diff.shape), where=norm > 0.0)
+    grad = np.divide(diff, norm, out=np.zeros(diff.shape), where=norm > 0.0)
+    if np.isinf(norm).any():
+        # the square of a distance from about 1.34e154 up overflows
+        scaled = diff / np.abs(diff).max(axis=-1, keepdims=True)
+        far = np.isinf(norm) & np.isfinite(diff).all(axis=-1, keepdims=True)
+        grad = np.where(far, scaled / distances(scaled, 0.0, keepdims=True), grad)
+    return grad
 
 
 @dataclass(frozen=True)
@@ -75,20 +82,24 @@ class ErrorSpec:
     """User-specified equivalence between executed and observed actions.
 
     ``act_error``/``act_error_grad`` operate on (n, D) arrays of predicted
-    and observed action parameters.  ``max_step_error`` is the per-step
-    threshold above which execution terminates.  A step whose observed
-    action has another name than the program's root action has the error
-    ``max_step_error + 1`` alone, with zero gradient: ``act_error`` is not
-    applied to it, and execution terminates there.  So ``max_step_error +
-    1`` must exceed ``max_step_error``: NaN, ±inf and magnitudes from 2**53
-    up raise ``ValueError``.
+    and observed action parameters, row by row, and each returns a new
+    array, which the interpreter may overwrite.  ``max_step_error`` is the
+    per-step threshold above which execution terminates.  A step whose
+    observed action has another name than the program's root action has a
+    NaN target row (``ObservationTrace.action_targets``): both functions see
+    it, and ``evaluate_rows`` and ``row_gradients`` replace what they give
+    there by the error ``max_step_error + 1`` and a zero gradient, so
+    execution terminates at that step.  So ``max_step_error + 1`` must
+    exceed ``max_step_error``: NaN, ±inf and magnitudes from 2**53 up raise
+    ``ValueError``.
 
     The loss of an execution is the sum of its step errors (``prefix_sums``).
     Contract: ``act_error`` is never negative, so a loss is never negative
     and a program's complexity is a lower bound on its search score.  The
     search runs only ``RunConfig``'s two models, which keep this; a custom
     ``ErrorSpec`` reaches only ``execute``, ``backward`` and ``optimize``.  A
-    NaN step error ends execution at that step and makes the loss ``+inf``.
+    NaN step error is ``+inf``: it ends execution at that step and makes the
+    loss ``+inf``.
     """
 
     act_error: Callable[[np.ndarray, np.ndarray], np.ndarray] = euclidean_error
@@ -215,12 +226,13 @@ class ExecutionResult(NamedTuple):
     ``activations`` holds the value of every tape op, in tape order, over
     every step of the trace: ``execute`` evaluates all steps before it
     finds where execution stops, so only the first ``executed_len`` rows
-    belong to the execution.  ``backward`` reads those rows.
+    belong to the execution.  ``backward`` reads those rows.  A step of
+    another action than the root's has a NaN row in ``theta_obs``, and can
+    only be the last executed step.
     """
 
     theta_obs: np.ndarray  # (T', D) observed targets over the executed prefix
-    name_mask: np.ndarray  # (T',) executed steps whose observed action is the root's
-    step_errors: np.ndarray  # (T',) per-step action errors
+    step_errors: np.ndarray  # (T',) per-step errors, never NaN
     loss: float
     observed_len: int
     executed_len: int
@@ -273,22 +285,22 @@ def evaluate_rows(
     registry: Registry,
     spec: ErrorSpec,
     steps: np.ndarray | None = None,
-) -> tuple[Tape, list[np.ndarray], np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[Tape, list[np.ndarray], np.ndarray, np.ndarray]:
     """The program's tape over rows of trace steps: one loop over the tape,
     then each row's error against the targets of
-    ``ObservationTrace.action_targets``, the error model's where the
-    observed action has the root's name and ``max_step_error + 1`` alone
-    where it has another.
+    ``ObservationTrace.action_targets``.  This is the one place that
+    decides a step's error: the error model's on every row, then
+    ``max_step_error + 1`` on a row whose target is NaN (its observed action
+    has another name than the root's), then ``+inf`` where the error is NaN.
 
     Returns the tape, every op's (rows, dim) values in tape order, the
-    (rows,) errors, and the row targets: the observed action parameters
-    (rows, D) and the mask of rows whose observed action is the root's.
-    ``steps`` holds the 0-based trace step of each row; None is every step
-    in trace order, whose variable values are the trace's own read-only
-    arrays.  ``params[pid]`` is broadcast to (rows, dim): one vector for
-    every row, or one vector per row.  Registry functions treat rows
-    independently, so the rows may be the timesteps of one execution or K
-    blocks of the same timesteps under K parameter settings.  Overflow
+    (rows,) errors and the (rows, D) row targets.  ``steps`` holds the
+    0-based trace step of each row; None is every step in trace order,
+    whose variable values are the trace's own read-only arrays.
+    ``params[pid]`` is broadcast to (rows, dim): one vector for every row,
+    or one vector per row.  Registry functions and both error models treat
+    rows independently, so the rows may be the timesteps of one execution
+    or K blocks of the same timesteps under K parameter settings.  Overflow
     gives inf or NaN without a warning, and ends ``execute`` at that step.
     """
     tape = compile_tape(ast, registry)
@@ -307,15 +319,14 @@ def evaluate_rows(
         else:
             values.append(impl(*[values[i] for i in args]))
     out, root = values[-1], tape[-1]
-    theta_obs, name_match, all_match = trace.action_targets(root.key, root.dim)
+    theta_obs = trace.action_targets(root.key, root.dim)
     if steps is not None:
-        theta_obs, name_match = theta_obs.take(steps, axis=0), name_match.take(steps, axis=0)
-    if all_match:
-        errors = spec.act_error(out, theta_obs)
-    else:
-        errors = np.full(rows, spec.max_step_error + 1.0)
-        errors[name_match] = spec.act_error(out[name_match], theta_obs[name_match])
-    return tape, values, errors, theta_obs, name_match
+        theta_obs = theta_obs.take(steps, axis=0)
+    errors = spec.act_error(out, theta_obs)
+    errors[np.isnan(theta_obs[:, 0])] = spec.max_step_error + 1.0
+    # fmin takes the number where the other operand is NaN
+    np.fmin(errors, np.inf, out=errors)
+    return tape, values, errors, theta_obs
 
 
 def prefix_sums(rows: np.ndarray, n: int) -> np.ndarray:
@@ -334,27 +345,23 @@ def execute(
 ) -> ExecutionResult:
     """Run the program once per timestep in trace order.
 
-    After each step t the per-step error is computed from the predicted and
-    observed action; execution stops after the first step whose error is not
-    within ``spec.max_step_error``: it exceeds the threshold or is NaN (that
-    step's error is included in the loss).  The loss is the sum of per-step
-    errors over the executed prefix, and ``+inf`` where that sum is NaN.
+    After each step t the per-step error of ``evaluate_rows`` is computed
+    from the predicted and observed action; execution stops after the first
+    step whose error exceeds ``spec.max_step_error`` (that step's error is
+    included in the loss).  The loss is the sum of per-step errors over the
+    executed prefix; errors are never NaN, so neither is the loss.
     """
-    tape, values, errors, theta_obs, name_match = evaluate_rows(ast, params, trace, registry, spec)
+    tape, values, errors, theta_obs = evaluate_rows(ast, params, trace, registry, spec)
     T = trace.length
 
-    # NaN compares false with everything, so it must fail the test, not pass it
-    over = (~(errors <= spec.max_step_error)).nonzero()[0]
+    over = (errors > spec.max_step_error).nonzero()[0]
     executed = int(over[0]) + 1 if over.size else T
     # a threshold cut at the final step still counts as termination
     terminated = over.size > 0
 
     loss = float(prefix_sums(errors[:, None], executed)[0])
-    if math.isnan(loss):
-        loss = math.inf  # NaN would break the order of the search queue
     return ExecutionResult(
         theta_obs=theta_obs[:executed],
-        name_mask=name_match[:executed],
         step_errors=errors[:executed],
         loss=loss,
         observed_len=T,
@@ -419,7 +426,6 @@ def row_gradients(
     tape: Tape,
     values: Sequence[np.ndarray],
     theta_obs: np.ndarray,
-    name_match: np.ndarray,
     spec: ErrorSpec,
 ) -> tuple[dict[int, np.ndarray], dict[int, np.ndarray]]:
     """The gradient of each of the first n rows' action error, n the rows
@@ -427,16 +433,13 @@ def row_gradients(
     and every variable read (by node id), one gradient row per row, from
     the ``values`` and targets of ``evaluate_rows``.
 
-    A row whose observed action has another name than the root carries
-    only the flat penalty, which has zero gradient.
+    A row whose target is NaN (another action than the root's) carries only
+    the flat penalty ``max_step_error + 1``: its seed is zero, whatever the
+    error model's gradient gives there.
     """
     theta_hat = values[-1][: theta_obs.shape[0]]
-    if name_match.all():
-        seed = spec.act_error_grad(theta_hat, theta_obs)
-    else:
-        seed = np.zeros_like(theta_hat)
-        if name_match.any():
-            seed[name_match] = spec.act_error_grad(theta_hat[name_match], theta_obs[name_match])
+    seed = spec.act_error_grad(theta_hat, theta_obs)
+    seed[np.isnan(theta_obs)] = 0.0
     return backprop(tape, values, seed)
 
 
@@ -450,7 +453,5 @@ def backward(result: ExecutionResult, spec: ErrorSpec) -> Gradients:
     parameter id names one leaf (the parser and ``expand`` number them).
     Overflow gives inf or NaN without a warning, as in ``evaluate_rows``.
     """
-    params, reads = row_gradients(
-        result.tape, result.activations, result.theta_obs, result.name_mask, spec
-    )
+    params, reads = row_gradients(result.tape, result.activations, result.theta_obs, spec)
     return Gradients({pid: prefix_sums(g, result.executed_len) for pid, g in params.items()}, reads)

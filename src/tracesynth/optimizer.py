@@ -187,10 +187,10 @@ def rebindable_leaves(ast: ProgramAst, index: VariableIndex) -> tuple[Binding, l
 def _fold_slot(old: np.ndarray | None, sq: np.ndarray, reset: bool) -> np.ndarray:
     """A read slot's accumulator over the first n rows after each of K
     updates by squared read gradients ``sq``, (K, n, d), as
-    ``reassign_variables`` makes them one at a time; ``old`` is the
-    accumulator before them, None for zero, and with ``reset`` the sum
-    starts again after every update.  Its rows past n are not part of the
-    result (see ``_with_tail``)."""
+    ``reassign_variables`` makes them one at a time, by this function with
+    K = 1; ``old`` is the accumulator before them, None for zero, and with
+    ``reset`` the sum starts again after every update.  Its rows past n are
+    not part of the result (see ``_with_tail``)."""
     if old is not None:
         m = min(old.shape[0], sq.shape[1])
         sq[0, :m] += old[:m]
@@ -291,24 +291,16 @@ def reassign_variables(
         if g_rows is None:
             continue
         n = g_rows.shape[0]
-        # a fresh array; an absent accumulator is zero
-        acc = g_rows * g_rows
+        # one update, as the look-ahead folds each of its blocks
         old = slot_acc.get(nid)
-        if old is not None:
-            if old.shape[0] <= n:
-                acc[: old.shape[0]] += old
-            else:
-                # keep the rows past the executed prefix for when it grows
-                old = old.copy()
-                old[:n] += acc
-                acc = old
-        slot_acc[nid] = acc
-        if not g_rows.any() or _settled(index, leaf, column, acc[:n], state.learning_rate):
+        acc = _fold_slot(old, (g_rows * g_rows)[None], True)[0]
+        slot_acc[nid] = _with_tail(acc, old)
+        if not g_rows.any() or _settled(index, leaf, column, acc, state.learning_rate):
             # zero gradient leaves every virtual read at the variable itself,
             # and no nudge of a settled vote takes a read to a rival
             continue
         values = index.values[leaf.dim][:n, column]
-        adjusted = values - state.learning_rate * g_rows / np.sqrt(acc[:n] + DIV_GUARD)
+        adjusted = values - state.learning_rate * g_rows / np.sqrt(acc + DIV_GUARD)
         # votes per variable; a handful of entries, so plain lists are cheapest
         votes = np.bincount(index.query_steps(leaf.dim, adjusted)).tolist()
         top = max(votes)
@@ -473,17 +465,16 @@ def _look_ahead(
             # row r of the grid is step r % width
             steps = np.arange(count * width) % width
             params = {pid: np.repeat(w[mine], width, axis=0) for pid, (w, _) in walks.items()}
-            tape, values, errors, theta_obs, name_match = evaluate_rows(
+            tape, values, errors, theta_obs = evaluate_rows(
                 tree, params, trace, registry, spec, steps
             )
             errors = errors.reshape(count, width, 1)
-            # NaN fails the test, as in ``execute``
             within = errors[..., 0] <= spec.max_step_error
             holds_here = per_block(lambda n: within[:, : n - 1].all(axis=1) & ~within[:, n - 1])
             # each sum adds a block's steps as ``execute`` and ``backward`` do
             losses_here = per_block(lambda n: prefix_sums(errors, n))[:, 0]
 
-            param_rows, reads = row_gradients(tape, values, theta_obs, name_match, spec)
+            param_rows, reads = row_gradients(tape, values, theta_obs, spec)
             for pid, g in param_rows.items():
                 g = g.reshape(count, width, -1)
                 total = per_block(lambda n: prefix_sums(g, n))
@@ -518,7 +509,6 @@ def _look_ahead(
             holds[mine], losses[mine] = holds_here, losses_here
         else:
             holds, losses = holds_here, losses_here
-    losses[np.isnan(losses)] = np.inf
     accepted = blocks if holds.all() else int(holds.argmin())
     return _Lookahead(
         losses.tolist(), lengths.tolist(), accepted, walks, slot_acc, trees, rebinds

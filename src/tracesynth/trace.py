@@ -61,7 +61,7 @@ class ObservationTrace:
     schema: TraceSchema
     steps: tuple[TraceStep, ...]
     _columns: dict[str, np.ndarray] = field(init=False, repr=False)
-    _targets: dict[str, tuple] = field(init=False, repr=False)
+    _targets: dict[str, np.ndarray] = field(init=False, repr=False)
     index: VariableIndex = field(init=False, repr=False)
 
     @property
@@ -96,15 +96,11 @@ class ObservationTrace:
         if not np.isfinite(np.concatenate([s.theta for s in self.steps])).all():
             t = next(s.t for s in self.steps if not np.isfinite(s.theta).all())
             raise TraceFormatError(f"step {t}: action theta is not finite")
-        targets = {}
-        for name, dim in self.schema.actions.items():
-            mask = np.array([s.action_name == name for s in self.steps])
-            observed = np.full((self.length, dim), np.nan)
-            if mask.any():
-                observed[mask] = np.stack([s.theta for s in self.steps if s.action_name == name])
-            targets[name] = (_read_only(observed), _read_only(mask), bool(mask.all()))
+        targets = {n: np.full((self.length, d), np.nan) for n, d in self.schema.actions.items()}
+        for i, step in enumerate(self.steps):
+            targets[step.action_name][i] = step.theta
         object.__setattr__(self, "_columns", columns)
-        object.__setattr__(self, "_targets", targets)
+        object.__setattr__(self, "_targets", {n: _read_only(a) for n, a in targets.items()})
         object.__setattr__(self, "index", build_variable_index(self))
 
     def var_matrix(self, name: str) -> np.ndarray:
@@ -112,12 +108,12 @@ class ObservationTrace:
         an execution's values may be this very array."""
         return self._columns[name]
 
-    def action_targets(self, name: str, dim: int) -> tuple[np.ndarray, np.ndarray, bool]:
+    def action_targets(self, name: str, dim: int) -> np.ndarray:
         """What a program whose root is action ``name`` of dimension ``dim``
-        is compared against: the observed parameters (T, dim), NaN on the
-        steps of other actions, the mask of steps whose observed action is
-        ``name``, and whether that is every step.  Raises ``ValueError`` if
-        the schema gives ``name`` another dimension."""
+        is compared against: the observed parameters (T, dim), read-only.
+        A step of another action is NaN in every column, and only such a
+        step is NaN, since every observed theta is finite.  Raises
+        ``ValueError`` if the schema gives ``name`` another dimension."""
         if self.schema.actions.get(name, dim) != dim:
             raise ValueError(
                 f"action {name} has dimension {self.schema.actions[name]} in the trace"
@@ -125,7 +121,7 @@ class ObservationTrace:
             )
         if name not in self._targets:
             # an action the schema does not declare is observed at no step
-            return np.full((self.length, dim), np.nan), np.zeros(self.length, bool), False
+            return np.full((self.length, dim), np.nan)
         return self._targets[name]
 
 

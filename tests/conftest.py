@@ -340,7 +340,7 @@ def assert_same_optimum(got, want) -> None:
     assert g.tape == w.tape
     for name in ("observed_len", "executed_len", "terminated_early"):
         assert getattr(g, name) == getattr(w, name), name
-    for name in ("loss", "theta_obs", "name_mask", "step_errors"):
+    for name in ("loss", "theta_obs", "step_errors"):
         assert _same_arrays(getattr(g, name), getattr(w, name)), name
     assert len(g.activations) == len(w.activations)
     assert all(_same_arrays(a, b) for a, b in zip(g.activations, w.activations))

@@ -122,7 +122,7 @@ class TestBackward:
         np.testing.assert_allclose(g2.params[0], ga.params[0] + gb.params[0], rtol=1e-12)
         # rows are independent: each step's row of the two-step execution is
         # that step's one-step gradient, bit for bit
-        param_rows, _ = row_gradients(res.tape, res.activations, res.theta_obs, res.name_mask, spec)
+        param_rows, _ = row_gradients(res.tape, res.activations, res.theta_obs, spec)
         assert [row.tobytes() for row in param_rows[0]] == [
             ga.params[0].tobytes(),
             gb.params[0].tobytes(),

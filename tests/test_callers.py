@@ -29,7 +29,9 @@ or a ``cached_property``, or it is a program-tree type in
 
 Only ``interpreter.py`` knows the tape: no other module in ``tracesynth``
 refers to or imports a name in ``TAPE_NAMES``.  The re-exports of
-``__init__.py`` are exempt.
+``__init__.py`` are exempt.  Only ``interpreter.py`` applies the error
+model, so a step's error is decided in one place: no other module in
+``tracesynth`` refers to a name in ``ERROR_MODEL_NAMES``.
 """
 
 from __future__ import annotations
@@ -61,6 +63,8 @@ UNSET_PARAMETERS = {
 TAPE_NAMES = {
     "PARAM", "VAR", "CALL", "forward", "compile_tape", "action_errors", "seed_rows", "backprop"
 }
+# the two functions of an ``ErrorSpec``
+ERROR_MODEL_NAMES = {"act_error", "act_error_grad"}
 # program-tree dataclasses that need no __post_init__, field(...) or
 # cached_property -> why they are not NamedTuples, which equal any tuple of
 # the same values and have no __dict__
@@ -340,27 +344,40 @@ def test_every_dataclass_needs_its_features():
     assert sorted(plain) == sorted(TREE_DATACLASSES)
 
 
-def _tape_names(path: Path, tree: ast.Module) -> list[str]:
-    """``module.name`` of every name in ``TAPE_NAMES`` that the module
-    refers to or imports, relative imports in ``__init__.py`` apart."""
+def _names_in(names: set[str], path: Path, tree: ast.Module) -> list[str]:
+    """``module.name`` of every name in ``names`` that the module refers to
+    or imports, relative imports in ``__init__.py`` apart."""
     found = _references(tree)
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and not (path.name == "__init__.py" and node.level):
             found.update(alias.name for alias in node.names)
-    return [f"{path.stem}.{name}" for name in sorted(TAPE_NAMES & found)]
+    return [f"{path.stem}.{name}" for name in sorted(names & found)]
+
+
+def _named_outside_the_interpreter(names: set[str]) -> list[str]:
+    return [
+        found
+        for path in SOURCES
+        if path.parent == PACKAGE and path.name != "interpreter.py"
+        for found in _names_in(names, path, ast.parse(path.read_text(encoding="utf-8")))
+    ]
 
 
 def test_only_the_interpreter_knows_the_tape():
     stray = "from .interpreter import VAR, execute\nkind = op.kind is interpreter.PARAM\n"
-    assert _tape_names(PACKAGE / "optimizer.py", ast.parse(stray)) == [
+    assert _names_in(TAPE_NAMES, PACKAGE / "optimizer.py", ast.parse(stray)) == [
         "optimizer.PARAM",
         "optimizer.VAR",
     ]
-    assert _tape_names(PACKAGE / "__init__.py", ast.parse("from .interpreter import VAR\n")) == []
-    outside = [
-        found
-        for path in SOURCES
-        if path.parent == PACKAGE and path.name != "interpreter.py"
-        for found in _tape_names(path, ast.parse(path.read_text(encoding="utf-8")))
+    init = ast.parse("from .interpreter import VAR\n")
+    assert _names_in(TAPE_NAMES, PACKAGE / "__init__.py", init) == []
+    assert _named_outside_the_interpreter(TAPE_NAMES) == []
+
+
+def test_only_the_interpreter_applies_the_error_model():
+    stray = "errors = spec.act_error(out, theta)\nseed = getattr(spec, 'act_error_grad')\n"
+    assert _names_in(ERROR_MODEL_NAMES, PACKAGE / "optimizer.py", ast.parse(stray)) == [
+        "optimizer.act_error",
+        "optimizer.act_error_grad",
     ]
-    assert outside == []
+    assert _named_outside_the_interpreter(ERROR_MODEL_NAMES) == []

@@ -16,8 +16,8 @@ from tracesynth import (
     standard_registry,
     trace_to_dict,
 )
-from tracesynth.cli import SYSTEMS, _build_parser, run_cli
-from tracesynth.program import initial_params
+from tracesynth.cli import SYSTEMS, _build_parser, _load_config, run_cli
+from tracesynth.program import ComplexityWeights, initial_params
 from tracesynth.search import MAX_COUNT_DIGITS
 
 # an int too large for a float, which a JSON document can hold
@@ -157,6 +157,22 @@ class TestEval:
         assert code == 2
         assert "--deadband needs the discrete error model" in capsys.readouterr().err
 
+    def test_nan_step_error_prints_as_inf(self, tmp_path, capsys):
+        # 1e308 * 10 overflows in both terms, and inf - inf is NaN: the step
+        # error is inf, as the loss is
+        trace_path = tmp_path / "big.trace"
+        step = {"t": 1, "vars": {"x": [10.0]}, "action": {"name": "accel", "theta": [0.0]}}
+        doc = {"schema": {"variables": {"x": 1}, "actions": {"accel": 1}}, "steps": [step]}
+        trace_path.write_text(json.dumps(doc))
+        prog = tmp_path / "prog.sexp"
+        prog.write_text("(accel (sub (scale 1e308 x) (scale 1e308 x)))")
+        code = run_cli(["eval", "--program", str(prog), "--trace", str(trace_path)])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "loss: inf\n" in out
+        assert "step errors: max=inf mean=inf last=inf\n" in out
+        assert "matches: false" in out
+
     def test_bad_program_file(self, tmp_path, capsys):
         trace_path = tmp_path / "p.trace"
         run_cli(["simulate", "pendulum", "--out", str(trace_path)])
@@ -190,6 +206,39 @@ def test_every_flag_has_help(command):
     if command in ("induce", "eval"):
         threshold = next(a for a in actions if "--max-step-error" in a.option_strings)
         assert "discrete model it only sizes the penalty" in threshold.help
+
+
+def _flags(command: str) -> set[str]:
+    parser = _build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {flag for a in commands.choices[command]._actions for flag in a.option_strings}
+
+
+def test_every_config_field_is_an_induce_flag():
+    names = [f.name for f in fields(RunConfig)]
+    assert {"--" + name.replace("_", "-") for name in names} <= _flags("induce")
+    # each flag reaches its field: every value below differs from the default
+    given = RunConfig(
+        max_step_error=0.5,
+        learning_rate=0.3,
+        max_opt_iters=7,
+        max_iterations=9,
+        weights=ComplexityWeights(2.0, 3.0, 4.0),
+        top_k=2,
+        seed=11,
+        error_model="discrete",
+        deadband=0.25,
+    )
+    assert all(getattr(given, name) != getattr(RunConfig(), name) for name in names)
+    argv = ["induce", "--trace", "t"]
+    for name, value in given.to_dict().items():
+        argv += ["--" + name.replace("_", "-"), *map(str, np.atleast_1d(value).tolist())]
+    assert _load_config(_build_parser().parse_args(argv)) == given
+
+
+def test_eval_takes_only_the_matching_rule():
+    rule = {"--config", "--max-step-error", "--error-model", "--deadband"}
+    assert _flags("eval") == {"-h", "--help", "--program", "--trace"} | rule
 
 
 class TestEnumerate:

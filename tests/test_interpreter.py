@@ -23,7 +23,7 @@ from tracesynth import (
     simulate_paddle,
     standard_registry,
 )
-from tracesynth.interpreter import backward, row_gradients
+from tracesynth.interpreter import backward, evaluate_rows, row_gradients
 from tracesynth.program import EMPTY_PROGRAM, initial_params
 from tests.conftest import make_trace, mixed_action_case, mixed_dimension_case, reference_loss
 
@@ -197,10 +197,41 @@ class TestExecute:
         res = execute(ast, params, trace, registry, spec)
         assert (res.executed_len, res.terminated_early) == (stop, True)
         np.testing.assert_allclose(res.step_errors, [*matched, spec.max_step_error + 1.0])
-        param_rows, _ = row_gradients(res.tape, res.activations, res.theta_obs, res.name_mask, spec)
+        param_rows, _ = row_gradients(res.tape, res.activations, res.theta_obs, spec)
         assert param_rows[0].shape == (stop, 1)
         np.testing.assert_array_equal(param_rows[0][-1], 0.0)
         np.testing.assert_allclose(backward(res, spec).params[0], [grad])
+
+    @pytest.mark.parametrize("model", ["euclidean", "discrete"])
+    @pytest.mark.parametrize(
+        "case, text",
+        [
+            (mixed_action_case, "(accel (scale 2.0 x))"),
+            (mixed_action_case, "(brake (scale 2.0 x))"),
+            (mixed_dimension_case, "(accel (scale 2.0 x))"),
+            (mixed_dimension_case, "(turn (scale2 1.0 p))"),
+            (mixed_dimension_case, "(brake (scale 2.0 x))"),  # observed at no step
+        ],
+    )
+    def test_steps_of_another_action_score_the_penalty_with_a_zero_seed(self, case, text, model):
+        # the error model sees every row, those of another action too (where
+        # the discrete model's gradient is not zero); its results there are
+        # replaced by the penalty and a zero seed
+        registry, trace = case()
+        ast, params = _program(text, registry, trace.schema)
+        spec = RunConfig(max_step_error=0.5, error_model=model).error_spec()
+        other = np.array([step.action_name != ast.root.name for step in trace.steps])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tape, values, errors, theta_obs = evaluate_rows(ast, params, trace, registry, spec)
+            param_rows, reads = row_gradients(tape, values, theta_obs, spec)
+        assert errors[other].tolist() == [spec.max_step_error + 1.0] * other.sum()
+        out = values[-1]
+        assert errors[~other].tobytes() == spec.act_error(out[~other], theta_obs[~other]).tobytes()
+        for rows in (*param_rows.values(), *reads.values()):
+            np.testing.assert_array_equal(rows[other], 0.0)
+        if model == "discrete":
+            assert spec.act_error_grad(out[other], theta_obs[other]).any()
 
     def test_registry_contradicting_the_schema_raises(self, scalar_schema):
         # the trace gives accel dimension 1; a 2-dimensional accel is not
@@ -265,7 +296,8 @@ class TestExecute:
 
     def test_overflowing_distances_run_without_a_warning(self, scalar_registry, scalar_schema):
         # x's squared distance to theta, and to a query point, overflows to
-        # inf: the step error is inf and x is never the nearest variable
+        # inf: the step error is inf, its gradient still points away from
+        # theta, and x is never the nearest variable
         trace = make_trace({"x": [1e200, 1e200], "v": [0.0, 0.0]}, [0.0, 0.0])
         ast, params = _program("(accel x)", scalar_registry, scalar_schema)
         with warnings.catch_warnings():
@@ -273,7 +305,7 @@ class TestExecute:
             res = execute(ast, params, trace, scalar_registry, ErrorSpec())
             assert (res.loss, res.executed_len) == (np.inf, 1)
             (reads,) = backward(res, ErrorSpec()).slot_reads.values()
-            np.testing.assert_array_equal(reads, [[0.0]])
+            np.testing.assert_array_equal(reads, [[1.0]])
             np.testing.assert_array_equal(trace.index.query_steps(1, np.array([[0.5]])), [0])
             induce(trace, scalar_registry, config=RunConfig(max_iterations=3))
 
@@ -365,8 +397,8 @@ class TestErrorSpecs:
 
     def test_euclidean_error_overflows_without_a_warning(self):
         # the square overflows from sqrt(float max), about 1.34e154, up, where
-        # the gradient is 0; in the last row the difference itself overflows,
-        # and the gradient is inf / inf
+        # the gradient is still the unit direction of the difference; in the
+        # last row the difference itself overflows, and the gradient is NaN
         theta_hat = np.array([[1e154], [1.4e154], [5e199], [1e308]])
         theta = np.array([[0.0], [0.0], [0.0], [-1e308]])
         spec = ErrorSpec()
@@ -376,7 +408,7 @@ class TestErrorSpecs:
                 spec.act_error(theta_hat, theta), [1e154, np.inf, np.inf, np.inf]
             )
             np.testing.assert_array_equal(
-                spec.act_error_grad(theta_hat, theta), [[1.0], [0.0], [0.0], [np.nan]]
+                spec.act_error_grad(theta_hat, theta), [[1.0], [1.0], [1.0], [np.nan]]
             )
 
     def test_discretize(self):

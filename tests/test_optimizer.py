@@ -504,7 +504,7 @@ class TestLookAhead:
         pendulum = _pendulum_trace()
         trace = make_trace(
             {"x": pendulum.var_matrix("x")[:, 0].tolist()},
-            pendulum.action_targets("accel", 1)[0][:, 0].tolist(),
+            pendulum.action_targets("accel", 1)[:, 0].tolist(),
         )
         registry = standard_registry({"x": 1}, {"accel": 1})
         out = _both(

@@ -225,27 +225,28 @@ class TestDerivedArrays:
             ("brake", 1, [[nan]] * 4, [False] * 4),
             ("jump", 2, [[nan] * 2] * 4, [False] * 4),  # not in the schema
         ):
-            observed, name_match, all_match = trace.action_targets(name, dim)
+            observed = trace.action_targets(name, dim)
             assert observed.shape == (4, dim)
             np.testing.assert_array_equal(observed, want)
-            np.testing.assert_array_equal(name_match, mask)
-            assert all_match is False
+            # a step of another action is NaN in every column, and no other is
+            np.testing.assert_array_equal(np.isnan(observed).all(axis=1), np.logical_not(mask))
+            np.testing.assert_array_equal(np.isnan(observed).any(axis=1), np.logical_not(mask))
         with pytest.raises(ValueError, match="turn has dimension 2 in the trace schema, not 1"):
             trace.action_targets("turn", 1)
 
     def test_single_action_targets_cover_every_step(self):
         trace = simulate_second_order(PENDULUM)
-        observed, name_match, all_match = trace.action_targets("accel", 1)
+        observed = trace.action_targets("accel", 1)
         want = np.stack([s.theta for s in trace.steps])
         assert observed.tobytes() == want.tobytes()
-        assert name_match.all() and all_match is True
+        assert not np.isnan(observed).any()
 
     def test_arrays_are_read_only(self):
         _, trace = mixed_dimension_case()
         arrays = [
             *map(trace.var_matrix, trace.schema.variables),
-            *trace.action_targets("accel", 1)[:2],
-            *trace.action_targets("turn", 2)[:2],
+            trace.action_targets("accel", 1),
+            trace.action_targets("turn", 2),
             *trace.index.values.values(),
         ]
         for a in arrays:
