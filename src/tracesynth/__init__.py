@@ -50,7 +50,6 @@ from .optimizer import (
     reassign_variables,
 )
 from .program import (
-    ActionNode,
     ComplexityWeights,
     EMPTY_PROGRAM,
     FunctionNode,

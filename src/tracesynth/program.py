@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, fields
-from typing import Callable, Union
+from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
@@ -29,8 +29,7 @@ class ProgramTypeError(ProgramError):
     """Symbol resolution, arity or dimension violation."""
 
 
-@dataclass(frozen=True)
-class ParamLeaf:
+class ParamLeaf(NamedTuple):
     """Free parameter slot.  ``init`` is the value the leaf was created with
     (a source literal or a sampled proposal); optimisation state keeps the
     live value separately, keyed by ``pid``."""
@@ -40,25 +39,19 @@ class ParamLeaf:
     init: tuple[float, ...]
 
 
-@dataclass(frozen=True)
-class VarLeaf:
+class VarLeaf(NamedTuple):
     """Reference to a trace variable, re-read at every executed timestep."""
 
     name: str
     dim: int
 
 
-@dataclass(frozen=True)
-class FunctionNode:
+class FunctionNode(NamedTuple):
+    """An application of a registry entry; a primitive action at the root."""
+
     name: str
     children: tuple["Node", ...]
     dim: int
-
-
-@dataclass(frozen=True)
-class ActionNode(FunctionNode):
-    """The root: an application like any other, of a primitive action whose
-    parameter dimension is ``dim``; its type marks the root."""
 
 
 Node = Union[ParamLeaf, VarLeaf, FunctionNode]
@@ -66,9 +59,10 @@ Node = Union[ParamLeaf, VarLeaf, FunctionNode]
 
 @dataclass(frozen=True)
 class ProgramAst:
-    """A program: an action application, or the empty program (root None)."""
+    """A program: a primitive action applied at the root, or the empty program
+    (root None).  A dataclass: it memoises its tape, walk and slots in ``__dict__``."""
 
-    root: ActionNode | None = None
+    root: FunctionNode | None = None
 
     @property
     def is_empty(self) -> bool:
@@ -270,9 +264,12 @@ def node_depth(ast: ProgramAst, node_id: int) -> int:
 
 def replace_node(ast: ProgramAst, node_id: int, replacement: Node) -> ProgramAst:
     """Return a copy of the tree with the node at preorder ``node_id``
-    swapped for ``replacement``."""
-    if ast.is_empty:
-        raise ProgramError("cannot replace nodes of the empty program")
+    swapped for ``replacement``.  Raises :class:`ProgramError` if there is
+    no such node or the root would not be an application."""
+    if not 0 <= node_id < len(iter_nodes(ast)):  # the empty program has no node
+        raise ProgramError(f"node id {node_id} out of range")
+    if node_id == 0 and not isinstance(replacement, FunctionNode):
+        raise ProgramError("the root must be an application")
 
     counter = [0]
 
@@ -284,14 +281,10 @@ def replace_node(ast: ProgramAst, node_id: int, replacement: Node) -> ProgramAst
             counter[0] += _subtree_size(node) - 1
             return replacement
         if isinstance(node, FunctionNode):
-            return type(node)(node.name, tuple(rebuild(c) for c in node.children), node.dim)
+            return FunctionNode(node.name, tuple(rebuild(c) for c in node.children), node.dim)
         return node
 
-    new_root = rebuild(ast.root)
-    if counter[0] <= node_id:
-        raise ProgramError(f"node id {node_id} out of range")
-    assert isinstance(new_root, ActionNode)
-    return ProgramAst(new_root)
+    return ProgramAst(rebuild(ast.root))
 
 
 def _subtree_size(node: Node) -> int:
@@ -447,7 +440,7 @@ class _Parser:
         self.expect(")")
         if self.peek() is not None:
             raise ParseError("trailing tokens after program")
-        return ProgramAst(ActionNode(spec.name, children, spec.out_dim))
+        return ProgramAst(FunctionNode(spec.name, children, spec.out_dim))
 
     def parse_args(self, spec: FunctionSpec) -> tuple[Node, ...]:
         children = []

@@ -30,7 +30,6 @@ import heapq
 import itertools
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from time import perf_counter
 from typing import NamedTuple
@@ -43,7 +42,6 @@ from .interpreter import matches_trace
 from .optimizer import OptimizedCandidate, optimize
 from .program import (
     EMPTY_PROGRAM,
-    ActionNode,
     ComplexityWeights,
     FunctionNode,
     FunctionSpec,
@@ -196,7 +194,6 @@ class _Site(NamedTuple):
     run_seed: int
 
 
-@dataclass(frozen=True, eq=False)
 class _Proto:
     """An unoptimised proposal: an application of ``fn`` in place of its
     site's leaf, whose arguments are parameters or variables as
@@ -212,10 +209,8 @@ class _Proto:
     64-bit output) and a parameter slot ``normal(0.0, _PARAM_INIT_STD, dim)``.
     """
 
-    site: _Site
-    fn: FunctionSpec
-    pattern: tuple[bool, ...]
-    counts: tuple[int, int, int]
+    def __init__(self, site: _Site, fn: FunctionSpec, pattern: tuple, counts: tuple) -> None:
+        self.site, self.fn, self.pattern, self.counts = site, fn, pattern, counts
 
     @cached_property
     def seed(self) -> int:
@@ -245,10 +240,10 @@ class _Proto:
     @cached_property
     def ast(self) -> ProgramAst:
         fn, site = self.fn, self.site
+        node = FunctionNode(fn.name, self.children, fn.out_dim)
         if site.parent_ast is None:
-            return ProgramAst(ActionNode(fn.name, self.children, fn.out_dim))
-        subtree = FunctionNode(fn.name, self.children, fn.out_dim)
-        return replace_node(site.parent_ast, site.leaf_id, subtree)
+            return ProgramAst(node)
+        return replace_node(site.parent_ast, site.leaf_id, node)
 
     @cached_property
     def params(self) -> dict[int, np.ndarray]:

@@ -1,7 +1,6 @@
 import numpy as np
 
 from tracesynth import (
-    ActionNode,
     ErrorSpec,
     FunctionNode,
     FunctionSpec,
@@ -192,7 +191,7 @@ def _random_program(rng, registry, schema, max_depth=3):
         name = str(rng.choice(["add", "sub", "scale"]))
         return FunctionNode(name, (expr(budget - 1), expr(budget - 1)), 1)
 
-    return ProgramAst(ActionNode("accel", (expr(max_depth - 1),), 1))
+    return ProgramAst(FunctionNode("accel", (expr(max_depth - 1),), 1))
 
 
 class TestFiniteDifferences:

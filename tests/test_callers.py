@@ -23,9 +23,9 @@ calls pass no ``self`` or ``cls``), or through ``*`` or ``**``; calls are
 matched by name.
 
 Every ``@dataclass`` in ``tracesynth`` uses a feature that a
-``typing.NamedTuple`` lacks: a ``__post_init__``, a ``field(...)`` default
-or a ``cached_property``, or it is a program-tree type in
-``TREE_DATACLASSES``.  A record that only carries values is a NamedTuple.
+``typing.NamedTuple`` lacks: a ``__post_init__`` or a ``field(...)``
+default, or it is a program-tree type in ``TREE_DATACLASSES``.  A record
+that only carries values is a NamedTuple.
 
 Only ``interpreter.py`` knows the tape: no other module in ``tracesynth``
 refers to or imports a name in ``TAPE_NAMES``.  The re-exports of
@@ -65,14 +65,9 @@ TAPE_NAMES = {
 }
 # the two functions of an ``ErrorSpec``
 ERROR_MODEL_NAMES = {"act_error", "act_error_grad"}
-# program-tree dataclasses that need no __post_init__, field(...) or
-# cached_property -> why they are not NamedTuples, which equal any tuple of
-# the same values and have no __dict__
+# program-tree dataclasses that need no __post_init__ or field(...) -> why
+# they are not NamedTuples, which have no __dict__
 TREE_DATACLASSES = {
-    "program.ParamLeaf": "a leaf equals no other node type with the same values",
-    "program.VarLeaf": "a leaf equals no other node type with the same values",
-    "program.FunctionNode": "an application equals no ActionNode with the same values",
-    "program.ActionNode": "a subclass of FunctionNode whose type marks the root",
     "program.ProgramAst": "memoises its tape, preorder walk and re-binding slots in __dict__",
 }
 
@@ -303,7 +298,7 @@ def _named(node: ast.expr, name: str) -> bool:
 
 def _plain_dataclasses(path: Path, tree: ast.Module) -> list[str]:
     """``module.Class`` of every module-level ``@dataclass`` with no
-    ``__post_init__``, no ``field(...)`` default and no ``cached_property``."""
+    ``__post_init__`` and no ``field(...)`` default."""
     out = []
     for node in tree.body:
         if not isinstance(node, ast.ClassDef):
@@ -311,15 +306,11 @@ def _plain_dataclasses(path: Path, tree: ast.Module) -> list[str]:
         if not any(_named(d, "dataclass") for d in node.decorator_list):
             continue
         methods = [item for item in node.body if isinstance(item, ast.FunctionDef)]
-        uses = (
-            any(item.name == "__post_init__" for item in methods)
-            or any(
-                isinstance(item, ast.AnnAssign)
-                and item.value is not None
-                and _named(item.value, "field")
-                for item in node.body
-            )
-            or any(_named(d, "cached_property") for m in methods for d in m.decorator_list)
+        uses = any(item.name == "__post_init__" for item in methods) or any(
+            isinstance(item, ast.AnnAssign)
+            and item.value is not None
+            and _named(item.value, "field")
+            for item in node.body
         )
         if not uses:
             out.append(f"{path.stem}.{node.name}")
@@ -334,7 +325,7 @@ def test_every_dataclass_needs_its_features():
         "@dataclass\nclass D:\n    @cached_property\n    def x(self): return 1\n"
         "class E(NamedTuple):\n    x: int\n"
     )
-    assert _plain_dataclasses(PACKAGE / "m.py", ast.parse(source)) == ["m.A"]
+    assert _plain_dataclasses(PACKAGE / "m.py", ast.parse(source)) == ["m.A", "m.D"]
     plain = [
         found
         for path in SOURCES

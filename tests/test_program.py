@@ -1,13 +1,15 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tracesynth import (
-    ActionNode,
     ComplexityWeights,
     EMPTY_PROGRAM,
     FunctionNode,
+    FunctionSpec,
     ParamLeaf,
     ParseError,
     ProgramAst,
@@ -32,7 +34,7 @@ class TestParse:
     def test_scale_program(self, scalar_registry, scalar_schema):
         ast = parse_program("(accel (scale -9.8 x))", scalar_registry, scalar_schema)
         root = ast.root
-        assert isinstance(root, ActionNode) and root.name == "accel"
+        assert isinstance(root, FunctionNode) and root.name == "accel"
         (fn,) = root.children
         assert isinstance(fn, FunctionNode) and fn.name == "scale"
         param, var = fn.children
@@ -66,6 +68,26 @@ class TestParse:
         registry = standard_registry({"u": 2}, {"go": 2})
         with pytest.raises(ParseError, match="not finite"):
             parse_program("(go (add2 u [1.0 nan]))", registry, {"u": 2})
+
+
+class TestFunctionSpec:
+    def test_no_arguments_rejected(self):
+        with pytest.raises(ProgramTypeError, match="at least one argument"):
+            FunctionSpec("f", (), 1)
+
+
+class TestReplaceNode:
+    @pytest.mark.parametrize("node_id", [-1, 4])
+    def test_id_outside_the_tree_rejected(self, node_id, scalar_registry, scalar_schema):
+        # four nodes: accel, scale, its parameter and x
+        ast = parse_program("(accel (scale -9.8 x))", scalar_registry, scalar_schema)
+        with pytest.raises(ProgramError, match="out of range"):
+            replace_node(ast, node_id, VarLeaf("v", 1))
+
+    def test_leaf_at_the_root_rejected(self, scalar_registry, scalar_schema):
+        ast = parse_program("(accel (scale -9.8 x))", scalar_registry, scalar_schema)
+        with pytest.raises(ProgramError, match="root"):
+            replace_node(ast, 0, VarLeaf("v", 1))
 
 
 class TestNameRule:
@@ -193,7 +215,7 @@ def _random_ast(rng: np.random.Generator, depth_budget: int) -> ProgramAst:
         name = str(rng.choice(["add", "sub", "scale"]))
         return FunctionNode(name, (expr(budget - 1), expr(budget - 1)), 1)
 
-    return ProgramAst(ActionNode("accel", (expr(depth_budget),), 1))
+    return ProgramAst(FunctionNode("accel", (expr(depth_budget),), 1))
 
 
 class TestProperties:
@@ -228,6 +250,28 @@ class TestProperties:
             nodes_a = [(type(n).__name__, getattr(n, "name", None)) for _, n in _walk(a)]
             nodes_b = [(type(n).__name__, getattr(n, "name", None)) for _, n in _walk(b)]
             assert nodes_a == nodes_b
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_nodes_equal_only_nodes_of_their_type(self, seed):
+        # nodes compare and hash by value, as the tuple of their fields, and
+        # a node of one type never equals a node of another
+        rng = np.random.default_rng(seed)
+        nodes = [n for _ in range(2) for _, n in _walk(_random_ast(rng, 1))]
+        for a, b in itertools.product(nodes, repeat=2):
+            assert (a == b) == (type(a) is type(b) and tuple(a) == tuple(b))
+            if a == b:
+                assert hash(a) == hash(b)
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_printed_tree_parses_to_an_equal_tree(self, seed):
+        registry = standard_registry({"x": 1, "v": 1}, {"accel": 1})
+        rng = np.random.default_rng(seed)
+        # parameter values as 6-digit literals, so that printing is exact
+        tree = parse_program(print_program(_random_ast(rng, 2)), registry, {"x": 1, "v": 1})
+        again = parse_program(print_program(tree), registry, {"x": 1, "v": 1})
+        assert again == tree and hash(again) == hash(tree)
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
