@@ -51,7 +51,6 @@ from .optimizer import (
 )
 from .program import (
     ComplexityWeights,
-    EMPTY_PROGRAM,
     FunctionNode,
     FunctionSpec,
     ParamLeaf,

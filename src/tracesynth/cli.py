@@ -276,7 +276,8 @@ def run_cli(argv: list[str] | None = None) -> int:
         if args.command == "enumerate":
             return _cmd_enumerate(args)
         return USAGE_ERROR
-    except (TraceFormatError, ProgramError, ValueError, OSError, json.JSONDecodeError) as exc:
+    # RecursionError: a trace, config or program nested too deeply to read
+    except (TraceFormatError, ProgramError, ValueError, OSError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_ERROR
 

@@ -194,8 +194,6 @@ def compile_tape(ast: ProgramAst, registry: Registry) -> Tape:
     """Lower a program to its postorder tape: every child precedes its
     parent and the root action is last.  Memoised on the immutable tree for
     the most recent registry."""
-    if ast.is_empty:
-        raise EvaluationError("cannot execute the empty program")
     cached = ast.__dict__.get("_tape_cache")
     if cached is not None and cached[0] is registry:
         return cached[1]
@@ -247,34 +245,24 @@ class ExecutionResult(NamedTuple):
 
 def evaluate_step(
     ast: ProgramAst, registry: Registry, memory: MemoryState
-) -> tuple[str, np.ndarray, list[np.ndarray]]:
+) -> tuple[str, np.ndarray]:
     """Evaluate the program once against a single memory state by plain
     recursion, independently of the tape, applying each registry ``impl``,
     the root action's included, to one row.
 
-    Returns the action name, its parameter vector and the value of every
-    node in preorder.
+    Returns the action name and its parameter vector.
     """
-    if ast.is_empty:
-        raise EvaluationError("cannot evaluate the empty program")
-    values: list[np.ndarray | None] = []
 
     def ev(node) -> np.ndarray:
-        slot = len(values)
-        values.append(None)  # reserved so that values stay in preorder
         if isinstance(node, ParamLeaf):
             if node.pid not in memory.params:
                 raise EvaluationError(f"unbound parameter p{node.pid}")
-            value = np.asarray(memory.params[node.pid], dtype=float).reshape(-1)
-        elif isinstance(node, VarLeaf):
-            value = np.asarray(memory.variables[node.name], dtype=float).reshape(-1)
-        else:
-            value = registry.impl(node.name)(*[ev(c).reshape(1, -1) for c in node.children])[0]
-        values[slot] = value
-        return value
+            return np.asarray(memory.params[node.pid], dtype=float).reshape(-1)
+        if isinstance(node, VarLeaf):
+            return np.asarray(memory.variables[node.name], dtype=float).reshape(-1)
+        return registry.impl(node.name)(*[ev(c).reshape(1, -1) for c in node.children])[0]
 
-    theta = ev(ast.root)
-    return ast.root.name, theta, values
+    return ast.root.name, ev(ast.root)
 
 
 @np.errstate(over="ignore", invalid="ignore")

@@ -59,17 +59,10 @@ Node = Union[ParamLeaf, VarLeaf, FunctionNode]
 
 @dataclass(frozen=True)
 class ProgramAst:
-    """A program: a primitive action applied at the root, or the empty program
-    (root None).  A dataclass: it memoises its tape, walk and slots in ``__dict__``."""
+    """A program: a primitive action applied at the root.  A dataclass: it
+    memoises its tape, walk and slots in ``__dict__``."""
 
-    root: FunctionNode | None = None
-
-    @property
-    def is_empty(self) -> bool:
-        return self.root is None
-
-
-EMPTY_PROGRAM = ProgramAst(None)
+    root: FunctionNode
 
 
 @dataclass(frozen=True)
@@ -231,7 +224,7 @@ def _walk(
     walk = ast.__dict__.get("_walk")
     if walk is None:
         nodes, depths, tree_leaves = [], [], []
-        stack = [] if ast.is_empty else [(ast.root, 0)]
+        stack = [(ast.root, 0)]
         # explicit preorder walk; children pushed in reverse to pop left-first
         while stack:
             node, level = stack.pop()
@@ -266,7 +259,7 @@ def replace_node(ast: ProgramAst, node_id: int, replacement: Node) -> ProgramAst
     """Return a copy of the tree with the node at preorder ``node_id``
     swapped for ``replacement``.  Raises :class:`ProgramError` if there is
     no such node or the root would not be an application."""
-    if not 0 <= node_id < len(iter_nodes(ast)):  # the empty program has no node
+    if not 0 <= node_id < len(iter_nodes(ast)):
         raise ProgramError(f"node id {node_id} out of range")
     if node_id == 0 and not isinstance(replacement, FunctionNode):
         raise ProgramError("the root must be an application")
@@ -308,8 +301,8 @@ def initial_params(ast: ProgramAst) -> dict[int, np.ndarray]:
 
 
 def depth(ast: ProgramAst) -> int:
-    """Edges on the longest root-to-leaf path; the empty program has depth 0."""
-    return max(_walk(ast)[1], default=0)
+    """Edges on the longest root-to-leaf path."""
+    return max(_walk(ast)[1])
 
 
 def structural_cost(
@@ -336,8 +329,6 @@ def canonical_key(ast: ProgramAst) -> str:
 
 def _render(ast: ProgramAst, param_text: Callable[[ParamLeaf], str]) -> str:
     """Program text with each parameter leaf written as ``param_text(leaf)``."""
-    if ast.is_empty:
-        return "()"
 
     def render(node: Node) -> str:
         if isinstance(node, ParamLeaf):
@@ -427,12 +418,9 @@ class _Parser:
 
     def parse_root(self) -> ProgramAst:
         self.expect("(")
-        if self.peek() == ")":
-            self.take()
-            if self.peek() is not None:
-                raise ParseError("trailing tokens after program")
-            return EMPTY_PROGRAM
         head = self.take()
+        if head == ")":
+            raise ParseError("a program needs an action at its root")
         spec = self.registry.spec(head)
         if not spec.is_action:
             raise ProgramTypeError(f"program root must be an action, got function {head}")

@@ -41,7 +41,6 @@ from .draws import Stream
 from .interpreter import matches_trace
 from .optimizer import OptimizedCandidate, optimize
 from .program import (
-    EMPTY_PROGRAM,
     ComplexityWeights,
     FunctionNode,
     FunctionSpec,
@@ -181,9 +180,9 @@ def _derive_seed(*parts: object) -> int:
 
 class _Site(NamedTuple):
     """The leaf an expansion replaces and what its proposals share: the
-    parent's tree (None for the empty program), optimised parameter values
-    and key, the first free parameter id, the name-sorted variables of each
-    dimension and the run seed."""
+    parent's tree, optimised parameter values and key, the first free
+    parameter id, the name-sorted variables of each dimension and the run
+    seed.  The first proposals have no parent tree and no leaf (None)."""
 
     parent_ast: ProgramAst | None
     parent_params: Mapping[int, np.ndarray]
@@ -284,10 +283,11 @@ def _proposals(
 
 
 def expand_empty(registry: Registry, schema: object, run_seed: int) -> list[_Proto]:
-    """Proposals for the empty program: one application of each action per
-    argument pattern."""
+    """The first proposals of a search: one application of each action per
+    argument pattern, each a whole program of depth 1."""
     names = names_by_dim(_as_variables(schema))
-    site = _Site(None, {}, canonical_key(EMPTY_PROGRAM), None, 0, names, run_seed)
+    # the parent key "()" is part of every first proposal's seed: keep it
+    site = _Site(None, {}, "()", None, 0, names, run_seed)
     return _proposals(site, registry.actions(), 1, 0, 0)
 
 
@@ -327,7 +327,7 @@ def induce(
     """Search for a program whose execution matches the trace under
     ``config``'s error model (``RunConfig.error_spec``).
 
-    Queues the expansions of the empty program, then repeatedly pops the
+    Queues the first proposals (``expand_empty``), then repeatedly pops the
     first queue entry.  A group is drawn, and those of its proposals whose
     structure is not queued yet go back deferred; a deferred proposal is
     optimised and pushed back with its score; a candidate is returned if it

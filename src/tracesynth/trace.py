@@ -141,7 +141,6 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 class MemoryState(NamedTuple):
     """Variable and parameter bindings visible to a program at one timestep."""
 
-    t: int
     variables: dict[str, np.ndarray]
     params: dict[int, np.ndarray]
 
@@ -153,7 +152,7 @@ def memory_at(
     if not 1 <= t <= trace.length:
         raise IndexError(f"timestep {t} outside 1..{trace.length}")
     step = trace.steps[t - 1]
-    return MemoryState(t, dict(step.vars), dict(params or {}))
+    return MemoryState(dict(step.vars), dict(params or {}))
 
 
 @np.errstate(over="ignore")

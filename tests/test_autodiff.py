@@ -1,14 +1,16 @@
+"""The backward pass of the interpreter's tape: each registry entry's
+vector-Jacobian product; ``backward``'s parameter and per-read variable
+gradients against hand-derived values, finite differences and the
+reference loss of a trace with two actions; and a root action whose
+registry entry is not the identity, in every pass."""
+
 import numpy as np
 
 from tracesynth import (
     ErrorSpec,
-    FunctionNode,
     FunctionSpec,
     OptimizeConfig,
-    ParamLeaf,
-    ProgramAst,
     SecondOrderConfig,
-    VarLeaf,
     backward,
     evaluate_step,
     execute,
@@ -27,6 +29,7 @@ from tests.conftest import (
     reference_loss,
     sequential_optimize,
 )
+from tests.test_program import _random_ast
 
 
 def _jacobian(registry, name, args, index):
@@ -176,26 +179,8 @@ class TestMixedActions:
         np.testing.assert_allclose(grad, [(up - dn) / (2 * h)], rtol=1e-6)
 
 
-def _random_program(rng, registry, schema, max_depth=3):
-    variables = list(schema)
-    pid = [0]
-
-    def expr(budget):
-        kind = rng.integers(0, 3 if budget > 0 else 2)
-        if kind == 0:
-            leaf = ParamLeaf(pid[0], 1, (float(rng.normal()),))
-            pid[0] += 1
-            return leaf
-        if kind == 1:
-            return VarLeaf(str(rng.choice(variables)), 1)
-        name = str(rng.choice(["add", "sub", "scale"]))
-        return FunctionNode(name, (expr(budget - 1), expr(budget - 1)), 1)
-
-    return ProgramAst(FunctionNode("accel", (expr(max_depth - 1),), 1))
-
-
 class TestFiniteDifferences:
-    def test_parameter_gradients_100_random_programs(self, scalar_registry, scalar_schema):
+    def test_parameter_gradients_100_random_programs(self, scalar_registry):
         rng = np.random.default_rng(123)
         spec = ErrorSpec(max_step_error=1e12)
         checked = 0
@@ -205,7 +190,7 @@ class TestFiniteDifferences:
                 {"x": rng.normal(size=T).tolist(), "v": rng.normal(size=T).tolist()},
                 rng.normal(size=T).tolist(),
             )
-            ast = _random_program(rng, scalar_registry, scalar_schema)
+            ast = _random_ast(rng, 2)
             params = initial_params(ast)
             res = execute(ast, params, trace, scalar_registry, spec)
             if np.any(np.abs(res.step_errors) < 1e-8):
@@ -257,7 +242,7 @@ class TestActionEntry:
             res.loss, reference_loss(ast, registry, params, trace, spec), rtol=1e-12
         )
         for t in range(1, trace.length + 1):
-            _, theta, _ = evaluate_step(ast, registry, memory_at(trace, t, params))
+            _, theta = evaluate_step(ast, registry, memory_at(trace, t, params))
             np.testing.assert_allclose(theta, want[t - 1], rtol=1e-12)
 
         grads = backward(res, spec)

@@ -31,7 +31,9 @@ Only ``interpreter.py`` knows the tape: no other module in ``tracesynth``
 refers to or imports a name in ``TAPE_NAMES``.  The re-exports of
 ``__init__.py`` are exempt.  Only ``interpreter.py`` applies the error
 model, so a step's error is decided in one place: no other module in
-``tracesynth`` refers to a name in ``ERROR_MODEL_NAMES``.
+``tracesynth`` refers to a name in ``ERROR_MODEL_NAMES``.  Every name in
+either set is defined in ``interpreter.py``, at module level or as a field
+of ``ErrorSpec``, so neither rule guards a name that no longer exists.
 """
 
 from __future__ import annotations
@@ -58,11 +60,8 @@ UNREAD_PARAMETERS = {
 UNSET_PARAMETERS = {
     ("cli.run_cli", "argv"): "tests drive the command line through it; main reads sys.argv",
 }
-# the op kinds, the forward loop, the lowering, the row errors, the
-# error-model seed and the reverse loop of the tape
-TAPE_NAMES = {
-    "PARAM", "VAR", "CALL", "forward", "compile_tape", "action_errors", "seed_rows", "backprop"
-}
+# the op kinds, the lowering and the reverse loop of the tape
+TAPE_NAMES = {"PARAM", "VAR", "CALL", "compile_tape", "backprop"}
 # the two functions of an ``ErrorSpec``
 ERROR_MODEL_NAMES = {"act_error", "act_error_grad"}
 # program-tree dataclasses that need no __post_init__ or field(...) -> why
@@ -372,3 +371,36 @@ def test_only_the_interpreter_applies_the_error_model():
         "optimizer.act_error_grad",
     ]
     assert _named_outside_the_interpreter(ERROR_MODEL_NAMES) == []
+
+
+def _definitions_and_fields(tree: ast.Module, record: str) -> set[str]:
+    """Names the module defines at module level, by a ``def``, a ``class``
+    or an assignment, and the annotated fields of its class ``record``."""
+    out = set()
+    for node in tree.body:
+        if isinstance(node, DEFINITION):
+            out.add(node.name)
+            if node.name == record:
+                out.update(
+                    item.target.id
+                    for item in node.body
+                    if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+                )
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            out.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return out
+
+
+def test_the_guarded_names_are_the_interpreter_s():
+    stray = (
+        "PARAM, VAR = 'param', 'var'\nfrom .program import CALL\ndef backprop(): pass\n"
+        "class ErrorSpec:\n    act_error: int = 0\n"
+        "class Other:\n    act_error_grad: int = 0\n"
+    )
+    assert _definitions_and_fields(ast.parse(stray), "ErrorSpec") == {
+        "PARAM", "VAR", "backprop", "ErrorSpec", "Other", "act_error"
+    }
+    interpreter = ast.parse((PACKAGE / "interpreter.py").read_text(encoding="utf-8"))
+    defined = _definitions_and_fields(interpreter, "ErrorSpec")
+    assert sorted((TAPE_NAMES | ERROR_MODEL_NAMES) - defined) == []

@@ -195,6 +195,38 @@ class TestEval:
         prog.write_text("(accel x)")
         assert run_cli(["eval", "--program", str(prog), "--trace", "/nonexistent"]) == 2
 
+    def test_empty_program_rejected(self, tmp_path, capsys):
+        trace_path = tmp_path / "p.trace"
+        run_cli(["simulate", "pendulum", "--out", str(trace_path)])
+        prog = tmp_path / "prog.sexp"
+        prog.write_text("()")
+        capsys.readouterr()
+        assert run_cli(["eval", "--program", str(prog), "--trace", str(trace_path)]) == 2
+        assert capsys.readouterr().err == "error: a program needs an action at its root\n"
+
+
+# input nested deeper than the JSON decoder or the program parser can recurse
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["induce", "--trace", "{deep}"], "[" * 200_000),
+        (["induce", "--trace", "{trace}", "--config", "{deep}"], "[" * 200_000),
+        (
+            ["eval", "--program", "{deep}", "--trace", "{trace}"],
+            "(accel " + "(add x " * 5000 + "x" + ")" * 5001,
+        ),
+    ],
+    ids=["trace", "config", "program"],
+)
+def test_deeply_nested_input_rejected(tmp_path, capsys, argv, text):
+    trace_path = tmp_path / "p.trace"
+    run_cli(["simulate", "pendulum", "--out", str(trace_path)])
+    deep = tmp_path / "deep"
+    deep.write_text(text)
+    capsys.readouterr()
+    assert run_cli([a.format(deep=deep, trace=trace_path) for a in argv]) == 2
+    assert capsys.readouterr().err.startswith("error: maximum recursion depth exceeded")
+
 
 @pytest.mark.parametrize("command", ["induce", "eval", "simulate", "enumerate"])
 def test_every_flag_has_help(command):

@@ -24,7 +24,7 @@ from tracesynth import (
     standard_registry,
 )
 from tracesynth.interpreter import backward, evaluate_rows, row_gradients
-from tracesynth.program import EMPTY_PROGRAM, initial_params
+from tracesynth.program import initial_params
 from tests.conftest import make_trace, mixed_action_case, mixed_dimension_case, reference_loss
 
 
@@ -37,7 +37,7 @@ class TestEvaluateStep:
     def test_scale(self, scalar_registry, scalar_schema):
         trace = make_trace({"x": [0.5], "v": [0.0]}, [0.0])
         ast, _ = _program("(accel (scale 2.0 x))", scalar_registry, scalar_schema)
-        name, theta, record = evaluate_step(
+        name, theta = evaluate_step(
             ast, scalar_registry, memory_at(trace, 1, {0: np.array([2.0])})
         )
         assert name == "accel"
@@ -46,7 +46,7 @@ class TestEvaluateStep:
     def test_add(self, scalar_registry, scalar_schema):
         trace = make_trace({"x": [0.1], "v": [-0.02]}, [0.0])
         ast, params = _program("(accel (add x v))", scalar_registry, scalar_schema)
-        _, theta, _ = evaluate_step(ast, scalar_registry, memory_at(trace, 1, params))
+        _, theta = evaluate_step(ast, scalar_registry, memory_at(trace, 1, params))
         np.testing.assert_allclose(theta, [0.08])
 
     def test_sub_of_scales(self, scalar_registry, scalar_schema):
@@ -54,33 +54,14 @@ class TestEvaluateStep:
         ast, params = _program(
             "(accel (sub (scale 1.0 x) (scale 1.0 v)))", scalar_registry, scalar_schema
         )
-        _, theta, _ = evaluate_step(ast, scalar_registry, memory_at(trace, 1, params))
+        _, theta = evaluate_step(ast, scalar_registry, memory_at(trace, 1, params))
         np.testing.assert_allclose(theta, [2.0])
-
-    def test_empty_program_rejected(self, scalar_registry):
-        trace = make_trace({"x": [0.0], "v": [0.0]}, [0.0])
-        with pytest.raises(EvaluationError):
-            evaluate_step(EMPTY_PROGRAM, scalar_registry, memory_at(trace, 1))
 
     def test_unbound_parameter(self, scalar_registry, scalar_schema):
         trace = make_trace({"x": [0.0], "v": [0.0]}, [0.0])
         ast, _ = _program("(accel (scale 2.0 x))", scalar_registry, scalar_schema)
         with pytest.raises(EvaluationError):
             evaluate_step(ast, scalar_registry, memory_at(trace, 1, {}))
-
-    def test_record_covers_every_node(self, scalar_registry, scalar_schema):
-        trace = make_trace({"x": [3.0], "v": [1.0]}, [0.0])
-        ast, params = _program(
-            "(accel (sub (scale 1.0 x) (scale 1.0 v)))", scalar_registry, scalar_schema
-        )
-        _, theta, values = evaluate_step(ast, scalar_registry, memory_at(trace, 1, params))
-
-        from tracesynth.program import iter_nodes
-
-        assert len(values) == len(iter_nodes(ast))
-        # preorder: accel, sub, scale, 1.0, x, scale, 1.0, v
-        np.testing.assert_allclose(np.concatenate(values), [2, 2, 3, 1, 3, 1, 1, 1])
-        np.testing.assert_array_equal(values[0], theta)
 
 
 class TestTape:
@@ -265,7 +246,7 @@ class TestExecute:
         spec = ErrorSpec(max_step_error=1e9)
         res = execute(ast, params, trace, scalar_registry, spec)
         for t in range(1, trace.length + 1):
-            _, theta, _ = evaluate_step(ast, scalar_registry, memory_at(trace, t, params))
+            _, theta = evaluate_step(ast, scalar_registry, memory_at(trace, t, params))
             np.testing.assert_allclose(res.activations[-1][t - 1], theta, rtol=1e-12)
 
     def test_loss_self_consistency_random(self, scalar_registry, scalar_schema):

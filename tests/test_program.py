@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from tracesynth import (
     ComplexityWeights,
-    EMPTY_PROGRAM,
     FunctionNode,
     FunctionSpec,
     ParamLeaf,
@@ -62,7 +61,8 @@ class TestParse:
             parse_program("(add x v)", scalar_registry, scalar_schema)
 
     def test_empty(self, scalar_registry, scalar_schema):
-        assert parse_program("()", scalar_registry, scalar_schema).is_empty
+        with pytest.raises(ParseError, match="a program needs an action at its root"):
+            parse_program("()", scalar_registry, scalar_schema)
 
     def test_non_finite_vector_literal(self):
         registry = standard_registry({"u": 2}, {"go": 2})
@@ -121,9 +121,6 @@ class TestPrint:
         ast = parse_program("(accel (scale -9.8 x))", scalar_registry, scalar_schema)
         assert print_program(ast) == "(accel (scale -9.80000 x))"
 
-    def test_empty(self):
-        assert print_program(EMPTY_PROGRAM) == "()"
-
     def test_round_trip(self, scalar_registry, scalar_schema):
         text = "(accel (add (scale 1.25000 x) (scale -0.500000 v)))"
         ast = parse_program(text, scalar_registry, scalar_schema)
@@ -143,9 +140,6 @@ class TestPrint:
 
 
 class TestDepthComplexity:
-    def test_depth_empty(self):
-        assert depth(EMPTY_PROGRAM) == 0
-
     def test_depth_one(self, scalar_registry, scalar_schema):
         assert depth(parse_program("(accel 1.0)", scalar_registry, scalar_schema)) == 1
 
@@ -154,9 +148,6 @@ class TestDepthComplexity:
             "(accel (add (scale 1.0 x) (scale 2.0 v)))", scalar_registry, scalar_schema
         )
         assert depth(ast) == 3
-
-    def test_complexity_empty(self):
-        assert complexity(EMPTY_PROGRAM) == 0
 
     def test_complexity_single_param(self, scalar_registry, scalar_schema):
         ast = parse_program("(accel 1.0)", scalar_registry, scalar_schema)
