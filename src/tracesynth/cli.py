@@ -129,7 +129,12 @@ def _add_config_flags(cmd: argparse.ArgumentParser, names: Iterable[str]) -> Non
 def _load_config(args: argparse.Namespace) -> RunConfig:
     config = RunConfig()
     if args.config:
-        doc = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        try:
+            doc = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{args.config}: not valid JSON: {exc}") from None
+        except RecursionError:
+            raise ValueError(f"{args.config}: nested too deeply") from None
         config = RunConfig.from_dict(doc)
     # a flag a command lacks, or one not given, is absent or None: no override
     config = config.override(**{f.name: getattr(args, f.name, None) for f in fields(RunConfig)})
@@ -235,11 +240,16 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     trace = load_trace(args.trace)
     registry = standard_registry(trace.schema.variables, trace.schema.actions)
     text = Path(args.program).read_text(encoding="utf-8").strip()
-    ast = parse_program(text, registry, trace.schema)
     spec = _load_config(args).error_spec()
-    result = execute(ast, initial_params(ast), trace, registry, spec)
+    # parsing, compiling and printing a program all recurse on its depth
+    try:
+        ast = parse_program(text, registry, trace.schema)
+        result = execute(ast, initial_params(ast), trace, registry, spec)
+        shown = print_program(ast)
+    except RecursionError:
+        raise ProgramError(f"{args.program}: nested too deeply") from None
     errors = result.step_errors
-    print(f"program: {print_program(ast)}")
+    print(f"program: {shown}")
     print(f"loss: {result.loss:.9g}")
     print(f"executed: {result.executed_len} of {result.observed_len} steps")
     if len(errors):
@@ -276,8 +286,7 @@ def run_cli(argv: list[str] | None = None) -> int:
         if args.command == "enumerate":
             return _cmd_enumerate(args)
         return USAGE_ERROR
-    # RecursionError: a trace, config or program nested too deeply to read
-    except (TraceFormatError, ProgramError, ValueError, OSError, RecursionError) as exc:
+    except (TraceFormatError, ProgramError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_ERROR
 

@@ -35,9 +35,9 @@ from time import perf_counter
 from typing import NamedTuple
 
 import numpy as np
+from numpy.random import default_rng
 
 from .config import RunConfig
-from .draws import Stream
 from .interpreter import matches_trace
 from .optimizer import OptimizedCandidate, optimize
 from .program import (
@@ -202,10 +202,9 @@ class _Proto:
     Its seed, its drawn arguments, its key, its tree and its initial
     parameter values (the drawn ones, and the parent's optimised values for
     the parameters that survive) are built on first access, since most
-    proposals are never drawn.  The arguments are drawn from
-    ``draws.Stream(seed)``, numpy's ``default_rng(seed)`` stream: a
-    variable slot takes ``integers(len(names))`` (two slots share one
-    64-bit output) and a parameter slot ``normal(0.0, _PARAM_INIT_STD, dim)``.
+    proposals are never drawn.  The arguments are drawn from numpy's
+    ``default_rng(seed)``: a variable slot takes ``integers(len(names))``
+    and a parameter slot ``normal(0.0, _PARAM_INIT_STD, dim)``.
     """
 
     def __init__(self, site: _Site, fn: FunctionSpec, pattern: tuple, counts: tuple) -> None:
@@ -219,7 +218,7 @@ class _Proto:
 
     @cached_property
     def children(self) -> tuple[ParamLeaf | VarLeaf, ...]:
-        rng = Stream(self.seed)
+        rng = default_rng(self.seed)
         children = []
         pid = self.site.pid_start
         for want_var, dim in zip(self.pattern, self.fn.arg_dims):
@@ -227,7 +226,7 @@ class _Proto:
                 names = self.site.names[dim]
                 children.append(VarLeaf(names[rng.integers(len(names))], dim))
             else:
-                init = tuple(rng.normal(0.0, _PARAM_INIT_STD, dim))
+                init = tuple(rng.normal(0.0, _PARAM_INIT_STD, dim).tolist())
                 children.append(ParamLeaf(pid, dim, init))
                 pid += 1
         return tuple(children)

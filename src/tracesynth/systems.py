@@ -7,8 +7,8 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
+from numpy.random import default_rng
 
-from .draws import Stream
 from .program import is_finite
 from .trace import ObservationTrace, TraceSchema, TraceStep
 
@@ -104,7 +104,7 @@ def simulate_paddle(cfg: PaddleConfig) -> ObservationTrace:
     """Generate a discretised-control trace: vars {agent_y, ball_y,
     opponent_y} and action move(theta) with theta in {-1, 0, +1}."""
     schema = TraceSchema({"agent_y": 1, "ball_y": 1, "opponent_y": 1}, {"move": 1})
-    rng = Stream(cfg.seed)
+    rng = default_rng(cfg.seed)
     ball = rng.uniform(0.1, 0.9) * cfg.height
     ball_v = cfg.ball_speed * (1.0 if rng.random() < 0.5 else -1.0)
     agent = rng.uniform(0.2, 0.8) * cfg.height

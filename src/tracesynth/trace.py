@@ -327,7 +327,9 @@ def load_trace(path: str | Path) -> ObservationTrace:
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
-        raise TraceFormatError(f"not valid JSON: {exc}") from None
+        raise TraceFormatError(f"{path}: not valid JSON: {exc}") from None
+    except RecursionError:
+        raise TraceFormatError(f"{path}: nested too deeply") from None
     return trace_from_dict(doc)
 
 

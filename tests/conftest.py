@@ -186,6 +186,21 @@ def joined_oscillator_trace() -> ObservationTrace:
     return ObservationTrace(first.schema, tuple(steps))
 
 
+def planar_trace() -> ObservationTrace:
+    """A planar oscillator: ``p`` and ``v`` of dimension 2 from
+    p0=(1, -0.5), v0=(0.3, 2.0), and the action ``accel2 = -4p - 0.25v``,
+    integrated by semi-implicit Euler as in ``simulate_second_order``
+    (dt 0.01, 200 steps)."""
+    p, v = np.array([1.0, -0.5]), np.array([0.3, 2.0])
+    steps = []
+    for t in range(1, 201):
+        theta = -4.0 * p - 0.25 * v
+        steps.append(TraceStep(t, {"p": p, "v": v}, "accel2", theta))
+        v = v + theta * 0.01
+        p = p + v * 0.01
+    return ObservationTrace(TraceSchema({"p": 2, "v": 2}, {"accel2": 2}), tuple(steps))
+
+
 def eager_induce(trace, registry, config):
     """Reference search: ``induce`` as it was before proposals were deferred,
     optimising each one when it is queued.  Returns the solution (or None),

@@ -17,6 +17,7 @@ from tracesynth import (
     optimize,
     parse_program,
     reassign_variables,
+    RunConfig,
     simulate_second_order,
     standard_registry,
     SecondOrderConfig,
@@ -32,6 +33,7 @@ from tests.conftest import (
     joined_oscillator_trace,
     make_trace,
     mixed_action_case,
+    planar_trace,
     sequential_optimize,
     unpruned_reassign,
     unpruned_vote,
@@ -392,6 +394,32 @@ def _both(text, registry, schema, trace, config, spec=ErrorSpec()):
         got, sequential_optimize(ast, initial_params(ast), trace, registry, spec, config)
     )
     return got
+
+
+# programs on a trace whose variables and action have dimension 2: the law
+# itself, nearly, and three that miss it
+PLANAR_LAW = "(accel2 (add2 (scale2 -3.9 p) (scale2 -0.2 v)))"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        PLANAR_LAW,
+        "(accel2 (scale2 -1.0 v))",
+        "(accel2 (add2 (scale2 0.1 p) p))",
+        "(accel2 (sub2 v p))",
+    ],
+)
+def test_vector_valued_trace(text):
+    trace = planar_trace()
+    registry = standard_registry(trace.schema.variables, trace.schema.actions)
+    config = RunConfig(max_step_error=0.01)
+    out = _both(
+        text, registry, trace.schema, trace, config.optimize_config(), config.error_spec()
+    )
+    if text == PLANAR_LAW:
+        assert (out.stop, out.iterations, out.result.executed_len) == ("matched", 21, 200)
+        assert matches_trace(out.result)
 
 
 class TestSignature:

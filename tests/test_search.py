@@ -11,10 +11,12 @@ from tracesynth import (
     CandidateQueue,
     ErrorSpec,
     Gradients,
+    ObservationTrace,
     OptimizedCandidate,
     PaddleConfig,
     RunConfig,
     SecondOrderConfig,
+    TraceSchema,
     enumerate_programs,
     execute,
     induce,
@@ -445,6 +447,25 @@ class TestInduce:
         keys = [c.key for c in sol.top]
         assert len(set(keys)) == len(keys)
 
+    @pytest.mark.parametrize("error_model", ["euclidean", "discrete"])
+    def test_trace_of_several_actions_is_refused(self, error_model):
+        # the paddle's move renamed by its class: a program has one action at
+        # its root, and a step of another action ends its executed prefix
+        paddle = simulate_paddle(PaddleConfig())
+        names = {-1.0: "down", 0.0: "stay", 1.0: "up"}
+        steps = tuple(s._replace(action_name=names[s.theta[0]]) for s in paddle.steps)
+        schema = TraceSchema(paddle.schema.variables, {name: 1 for name in names.values()})
+        trace = ObservationTrace(schema, steps)
+        registry = standard_registry(schema.variables, schema.actions)
+        config = RunConfig(max_iterations=30, error_model=error_model)
+        result = induce(trace, registry, config=config)
+        assert result.solution is None
+        actions = [s.action_name for s in steps]
+        for cand in result.top:
+            root = cand.ast.root.name
+            first_other = next(t for t, name in enumerate(actions, 1) if name != root)
+            assert cand.opt.result.executed_len <= first_other
+
 
 def _loss_098_trace():
     """x and v are 0 at step 1, where the observed action is 0.98: every
@@ -551,7 +572,9 @@ class TestDeferredSearch:
 
             return wrapper
 
-        monkeypatch.setattr(search, "Stream", counted(search.Stream, "generators", lambda _: 1))
+        monkeypatch.setattr(
+            search, "default_rng", counted(search.default_rng, "generators", lambda _: 1)
+        )
         monkeypatch.setattr(search, "expand", counted(search.expand, "expanded"))
         monkeypatch.setattr(search, "expand_empty", counted(search.expand_empty, "expanded"))
         result = induce(trace, registry, config=config)
