@@ -1,11 +1,7 @@
 import argparse
 import json
-import os
 import re
-import subprocess
-import sys
 from dataclasses import fields
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +20,6 @@ from tracesynth.cli import SYSTEMS, _build_parser, _load_config, run_cli
 from tracesynth.program import ComplexityWeights, initial_params
 from tracesynth.search import MAX_COUNT_DIGITS
 
-ROOT = Path(__file__).resolve().parents[1]
 # an int too large for a float, which a JSON document can hold
 HUGE_INT = pytest.param(10**400, id="huge-int")
 
@@ -702,42 +697,3 @@ class TestInduce:
         flags = ["--max-iterations", "5"]
         assert run_cli(["induce", "--trace", str(path), *flags]) == 2
         assert f"name {name!r}" in capsys.readouterr().err
-
-
-# a fresh process, as the command line is, that imports tracesynth before numpy
-BLAS_PROCESS = """
-import json, os
-before = dict(os.environ)
-import tracesynth as ts
-kept = dict(os.environ) == before
-trace = ts.simulate_second_order(ts.SecondOrderConfig())
-registry = ts.standard_registry(trace.schema.variables, trace.schema.actions)
-ts.induce(trace, registry, config=ts.RunConfig(max_iterations=2))
-print(json.dumps({
-    "threads": len(os.listdir("/proc/self/task")),
-    "environ_kept": kept,
-    "openblas": os.environ.get("OPENBLAS_NUM_THREADS"),
-}))
-"""
-
-
-@pytest.mark.parametrize(
-    "caller",
-    [{}, {"OPENBLAS_NUM_THREADS": "2"}, {"OMP_NUM_THREADS": "2"}],
-    ids=["unset", "OPENBLAS_NUM_THREADS=2", "OMP_NUM_THREADS=2"],
-)
-def test_import_starts_no_blas_worker_and_keeps_the_environment(caller):
-    blas = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
-    env = {k: v for k, v in os.environ.items() if k not in blas}
-    env.update(caller, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT)]))
-    proc = subprocess.run(
-        [sys.executable, "-c", BLAS_PROCESS], env=env, capture_output=True, text=True, timeout=120
-    )
-    assert proc.returncode == 0, proc.stderr
-    out = json.loads(proc.stdout)
-    assert out["environ_kept"]
-    assert out["openblas"] == caller.get("OPENBLAS_NUM_THREADS")
-    # OpenBLAS runs the caller's thread count, the main thread included,
-    # capped by the CPUs the process may run on; with no count, one thread
-    wanted = int(next(iter(caller.values()), 1))
-    assert out["threads"] == min(wanted, len(os.sched_getaffinity(0)))
