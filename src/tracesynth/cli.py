@@ -26,7 +26,7 @@ from .program import (
 )
 from .search import SolutionSet, enumerate_programs, induce
 from .systems import OSCILLATOR, PENDULUM, PaddleConfig, simulate_paddle, simulate_second_order
-from .trace import TraceFormatError, load_trace, save_trace
+from .trace import TraceFormatError, load_trace, read_input, save_trace
 
 USAGE_ERROR = 1
 INPUT_ERROR = 2
@@ -129,13 +129,7 @@ def _add_config_flags(cmd: argparse.ArgumentParser, names: Iterable[str]) -> Non
 def _load_config(args: argparse.Namespace) -> RunConfig:
     config = RunConfig()
     if args.config:
-        try:
-            doc = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{args.config}: not valid JSON: {exc}") from None
-        except RecursionError:
-            raise ValueError(f"{args.config}: nested too deeply") from None
-        config = RunConfig.from_dict(doc)
+        config = RunConfig.from_dict(read_input(args.config))
     # a flag a command lacks, or one not given, is absent or None: no override
     config = config.override(**{f.name: getattr(args, f.name, None) for f in fields(RunConfig)})
     # a config file may hold a deadband under any model, as every report's does
@@ -239,7 +233,7 @@ def _cmd_induce(args: argparse.Namespace) -> int:
 def _cmd_eval(args: argparse.Namespace) -> int:
     trace = load_trace(args.trace)
     registry = standard_registry(trace.schema.variables, trace.schema.actions)
-    text = Path(args.program).read_text(encoding="utf-8").strip()
+    text = read_input(args.program, str)
     spec = _load_config(args).error_spec()
     # parsing, compiling and printing a program all recurse on its depth
     try:

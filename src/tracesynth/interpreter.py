@@ -54,11 +54,6 @@ class EvaluationError(ProgramError):
 # error model
 
 
-def euclidean_error(theta_hat: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """Per-step Euclidean action-parameter error; inputs are (n, D)."""
-    return distances(theta_hat, theta)
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def euclidean_error_grad(theta_hat: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """d(error)/d(theta_hat), rows (theta_hat-theta)/||.||; the zero
@@ -69,7 +64,8 @@ def euclidean_error_grad(theta_hat: np.ndarray, theta: np.ndarray) -> np.ndarray
     diff = theta_hat - theta
     norm = distances(theta_hat, theta, keepdims=True)
     grad = np.divide(diff, norm, out=np.zeros(diff.shape), where=norm > 0.0)
-    if np.isinf(norm).any():
+    # a norm is >= 0 or NaN, and fmax passes over NaN
+    if np.fmax.reduce(norm, axis=None, initial=0.0) == np.inf:
         # the square of a distance from about 1.34e154 up overflows
         scaled = diff / np.abs(diff).max(axis=-1, keepdims=True)
         far = np.isinf(norm) & np.isfinite(diff).all(axis=-1, keepdims=True)
@@ -83,14 +79,16 @@ class ErrorSpec:
 
     ``act_error``/``act_error_grad`` operate on (n, D) arrays of predicted
     and observed action parameters, row by row, and each returns a new
-    array, which the interpreter may overwrite.  ``max_step_error`` is the
-    per-step threshold above which execution terminates.  A step whose
-    observed action has another name than the program's root action has a
-    NaN target row (``ObservationTrace.action_targets``): both functions see
-    it, and ``evaluate_rows`` and ``row_gradients`` replace what they give
-    there by the error ``max_step_error + 1`` and a zero gradient, so
-    execution terminates at that step.  So ``max_step_error + 1`` must
-    exceed ``max_step_error``: NaN, ±inf and magnitudes from 2**53 up raise
+    array, which the interpreter may overwrite; by default they are the
+    Euclidean distance, ``trace.distances``, and its gradient.
+    ``max_step_error`` is the per-step threshold above which execution
+    terminates.  A step whose observed action has another name than the
+    program's root action has a NaN target row
+    (``ObservationTrace.action_targets``): both functions see it, and
+    ``evaluate_rows`` and ``row_gradients`` replace what they give there by
+    the error ``max_step_error + 1`` and a zero gradient, so execution
+    terminates at that step.  So ``max_step_error + 1`` must exceed
+    ``max_step_error``: NaN, ±inf and magnitudes from 2**53 up raise
     ``ValueError``.
 
     The loss of an execution is the sum of its step errors (``prefix_sums``).
@@ -102,7 +100,7 @@ class ErrorSpec:
     loss ``+inf``.
     """
 
-    act_error: Callable[[np.ndarray, np.ndarray], np.ndarray] = euclidean_error
+    act_error: Callable[[np.ndarray, np.ndarray], np.ndarray] = distances
     act_error_grad: Callable[[np.ndarray, np.ndarray], np.ndarray] = euclidean_error_grad
     max_step_error: float = 0.05
 

@@ -163,31 +163,20 @@ class Registry:
         return sorted((s for s in self._specs.values() if not s.is_action), key=lambda s: s.name)
 
 
-def _as_variables(schema: object) -> dict[str, int]:
-    """Accept either a plain name->dim mapping, held to the trace schema's
-    name rule, or an object with a ``variables`` attribute (a schema)."""
-    if isinstance(schema, Mapping):
-        schema = TraceSchema(dict(schema), {})
-    variables = getattr(schema, "variables", None)
-    if variables is None:
-        raise ProgramTypeError("schema must be a mapping or carry .variables")
-    return dict(variables)
-
-
-def standard_registry(variables: object, actions: Mapping[str, int]) -> Registry:
+def standard_registry(variables: Mapping[str, int], actions: Mapping[str, int]) -> Registry:
     """Registry with vector addition, subtraction and scaling at every
-    dimension used by the schema variables, plus one action per entry of
-    ``actions`` (name -> parameter dimension).
+    dimension used by ``variables``, plus one action per entry of
+    ``actions`` (both name -> dimension, as in a trace schema).
 
     At dimension 1 the plain names ``add``/``sub``/``scale`` are used;
     other dimensions get a numeric suffix (``add2`` ...).  Every entry is
     elementwise within a row (``scale``'s gradient sums over a row's own
     components), so rows are independent as ``Registry`` requires.
     """
-    # the schema's name rule covers the action names too
-    var_dims = TraceSchema(_as_variables(variables), dict(actions)).variables
+    # the names are held to the trace schema's rule, which raises here
+    TraceSchema(dict(variables), dict(actions))
     reg = Registry()
-    dims = sorted(set(var_dims.values()) | {d for d in actions.values()})
+    dims = sorted(set(variables.values()) | set(actions.values()))
     for d in dims:
         sfx = "" if d == 1 else str(d)
         reg.register(
@@ -494,7 +483,7 @@ class _Parser:
         return leaf
 
 
-def parse_program(text: str, registry: Registry, schema: object) -> ProgramAst:
+def parse_program(text: str, registry: Registry, schema: TraceSchema) -> ProgramAst:
     """Parse program text against a registry and a trace schema.
 
     Numeric literals become parameter leaves initialised to the literal.
@@ -505,4 +494,4 @@ def parse_program(text: str, registry: Registry, schema: object) -> ProgramAst:
     tokens = _tokenize(text)
     if not tokens:
         raise ParseError("empty program text")
-    return _Parser(tokens, registry, _as_variables(schema)).parse_root()
+    return _Parser(tokens, registry, schema.variables).parse_root()

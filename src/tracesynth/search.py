@@ -48,7 +48,6 @@ from .program import (
     ProgramAst,
     Registry,
     VarLeaf,
-    _as_variables,
     canonical_key,
     complexity,
     depth,
@@ -59,7 +58,7 @@ from .program import (
     replace_node,
     structural_cost,
 )
-from .trace import ObservationTrace, names_by_dim
+from .trace import ObservationTrace, TraceSchema, names_by_dim
 
 _PARAM_INIT_STD = math.sqrt(0.1)  # proposals drawn from N(0, variance 0.1)
 # Python's default limit on the digits of an int converted to text
@@ -281,10 +280,10 @@ def _proposals(
     ]
 
 
-def expand_empty(registry: Registry, schema: object, run_seed: int) -> list[_Proto]:
+def expand_empty(registry: Registry, schema: TraceSchema, run_seed: int) -> list[_Proto]:
     """The first proposals of a search: one application of each action per
     argument pattern, each a whole program of depth 1."""
-    names = names_by_dim(_as_variables(schema))
+    names = names_by_dim(schema.variables)
     # the parent key "()" is part of every first proposal's seed: keep it
     site = _Site(None, {}, "()", None, 0, names, run_seed)
     return _proposals(site, registry.actions(), 1, 0, 0)
@@ -444,7 +443,7 @@ def induce(
     )
 
 
-def enumerate_programs(registry: Registry, schema: object, max_depth: int) -> int:
+def enumerate_programs(registry: Registry, schema: TraceSchema, max_depth: int) -> int:
     """Exact count of distinct program structures (parameters collapsed, variable
     names distinct, argument order significant) of depth at most ``max_depth``
     under the expansion grammar.  Raises ``ValueError`` for a negative depth
@@ -456,11 +455,10 @@ def enumerate_programs(registry: Registry, schema: object, max_depth: int) -> in
     count stops growing once no slot count changes."""
     if max_depth < 0:
         raise ValueError(f"depth must be >= 0, not {max_depth}")
-    variables = _as_variables(schema)
     fns = registry.pure_functions()
     actions = registry.actions()
     dims = {d for fn in (*fns, *actions) for d in (*fn.arg_dims, fn.out_dim)}
-    leaf_counts = {d: 1 + sum(1 for v in variables.values() if v == d) for d in dims}
+    leaf_counts = {d: 1 + sum(1 for v in schema.variables.values() if v == d) for d in dims}
     slots = leaf_counts
     total = 0
     for _ in range(max_depth):

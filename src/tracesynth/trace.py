@@ -6,13 +6,17 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, NamedTuple
+from typing import Callable, Mapping, NamedTuple, TypeVar
 
 import numpy as np
 
 
 class TraceFormatError(Exception):
-    """Document does not satisfy the trace file contract."""
+    """Document does not satisfy the trace file contract, or an input file
+    cannot be read as UTF-8 text or parsed (``read_input``)."""
+
+
+T = TypeVar("T")
 
 
 def _unwritable(name: str) -> str | None:
@@ -322,15 +326,24 @@ def trace_to_dict(trace: ObservationTrace) -> dict:
     }
 
 
-def load_trace(path: str | Path) -> ObservationTrace:
-    """Load and validate a trace file (JSON, UTF-8)."""
+def read_input(path: str | Path, parse: Callable[[str], T] = json.loads) -> T:
+    """``parse`` of the text of an input file, a trace, a run config or a
+    program, which must be UTF-8; by default the text is parsed as JSON.
+    Raises :class:`TraceFormatError` naming the file where the text is not
+    UTF-8, not valid JSON or nested too deeply to parse."""
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        return parse(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise TraceFormatError(f"{path}: not UTF-8: {exc}") from None
     except json.JSONDecodeError as exc:
         raise TraceFormatError(f"{path}: not valid JSON: {exc}") from None
     except RecursionError:
         raise TraceFormatError(f"{path}: nested too deeply") from None
-    return trace_from_dict(doc)
+
+
+def load_trace(path: str | Path) -> ObservationTrace:
+    """Load and validate a trace file (JSON, UTF-8)."""
+    return trace_from_dict(read_input(path))
 
 
 def save_trace(trace: ObservationTrace, path: str | Path) -> None:

@@ -384,5 +384,5 @@ def scalar_registry() -> Registry:
 
 
 @pytest.fixture
-def scalar_schema() -> dict[str, int]:
-    return {"x": 1, "v": 1}
+def scalar_schema() -> TraceSchema:
+    return TraceSchema({"x": 1, "v": 1}, {"accel": 1})

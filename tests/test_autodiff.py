@@ -162,7 +162,7 @@ class TestMixedActions:
         # steps 1-2 are within the threshold; the brake step scores the
         # penalty 1.5 alone and ends execution
         registry, trace = mixed_action_case()
-        ast = parse_program("(accel (scale 1.9 x))", registry, {"x": 1})
+        ast = parse_program("(accel (scale 1.9 x))", registry, trace.schema)
         params = initial_params(ast)
         spec = ErrorSpec(max_step_error=0.5)
         res = execute(ast, params, trace, registry, spec)
@@ -232,7 +232,7 @@ class TestActionEntry:
             rng.normal(size=6).tolist(),
         )
         text = "(accel (add (scale 0.7 x) (scale -0.3 v)))"
-        ast = parse_program(text, registry, {"x": 1, "v": 1})
+        ast = parse_program(text, registry, trace.schema)
         params = initial_params(ast)
         spec = ErrorSpec(max_step_error=1e9)
         want = 2.0 * (0.7 * trace.var_matrix("x") - 0.3 * trace.var_matrix("v"))

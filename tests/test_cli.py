@@ -236,19 +236,48 @@ def test_deeply_nested_input_rejected(tmp_path, capsys, argv, text):
 # a file that is not valid JSON, as the trace or as the config
 @pytest.mark.parametrize(
     "argv",
-    [["--trace", "{bad}"], ["--trace", "{trace}", "--config", "{bad}"]],
-    ids=["trace", "config"],
+    [
+        ["induce", "--trace", "{bad}"],
+        ["induce", "--trace", "{trace}", "--config", "{bad}"],
+        ["eval", "--program", "{program}", "--trace", "{trace}", "--config", "{bad}"],
+    ],
+    ids=["trace", "config", "eval-config"],
 )
 def test_malformed_json_input_rejected(tmp_path, capsys, argv):
     trace_path = tmp_path / "p.trace"
     run_cli(["simulate", "pendulum", "--out", str(trace_path)])
+    program = tmp_path / "prog.sexp"
+    program.write_text("(accel (scale -9.8 x))")
     bad = tmp_path / "bad.json"
     bad.write_text("{")
     capsys.readouterr()
-    assert run_cli(["induce", *(a.format(bad=bad, trace=trace_path) for a in argv)]) == 2
+    assert run_cli([a.format(bad=bad, program=program, trace=trace_path) for a in argv]) == 2
     assert capsys.readouterr().err == (
         f"error: {bad}: not valid JSON: Expecting property name enclosed in double quotes:"
         " line 1 column 2 (char 1)\n"
+    )
+
+
+# a file that is not UTF-8, as the trace, the config or the program
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["induce", "--trace", "{bad}"],
+        ["induce", "--trace", "{trace}", "--config", "{bad}"],
+        ["eval", "--program", "{bad}", "--trace", "{trace}"],
+    ],
+    ids=["trace", "config", "program"],
+)
+def test_input_not_utf8_rejected(tmp_path, capsys, argv):
+    trace_path = tmp_path / "p.trace"
+    run_cli(["simulate", "pendulum", "--out", str(trace_path)])
+    bad = tmp_path / "bad"
+    bad.write_bytes(b"\xff{}")
+    capsys.readouterr()
+    assert run_cli([a.format(bad=bad, trace=trace_path) for a in argv]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {bad}: not UTF-8: 'utf-8' codec can't decode byte 0xff in position 0:"
+        " invalid start byte\n"
     )
 
 

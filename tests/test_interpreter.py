@@ -87,7 +87,7 @@ class TestTape:
         ast, _ = _program("(accel (add x v))", scalar_registry, scalar_schema)
         tape = compile_tape(ast, scalar_registry)
         assert compile_tape(ast, scalar_registry) is tape
-        other = standard_registry(scalar_schema, {"accel": 1})
+        other = standard_registry(scalar_schema.variables, scalar_schema.actions)
         assert compile_tape(ast, other)[0:2] == tape[0:2]
         assert compile_tape(ast, other)[2].impl is other.impl("add")
 
@@ -218,7 +218,7 @@ class TestExecute:
         # the trace gives accel dimension 1; a 2-dimensional accel is not
         # comparable with any step, so it must not score 0 there
         trace = make_trace({"x": [1.0, 2.0], "v": [0, 0]}, [1.0, 2.0])
-        registry = standard_registry(scalar_schema, {"accel": 2})
+        registry = standard_registry(scalar_schema.variables, {"accel": 2})
         ast, params = _program("(accel [5.0 7.0])", registry, scalar_schema)
         with pytest.raises(ValueError, match="accel has dimension 1 in the trace schema, not 2"):
             execute(ast, params, trace, registry, ErrorSpec())
@@ -349,7 +349,7 @@ class TestErrorSpecs:
     def test_largest_threshold_still_stops_at_the_wrong_action(self):
         threshold = 2.0**53 - 1
         registry, trace = mixed_action_case()
-        ast, params = _program("(accel (scale 2.0 x))", registry, {"x": 1})
+        ast, params = _program("(accel (scale 2.0 x))", registry, trace.schema)
         for model in ("euclidean", "discrete"):
             config = RunConfig(max_step_error=threshold, error_model=model)
             assert config.max_step_error == threshold

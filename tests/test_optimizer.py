@@ -139,7 +139,7 @@ class TestReassign:
         registry = standard_registry({"x": 1}, {"accel": 1})
         trace = make_trace({"x": [1.0, 2.0]}, [0, 0])
         index = build_variable_index(trace)
-        ast = parse_program("(accel x)", registry, {"x": 1})
+        ast = parse_program("(accel x)", registry, trace.schema)
         state = OptimizerState.fresh(ast, {}, OptimizeConfig())
         (nid, _), = leaves(ast)
         _, _, changed = reassign_variables(
@@ -232,7 +232,7 @@ class TestOptimize:
 
     def test_pendulum_coefficient_recovery(self, scalar_registry):
         trace = simulate_second_order(SecondOrderConfig(k1=-9.8, k2=0.0, x0=1.0))
-        ast = parse_program("(accel (scale 0.1 x))", scalar_registry, {"x": 1, "v": 1})
+        ast = parse_program("(accel (scale 0.1 x))", scalar_registry, trace.schema)
         spec = ErrorSpec(max_step_error=0.01)
         cfg = OptimizeConfig(learning_rate=0.2, max_opt_iters=2000)
         out = optimize(ast, initial_params(ast), trace, scalar_registry, spec, cfg)
@@ -245,7 +245,7 @@ class TestOptimize:
 
         registry = standard_registry({"x": 1}, {"accel": 1})
         trace = make_trace({"x": [1.0, 2.0]}, [5.0, 6.0])
-        ast = parse_program("(accel x)", registry, {"x": 1})
+        ast = parse_program("(accel x)", registry, trace.schema)
         spec = ErrorSpec(max_step_error=0.5)
         out = optimize(ast, {}, trace, registry, spec, OptimizeConfig())
         direct = execute(ast, {}, trace, registry, spec)
@@ -536,7 +536,7 @@ class TestLookAhead:
         )
         registry = standard_registry({"x": 1}, {"accel": 1})
         out = _both(
-            "(accel (scale 0.5 (scale -0.5 x)))", registry, {"x": 1}, trace,
+            "(accel (scale 0.5 (scale -0.5 x)))", registry, trace.schema, trace,
             OptimizeConfig(max_opt_iters=300),
         )
         assert out.stop == "matched" and out.iterations > 20
@@ -560,7 +560,7 @@ class TestLookAhead:
         # so look-ahead blocks run over the penalised row
         registry, trace = mixed_action_case()
         out = _both(
-            "(accel (scale 1.5 x))", registry, {"x": 1}, trace, OptimizeConfig(),
+            "(accel (scale 1.5 x))", registry, trace.schema, trace, OptimizeConfig(),
             ErrorSpec(max_step_error=0.5),
         )
         assert out.result.executed_len == 3

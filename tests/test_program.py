@@ -15,6 +15,7 @@ from tracesynth import (
     ProgramError,
     ProgramTypeError,
     TraceFormatError,
+    TraceSchema,
     VarLeaf,
     canonical_key,
     complexity,
@@ -27,6 +28,9 @@ from tracesynth import (
     standard_registry,
 )
 from tracesynth.program import leaves, next_pid, replace_node
+
+# the ``scalar_schema`` fixture, for tests that Hypothesis runs many times
+SCALAR_SCHEMA = TraceSchema({"x": 1, "v": 1}, {"accel": 1})
 
 
 class TestParse:
@@ -65,9 +69,10 @@ class TestParse:
             parse_program("()", scalar_registry, scalar_schema)
 
     def test_non_finite_vector_literal(self):
-        registry = standard_registry({"u": 2}, {"go": 2})
+        schema = TraceSchema({"u": 2}, {"go": 2})
+        registry = standard_registry(schema.variables, schema.actions)
         with pytest.raises(ParseError, match="not finite"):
-            parse_program("(go (add2 u [1.0 nan]))", registry, {"u": 2})
+            parse_program("(go (add2 u [1.0 nan]))", registry, schema)
 
 
 class TestFunctionSpec:
@@ -91,25 +96,26 @@ class TestReplaceNode:
 
 
 class TestNameRule:
-    """Names given as a plain mapping are held to the trace schema's rule."""
+    """Names reach these functions in a trace schema, or, for
+    ``standard_registry``, in plain mappings held to the schema's rule."""
 
     def test_expand_empty_rejects_the_parameter_mark(self):
         # "?" as a variable would give (accel ?) two meanings as a structure key
         registry = standard_registry({"x": 1}, {"accel": 1})
         with pytest.raises(TraceFormatError, match="parameter mark"):
-            expand_empty(registry, {"?": 1, "x": 1}, 3)
+            expand_empty(registry, TraceSchema({"?": 1, "x": 1}, {"accel": 1}), 3)
         with pytest.raises(TraceFormatError, match="parameter mark"):
             standard_registry({"?": 1, "x": 1}, {"accel": 1})
 
     def test_parse_rejects_a_name_with_whitespace(self):
         registry = standard_registry({"x": 1}, {"accel": 1})
         with pytest.raises(TraceFormatError, match="whitespace"):
-            parse_program("(accel x)", registry, {"a b": 1, "x": 1})
+            parse_program("(accel x)", registry, TraceSchema({"a b": 1, "x": 1}, {"accel": 1}))
 
     def test_enumerate_rejects_a_name_with_a_parenthesis(self):
         registry = standard_registry({"x": 1}, {"accel": 1})
         with pytest.raises(TraceFormatError, match="whitespace"):
-            enumerate_programs(registry, {"(x": 1}, 2)
+            enumerate_programs(registry, TraceSchema({"(x": 1}, {"accel": 1}), 2)
 
     def test_registry_rejects_an_action_name_that_reads_as_a_number(self):
         with pytest.raises(TraceFormatError, match="reads as a number"):
@@ -217,7 +223,7 @@ class TestProperties:
         rng = np.random.default_rng(seed)
         ast = _random_ast(rng, 2)
         text = print_program(ast)
-        again = parse_program(text, registry, {"x": 1, "v": 1})
+        again = parse_program(text, registry, SCALAR_SCHEMA)
         assert canonical_key(again) == canonical_key(ast)
         got = initial_params(again)
         want = initial_params(ast)
@@ -260,8 +266,8 @@ class TestProperties:
         registry = standard_registry({"x": 1, "v": 1}, {"accel": 1})
         rng = np.random.default_rng(seed)
         # parameter values as 6-digit literals, so that printing is exact
-        tree = parse_program(print_program(_random_ast(rng, 2)), registry, {"x": 1, "v": 1})
-        again = parse_program(print_program(tree), registry, {"x": 1, "v": 1})
+        tree = parse_program(print_program(_random_ast(rng, 2)), registry, SCALAR_SCHEMA)
+        again = parse_program(print_program(tree), registry, SCALAR_SCHEMA)
         assert again == tree and hash(again) == hash(tree)
 
     @given(st.integers(0, 10_000))

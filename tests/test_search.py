@@ -119,7 +119,7 @@ class TestExpand:
             lambda args, g: (g,),
         )
         trace = make_trace({"x": [1.0]}, [1.0])
-        ast = parse_program("(accel 0.5)", registry, {"x": 1})
+        ast = parse_program("(accel 0.5)", registry, trace.schema)
         cand = _candidate(ast, registry, trace)
         assert expand(cand, registry, trace, run_seed=0) == []
 
@@ -316,6 +316,10 @@ def brute_force_structures(registry, variables, max_depth):
     return out
 
 
+# the schema of the tiny grammars: one variable and the action ``a``
+TINY_SCHEMA = TraceSchema({"x": 1}, {"a": 1})
+
+
 class TestEnumerate:
     def test_negative_depth_raises(self, scalar_registry, scalar_schema):
         with pytest.raises(ValueError, match="depth must be >= 0, not -1"):
@@ -330,7 +334,7 @@ class TestEnumerate:
         registry.register(
             FunctionSpec("a", (1,), 1, is_action=True), lambda x: x, lambda args, g: (g,)
         )
-        assert enumerate_programs(registry, {"x": 1}, 1) == 2
+        assert enumerate_programs(registry, TINY_SCHEMA, 1) == 2
 
     def test_tiny_grammar_depth2(self):
         registry = Registry()
@@ -340,7 +344,7 @@ class TestEnumerate:
         registry.register(
             FunctionSpec("a", (1,), 1, is_action=True), lambda x: x, lambda args, g: (g,)
         )
-        assert enumerate_programs(registry, {"x": 1}, 2) == 6
+        assert enumerate_programs(registry, TINY_SCHEMA, 2) == 6
 
     def test_matches_brute_force_tiny(self):
         registry = Registry()
@@ -352,29 +356,27 @@ class TestEnumerate:
         )
         for d in (1, 2, 3):
             want = len(brute_force_structures(registry, {"x": 1}, d))
-            assert enumerate_programs(registry, {"x": 1}, d) == want
+            assert enumerate_programs(registry, TINY_SCHEMA, d) == want
 
-    def test_matches_brute_force_experiment_grammar(self, scalar_registry):
-        variables = {"x": 1, "v": 1}
+    def test_matches_brute_force_experiment_grammar(self, scalar_registry, scalar_schema):
         for d in (1, 2, 3):
-            want = len(brute_force_structures(scalar_registry, variables, d))
-            assert enumerate_programs(scalar_registry, variables, d) == want
+            want = len(brute_force_structures(scalar_registry, scalar_schema.variables, d))
+            assert enumerate_programs(scalar_registry, scalar_schema, d) == want
 
-    def test_depth_zero(self, scalar_registry):
-        assert enumerate_programs(scalar_registry, {"x": 1, "v": 1}, 0) == 0
+    def test_depth_zero(self, scalar_registry, scalar_schema):
+        assert enumerate_programs(scalar_registry, scalar_schema, 0) == 0
 
-    def test_matches_recursive_reference(self, scalar_registry):
-        variables = {"x": 1, "v": 1}
+    def test_matches_recursive_reference(self, scalar_registry, scalar_schema):
         for d in range(14):
-            want = _recursive_count(scalar_registry, variables, d)
-            assert enumerate_programs(scalar_registry, variables, d) == want
+            want = _recursive_count(scalar_registry, scalar_schema.variables, d)
+            assert enumerate_programs(scalar_registry, scalar_schema, d) == want
 
     def test_grammar_without_functions_stops_growing(self):
         registry = Registry()
         registry.register(
             FunctionSpec("a", (1,), 1, is_action=True), lambda x: x, lambda args, g: (g,)
         )
-        assert enumerate_programs(registry, {"x": 1}, 10**9) == 2
+        assert enumerate_programs(registry, TINY_SCHEMA, 10**9) == 2
 
 
 def _recursive_count(registry, variables, max_depth):
