@@ -263,6 +263,15 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     return 0
 
 
+# the sub-parser is required, so every parsed command is a key here
+COMMANDS = {
+    "simulate": _cmd_simulate,
+    "induce": _cmd_induce,
+    "eval": _cmd_eval,
+    "enumerate": _cmd_enumerate,
+}
+
+
 def run_cli(argv: list[str] | None = None) -> int:
     """Run one command; returns the exit code instead of exiting."""
     parser = _build_parser()
@@ -271,15 +280,7 @@ def run_cli(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else USAGE_ERROR
     try:
-        if args.command == "simulate":
-            return _cmd_simulate(args)
-        if args.command == "induce":
-            return _cmd_induce(args)
-        if args.command == "eval":
-            return _cmd_eval(args)
-        if args.command == "enumerate":
-            return _cmd_enumerate(args)
-        return USAGE_ERROR
+        return COMMANDS[args.command](args)
     except (TraceFormatError, ProgramError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_ERROR

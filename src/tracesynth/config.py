@@ -7,7 +7,7 @@ from dataclasses import dataclass, field, fields, replace
 
 from .interpreter import ErrorSpec, discretized_error_spec
 from .optimizer import OptimizeConfig
-from .program import ComplexityWeights, is_finite
+from .program import ComplexityWeights, check_fields, is_finite
 
 
 @dataclass(frozen=True)
@@ -23,14 +23,7 @@ class RunConfig:
     deadband: float = 0.05  # discrete error model: classification deadband
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            # bool is a subclass of int, but a config value of true is a mistake
-            if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[f.type]):
-                raise ValueError(f"{f.name} must be of type {f.type}, not {type(value).__name__}")
-            # nan compares false with everything, so it would pass the checks below
-            if f.type == "float" and not is_finite(value):
-                raise ValueError(f"{f.name} must be finite")
+        check_fields(self)
         positive = {
             "max_step_error": self.max_step_error,
             "learning_rate": self.learning_rate,
@@ -86,15 +79,6 @@ class RunConfig:
         if "weights" in kwargs:
             kwargs["weights"] = _as_weights(kwargs["weights"])
         return replace(self, **kwargs)
-
-
-# annotation of a RunConfig field -> the types its value may have
-_FIELD_TYPES = {
-    "float": (int, float),
-    "int": (int,),
-    "str": (str,),
-    "ComplexityWeights": (ComplexityWeights,),
-}
 
 
 def _as_weights(value: object) -> ComplexityWeights:

@@ -671,9 +671,6 @@ def optimize(
         # a re-binding keeps every leaf's kind and dimension, so ``free`` holds
         ast, state, rebound = reassign_variables(ast, state, grads, trace.index, trees)
         rebinds += rebound
-        if not result.terminated_early:
-            recent = []
-            continue
         recent = [*recent[1 - 2 * MAX_PERIOD :], pair]
         if not rebound and all(state.params[p].tobytes() == before[p].tobytes() for p in before):
             cycle, known = [pair], result.loss

@@ -113,6 +113,29 @@ def is_finite(x: float) -> bool:
         return False
 
 
+# the annotation of a config record's field -> the types its value may have
+_FIELD_TYPES = {
+    "float": (int, float),
+    "int": (int,),
+    "str": (str,),
+    "ComplexityWeights": (ComplexityWeights,),
+}
+
+
+def check_fields(record: object) -> None:
+    """Raise ValueError naming the first field of the dataclass ``record``
+    that does not hold its annotated type, or holds a float that is not
+    finite."""
+    for f in fields(record):
+        value = getattr(record, f.name)
+        # bool is a subclass of int, but a config value of true is a mistake
+        if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[f.type]):
+            raise ValueError(f"{f.name} must be of type {f.type}, not {type(value).__name__}")
+        # nan compares false with everything, so it would pass a record's own checks
+        if f.type == "float" and not is_finite(value):
+            raise ValueError(f"{f.name} must be finite")
+
+
 # impl(*args) -> output, vectorised over a leading row axis: (n, d_i) -> (n, out)
 Impl = Callable[..., np.ndarray]
 # vjp(args, upstream) -> per-argument gradients, all vectorised over steps
@@ -173,7 +196,7 @@ def standard_registry(variables: Mapping[str, int], actions: Mapping[str, int]) 
     elementwise within a row (``scale``'s gradient sums over a row's own
     components), so rows are independent as ``Registry`` requires.
     """
-    # the names are held to the trace schema's rule, which raises here
+    # the names and dimensions are held to the trace schema's rules, which raise here
     TraceSchema(dict(variables), dict(actions))
     reg = Registry()
     dims = sorted(set(variables.values()) | set(actions.values()))

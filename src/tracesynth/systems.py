@@ -4,20 +4,13 @@ synthetic paddle controller with discretised actions."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import default_rng
 
-from .program import is_finite
+from .program import check_fields
 from .trace import ObservationTrace, TraceSchema, TraceStep
-
-
-def _require_finite(cfg: object) -> None:
-    """Raise ValueError naming the first NaN or infinite float field of ``cfg``."""
-    for f in fields(cfg):
-        if f.type == "float" and not is_finite(getattr(cfg, f.name)):
-            raise ValueError(f"{f.name} must be finite")
 
 
 @dataclass(frozen=True)
@@ -32,7 +25,7 @@ class SecondOrderConfig:
     steps: int = 100
 
     def __post_init__(self) -> None:
-        _require_finite(self)
+        check_fields(self)
         if self.dt <= 0:
             raise ValueError("dt must be positive")
         if self.steps < 1:
@@ -89,7 +82,7 @@ class PaddleConfig:
     seed: int = 7
 
     def __post_init__(self) -> None:
-        _require_finite(self)
+        check_fields(self)
         if self.deadband < 0:
             raise ValueError("deadband must be nonnegative")
         if self.steps < 1:

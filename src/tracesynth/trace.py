@@ -39,11 +39,16 @@ class TraceSchema:
     actions: dict[str, int]  # action name -> parameter dimension
 
     def __post_init__(self) -> None:
-        for section in (self.variables, self.actions):
-            for name, dim in section.items():
+        for section, entries in (("variables", self.variables), ("actions", self.actions)):
+            for name, dim in entries.items():
                 problem = _unwritable(name)
                 if problem is not None:
                     raise TraceFormatError(f"name {name!r} {problem}")
+                # bool is an int subclass, and int() would truncate 1.7 and parse "1"
+                if type(dim) is not int:
+                    raise TraceFormatError(
+                        f"schema {section} {name!r}: dimension must be an integer, got {dim!r}"
+                    )
                 if dim < 1:
                     raise TraceFormatError(f"{name}: dimension must be >= 1")
 
@@ -255,12 +260,6 @@ def trace_from_dict(doc: dict) -> ObservationTrace:
     )
     for section in ("variables", "actions"):
         _require(isinstance(sch[section], dict), f"schema {section} must be an object")
-        for name, dim in sch[section].items():
-            # bool is an int subclass, and int() would truncate 1.7 and parse "1"
-            _require(
-                type(dim) is int,
-                f"schema {section} {name!r}: dimension must be an integer, got {dim!r}",
-            )
     schema = TraceSchema(
         {str(k): v for k, v in sch["variables"].items()},
         {str(k): v for k, v in sch["actions"].items()},

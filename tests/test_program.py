@@ -97,7 +97,8 @@ class TestReplaceNode:
 
 class TestNameRule:
     """Names reach these functions in a trace schema, or, for
-    ``standard_registry``, in plain mappings held to the schema's rule."""
+    ``standard_registry``, in plain mappings held to the schema's rules,
+    which also refuse a dimension that is not an int."""
 
     def test_expand_empty_rejects_the_parameter_mark(self):
         # "?" as a variable would give (accel ?) two meanings as a structure key
@@ -120,6 +121,11 @@ class TestNameRule:
     def test_registry_rejects_an_action_name_that_reads_as_a_number(self):
         with pytest.raises(TraceFormatError, match="reads as a number"):
             standard_registry({"x": 1}, {"1e3": 1})
+
+    def test_registry_rejects_a_dimension_that_is_not_an_int(self):
+        # it would otherwise register add1.5, sub1.5 and scale1.5
+        with pytest.raises(TraceFormatError, match="schema variables 'x': dimension must be an"):
+            standard_registry({"x": 1.5}, {"accel": 1})
 
 
 class TestPrint:

@@ -63,6 +63,20 @@ class TestSecondOrder:
         with pytest.raises(ValueError, match="k1 must be finite"):
             SecondOrderConfig(k1=10**400)  # an int too large for a float
 
+    # steps=True would simulate one step, and a str would fail in the arithmetic
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("steps", 2.5, "steps must be of type int, not float"),
+            ("steps", True, "steps must be of type int, not bool"),
+            ("k1", "x", "k1 must be of type float, not str"),
+        ],
+        ids=["steps-float", "steps-bool", "k1-str"],
+    )
+    def test_field_of_the_wrong_type(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            SecondOrderConfig(**{field: value})
+
     def test_bit_identical(self):
         a = simulate_second_order(OSCILLATOR)
         b = simulate_second_order(OSCILLATOR)
@@ -146,6 +160,19 @@ class TestPaddle:
             PaddleConfig(c_agent=float("inf"))
         with pytest.raises(ValueError, match="deadband must be finite"):
             PaddleConfig(deadband=10**400)  # an int too large for a float
+
+    # seed=1.5 would fail inside numpy's SeedSequence, and a str in the arithmetic
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("seed", 1.5, "seed must be of type int, not float"),
+            ("height", "4", "height must be of type float, not str"),
+        ],
+        ids=["seed-float", "height-str"],
+    )
+    def test_field_of_the_wrong_type(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            PaddleConfig(**{field: value})
 
     def test_round_trip_validates(self, tmp_path):
         trace = simulate_paddle(PaddleConfig())

@@ -8,6 +8,7 @@ from tracesynth import (
     PENDULUM,
     ObservationTrace,
     TraceFormatError,
+    TraceSchema,
     build_variable_index,
     load_trace,
     memory_at,
@@ -54,6 +55,20 @@ class TestLoad:
             ObservationTrace(trace.schema, ())
         with pytest.raises(TraceFormatError, match="variable x is not finite"):
             ObservationTrace(trace.schema, (nan_step, trace.steps[1]))
+
+    # a schema built in Python is held to the rule a trace file is: a
+    # dimension of 1.5 would name a registry entry add1.5
+    @pytest.mark.parametrize("dim", [1.5, "1", True, 2.0])
+    @pytest.mark.parametrize("section", ["variables", "actions"])
+    def test_schema_refuses_a_dimension_that_is_not_an_int(self, section, dim):
+        entries = {"variables": {"x": 1}, "actions": {"accel": 1}}
+        name = "x" if section == "variables" else "accel"
+        entries[section][name] = dim
+        with pytest.raises(TraceFormatError) as info:
+            TraceSchema(entries["variables"], entries["actions"])
+        assert str(info.value) == (
+            f"schema {section} {name!r}: dimension must be an integer, got {dim!r}"
+        )
 
     def test_not_json(self, tmp_path):
         path = tmp_path / "bad.trace"
