@@ -17,6 +17,7 @@ from pathlib import Path
 from .config import RunConfig
 from .interpreter import execute, matches_trace
 from .program import (
+    FIELD_TYPES,
     ProgramError,
     canonical_key,
     initial_params,
@@ -32,8 +33,6 @@ USAGE_ERROR = 1
 INPUT_ERROR = 2
 NO_SOLUTION = 3
 
-# the annotation of a config field -> the type of its flag's value
-FLAG_TYPES = {"float": float, "int": int}
 # system name -> (base config, simulator); each field of a base config is a
 # ``simulate`` flag, typed by its annotation
 SYSTEMS = {
@@ -95,7 +94,7 @@ def _build_parser() -> argparse.ArgumentParser:
         systems = ", ".join(s for s, (base, _) in SYSTEMS.items() if hasattr(base, name))
         sim.add_argument(
             "--" + name.replace("_", "-"),
-            type=FLAG_TYPES[annotation],
+            type=FIELD_TYPES[annotation],
             help=f"{SYSTEM_FIELD_HELP[name]} ({systems})",
         )
 
@@ -122,7 +121,7 @@ def _add_config_flags(cmd: argparse.ArgumentParser, names: Iterable[str]) -> Non
     by its annotation unless ``CONFIG_FIELD_SHAPE`` shapes it."""
     cmd.add_argument("--config", default=None, help="JSON file of run-config fields")
     for name in names:
-        shape = CONFIG_FIELD_SHAPE.get(name) or {"type": FLAG_TYPES[CONFIG_FIELDS[name]]}
+        shape = CONFIG_FIELD_SHAPE.get(name) or {"type": FIELD_TYPES[CONFIG_FIELDS[name]]}
         cmd.add_argument("--" + name.replace("_", "-"), help=CONFIG_FIELD_HELP[name], **shape)
 
 

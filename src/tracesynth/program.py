@@ -100,6 +100,10 @@ class ComplexityWeights:
     def __post_init__(self) -> None:
         for f in fields(self):
             weight = getattr(self, f.name)
+            if not _holds(weight, float):
+                raise ValueError(
+                    f"complexity weight {f.name} must be a number, not {type(weight).__name__}"
+                )
             if not (is_finite(weight) and weight >= 0):
                 raise ValueError(f"complexity weight {f.name} must be finite and nonnegative")
 
@@ -113,13 +117,17 @@ def is_finite(x: float) -> bool:
         return False
 
 
-# the annotation of a config record's field -> the types its value may have
-_FIELD_TYPES = {
-    "float": (int, float),
-    "int": (int,),
-    "str": (str,),
-    "ComplexityWeights": (ComplexityWeights,),
-}
+# the annotation of a config record's field -> the type the field holds; a
+# command-line flag that takes one value of the field converts its text to it
+FIELD_TYPES = {"float": float, "int": int, "str": str, "ComplexityWeights": ComplexityWeights}
+
+
+def _holds(value: object, kind: type) -> bool:
+    """Whether ``value`` may stand in a field of type ``kind``: an int may
+    stand for a float, but a bool, though an int subclass, is a mistake
+    wherever a number is meant."""
+    kinds = (int, float) if kind is float else kind
+    return not isinstance(value, bool) and isinstance(value, kinds)
 
 
 def check_fields(record: object) -> None:
@@ -128,8 +136,7 @@ def check_fields(record: object) -> None:
     finite."""
     for f in fields(record):
         value = getattr(record, f.name)
-        # bool is a subclass of int, but a config value of true is a mistake
-        if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[f.type]):
+        if not _holds(value, FIELD_TYPES[f.type]):
             raise ValueError(f"{f.name} must be of type {f.type}, not {type(value).__name__}")
         # nan compares false with everything, so it would pass a record's own checks
         if f.type == "float" and not is_finite(value):
@@ -423,55 +430,35 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def expect(self, tok: str) -> None:
-        got = self.take()
-        if got != tok:
-            raise ParseError(f"expected {tok!r}, got {got!r}")
-
-    def parse_root(self) -> ProgramAst:
-        self.expect("(")
+    def application(self, want_dim: int | None) -> FunctionNode:
+        """The application that follows a ``(``, through its ``)``: the root
+        action if ``want_dim`` is None, else a pure function of output
+        dimension ``want_dim``."""
         head = self.take()
-        if head == ")":
+        if want_dim is None and head == ")":
             raise ParseError("a program needs an action at its root")
         spec = self.registry.spec(head)
-        if not spec.is_action:
+        if want_dim is None and not spec.is_action:
             raise ProgramTypeError(f"program root must be an action, got function {head}")
-        children = self.parse_args(spec)
-        self.expect(")")
-        if self.peek() is not None:
-            raise ParseError("trailing tokens after program")
-        return ProgramAst(FunctionNode(spec.name, children, spec.out_dim))
-
-    def parse_args(self, spec: FunctionSpec) -> tuple[Node, ...]:
+        if want_dim is not None and spec.is_action:
+            raise ProgramTypeError(f"action {head} may only appear at the root")
+        if want_dim is not None and spec.out_dim != want_dim:
+            raise ProgramTypeError(f"{head} produces dimension {spec.out_dim}, expected {want_dim}")
         children = []
-        for want_dim in spec.arg_dims:
-            if self.peek() is None:
-                raise ParseError("unexpected end of input")
+        for arg_dim in spec.arg_dims:
             if self.peek() == ")":
                 raise ProgramTypeError(
                     f"{spec.name} takes {spec.arity} argument(s), got {len(children)}"
                 )
-            children.append(self.parse_expr(want_dim))
-        if self.peek() is None:
-            raise ParseError("unexpected end of input")
-        if self.peek() != ")":
+            children.append(self.parse_expr(arg_dim))
+        if self.take() != ")":
             raise ProgramTypeError(f"{spec.name} takes {spec.arity} argument(s), got more")
-        return tuple(children)
+        return FunctionNode(spec.name, tuple(children), spec.out_dim)
 
     def parse_expr(self, want_dim: int) -> Node:
         tok = self.take()
         if tok == "(":
-            head = self.take()
-            spec = self.registry.spec(head)
-            if spec.is_action:
-                raise ProgramTypeError(f"action {head} may only appear at the root")
-            if spec.out_dim != want_dim:
-                raise ProgramTypeError(
-                    f"{head} produces dimension {spec.out_dim}, expected {want_dim}"
-                )
-            children = self.parse_args(spec)
-            self.expect(")")
-            return FunctionNode(spec.name, children, spec.out_dim)
+            return self.application(want_dim)
         if tok == "[":
             vals = []
             while self.peek() != "]":
@@ -517,4 +504,11 @@ def parse_program(text: str, registry: Registry, schema: TraceSchema) -> Program
     tokens = _tokenize(text)
     if not tokens:
         raise ParseError("empty program text")
-    return _Parser(tokens, registry, schema.variables).parse_root()
+    parser = _Parser(tokens, registry, schema.variables)
+    first = parser.take()
+    if first != "(":
+        raise ParseError(f"expected '(', got {first!r}")
+    root = parser.application(None)
+    if parser.peek() is not None:
+        raise ParseError("trailing tokens after program")
+    return ProgramAst(root)

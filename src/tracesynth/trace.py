@@ -41,6 +41,8 @@ class TraceSchema:
     def __post_init__(self) -> None:
         for section, entries in (("variables", self.variables), ("actions", self.actions)):
             for name, dim in entries.items():
+                if not isinstance(name, str):
+                    raise TraceFormatError(f"schema {section} {name!r}: name must be a string")
                 problem = _unwritable(name)
                 if problem is not None:
                     raise TraceFormatError(f"name {name!r} {problem}")

@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tracesynth import (
@@ -31,6 +31,18 @@ from tracesynth.program import leaves, next_pid, replace_node
 
 # the ``scalar_schema`` fixture, for tests that Hypothesis runs many times
 SCALAR_SCHEMA = TraceSchema({"x": 1, "v": 1}, {"accel": 1})
+# a schema with variables and actions of two dimensions
+MIXED_SCHEMA = TraceSchema({"x": 1, "p": 2}, {"accel": 1, "go": 2})
+PARSE_CASES = [
+    (schema, standard_registry(schema.variables, schema.actions))
+    for schema in (SCALAR_SCHEMA, MIXED_SCHEMA)
+]
+# every name either schema gives program text, brackets, and literals that
+# are, or are not, finite numbers
+PARSE_TOKENS = sorted(
+    {spec.name for _, reg in PARSE_CASES for spec in reg.actions() + reg.pure_functions()}
+) + ["x", "v", "p", "(", ")", "[", "]", "1", "-2.5", "nan", "1e400", "1_0", "?", "unknown"]
+TOKEN_LISTS = st.lists(st.sampled_from(PARSE_TOKENS), max_size=12)
 
 
 class TestParse:
@@ -67,6 +79,25 @@ class TestParse:
     def test_empty(self, scalar_registry, scalar_schema):
         with pytest.raises(ParseError, match="a program needs an action at its root"):
             parse_program("()", scalar_registry, scalar_schema)
+
+    @given(
+        st.sampled_from(PARSE_CASES),
+        st.one_of(TOKEN_LISTS, TOKEN_LISTS.map(lambda tokens: ["(", *tokens])),
+    )
+    @example(PARSE_CASES[1], ["(", "go", "(", "scale2", "1_0", "[", "1", "-2.5", "]", ")", ")"])
+    @example(PARSE_CASES[1], ["(", "go", "(", "add2", "p", "-2.5", ")", ")"])
+    @example(PARSE_CASES[0], ["(", "accel", "(", "sub", "x", "-2.5", ")", ")"])
+    @settings(max_examples=500, deadline=None)
+    def test_any_token_string_parses_or_raises_a_program_error(self, case, tokens):
+        # a tree comes back whole, in text that reads as the same structure;
+        # anything else is refused as a program error
+        schema, registry = case
+        try:
+            ast = parse_program(" ".join(tokens), registry, schema)
+        except ProgramError:
+            return
+        again = parse_program(print_program(ast), registry, schema)
+        assert canonical_key(again) == canonical_key(ast)
 
     def test_non_finite_vector_literal(self):
         schema = TraceSchema({"u": 2}, {"go": 2})
@@ -185,6 +216,14 @@ class TestDepthComplexity:
         for bad in (float("nan"), float("inf"), 10**400):
             with pytest.raises(ValueError, match="complexity weight params must be finite"):
                 ComplexityWeights(10, bad, 1)
+
+    @pytest.mark.parametrize("bad", [True, "x", None])
+    def test_weight_that_is_not_a_number_rejected(self, bad):
+        # true would otherwise weigh 1, and "x" reach math.isfinite
+        want = f"complexity weight depth must be a number, not {type(bad).__name__}"
+        with pytest.raises(ValueError) as info:
+            ComplexityWeights(depth=bad)
+        assert str(info.value) == want
 
 
 class TestCanonicalKey:

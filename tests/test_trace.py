@@ -14,6 +14,7 @@ from tracesynth import (
     memory_at,
     save_trace,
     simulate_second_order,
+    standard_registry,
     trace_from_dict,
     trace_to_dict,
 )
@@ -69,6 +70,20 @@ class TestLoad:
         assert str(info.value) == (
             f"schema {section} {name!r}: dimension must be an integer, got {dim!r}"
         )
+
+    # a name that is not a str would reach the name rule as an int or None
+    @pytest.mark.parametrize("name", [1, None, ("x",)])
+    @pytest.mark.parametrize("section", ["variables", "actions"])
+    def test_schema_refuses_a_name_that_is_not_a_str(self, section, name):
+        entries = {"variables": {"x": 1}, "actions": {"accel": 1}}
+        entries[section][name] = 1
+        want = f"schema {section} {name!r}: name must be a string"
+        with pytest.raises(TraceFormatError) as info:
+            TraceSchema(entries["variables"], entries["actions"])
+        assert str(info.value) == want
+        with pytest.raises(TraceFormatError) as info:
+            standard_registry(entries["variables"], entries["actions"])
+        assert str(info.value) == want
 
     def test_not_json(self, tmp_path):
         path = tmp_path / "bad.trace"
