@@ -7,7 +7,7 @@ from dataclasses import dataclass, field, fields, replace
 
 from .interpreter import ErrorSpec, discretized_error_spec
 from .optimizer import OptimizeConfig
-from .program import ComplexityWeights, check_fields, is_finite
+from .program import ComplexityWeights, check_fields
 
 
 @dataclass(frozen=True)
@@ -82,15 +82,10 @@ class RunConfig:
 
 
 def _as_weights(value: object) -> ComplexityWeights:
-    """Complexity weights from a ``[depth, params, variables]`` list."""
+    """Complexity weights from a ``[depth, params, variables]`` list, each
+    weight held to ``ComplexityWeights``' own rule."""
     if isinstance(value, ComplexityWeights):
         return value
-    if not (
-        isinstance(value, (list, tuple))
-        and len(value) == 3
-        and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in value)
-    ):
+    if not (isinstance(value, (list, tuple)) and len(value) == 3):
         raise ValueError("weights must be three numbers: depth, params, variables")
-    if not all(is_finite(x) for x in value):
-        raise ValueError("weights must be finite")
-    return ComplexityWeights(*[float(x) for x in value])
+    return ComplexityWeights(*value)

@@ -173,7 +173,8 @@ class Op(NamedTuple):
     ``args`` are the tape positions of the node's children.  ``key`` is the
     parameter id of a param op, the variable name of a var op and the
     function or action name otherwise; call ops, the root action's included,
-    carry the registry's bound ``impl`` and ``vjp``.
+    carry the registry's bound ``impl`` and ``vjp``, copied from the entry's
+    :class:`FunctionSpec` when the tape is compiled.
     """
 
     kind: str
@@ -206,8 +207,8 @@ def compile_tape(ast: ProgramAst, registry: Registry) -> Tape:
             ops.append(Op(VAR, nid, node.dim, (), node.name, None, None))
         else:
             args = tuple(lower(child) for child in node.children)
-            fn = node.name
-            ops.append(Op(CALL, nid, node.dim, args, fn, registry.impl(fn), registry.vjp(fn)))
+            fn = registry.spec(node.name)
+            ops.append(Op(CALL, nid, node.dim, args, fn.name, fn.impl, fn.vjp))
         return len(ops) - 1
 
     lower(ast.root)
@@ -258,7 +259,7 @@ def evaluate_step(
             return np.asarray(memory.params[node.pid], dtype=float).reshape(-1)
         if isinstance(node, VarLeaf):
             return np.asarray(memory.variables[node.name], dtype=float).reshape(-1)
-        return registry.impl(node.name)(*[ev(c).reshape(1, -1) for c in node.children])[0]
+        return registry.spec(node.name).impl(*[ev(c).reshape(1, -1) for c in node.children])[0]
 
     return ast.root.name, ev(ast.root)
 

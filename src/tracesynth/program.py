@@ -65,18 +65,29 @@ class ProgramAst:
     root: FunctionNode
 
 
+# impl(*args) -> output, vectorised over a leading row axis: (n, d_i) -> (n, out)
+Impl = Callable[..., np.ndarray]
+# vjp(args, upstream) -> per-argument gradients, all vectorised over steps
+Vjp = Callable[[tuple[np.ndarray, ...], np.ndarray], tuple[np.ndarray, ...]]
+
+
 @dataclass(frozen=True)
 class FunctionSpec:
-    """Signature of a pure function or primitive action.
+    """A registry entry: the signature of a pure function or primitive
+    action, its vectorised implementation ``impl`` and its one
+    differentiation rule, the vector-Jacobian product ``vjp``.
 
     ``arg_dims`` lists the required dimension of each argument; the arity is
     its length.  For actions ``out_dim`` equals the action-parameter
-    dimension carried in the trace.
+    dimension carried in the trace.  ``impl`` and ``vjp`` take (rows, d_i)
+    arrays and must treat rows independently, as ``Registry`` states.
     """
 
     name: str
     arg_dims: tuple[int, ...]
     out_dim: int
+    impl: Impl
+    vjp: Vjp
     is_action: bool = False
 
     @property
@@ -91,7 +102,7 @@ class FunctionSpec:
 @dataclass(frozen=True)
 class ComplexityWeights:
     """Weights of the structural cost: tree depth, parameter leaves, variable
-    leaf occurrences."""
+    leaf occurrences.  An int weight is stored as a float."""
 
     depth: float = 10.0
     params: float = 5.0
@@ -106,6 +117,7 @@ class ComplexityWeights:
                 )
             if not (is_finite(weight) and weight >= 0):
                 raise ValueError(f"complexity weight {f.name} must be finite and nonnegative")
+            object.__setattr__(self, f.name, float(weight))
 
 
 def is_finite(x: float) -> bool:
@@ -143,14 +155,8 @@ def check_fields(record: object) -> None:
             raise ValueError(f"{f.name} must be finite")
 
 
-# impl(*args) -> output, vectorised over a leading row axis: (n, d_i) -> (n, out)
-Impl = Callable[..., np.ndarray]
-# vjp(args, upstream) -> per-argument gradients, all vectorised over steps
-Vjp = Callable[[tuple[np.ndarray, ...], np.ndarray], tuple[np.ndarray, ...]]
-
-
 class Registry:
-    """Named function and action signatures with their semantics.
+    """Registry entries by name, each one :class:`FunctionSpec`.
 
     Every entry, action or function, carries a vectorised implementation and
     one differentiation rule, its vectorised vector-Jacobian product, and
@@ -164,27 +170,17 @@ class Registry:
 
     def __init__(self) -> None:
         self._specs: dict[str, FunctionSpec] = {}
-        self._impls: dict[str, Impl] = {}
-        self._vjps: dict[str, Vjp] = {}
 
-    def register(self, spec: FunctionSpec, impl: Impl, vjp: Vjp) -> None:
+    def register(self, spec: FunctionSpec) -> None:
         if spec.name in self._specs:
             raise ProgramTypeError(f"duplicate registry name: {spec.name}")
         self._specs[spec.name] = spec
-        self._impls[spec.name] = impl
-        self._vjps[spec.name] = vjp
 
     def spec(self, name: str) -> FunctionSpec:
         try:
             return self._specs[name]
         except KeyError:
             raise ProgramTypeError(f"unknown function or action: {name}") from None
-
-    def impl(self, name: str) -> Impl:
-        return self._impls[name]
-
-    def vjp(self, name: str) -> Vjp:
-        return self._vjps[name]
 
     def actions(self) -> list[FunctionSpec]:
         return sorted((s for s in self._specs.values() if s.is_action), key=lambda s: s.name)
@@ -210,23 +206,23 @@ def standard_registry(variables: Mapping[str, int], actions: Mapping[str, int]) 
     for d in dims:
         sfx = "" if d == 1 else str(d)
         reg.register(
-            FunctionSpec(f"add{sfx}", (d, d), d),
-            lambda a, b: a + b,
-            lambda args, g: (g, g),
+            FunctionSpec(f"add{sfx}", (d, d), d, lambda a, b: a + b, lambda args, g: (g, g))
         )
         reg.register(
-            FunctionSpec(f"sub{sfx}", (d, d), d),
-            lambda a, b: a - b,
-            lambda args, g: (g, -g),
+            FunctionSpec(f"sub{sfx}", (d, d), d, lambda a, b: a - b, lambda args, g: (g, -g))
         )
         reg.register(
-            FunctionSpec(f"scale{sfx}", (1, d), d),
-            lambda c, x: c * x,
-            lambda args, g: ((g * args[1]).sum(axis=1, keepdims=True), g * args[0]),
+            FunctionSpec(
+                f"scale{sfx}",
+                (1, d),
+                d,
+                lambda c, x: c * x,
+                lambda args, g: ((g * args[1]).sum(axis=1, keepdims=True), g * args[0]),
+            )
         )
     for name in sorted(actions):
         d = actions[name]
-        reg.register(FunctionSpec(name, (d,), d, is_action=True), lambda x: x, lambda args, g: (g,))
+        reg.register(FunctionSpec(name, (d,), d, lambda x: x, lambda args, g: (g,), is_action=True))
     return reg
 
 

@@ -109,7 +109,7 @@ def eval_program_at(
             return np.asarray(var_values[node.name], dtype=float)
         # every application, the root action included, applies its entry
         args = [ev(c).reshape(1, -1) for c in node.children]
-        return registry.impl(node.name)(*args)[0]
+        return registry.spec(node.name).impl(*args)[0]
 
     return ev(ast.root)
 

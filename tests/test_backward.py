@@ -37,9 +37,9 @@ def _jacobian(registry, name, args, index):
     at ``args``: row k is the entry's VJP applied to the k-th one-hot
     upstream row."""
     vals = tuple(np.asarray(a, dtype=float).reshape(1, -1) for a in args)
-    vjp = registry.vjp(name)
-    rows = np.eye(registry.spec(name).out_dim)
-    return np.asarray([vjp(vals, upstream[None, :])[index][0] for upstream in rows])
+    spec = registry.spec(name)
+    rows = np.eye(spec.out_dim)
+    return np.asarray([spec.vjp(vals, upstream[None, :])[index][0] for upstream in rows])
 
 
 class TestJacobian:
@@ -213,11 +213,8 @@ def _doubling_registry():
     """The functions on scalar x and v plus an action ``accel`` whose
     registry entry is not the identity: impl 2·x, VJP 2·g."""
     registry = standard_registry({"x": 1, "v": 1}, {})
-    registry.register(
-        FunctionSpec("accel", (1,), 1, is_action=True),
-        lambda x: 2.0 * x,
-        lambda args, g: (2.0 * g,),
-    )
+    double = FunctionSpec("accel", (1,), 1, lambda x: 2.0 * x, lambda args, g: (2.0 * g,), True)
+    registry.register(double)
     return registry
 
 

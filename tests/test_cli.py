@@ -629,7 +629,15 @@ class TestInduce:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"weights": weights}))
         assert run_cli(["induce", "--trace", str(small_trace), "--config", str(cfg_path)]) == 2
-        assert "weights must be finite" in capsys.readouterr().err
+        name = ("depth", "params", "variables")[position]
+        want = f"error: complexity weight {name} must be finite and nonnegative"
+        assert want in capsys.readouterr().err
+
+    def test_integer_config_weights_reported_as_floats(self, small_trace, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"weights": [10, 5, 1], "max_iterations": 2}))
+        assert run_cli(["induce", "--trace", str(small_trace), "--config", str(cfg_path)]) in (0, 3)
+        assert '"weights": [10.0, 5.0, 1.0]' in capsys.readouterr().out
 
     @pytest.mark.parametrize(
         "field, value, message",
@@ -639,6 +647,9 @@ class TestInduce:
             ("top_k", True, "top_k must be of type int, not bool"),
             ("error_model", 1, "error_model must be of type str, not int"),
             ("weights", 5, "weights must be three numbers"),
+            # true would otherwise weigh 1, and "x" reach the finiteness check
+            ("weights", [True, 1, 1], "complexity weight depth must be a number, not bool"),
+            ("weights", ["x", 1, 1], "complexity weight depth must be a number, not str"),
         ],
     )
     def test_config_field_of_wrong_type_rejected(

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from tracesynth import (
     ErrorSpec,
     EvaluationError,
+    FunctionSpec,
     PaddleConfig,
     RunConfig,
     compile_tape,
@@ -77,11 +78,37 @@ class TestTape:
             ("call", 0, "accel"),
         ]
         assert [op.args for op in tape] == [(), (), (0, 1), (), (2, 3), (4,)]
-        assert tape[2].impl is scalar_registry.impl("scale")
-        assert tape[2].vjp is scalar_registry.vjp("scale")
+        assert tape[2].impl is scalar_registry.spec("scale").impl
+        assert tape[2].vjp is scalar_registry.spec("scale").vjp
         # the root action is applied through its registry entry like any call
-        assert tape[5].impl is scalar_registry.impl("accel")
-        assert tape[5].vjp is scalar_registry.vjp("accel")
+        assert tape[5].impl is scalar_registry.spec("accel").impl
+        assert tape[5].vjp is scalar_registry.spec("accel").vjp
+
+    def test_custom_entry_impl_and_vjp_are_what_its_op_runs(self, scalar_schema):
+        calls = []
+
+        def impl(a):
+            calls.append("impl")
+            return -a
+
+        def vjp(args, g):
+            calls.append("vjp")
+            return (-g,)
+
+        registry = standard_registry(scalar_schema.variables, scalar_schema.actions)
+        registry.register(FunctionSpec("neg", (1,), 1, impl, vjp))
+        ast, params = _program("(accel (neg x))", registry, scalar_schema)
+        op = compile_tape(ast, registry)[1]
+        assert (op.key, op.impl, op.vjp) == ("neg", impl, vjp)
+        trace = make_trace({"x": [1.0, 2.0], "v": [0.0, 0.0]}, [-1.5, -2.0])
+        res = execute(ast, params, trace, registry)
+        assert calls == ["impl"]
+        # the first step misses by 0.5 and ends execution
+        np.testing.assert_array_equal(res.step_errors, [0.5])
+        grads = backward(res, ErrorSpec())
+        assert calls == ["impl", "vjp"]
+        # d|-x - theta| / dx at x = 1, theta = -1.5
+        np.testing.assert_array_equal(grads.slot_reads[2], [[-1.0]])
 
     def test_compiled_once_per_registry(self, scalar_registry, scalar_schema):
         ast, _ = _program("(accel (add x v))", scalar_registry, scalar_schema)
@@ -89,7 +116,7 @@ class TestTape:
         assert compile_tape(ast, scalar_registry) is tape
         other = standard_registry(scalar_schema.variables, scalar_schema.actions)
         assert compile_tape(ast, other)[0:2] == tape[0:2]
-        assert compile_tape(ast, other)[2].impl is other.impl("add")
+        assert compile_tape(ast, other)[2].impl is other.spec("add").impl
 
     def test_activations_cover_the_whole_trace(self, scalar_registry, scalar_schema):
         trace = make_trace({"x": [1.0, 5.0, 1.0], "v": [0, 0, 0]}, [1.0, 1.0, 1.0])

@@ -109,7 +109,23 @@ class TestParse:
 class TestFunctionSpec:
     def test_no_arguments_rejected(self):
         with pytest.raises(ProgramTypeError, match="at least one argument"):
-            FunctionSpec("f", (), 1)
+            FunctionSpec("f", (), 1, lambda: np.zeros((1, 1)), lambda args, g: ())
+
+
+class TestRegistry:
+    def test_duplicate_name_rejected_and_first_entry_kept(self):
+        registry = standard_registry({"x": 1}, {"accel": 1})
+        first = registry.spec("add")
+        again = FunctionSpec("add", (1, 1), 1, lambda a, b: a - b, lambda args, g: (g, -g))
+        with pytest.raises(ProgramTypeError) as info:
+            registry.register(again)
+        assert str(info.value) == "duplicate registry name: add"
+        assert registry.spec("add") is first
+
+    def test_unknown_name_rejected(self, scalar_registry):
+        with pytest.raises(ProgramTypeError) as info:
+            scalar_registry.spec("neg")
+        assert str(info.value) == "unknown function or action: neg"
 
 
 class TestReplaceNode:
@@ -205,6 +221,11 @@ class TestDepthComplexity:
     def test_custom_weights(self, scalar_registry, scalar_schema):
         ast = parse_program("(accel (scale 1.0 x))", scalar_registry, scalar_schema)
         assert complexity(ast, ComplexityWeights(1, 1, 1)) == 4
+
+    def test_weights_are_held_as_floats(self):
+        weights = ComplexityWeights(1, 2, 3)
+        assert [type(w) for w in (weights.depth, weights.params, weights.variables)] == [float] * 3
+        assert (weights.depth, weights.params, weights.variables) == (1.0, 2.0, 3.0)
 
     def test_negative_weights_rejected(self):
         with pytest.raises(ValueError):

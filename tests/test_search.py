@@ -109,14 +109,10 @@ class TestExpand:
         # only 2-dimensional functions registered; scalar leaf cannot expand
         registry = Registry()
         registry.register(
-            FunctionSpec("pair", (2, 2), 2),
-            lambda a, b: a + b,
-            lambda args, g: (g, g),
+            FunctionSpec("pair", (2, 2), 2, lambda a, b: a + b, lambda args, g: (g, g))
         )
         registry.register(
-            FunctionSpec("accel", (1,), 1, is_action=True),
-            lambda x: x,
-            lambda args, g: (g,),
+            FunctionSpec("accel", (1,), 1, lambda x: x, lambda args, g: (g,), is_action=True)
         )
         trace = make_trace({"x": [1.0]}, [1.0])
         ast = parse_program("(accel 0.5)", registry, trace.schema)
@@ -318,6 +314,8 @@ def brute_force_structures(registry, variables, max_depth):
 
 # the schema of the tiny grammars: one variable and the action ``a``
 TINY_SCHEMA = TraceSchema({"x": 1}, {"a": 1})
+TINY_F = FunctionSpec("f", (1, 1), 1, lambda a, b: a + b, lambda args, g: (g, g))
+TINY_A = FunctionSpec("a", (1,), 1, lambda x: x, lambda args, g: (g,), is_action=True)
 
 
 class TestEnumerate:
@@ -328,32 +326,20 @@ class TestEnumerate:
 
     def test_tiny_grammar_depth1(self):
         registry = Registry()
-        registry.register(
-            FunctionSpec("f", (1, 1), 1), lambda a, b: a + b, lambda args, g: (g, g)
-        )
-        registry.register(
-            FunctionSpec("a", (1,), 1, is_action=True), lambda x: x, lambda args, g: (g,)
-        )
+        registry.register(TINY_F)
+        registry.register(TINY_A)
         assert enumerate_programs(registry, TINY_SCHEMA, 1) == 2
 
     def test_tiny_grammar_depth2(self):
         registry = Registry()
-        registry.register(
-            FunctionSpec("f", (1, 1), 1), lambda a, b: a + b, lambda args, g: (g, g)
-        )
-        registry.register(
-            FunctionSpec("a", (1,), 1, is_action=True), lambda x: x, lambda args, g: (g,)
-        )
+        registry.register(TINY_F)
+        registry.register(TINY_A)
         assert enumerate_programs(registry, TINY_SCHEMA, 2) == 6
 
     def test_matches_brute_force_tiny(self):
         registry = Registry()
-        registry.register(
-            FunctionSpec("f", (1, 1), 1), lambda a, b: a + b, lambda args, g: (g, g)
-        )
-        registry.register(
-            FunctionSpec("a", (1,), 1, is_action=True), lambda x: x, lambda args, g: (g,)
-        )
+        registry.register(TINY_F)
+        registry.register(TINY_A)
         for d in (1, 2, 3):
             want = len(brute_force_structures(registry, {"x": 1}, d))
             assert enumerate_programs(registry, TINY_SCHEMA, d) == want
@@ -373,9 +359,7 @@ class TestEnumerate:
 
     def test_grammar_without_functions_stops_growing(self):
         registry = Registry()
-        registry.register(
-            FunctionSpec("a", (1,), 1, is_action=True), lambda x: x, lambda args, g: (g,)
-        )
+        registry.register(TINY_A)
         assert enumerate_programs(registry, TINY_SCHEMA, 10**9) == 2
 
 
@@ -424,9 +408,7 @@ class TestInduce:
 
     def test_no_action_registry_rejected(self, scalar_registry, scalar_schema):
         registry = Registry()
-        registry.register(
-            FunctionSpec("f", (1, 1), 1), lambda a, b: a + b, lambda args, g: (g, g)
-        )
+        registry.register(TINY_F)
         trace = make_trace({"x": [1.0], "v": [0.0]}, [1.0])
         with pytest.raises(ValueError):
             induce(trace, registry)
@@ -594,7 +576,7 @@ class TestDeferredSearch:
 
 def _nan_registry():
     registry = standard_registry({"x": 1, "v": 1}, {"accel": 1})
-    registry.register(FunctionSpec("bad", (1,), 1), lambda a: a * np.nan, lambda args, g: (g,))
+    registry.register(FunctionSpec("bad", (1,), 1, lambda a: a * np.nan, lambda args, g: (g,)))
     return registry
 
 
