@@ -9,6 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import default_rng
 
+from .interpreter import discretize_actions
 from .program import check_fields
 from .trace import ObservationTrace, TraceSchema, TraceStep
 
@@ -46,15 +47,10 @@ def simulate_second_order(cfg: SecondOrderConfig) -> ObservationTrace:
     schema = TraceSchema({"x": 1, "v": 1}, {"accel": 1})
     x, v = cfg.x0, cfg.v0
     steps = []
-    for t in range(1, cfg.steps + 1):
+    for _ in range(cfg.steps):
         theta = cfg.k1 * x + cfg.k2 * v
         steps.append(
-            TraceStep(
-                t=t,
-                vars={"x": np.array([x]), "v": np.array([v])},
-                action_name="accel",
-                theta=np.array([theta]),
-            )
+            TraceStep({"x": np.array([x]), "v": np.array([v])}, "accel", np.array([theta]))
         )
         v = v + theta * cfg.dt
         x = x + v * cfg.dt
@@ -106,20 +102,14 @@ def simulate_paddle(cfg: PaddleConfig) -> ObservationTrace:
     for t in range(1, cfg.steps + 1):
         opponent = cfg.height * (0.5 + 0.35 * math.sin(0.11 * t + opp_phase))
         u = cfg.c_ball * ball - cfg.c_agent * agent
-        theta = 0.0 if abs(u) <= cfg.deadband else float(np.sign(u))
-        steps.append(
-            TraceStep(
-                t=t,
-                vars={
-                    "agent_y": np.array([agent]),
-                    "ball_y": np.array([ball]),
-                    "opponent_y": np.array([opponent]),
-                },
-                action_name="move",
-                theta=np.array([theta]),
-            )
-        )
-        agent = float(np.clip(agent + theta * cfg.paddle_speed, 0.0, cfg.height))
+        theta = discretize_actions(np.array([u]), cfg.deadband)
+        rows = {
+            "agent_y": np.array([agent]),
+            "ball_y": np.array([ball]),
+            "opponent_y": np.array([opponent]),
+        }
+        steps.append(TraceStep(rows, "move", theta))
+        agent = float(np.clip(agent + theta[0] * cfg.paddle_speed, 0.0, cfg.height))
         ball += ball_v
         if ball < 0.0:
             ball, ball_v = -ball, -ball_v

@@ -56,7 +56,9 @@ class TraceSchema:
 
 
 class TraceStep(NamedTuple):
-    t: int
+    """One observed step: each variable's row and the action taken, with its
+    parameter row.  A step's timestep is its position in the trace, from 1."""
+
     vars: dict[str, np.ndarray]
     action_name: str
     theta: np.ndarray
@@ -64,10 +66,11 @@ class TraceStep(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class ObservationTrace:
-    """A validated trace and the read-only arrays built with it: each
-    variable's column, each action's targets and the nearest-variable index.
-    Traces compare and hash by identity: field-wise equality would compare
-    arrays, and the schema's dicts do not hash."""
+    """A validated trace, whose i-th step is timestep i, and the read-only
+    arrays built with it: each variable's float64 column, each action's
+    targets and the nearest-variable index.  Traces compare and hash by
+    identity: field-wise equality would compare arrays, and the schema's dicts
+    do not hash."""
 
     schema: TraceSchema
     steps: tuple[TraceStep, ...]
@@ -82,21 +85,22 @@ class ObservationTrace:
     def __post_init__(self) -> None:
         if not self.steps:
             raise TraceFormatError("trace must contain at least one step")
-        for i, step in enumerate(self.steps):
-            if step.t != i + 1:
-                raise TraceFormatError(f"timesteps must be contiguous from 1; step {i} has t={step.t}")
+        for t, step in enumerate(self.steps, start=1):
+            if not isinstance(step.vars, dict):
+                raise TraceFormatError(f"step {t}: vars is a {type(step.vars).__name__}, not a dict")
             for name, dim in self.schema.variables.items():
                 if name not in step.vars:
-                    raise TraceFormatError(f"step {step.t}: missing variable {name}")
-                _require_row(step.t, f"variable {name}", step.vars[name], dim)
+                    raise TraceFormatError(f"step {t}: missing variable {name}")
+                _require_row(t, f"variable {name}", step.vars[name], dim)
             for name in step.vars:
                 if name not in self.schema.variables:
-                    raise TraceFormatError(f"step {step.t}: undeclared variable {name}")
-            if step.action_name not in self.schema.actions:
-                raise TraceFormatError(f"step {step.t}: undeclared action {step.action_name}")
-            _require_row(step.t, "action theta", step.theta, self.schema.actions[step.action_name])
+                    raise TraceFormatError(f"step {t}: undeclared variable {name}")
+            # a name that is not a str may not hash, and is declared by no schema
+            if not isinstance(step.action_name, str) or step.action_name not in self.schema.actions:
+                raise TraceFormatError(f"step {t}: undeclared action {step.action_name}")
+            _require_row(t, "action theta", step.theta, self.schema.actions[step.action_name])
         columns = {
-            name: _read_only(np.stack([s.vars[name] for s in self.steps]))
+            name: _read_only(np.stack([s.vars[name] for s in self.steps], dtype=float))
             for name in self.schema.variables
         }
         for name, values in columns.items():
@@ -105,7 +109,7 @@ class ObservationTrace:
                 t = int(np.argmin(finite)) + 1
                 raise TraceFormatError(f"step {t}: variable {name} is not finite")
         if not np.isfinite(np.concatenate([s.theta for s in self.steps])).all():
-            t = next(s.t for s in self.steps if not np.isfinite(s.theta).all())
+            t = next(t for t, s in enumerate(self.steps, start=1) if not np.isfinite(s.theta).all())
             raise TraceFormatError(f"step {t}: action theta is not finite")
         targets = {n: np.full((self.length, d), np.nan) for n, d in self.schema.actions.items()}
         for i, step in enumerate(self.steps):
@@ -137,9 +141,11 @@ class ObservationTrace:
 
 
 def _require_row(t: int, what: str, value: object, dim: int) -> None:
-    """Refuse a step's variable or theta that is not a NumPy array of shape (dim,)."""
+    """Refuse a step's variable or theta that is not a numeric NumPy array of shape (dim,)."""
     if not isinstance(value, np.ndarray):
         raise TraceFormatError(f"step {t}: {what} is a {type(value).__name__}, not a NumPy array")
+    if value.dtype.kind not in "iuf":
+        raise TraceFormatError(f"step {t}: {what} has dtype {value.dtype}, not a number type")
     if value.shape != (dim,):
         raise TraceFormatError(f"step {t}: {what} has shape {value.shape}, not ({dim},)")
 
@@ -253,6 +259,8 @@ def _require(cond: bool, msg: str) -> None:
 
 
 def trace_from_dict(doc: dict) -> ObservationTrace:
+    """The trace a parsed document describes; each step's ``t`` must be its
+    position from 1.  Names reach the records unconverted; rows become float64."""
     _require(isinstance(doc, dict), "trace document must be an object")
     _require("schema" in doc and "steps" in doc, "trace document needs schema and steps")
     sch = doc["schema"]
@@ -262,30 +270,25 @@ def trace_from_dict(doc: dict) -> ObservationTrace:
     )
     for section in ("variables", "actions"):
         _require(isinstance(sch[section], dict), f"schema {section} must be an object")
-    schema = TraceSchema(
-        {str(k): v for k, v in sch["variables"].items()},
-        {str(k): v for k, v in sch["actions"].items()},
-    )
+    schema = TraceSchema(sch["variables"], sch["actions"])
     steps = []
     _require(isinstance(doc["steps"], list), "steps must be an array")
-    for raw in doc["steps"]:
+    for i, raw in enumerate(doc["steps"]):
         _require(isinstance(raw, dict), "each step must be an object")
         for key in ("t", "vars", "action"):
             _require(key in raw, f"step missing field {key!r}")
-        # bool is an int subclass, but JSON true is not a timestep
-        _require(
-            type(raw["t"]) is int, f"step field 't' must be an integer, got {raw['t']!r}"
-        )
         t, action = raw["t"], raw["action"]
+        # bool is an int subclass, but JSON true is not a timestep
+        _require(type(t) is int, f"step field 't' must be an integer, got {t!r}")
+        _require(t == i + 1, f"timesteps must be contiguous from 1; step {i} has t={t}")
         _require(isinstance(raw["vars"], dict), f"step {t}: vars must be an object")
         _require(
             isinstance(action, dict) and "name" in action and "theta" in action,
             "step action needs name and theta",
         )
         step = TraceStep(
-            t=t,
             vars={k: _json_row(t, f"variable {k}", v) for k, v in raw["vars"].items()},
-            action_name=str(action["name"]),
+            action_name=action["name"],
             theta=_json_row(t, "action theta", action["theta"]),
         )
         steps.append(step)
@@ -318,11 +321,11 @@ def trace_to_dict(trace: ObservationTrace) -> dict:
         },
         "steps": [
             {
-                "t": s.t,
+                "t": t,
                 "vars": {k: v.tolist() for k, v in s.vars.items()},
                 "action": {"name": s.action_name, "theta": s.theta.tolist()},
             }
-            for s in trace.steps
+            for t, s in enumerate(trace.steps, start=1)
         ],
     }
 

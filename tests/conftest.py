@@ -73,7 +73,6 @@ def make_trace(
     schema_actions = actions or {action_names[0]: theta_rows[0].shape[0]}
     steps = tuple(
         TraceStep(
-            t=i + 1,
             vars={name: variables[name][i] for name in names},
             action_name=action_names[i],
             theta=theta_rows[i],
@@ -128,9 +127,9 @@ def reference_loss(
     read at one step.
     """
     total = 0.0
-    for step in trace.steps:
+    for t, step in enumerate(trace.steps, start=1):
         ov = None
-        if override is not None and override[0] == step.t:
+        if override is not None and override[0] == t:
             ov = {override[1]: override[2]}
         theta_hat = eval_program_at(ast, registry, params, step.vars, ov)
         if step.action_name != ast.root.name:
@@ -176,14 +175,10 @@ def mixed_dimension_case() -> tuple[Registry, ObservationTrace]:
 def joined_oscillator_trace() -> ObservationTrace:
     """Two 100-step runs of the damped oscillator (k1=-4, k2=-0.25) as one
     trace: the default ``OSCILLATOR``, then a kicked run from x=-0.5,
-    v=3, with ``t`` running on from 101 to 200."""
+    v=3, as timesteps 101 to 200."""
     kicked = SecondOrderConfig(k1=-4.0, k2=-0.25, x0=-0.5, v0=3.0, dt=0.01, steps=100)
     first, second = simulate_second_order(OSCILLATOR), simulate_second_order(kicked)
-    steps = [
-        TraceStep(t, step.vars, step.action_name, step.theta)
-        for t, step in enumerate(first.steps + second.steps, start=1)
-    ]
-    return ObservationTrace(first.schema, tuple(steps))
+    return ObservationTrace(first.schema, first.steps + second.steps)
 
 
 def planar_trace() -> ObservationTrace:
@@ -193,9 +188,9 @@ def planar_trace() -> ObservationTrace:
     (dt 0.01, 200 steps)."""
     p, v = np.array([1.0, -0.5]), np.array([0.3, 2.0])
     steps = []
-    for t in range(1, 201):
+    for _ in range(200):
         theta = -4.0 * p - 0.25 * v
-        steps.append(TraceStep(t, {"p": p, "v": v}, "accel2", theta))
+        steps.append(TraceStep({"p": p, "v": v}, "accel2", theta))
         v = v + theta * 0.01
         p = p + v * 0.01
     return ObservationTrace(TraceSchema({"p": 2, "v": 2}, {"accel2": 2}), tuple(steps))

@@ -703,6 +703,23 @@ class TestInduce:
         assert run_cli(["induce", "--trace", str(path)]) == 2
         assert "must be an integer" in capsys.readouterr().err
 
+    # str() once loaded true as the declared action "True" and searched it;
+    # a list does not hash, so it must not reach the schema lookup
+    @pytest.mark.parametrize(
+        "name, declared", [(True, "True"), (None, "None"), ([1], "accel")], ids=str
+    )
+    def test_action_name_that_is_not_a_string_rejected(
+        self, small_trace, tmp_path, capsys, name, declared
+    ):
+        doc = json.loads(small_trace.read_text())
+        doc["schema"]["actions"] = {declared: 1}
+        for step in doc["steps"]:
+            step["action"]["name"] = name
+        path = tmp_path / "bad.trace"
+        path.write_text(json.dumps(doc))
+        assert run_cli(["induce", "--trace", str(path), "--max-iterations", "5"]) == 2
+        assert capsys.readouterr().err == f"error: step 1: undeclared action {name}\n"
+
     # int() would load each of these as dimension 1
     @pytest.mark.parametrize("dim", [1.7, "1", True])
     @pytest.mark.parametrize("section, name", [("variables", "x"), ("actions", "accel")])

@@ -7,18 +7,25 @@ import pytest
 from tracesynth import (
     PENDULUM,
     ObservationTrace,
+    PaddleConfig,
     TraceFormatError,
     TraceSchema,
     build_variable_index,
     load_trace,
     memory_at,
     save_trace,
+    simulate_paddle,
     simulate_second_order,
     standard_registry,
     trace_from_dict,
     trace_to_dict,
 )
-from tests.conftest import make_trace, mixed_dimension_case
+from tests.conftest import (
+    joined_oscillator_trace,
+    make_trace,
+    mixed_dimension_case,
+    planar_trace,
+)
 
 
 class TestLoad:
@@ -98,10 +105,43 @@ class TestLoad:
         again = load_trace(path)
         assert trace.schema == again.schema
         for a, b in zip(trace.steps, again.steps):
-            assert a.t == b.t and a.action_name == b.action_name
+            assert a.action_name == b.action_name
             np.testing.assert_array_equal(a.theta, b.theta)
             for name in a.vars:
                 np.testing.assert_array_equal(a.vars[name], b.vars[name])
+
+    # every trace the tests build in Python (the pendulum is the case above);
+    # the step's number is written from its position, and integer rows load
+    # back as the float64 columns the trace built from them
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: make_trace({"x": [1, 2, 3], "v": [0, 0.5, 1]}, [1, 2, 3]),
+            lambda: mixed_dimension_case()[1],
+            planar_trace,
+            joined_oscillator_trace,
+            lambda: simulate_paddle(PaddleConfig(steps=50)),
+            lambda: _with_int_rows(make_trace({"x": [1.0, 2.0]}, [1.0, 2.0])),
+        ],
+        ids=["make_trace", "mixed", "planar", "joined", "paddle", "int-rows"],
+    )
+    def test_every_built_trace_saves_and_loads_back(self, tmp_path, build):
+        trace = build()
+        path = tmp_path / "t.trace"
+        save_trace(trace, path)
+        again = load_trace(path)
+        assert again.schema == trace.schema
+        assert [s.action_name for s in again.steps] == [s.action_name for s in trace.steps]
+        for a, b in zip(trace.steps, again.steps):
+            np.testing.assert_array_equal(a.theta, b.theta)
+            assert a.vars.keys() == b.vars.keys()
+            for name in a.vars:
+                np.testing.assert_array_equal(a.vars[name], b.vars[name])
+        for name in trace.schema.variables:
+            assert again.var_matrix(name).tobytes() == trace.var_matrix(name).tobytes()
+        for name, dim in trace.schema.actions.items():
+            want = trace.action_targets(name, dim)
+            assert again.action_targets(name, dim).tobytes() == want.tobytes()
 
     def test_json_ints_load_as_floats(self):
         doc = trace_to_dict(make_trace({"x": [1.5, 2.5]}, [1.5, 2.5]))
@@ -149,6 +189,18 @@ class TestMemory:
         assert a.variables.keys() == b.variables.keys()
         for k in a.variables:
             np.testing.assert_array_equal(a.variables[k], b.variables[k])
+
+
+def _with_int_rows(trace):
+    """``trace`` with each row an int64 array of its values, truncated."""
+    steps = tuple(
+        s._replace(
+            vars={k: v.astype(np.int64) for k, v in s.vars.items()},
+            theta=s.theta.astype(np.int64),
+        )
+        for s in trace.steps
+    )
+    return ObservationTrace(trace.schema, steps)
 
 
 def _nearest(index, dim, points):
@@ -304,3 +356,36 @@ class TestDerivedArrays:
         want = f"step 2: {field} is a list, not a NumPy array"
         with pytest.raises(TraceFormatError, match=want):
             ObservationTrace(trace.schema, (trace.steps[0], bad))
+
+    @pytest.mark.parametrize("dtype", [bool, complex, object, str])
+    @pytest.mark.parametrize("field", ["variable x", "action theta"])
+    def test_row_that_is_not_numbers_refused(self, field, dtype):
+        trace = make_trace({"x": [1.0, 2.0]}, [1.0, 2.0])
+        row = np.array([1], dtype=dtype)
+        if field == "variable x":
+            bad = trace.steps[1]._replace(vars={"x": row})
+        else:
+            bad = trace.steps[1]._replace(theta=row)
+        want = f"step 2: {field} has dtype {row.dtype}, not a number type"
+        with pytest.raises(TraceFormatError) as info:
+            ObservationTrace(trace.schema, (trace.steps[0], bad))
+        assert str(info.value) == want
+
+    def test_vars_that_is_not_a_dict_refused(self):
+        trace = make_trace({"x": [1.0, 2.0]}, [1.0, 2.0])
+        bad = trace.steps[1]._replace(vars=[np.array([0.1])])
+        with pytest.raises(TraceFormatError) as info:
+            ObservationTrace(trace.schema, (trace.steps[0], bad))
+        assert str(info.value) == "step 2: vars is a list, not a dict"
+
+    def test_int64_rows_load_as_float64_columns(self):
+        # an int64 column once reached the index, whose squared distance
+        # 2**80 wrapped to 0 and made both gaps 0
+        trace = _with_int_rows(make_trace({"x": [2.0**40, 3.0], "v": [0.0, 1.0]}, [2, -1]))
+        assert trace.steps[1].vars["x"].dtype == trace.steps[1].theta.dtype == np.int64
+        assert trace.var_matrix("x").dtype == trace.var_matrix("v").dtype == np.float64
+        assert trace.var_matrix("x").tolist() == [[2.0**40], [3.0]]
+        assert trace.action_targets("accel", 1).dtype == np.float64
+        assert trace.action_targets("accel", 1).tolist() == [[2.0], [-1.0]]
+        assert trace.index.values[1].dtype == np.float64
+        np.testing.assert_array_equal(trace.index.gaps[1], [[2.0**39, 2.0**39], [1.0, 1.0]])
