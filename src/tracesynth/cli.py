@@ -19,13 +19,12 @@ from .interpreter import execute, matches_trace
 from .program import (
     FIELD_TYPES,
     ProgramError,
-    canonical_key,
     initial_params,
     parse_program,
     print_program,
     standard_registry,
 )
-from .search import SolutionSet, enumerate_programs, induce
+from .search import Candidate, SolutionSet, enumerate_programs, induce
 from .systems import OSCILLATOR, PENDULUM, PaddleConfig, simulate_paddle, simulate_second_order
 from .trace import TraceFormatError, load_trace, read_input, save_trace
 
@@ -151,41 +150,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def render_report(result: SolutionSet, config: RunConfig, trace_path: str) -> str:
-    """Text report; the ``programs`` section is a pure function of (trace,
-    config, seed), byte-identical across runs."""
-
-    def line(tag: str, cand) -> str:
-        text = print_program(cand.ast, cand.opt.params)
-        return (
-            f"{tag}: {text}\n"
-            f"    loss={cand.loss:.9g} complexity={cand.complexity:.9g} "
-            f"f_total={cand.score:.9g}"
-        )
-
-    parts = ["tracesynth induction report", "===========================", ""]
-    parts.append(f"trace: {trace_path}")
-    parts.append("config: " + json.dumps(config.to_dict(), sort_keys=True))
-    parts.append("")
-    parts.append("programs")
-    parts.append("--------")
-    if result.solution is not None:
-        parts.append("status: accepted")
-        parts.append(line("solution", result.solution))
-    else:
-        parts.append("status: no accepted solution")
-    for i, cand in enumerate(result.top, start=1):
-        parts.append(line(f"top[{i}]", cand))
-    parts.append("")
-    parts.append("stats")
-    parts.append("-----")
-    parts.append(f"iterations: {result.iterations}")
-    parts.append(f"proposed: {result.proposed}")
-    parts.append(f"optimised: {result.optimised}")
-    parts.append(f"opt_iters: {result.opt_iters}")
-    parts.append(f"wall_time_s: {result.wall_time:.3f}")
-    parts.append("")
-    parts.append("json")
-    parts.append("----")
+    """Text report.  Its ``programs`` and ``stats`` sections restate the
+    JSON document that ends it; the ``programs`` section is a pure function
+    of (trace, config, seed), byte-identical across runs."""
     doc = {
         "trace": trace_path,
         "config": config.to_dict(),
@@ -198,15 +165,36 @@ def render_report(result: SolutionSet, config: RunConfig, trace_path: str) -> st
         "opt_iters": result.opt_iters,
         "wall_time_s": round(result.wall_time, 3),
     }
-    parts.append(json.dumps(doc, indent=1, sort_keys=True))
-    parts.append("")
+
+    def line(tag: str, entry: dict) -> str:
+        return (
+            f"{tag}: {entry['program']}\n"
+            f"    loss={entry['loss']:.9g} complexity={entry['complexity']:.9g} "
+            f"f_total={entry['f_total']:.9g}"
+        )
+
+    parts = ["tracesynth induction report", "===========================", ""]
+    parts.append(f"trace: {trace_path}")
+    parts.append("config: " + json.dumps(doc["config"], sort_keys=True))
+    parts += ["", "programs", "--------"]
+    if doc["solution"] is not None:
+        parts += ["status: accepted", line("solution", doc["solution"])]
+    else:
+        parts.append("status: no accepted solution")
+    parts += [line(f"top[{i}]", entry) for i, entry in enumerate(doc["top"], start=1)]
+    parts += ["", "stats", "-----"]
+    for name in ("iterations", "proposed", "optimised", "opt_iters"):
+        parts.append(f"{name}: {doc[name]}")
+    # the text keeps three decimals, the document the rounded value
+    parts.append(f"wall_time_s: {result.wall_time:.3f}")
+    parts += ["", "json", "----", json.dumps(doc, indent=1, sort_keys=True), ""]
     return "\n".join(parts)
 
 
-def _cand_dict(cand) -> dict:
+def _cand_dict(cand: Candidate) -> dict:
     return {
         "program": print_program(cand.ast, cand.opt.params),
-        "structure": canonical_key(cand.ast),
+        "structure": cand.key,
         "loss": cand.loss,
         "complexity": cand.complexity,
         "f_total": cand.score,

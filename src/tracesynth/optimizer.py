@@ -116,6 +116,7 @@ class OptimizerState(NamedTuple):
         )
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def adagrad_step(state: OptimizerState, grads: Gradients) -> OptimizerState:
     """One AdaGrad update of all parameters; returns a new state."""
     params = dict(state.params)
@@ -258,6 +259,7 @@ def _vote(
     return np.where(moved & sole, votes.argmax(axis=1), column)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def reassign_variables(
     ast: ProgramAst,
     state: OptimizerState,

@@ -252,6 +252,26 @@ class _Proto:
         return structural_cost(*self.counts, weights)
 
 
+def _scored(proto: _Proto, opt: OptimizedCandidate, weights: ComplexityWeights) -> Candidate:
+    """The candidate a proposal's optimum makes: scored ``complexity +
+    loss``, keyed by its structure, with the proposal's provenance.  Raises
+    ``RuntimeError`` if re-binding changed the proposal's complexity."""
+    cost = complexity(opt.ast, weights)
+    if cost != proto.complexity(weights):
+        raise RuntimeError(f"re-binding changed the complexity of {proto.key}")
+    loss = opt.result.loss
+    return Candidate(
+        opt=opt,
+        loss=loss,
+        complexity=cost,
+        score=cost + loss,
+        key=canonical_key(opt.ast),
+        parent_key=proto.site.parent_key,
+        expansion_leaf=proto.site.leaf_id,
+        seed=proto.seed,
+    )
+
+
 @lru_cache(maxsize=None)
 def _patterns(
     arg_dims: tuple[int, ...], var_dims: frozenset[int]
@@ -357,21 +377,8 @@ def induce(
         proto = deferred.proto
         opt = optimize(proto.ast, proto.params, trace, registry, spec, opt_config)
         opt_iters += opt.iterations
-        loss = opt.result.loss
-        cost = complexity(opt.ast, config.weights)
-        if cost != deferred.complexity:
-            raise RuntimeError(f"re-binding changed the complexity of {proto.key}")
-        cand = Candidate(
-            opt=opt,
-            loss=loss,
-            complexity=cost,
-            score=cost + loss,
-            key=canonical_key(opt.ast),
-            parent_key=proto.site.parent_key,
-            expansion_leaf=proto.site.leaf_id,
-            seed=proto.seed,
-        )
-        rank = (cand.score, cost, n)
+        cand = _scored(proto, opt, config.weights)
+        rank = (cand.score, cand.complexity, n)
         prev = scored.get(cand.key)
         if prev is None or rank < prev[0]:
             scored[cand.key] = (rank, cand)

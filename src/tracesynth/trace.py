@@ -260,7 +260,8 @@ def _require(cond: bool, msg: str) -> None:
 
 def trace_from_dict(doc: dict) -> ObservationTrace:
     """The trace a parsed document describes; each step's ``t`` must be its
-    position from 1.  Names reach the records unconverted; rows become float64."""
+    position from 1, which every message about a step names (``step N:``).
+    Names reach the records unconverted; rows become float64."""
     _require(isinstance(doc, dict), "trace document must be an object")
     _require("schema" in doc and "steps" in doc, "trace document needs schema and steps")
     sch = doc["schema"]
@@ -273,23 +274,23 @@ def trace_from_dict(doc: dict) -> ObservationTrace:
     schema = TraceSchema(sch["variables"], sch["actions"])
     steps = []
     _require(isinstance(doc["steps"], list), "steps must be an array")
-    for i, raw in enumerate(doc["steps"]):
-        _require(isinstance(raw, dict), "each step must be an object")
+    for i, raw in enumerate(doc["steps"], start=1):
+        _require(isinstance(raw, dict), f"step {i}: each step must be an object")
         for key in ("t", "vars", "action"):
-            _require(key in raw, f"step missing field {key!r}")
+            _require(key in raw, f"step {i}: missing field {key!r}")
         t, action = raw["t"], raw["action"]
         # bool is an int subclass, but JSON true is not a timestep
-        _require(type(t) is int, f"step field 't' must be an integer, got {t!r}")
-        _require(t == i + 1, f"timesteps must be contiguous from 1; step {i} has t={t}")
-        _require(isinstance(raw["vars"], dict), f"step {t}: vars must be an object")
+        _require(type(t) is int, f"step {i}: field 't' must be an integer, got {t!r}")
+        _require(t == i, f"step {i}: timesteps must be contiguous from 1; got t={t}")
+        _require(isinstance(raw["vars"], dict), f"step {i}: vars must be an object")
         _require(
             isinstance(action, dict) and "name" in action and "theta" in action,
-            "step action needs name and theta",
+            f"step {i}: action needs name and theta",
         )
         step = TraceStep(
-            vars={k: _json_row(t, f"variable {k}", v) for k, v in raw["vars"].items()},
+            vars={k: _json_row(i, f"variable {k}", v) for k, v in raw["vars"].items()},
             action_name=action["name"],
-            theta=_json_row(t, "action theta", action["theta"]),
+            theta=_json_row(i, "action theta", action["theta"]),
         )
         steps.append(step)
     return ObservationTrace(schema, tuple(steps))

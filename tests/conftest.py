@@ -21,7 +21,6 @@ import pytest
 
 from tracesynth import (
     OSCILLATOR,
-    Candidate,
     ErrorSpec,
     OptimizedCandidate,
     OptimizerState,
@@ -37,7 +36,6 @@ from tracesynth import (
     adagrad_step,
     backward,
     canonical_key,
-    complexity,
     execute,
     expand,
     expand_empty,
@@ -49,6 +47,7 @@ from tracesynth import (
     standard_registry,
 )
 from tracesynth.program import replace_node
+from tracesynth.search import _scored
 
 
 def make_trace(
@@ -201,7 +200,8 @@ def eager_induce(trace, registry, config):
     optimising each one when it is queued.  Returns the solution (or None),
     the top-k candidates, the iteration count and the ``(structure key,
     leaf rank)`` of every popped candidate.  Calls ``optimizer.optimize``
-    through the module, so a test can count its calls."""
+    through the module, so a test can count its calls, and scores each
+    optimum with ``induce``'s own rule."""
     spec = config.error_spec()
     heap, counter, visited, scored, pops = [], itertools.count(), set(), {}, []
 
@@ -216,17 +216,7 @@ def eager_induce(trace, registry, config):
             opt = optimizer.optimize(
                 proto.ast, proto.params, trace, registry, spec, config.optimize_config()
             )
-            cost, loss = complexity(opt.ast, config.weights), opt.result.loss
-            cand = Candidate(
-                opt=opt,
-                loss=loss,
-                complexity=cost,
-                score=cost + loss,
-                key=canonical_key(opt.ast),
-                parent_key=proto.site.parent_key,
-                expansion_leaf=proto.site.leaf_id,
-                seed=proto.seed,
-            )
+            cand = _scored(proto, opt, config.weights)
             prev = scored.get(cand.key)
             if prev is None or (cand.score, cand.complexity) < (prev.score, prev.complexity):
                 scored[cand.key] = cand

@@ -22,11 +22,16 @@ proposal ``induce`` optimises must take exactly the steps it takes in the
 reference run.  The paddle values were recorded again when the
 discrete error model began to add ``max_step_error + 1`` to a misclassified
 step.
+
+One more digest pins whole reports, header, stats and JSON section
+included, with the wall time fixed; the same test checks that the text
+sections restate the JSON document.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 
 import pytest
 
@@ -131,6 +136,54 @@ def test_programs_section_digest(name):
     registry = standard_registry(trace.schema.variables, trace.schema.actions)
     report = render_report(induce(trace, registry, config=config), config, name)
     assert programs_digest(report) == want
+
+
+# SHA-256 of the whole reports of a solved and an unsolved golden run, each
+# rendered with the fixed wall times ``REPORT_WALL_TIMES``, recorded before
+# the text sections were rendered from the JSON document
+REPORT_CASES = ("pendulum_seed42", "paddle")
+REPORT_WALL_TIMES = (0.0005, 0.0015, 1.2345)
+REPORTS_DIGEST = "bbc2b5e65d9f7bf7993fa6160f5b1c461be2d07d248b20bb8080dfe884e9df83"
+STATS = ("iterations", "proposed", "optimised", "opt_iters", "wall_time_s")
+
+
+def assert_text_restates_json(report: str) -> None:
+    """Each ``solution:`` and ``top[i]:`` line of the text and its scores,
+    and each stats line, equal the values in the report's JSON section."""
+    text, _, section = report.partition("\njson\n----\n")
+    doc = json.loads(section)
+    entries = {"solution": doc["solution"]} if doc["solution"] else {}
+    entries.update({f"top[{i}]": entry for i, entry in enumerate(doc["top"], start=1)})
+    lines = iter(text.split("\n"))
+    seen = []
+    for line in lines:
+        tag, _, value = line.partition(": ")
+        if tag in entries:
+            assert value == entries[tag]["program"]
+            scores = dict(item.split("=") for item in next(lines).split())
+            assert scores.keys() == {"loss", "complexity", "f_total"}
+            for key, shown in scores.items():
+                assert float(shown) == pytest.approx(entries[tag][key], rel=1e-8), key
+        elif tag in STATS:
+            assert float(value) == doc[tag]
+        else:
+            continue
+        seen.append(tag)
+    assert seen == [*entries, *STATS]
+
+
+def test_whole_report_digest():
+    digest = hashlib.sha256()
+    for name in REPORT_CASES:
+        make_trace, config, _ = CASES[name]
+        trace = make_trace()
+        registry = standard_registry(trace.schema.variables, trace.schema.actions)
+        result = induce(trace, registry, config=config)
+        for wall_time in REPORT_WALL_TIMES:
+            report = render_report(result._replace(wall_time=wall_time), config, name)
+            assert_text_restates_json(report)
+            digest.update(report.encode())
+    assert digest.hexdigest() == REPORTS_DIGEST
 
 
 @pytest.mark.parametrize("name", sorted(TRAJECTORIES))

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -77,6 +78,28 @@ class TestAdagrad:
         state = adagrad_step(state, _grads_for(params={0: [0.0]}))
         np.testing.assert_array_equal(state.params[0], [0.7])
         np.testing.assert_array_equal(state.param_acc[0], [0.0])
+
+
+    # one pass of the optimiser loop, in the order of the benchmark's probe:
+    # x's read gradient is 1e200 (the outer scale) and the inner scale's
+    # parameter gradient is v = 1e200, so each squares past the float limit
+    def test_overflowing_gradients_step_without_a_warning(
+        self, scalar_registry, scalar_schema
+    ):
+        trace = make_trace({"x": [1.0, 1.0], "v": [1e200, 1e200]}, [0.0, 0.0])
+        ast = parse_program(
+            "(accel (add (scale 1e200 x) (scale 1.0 v)))", scalar_registry, scalar_schema
+        )
+        state = OptimizerState.fresh(ast, initial_params(ast), OptimizeConfig())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = execute(ast, state.params, trace, scalar_registry, ErrorSpec())
+            grads = backward(result, ErrorSpec())
+            state = adagrad_step(state, grads)
+            _, state, _ = reassign_variables(ast, state, grads, trace.index)
+        assert result.executed_len == 1
+        assert np.isinf(np.concatenate(list(state.param_acc.values()))).any()
+        assert np.isinf(np.concatenate(list(state.slot_acc.values()), axis=None)).any()
 
 
 class TestReassign:

@@ -406,6 +406,16 @@ class TestInduce:
         assert sol.optimised > 1
         assert index_builds == [trace.index]  # the one built with the trace
 
+    # optimisation only re-binds variables, which keeps a tree's complexity:
+    # an optimum of another complexity is refused, not scored
+    def test_optimum_of_another_complexity_refused(self, scalar_registry, monkeypatch):
+        trace = make_trace({"x": [1.0, 2.0], "v": [0.0, 1.0]}, [1.0, 2.0])
+        other = parse_program("(accel (add x v))", scalar_registry, trace.schema)
+        optimize = search.optimize
+        monkeypatch.setattr(search, "optimize", lambda *args: optimize(*args)._replace(ast=other))
+        with pytest.raises(RuntimeError, match="re-binding changed the complexity of"):
+            induce(trace, scalar_registry)
+
     def test_no_action_registry_rejected(self, scalar_registry, scalar_schema):
         registry = Registry()
         registry.register(TINY_F)

@@ -56,6 +56,25 @@ class TestLoad:
         with pytest.raises(TraceFormatError):
             trace_from_dict(doc)
 
+    # the second step is malformed: each message names it by its position
+    @pytest.mark.parametrize(
+        "spoil, message",
+        [
+            (lambda s: [s], "each step must be an object"),
+            (lambda s: {k: v for k, v in s.items() if k != "t"}, "missing field 't'"),
+            (lambda s: {**s, "t": 2.0}, "field 't' must be an integer, got 2.0"),
+            (lambda s: {**s, "t": 3}, "timesteps must be contiguous from 1; got t=3"),
+            (lambda s: {**s, "action": {"name": "accel"}}, "action needs name and theta"),
+        ],
+        ids=["not-object", "no-t", "float-t", "gap", "no-theta"],
+    )
+    def test_step_messages_name_the_step_from_1(self, spoil, message):
+        doc = trace_to_dict(make_trace({"x": [1, 2]}, [1, 2]))
+        doc["steps"][1] = spoil(doc["steps"][1])
+        with pytest.raises(TraceFormatError) as info:
+            trace_from_dict(doc)
+        assert str(info.value) == f"step 2: {message}"
+
     def test_direct_construction_validates(self):
         trace = make_trace({"x": [1.0, 2.0]}, [1.0, 2.0])
         nan_step = trace.steps[0]._replace(vars={"x": np.array([np.nan])})
